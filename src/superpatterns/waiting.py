@@ -4,8 +4,10 @@ Letters are drawn i.i.d. uniformly from {1..d}; the waiting time is the first
 length at which the accumulated prefix contains every length-k pattern.  Three
 mutually checking routes are provided: exact closed-form PMFs for (d, k) =
 (2, 2) and (3, 3), an exhaustive brute-force oracle over the whole word space,
-and a seeded Monte Carlo simulator.  The closed forms have exact rational
-generating functions whose Maclaurin coefficients reproduce the PMFs.
+and a seeded Monte Carlo simulator.  The simulator draws random bytes in
+chunks and expands each byte by exact rejection into several letters, so every
+letter is exactly uniform.  The closed forms have exact rational generating
+functions whose Maclaurin coefficients reproduce the PMFs.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import partial
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional
 
 from .automaton import get_automaton
 from .classify import count_strict_superpatterns
@@ -113,6 +117,7 @@ class SimSummary:
 
 _MASK64 = (1 << 64) - 1
 _TRIALS_PER_BLOCK = 1 << 16
+_CHUNK_BYTES = 512
 
 
 def _splitmix64(x: int) -> int:
@@ -126,14 +131,62 @@ def _block_seed(seed: int, block_index: int) -> int:
     return _splitmix64(_splitmix64(seed & _MASK64) + block_index)
 
 
+def _letter_decoder(d: int) -> tuple[int, Callable[[bytes], Iterable[int]]]:
+    """Return (width, expand): expand maps random bytes, read as `width`-byte
+    little-endian units, to exactly uniform letters on {1..d}.
+
+    One unit holds j base-d digits, j the largest value <= 8 with d^j at most
+    the number of unit values.  A unit below the largest multiple of d^j that
+    fits is accepted and yields the j digits of its residue mod d^j, least
+    significant first, each plus one; any other unit is rejected and yields
+    nothing.  Every digit string is hit by the same number of accepted units,
+    so the letters are exactly uniform and independent.  Below d = 256 the
+    unit is one byte, every letter fits in a byte value, and a chunk expands at
+    C level through a 256-entry table; wider alphabets take wider units.
+    """
+    width = max(1, ((d - 1).bit_length() + 7) // 8)
+    values = 256**width
+    j = 1
+    while j < 8 and d ** (j + 1) <= values:
+        j += 1
+    limit = values // d**j * d**j
+
+    def digits(unit: int) -> list[int]:
+        letters = []
+        for _ in range(j):
+            unit, r = divmod(unit, d)
+            letters.append(r + 1)
+        return letters
+
+    if d < 256:
+        lookup = [bytes(digits(b)) if b < limit else b"" for b in range(256)].__getitem__
+        return 1, lambda chunk: b"".join(map(lookup, chunk))
+
+    def expand(chunk: bytes) -> list[int]:
+        units = (int.from_bytes(chunk[i : i + width], "little") for i in range(0, len(chunk), width))
+        return [a for u in units if u < limit for a in digits(u)]
+
+    return width, expand
+
+
+def _letter_stream(d: int, rng: random.Random) -> Iterator[int]:
+    """Endless stream of exactly uniform letters on {1..d}, decoded from
+    chunks of at most _CHUNK_BYTES bytes drawn with `rng.randbytes`."""
+    width, expand = _letter_decoder(d)
+    draw = partial(rng.randbytes, _CHUNK_BYTES // width * width)
+    return chain.from_iterable(map(expand, iter(draw, None)))
+
+
 def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     """Estimate the waiting-time distribution from `trials` independent runs.
 
     Trials are grouped into fixed-size blocks; block i draws from its own
     generator seeded by mixing (seed, i), so the outcome is independent of
-    any evaluation order and reruns are bit-identical.  Letters are drawn by
-    rejection sampling on the smallest sufficient number of random bits, so
-    every letter is exactly uniform on {1..d}.
+    any evaluation order and reruns are bit-identical.  Each block reads one
+    letter stream (see `_letter_decoder`): random bytes in chunks, each byte
+    expanded by exact rejection into several letters, every one exactly
+    uniform on {1..d}.  A trial runs on from where the previous one stopped;
+    the letters left over when a block's trials are done are discarded.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -143,27 +196,25 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     step = auto.step
     transitions = auto.transitions
     accepting = auto.accepting
-    bits = max(1, (d - 1).bit_length())
     histogram: dict[int, int] = {}
 
     for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
-        block_trials = min(_TRIALS_PER_BLOCK, trials - block_start)
-        draw = random.Random(_block_seed(seed, block_index)).getrandbits
-        for _ in range(block_trials):
-            state = 0
-            t = 0
-            while True:
-                v = draw(bits)
-                if v >= d:
-                    continue
-                t += 1
-                ns = transitions[state][v + 1]
-                if ns < 0:
-                    ns = step(state, v + 1)
-                state = ns
-                if accepting[state]:
+        remaining = min(_TRIALS_PER_BLOCK, trials - block_start)
+        state = 0
+        t = 0
+        for a in _letter_stream(d, random.Random(_block_seed(seed, block_index))):
+            t += 1
+            ns = transitions[state][a]
+            if ns < 0:
+                ns = step(state, a)
+            state = ns
+            if accepting[state]:
+                histogram[t] = histogram.get(t, 0) + 1
+                remaining -= 1
+                if not remaining:
                     break
-            histogram[t] = histogram.get(t, 0) + 1
+                state = 0
+                t = 0
 
     mean = Fraction(sum(n * c for n, c in histogram.items()), trials)
     if trials > 1:

@@ -150,6 +150,17 @@ class TestSimulate:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_golden_csv(self, tmp_path):
+        # Pins the simulator's letter stream end to end; a stream change must
+        # update this file and be recorded as such.
+        out = tmp_path / "golden.csv"
+        argv = ["simulate", "--d", "3", "--k", "3", "--trials", "300", "--seed", "1", "--format", "csv"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"n,count\n7,6\n8,21\n9,30\n10,30\n11,37\n12,21\n13,35\n14,28\n15,16\n16,15\n"
+            b"17,15\n18,12\n19,7\n20,7\n21,4\n22,3\n23,5\n24,2\n25,2\n26,1\n30,1\n34,1\n42,1\n"
+        )
+
 
 class TestVerify:
     def test_counterexample_suite(self, capsys):

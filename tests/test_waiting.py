@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from statistics import NormalDist
 
 import pytest
 
@@ -21,6 +25,7 @@ from superpatterns import (
     ternary_waiting_time_gf,
     waiting_time_gf,
 )
+from superpatterns.waiting import _letter_decoder
 
 from conftest import all_words
 
@@ -171,11 +176,116 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_tau(3, 3, 0, 0)
 
-    def test_block_structure_is_stable_across_sizes(self):
-        # totals for trials below one block must be a prefix-sum property:
-        # first block trials coincide
-        small = simulate_tau(3, 3, 1000, 42)
-        assert sum(small.histogram.values()) == 1000
+    @pytest.mark.parametrize("n1,n2", [(1, 2), (1000, 1001), (1000, 5000)])
+    def test_histograms_grow_by_prefix_within_a_block(self, n1, n2):
+        # The first n1 trials of a run are the whole of a shorter run with the
+        # same seed, so every bin can only grow with the trial count.
+        small = simulate_tau(3, 3, n1, 42).histogram
+        large = simulate_tau(3, 3, n2, 42).histogram
+        assert all(c <= large.get(n, 0) for n, c in small.items())
+
+    def test_histograms_grow_by_prefix_across_a_block_boundary(self):
+        block = 1 << 16
+        small = simulate_tau(3, 3, block, 42).histogram
+        large = simulate_tau(3, 3, block + 500, 42).histogram
+        assert all(c <= large.get(n, 0) for n, c in small.items())
+        assert sum(large.values()) - sum(small.values()) == 500
+
+    def test_golden_histogram(self):
+        # Pins the letter stream: any change to how letters are drawn from a
+        # seed changes this histogram and must be recorded as a stream change.
+        assert simulate_tau(3, 3, 300, 1).histogram == {
+            7: 6, 8: 21, 9: 30, 10: 30, 11: 37, 12: 21, 13: 35, 14: 28, 15: 16,
+            16: 15, 17: 15, 18: 12, 19: 7, 20: 7, 21: 4, 22: 3, 23: 5, 24: 2,
+            25: 2, 26: 1, 30: 1, 34: 1, 42: 1,
+        }
+
+    @pytest.mark.parametrize("d", [255, 256, 300])
+    def test_alphabets_beyond_a_byte_terminate(self, d):
+        assert simulate_tau(d, 1, 50, 7).histogram == {1: 50}
+
+
+class TestLetterDecoder:
+    @pytest.mark.parametrize("d", [*range(1, 17), 255, 256, 300])
+    def test_accepted_units_cover_every_digit_string_equally(self, d):
+        # Enumerate every unit value: the accepted ones must map onto
+        # {1..d}^j with one common multiplicity, so each letter is exactly
+        # uniform and independent of the others in its unit.
+        width, expand = _letter_decoder(d)
+        outputs = Counter(tuple(expand(u.to_bytes(width, "little"))) for u in range(256**width))
+        outputs.pop((), None)
+        j = len(next(iter(outputs)))
+        assert set(outputs) == set(product(range(1, d + 1), repeat=j))
+        assert len(set(outputs.values())) == 1
+        # j is the most digits one unit can hold (capped at 8 per byte)
+        assert d**j <= 256**width and (j == 8 or d ** (j + 1) > 256**width)
+
+    def test_ternary_packs_five_letters_into_most_bytes(self):
+        width, expand = _letter_decoder(3)
+        lengths = Counter(len(expand(bytes([b]))) for b in range(256))
+        assert width == 1
+        assert lengths == {5: 243, 0: 13}
+
+
+def _chi_square_critical(df: int, alpha: float) -> float:
+    """Upper-alpha quantile of chi-square(df), Wilson-Hilferty approximation."""
+    z = NormalDist().inv_cdf(1 - alpha)
+    h = 2 / (9 * df)
+    return df * (1 - h + z * math.sqrt(h)) ** 3
+
+
+def _chi_square(histogram: dict[int, int], pmf, trials: int) -> tuple[float, int]:
+    """Goodness-of-fit statistic and degrees of freedom of a histogram against
+    an exact PMF.  Lengths get their own bin while both the bin and the mass
+    beyond it expect at least 5 trials; the last bin pools the whole tail.
+    The bins depend on the PMF and the trial count only, not on the data."""
+    expected: list[Fraction] = []
+    observed: list[int] = []
+    beyond = Fraction(1)
+    n = 1
+    while True:
+        p = pmf(n)
+        if 0 < trials * p < 5 or trials * (beyond - p) < 5:
+            break
+        if p:
+            expected.append(trials * p)
+            observed.append(histogram.get(n, 0))
+        beyond -= p
+        n += 1
+    expected.append(trials * beyond)
+    observed.append(sum(c for m, c in histogram.items() if m >= n))
+    statistic = sum(float((o - e) ** 2 / e) for o, e in zip(observed, expected))
+    return statistic, len(expected) - 1
+
+
+class TestSimulatedDistribution:
+    TRIALS = 100_000
+    ALPHA = 1e-6
+
+    @pytest.mark.parametrize("d,pmf", [(2, binary_pmf), (3, ternary_pmf)])
+    def test_histogram_fits_the_exact_pmf(self, d, pmf):
+        histogram = simulate_tau(d, d, self.TRIALS, 2026).histogram
+        assert sum(c for n, c in histogram.items() if pmf(n) == 0) == 0
+        statistic, df = _chi_square(histogram, pmf, self.TRIALS)
+        assert df >= 10
+        assert statistic < _chi_square_critical(df, self.ALPHA), (statistic, df)
+
+    def test_a_shifted_pmf_is_rejected(self):
+        # The check has power: the ternary histogram moved one length later
+        # does not fit the ternary PMF.
+        histogram = simulate_tau(3, 3, self.TRIALS, 2026).histogram
+        shifted = {n + 1: c for n, c in histogram.items()}
+        statistic, df = _chi_square(shifted, ternary_pmf, self.TRIALS)
+        assert statistic > _chi_square_critical(df, self.ALPHA)
+
+    @pytest.mark.parametrize("df", [10, 16, 20, 34, 60])
+    def test_critical_value_sits_at_the_level(self, df):
+        # For even df the chi-square tail is a finite Poisson sum,
+        # P(X > x) = exp(-x/2) * sum_{i < df/2} (x/2)^i / i!; at the
+        # approximate critical value it lies between alpha/2 and alpha.
+        half = _chi_square_critical(df, self.ALPHA) / 2
+        tail = math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
+        assert self.ALPHA / 2 < tail <= self.ALPHA
 
 
 class TestPmfTable:
