@@ -27,6 +27,8 @@ from .automaton import get_automaton
 from .patterns import (
     Pattern,
     Word,
+    _occurrences,
+    _relabel_tuple,
     contains_pattern,
     enumerate_preferential_arrangements,
 )
@@ -156,27 +158,37 @@ class CountReport:
         )
 
 
+# Each query below builds the word's next-occurrence table once and shares it
+# across all patterns; a slice of it serves for a prefix of the word.
+
+
+def _contains_all(word: Word, k: int, table: list[dict[int, int]]) -> bool:
+    return all(contains_pattern(word, p, table) for p in enumerate_preferential_arrangements(k))
+
+
 def is_superpattern(word: Word, k: int) -> bool:
     """Whether the word contains every canonical pattern of length k."""
     _check_k(k)
-    return all(contains_pattern(word, p) for p in enumerate_preferential_arrangements(k))
+    return _contains_all(word, k, _occurrences(word.letters))
 
 
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
     """The canonical length-k patterns the word does not contain, in
     lexicographic order; empty exactly when the word is a superpattern."""
     _check_k(k)
-    return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(word, p)]
+    table = _occurrences(word.letters)
+    return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(word, p, table)]
 
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
     _check_k(k)
-    if not is_superpattern(word, k):
+    table = _occurrences(word.letters)
+    if not _contains_all(word, k, table):
         return ClassFlags(False, False, False, False)
     letters = word.letters
     minimal = all(letters[i] != letters[i + 1] for i in range(len(letters) - 1))
-    strict = not is_superpattern(word.prefix(len(word) - 1), k)
+    strict = not _contains_all(word, k, table[:-1])
     minimum = False
     if minimal:
         n = len(word)
@@ -604,14 +616,6 @@ def ends_with_minimum_superpattern(word: Word) -> bool:
         if _relabel_tuple(sub) in targets:
             return True
     return False
-
-
-def _relabel_tuple(letters: tuple[int, ...]) -> tuple[int, ...]:
-    renaming: dict[int, int] = {}
-    for v in letters:
-        if v not in renaming:
-            renaming[v] = len(renaming) + 1
-    return tuple(renaming[v] for v in letters)
 
 
 # --- the quaternary counterexample word --------------------------------------

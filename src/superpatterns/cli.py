@@ -150,6 +150,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     budget = _budget(args)
     n = args.n
+    if args.filter != "all" and (args.d, args.k) != (3, 3):
+        raise ValueError(f"--filter {args.filter} is defined only for --d 3 --k 3")
     if args.filter == "strict-minimal":
         words = list(iter_strict_minimal_upto_iso(n, budget))
     elif args.filter == "minimal":
@@ -293,6 +295,8 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_gf(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError("--n must be at least 0")
     coeffs = waiting_time_gf(args.d).series_coefficients(args.n)
     if args.format == "json":
         text = json.dumps(
@@ -371,6 +375,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     budget = _budget(args)
     checks: list[tuple[str, bool]] = []
     if args.suite in ("structure", "all"):
+        if args.n < 7:
+            raise ValueError("the structure suite needs --n of at least 7")
         checks += _structure_checks(args.n, budget)
     if args.suite in ("oeis", "all"):
         checks += _oeis_checks()

@@ -9,7 +9,11 @@ called preferential arrangements, and the number of them of length k is the
 k-th ordered Bell number.
 
 A word contains a pattern when some subsequence of the word is
-order-isomorphic to it.
+order-isomorphic to it.  Containment is decided by a backtracking search
+that returns the lexicographically least embedding.  It reads the word
+through a next-occurrence table, built once per word and shared across
+patterns, and tries each distinct letter value once per pattern position.
+An all-subsequences scan is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from itertools import combinations
+from typing import Optional, Sequence
 
 __all__ = [
     "Word",
@@ -195,71 +199,106 @@ def _dense_rank_tuple(letters: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in letters)
 
 
-def _find_embedding(letters: Sequence[int], pattern: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Backtracking search over pattern positions, carrying the partial
-    assignment of pattern ranks to concrete letter values.  Returns the first
-    witness found (indices are 0-based) or None.
+def _occurrences(letters: Sequence[int]) -> list[dict[int, int]]:
+    """Next-occurrence table of a word: entry i maps each distinct value in
+    letters[i:] to its first index at or after i, with the values in order of
+    those indices.  O(n*w) for n letters and w distinct values.
+
+    A search bounded to the table's own length reads a slice table[:m] as the
+    table of the length-m prefix; indices at or past m are never used.
     """
-    n = len(letters)
+    table: list[dict[int, int]] = [{}] * len(letters)
+    following: dict[int, int] = {}
+    for i in range(len(letters) - 1, -1, -1):
+        v = letters[i]
+        row = {v: i, **following}
+        row[v] = i
+        table[i] = following = row
+    return table
+
+
+def _find_embedding(
+    table: Sequence[dict[int, int]], pattern: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """Backtracking search over pattern positions for the lexicographically
+    least embedding (0-based indices) into the word the table describes, or
+    None.
+
+    Each position tries each distinct letter value once, at its leftmost
+    occurrence after the previous pick: a later occurrence of the same value
+    leaves a subset of the same continuations.  A rank already assigned has
+    one candidate; a free rank takes the values between those of the nearest
+    assigned ranks below and above it.  Candidates come in index order, so
+    the first witness is the one a plain index-by-index search would find.
+    """
+    n = len(table)
     k = len(pattern)
-    assign: dict[int, int] = {}
-    picked: list[int] = []
+    if k > n:
+        return None
+    if k == 0:
+        return ()
+    # value[r] is the letter value given to rank r, 0 while r is free, and
+    # ceiling[r] the same with inf for free; as assigned values increase with
+    # rank, a free rank's bounds are max(value[:r]) and min(ceiling[r + 1:]).
+    m = max(pattern)
+    value = [0] * (m + 1)
+    ceiling = [math.inf] * (m + 2)
+    picked = [0] * k
 
     def extend(start: int, pos: int) -> bool:
-        if pos == k:
-            return True
-        if n - start < k - pos:  # not enough letters left
-            return False
         r = pattern[pos]
-        bound = n - (k - pos) + 1
-        fixed = assign.get(r)
-        for i in range(start, bound):
-            v = letters[i]
-            if fixed is not None:
-                if v != fixed:
-                    continue
-                picked.append(i)
-                if extend(i + 1, pos + 1):
+        last = n - k + pos  # the last index that leaves room for the rest
+        nxt = pos + 1
+        v = value[r]
+        if v:
+            i = table[start].get(v, n)
+            if i > last:
+                return False
+            picked[pos] = i
+            return nxt == k or extend(i + 1, nxt)
+        lo = max(value[:r])
+        hi = min(ceiling[r + 1 :])
+        for v, i in table[start].items():
+            if i > last:
+                break
+            if lo < v < hi:
+                value[r] = ceiling[r] = v
+                picked[pos] = i
+                if nxt == k or extend(i + 1, nxt):
                     return True
-                picked.pop()
-            else:
-                consistent = True
-                for r2, v2 in assign.items():
-                    if v2 == v or (r2 < r) != (v2 < v):
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
-                assign[r] = v
-                picked.append(i)
-                if extend(i + 1, pos + 1):
-                    return True
-                picked.pop()
-                del assign[r]
+        value[r] = 0
+        ceiling[r] = math.inf
         return False
 
-    if extend(0, 0):
-        return tuple(picked)
-    return None
+    return tuple(picked) if extend(0, 0) else None
 
 
 def find_embedding(word: Word, pattern: Pattern) -> Optional[tuple[int, ...]]:
-    """A witness embedding of the pattern into the word, as a strictly
-    increasing tuple of 0-based indices whose subsequence dense-ranks to the
-    pattern; None when the word does not contain the pattern.
+    """The lexicographically least embedding of the pattern into the word, as
+    a strictly increasing tuple of 0-based indices whose subsequence
+    dense-ranks to the pattern; None when the word does not contain the
+    pattern.
     """
-    return _find_embedding(word.letters, pattern.letters)
+    return _find_embedding(_occurrences(word.letters), pattern.letters)
 
 
-def contains_pattern(word: Word, pattern: Pattern) -> bool:
+def contains_pattern(
+    word: Word, pattern: Pattern, table: Optional[Sequence[dict[int, int]]] = None
+) -> bool:
     """Whether some subsequence of the word is order-isomorphic to the pattern.
+
+    Callers testing many patterns against one word pass its next-occurrence
+    table (``_occurrences(word.letters)``), built once; a slice table[:m]
+    restricts the search to the word's length-m prefix.
 
     >>> contains_pattern(Word.parse("5371473"), Pattern.parse("231"))
     True
     >>> contains_pattern(Word.parse("111111"), Pattern.parse("123"))
     False
     """
-    return _find_embedding(word.letters, pattern.letters) is not None
+    if table is None:
+        table = _occurrences(word.letters)
+    return _find_embedding(table, pattern.letters) is not None
 
 
 def contains_pattern_bruteforce(word: Word, pattern: Pattern) -> bool:
@@ -330,10 +369,10 @@ def _grow_arrangements(
 
 
 @lru_cache(maxsize=None)
-def _arrangement_tuples(k: int) -> tuple[tuple[int, ...], ...]:
+def _arrangements(k: int) -> tuple[Pattern, ...]:
     out: list[tuple[int, ...]] = []
     _grow_arrangements([], 0, set(), k, out)
-    return tuple(out)
+    return tuple(Pattern(t) for t in out)
 
 
 def enumerate_preferential_arrangements(k: int) -> list[Pattern]:
@@ -349,7 +388,7 @@ def enumerate_preferential_arrangements(k: int) -> list[Pattern]:
             f"refusing to enumerate fubini({k}) = {fubini(k)} patterns"
             f" (cap is k <= {MAX_PATTERN_LENGTH})"
         )
-    return [Pattern(t) for t in _arrangement_tuples(k)]
+    return list(_arrangements(k))
 
 
 def relabel_canonical(word: Word) -> Word:
@@ -364,11 +403,15 @@ def relabel_canonical(word: Word) -> Word:
     """
     if not word.letters:
         raise ValueError("relabel_canonical requires a non-empty word")
+    return Word(_relabel_tuple(word.letters), word.alphabet_size)
+
+
+def _relabel_tuple(letters: Sequence[int]) -> tuple[int, ...]:
     renaming: dict[int, int] = {}
-    for v in word.letters:
+    for v in letters:
         if v not in renaming:
             renaming[v] = len(renaming) + 1
-    return Word(tuple(renaming[v] for v in word.letters), word.alphabet_size)
+    return tuple(renaming[v] for v in letters)
 
 
 def apply_letter_permutation(word: Word, sigma: LetterPermutation) -> Word:
@@ -378,9 +421,3 @@ def apply_letter_permutation(word: Word, sigma: LetterPermutation) -> Word:
             f"permutation degree {sigma.degree} does not match alphabet size {word.alphabet_size}"
         )
     return Word(tuple(sigma.images[v - 1] for v in word.letters), word.alphabet_size)
-
-
-def all_letter_permutations(d: int) -> Iterator[LetterPermutation]:
-    """All d! bijections on {1, ..., d}."""
-    for images in permutations(range(1, d + 1)):
-        yield LetterPermutation(images)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .automaton import get_automaton
 from .classify import count_strict_superpatterns
 from .patterns import Pattern, enumerate_preferential_arrangements
-from .patterns import _find_embedding as _embed
+from .patterns import _find_embedding, _occurrences
 from .series import Polynomial, RationalFunction
 
 __all__ = [
@@ -95,7 +95,8 @@ def tau_online(letters: Iterable[int], k: int) -> int:
         if a < 1:
             raise ValueError(f"letters must be positive, got {a}")
         prefix.append(a)
-        missing = [p for p in missing if _embed(prefix, p.letters) is None]
+        table = _occurrences(prefix)
+        missing = [p for p in missing if _find_embedding(table, p.letters) is None]
         if not missing:
             return t
     raise ValueError("letter stream ended before the prefix became a superpattern")

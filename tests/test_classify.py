@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpatterns import (
     QUATERNARY_EXAMPLE,
@@ -12,6 +14,9 @@ from superpatterns import (
     Word,
     apply_letter_permutation,
     classify,
+    contains_pattern_bruteforce,
+    enumerate_preferential_arrangements,
+    get_automaton,
     count_beta_bruteforce,
     count_formulas,
     count_minimal_upto_iso,
@@ -102,6 +107,21 @@ class TestClassify:
             for images in permutations((1, 2, 3)):
                 image = apply_letter_permutation(w, LetterPermutation(images))
                 assert classify(image, 3) == classify(w, 3)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=10))
+    def test_agrees_with_the_automaton(self, letters):
+        w = Word(tuple(letters), 3)
+        auto = get_automaton(3, 3)
+        accepted = auto.accepting[auto.scan(w.letters)]
+        flags = classify(w, 3)
+        missing = missing_patterns(w, 3)
+        assert flags.is_superpattern == accepted == is_superpattern(w, 3)
+        assert missing == [
+            p for p in enumerate_preferential_arrangements(3) if not contains_pattern_bruteforce(w, p)
+        ]
+        assert flags.is_strict == (accepted and not auto.accepting[auto.scan(w.letters[:-1])])
 
 
 class TestMinimumLength:

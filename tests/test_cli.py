@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +61,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--n", "8", "--filter", "minimal", "--format", "json")
         assert code == 0
         assert json.loads(out)["count"] == 28
+
+    @pytest.mark.parametrize("flt", ["minimal", "strict-minimal"])
+    @pytest.mark.parametrize("dk", [("4", "3"), ("3", "4"), ("2", "2")])
+    def test_alternating_filters_need_ternary(self, capsys, flt, dk):
+        code, out, err = run(capsys, "enumerate", "--n", "8", "--filter", flt, "--d", dk[0], "--k", dk[1])
+        assert code == 2
+        assert out == ""
+        assert "--d 3 --k 3" in err
 
     def test_budget_exceeded_exits_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "40", "--filter", "minimal")
@@ -121,6 +130,17 @@ class TestMomentsAndGf:
         assert "mean,5,5" in out
         assert "variance,4,4" in out
 
+    def test_gf_negative_order_exits_two(self, capsys):
+        code, out, err = run(capsys, "gf", "--d", "3", "--n", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
+    def test_gf_order_zero(self, capsys):
+        code, out, _ = run(capsys, "gf", "--d", "2", "--n", "0")
+        assert code == 0
+        assert out == "n,coefficient\n0,0\n"
+
     def test_gf_coefficients(self, capsys):
         code, out, _ = run(capsys, "gf", "--d", "3", "--n", "8")
         assert code == 0
@@ -172,6 +192,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "oeis")
         assert code == 0
 
+    @pytest.mark.parametrize("suite", ["structure", "all"])
+    @pytest.mark.parametrize("n", ["6", "0", "-3"])
+    def test_structure_suite_below_seven_exits_two(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
     def test_structure_suite_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "structure", "--n", "8", "--format", "plain")
         assert code == 0
@@ -191,3 +219,16 @@ class TestOutputFile:
         path = tmp_path / "counts.csv"
         assert main(["counts", "--n-from", "7", "--n-to", "7", "--out", str(path)]) == 0
         assert path.read_text().splitlines()[1] == "7,7,7,7,42,14,11,25"
+
+
+class TestCheckGolden:
+    # Outputs captured from the position-by-position backtracker, before the
+    # search was rewritten; the containment search must reproduce them byte
+    # for byte.  Cases cover k = 2..5, the empty word, 24-letter (4,4) words
+    # and QUATERNARY_EXAMPLE, each in csv, json and plain.
+    CASES = json.loads((Path(__file__).parent / "golden" / "check.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_byte_identical(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpatterns import (
     LetterPermutation,
@@ -150,6 +152,17 @@ class TestContainment:
                 assert contains_pattern(w, p) == contains_pattern(stretched, p)
 
 
+def least_embeddings(word, k):
+    """For each length-k pattern the word contains, the lexicographically
+    least index tuple whose subsequence dense-ranks to it, by scanning every
+    combination in order."""
+    least = {}
+    for idxs in combinations(range(len(word)), k):
+        sub = Word.from_letters([word.letters[i] for i in idxs], word.alphabet_size)
+        least.setdefault(dense_rank(sub).letters, idxs)
+    return least
+
+
 class TestFindEmbedding:
     def test_witness_for_increasing_triple(self):
         w = Word.parse("1213121")
@@ -167,17 +180,39 @@ class TestFindEmbedding:
         assert find_embedding(p.as_word(), p) == (0, 1, 2, 3)
 
     def test_witness_soundness_exhaustively(self):
-        patterns = [p for k in (2, 3) for p in enumerate_preferential_arrangements(k)]
-        for n in range(0, 6):
-            for w in all_words(3, n):
-                for p in patterns:
-                    idxs = find_embedding(w, p)
-                    if idxs is None:
-                        assert not contains_pattern_bruteforce(w, p)
-                    else:
-                        assert all(a < b for a, b in zip(idxs, idxs[1:]))
-                        sub = Word.from_letters([w.letters[i] for i in idxs], w.alphabet_size)
-                        assert dense_rank(sub) == p
+        # The witness is the lexicographically least embedding, which also
+        # makes it a valid one; None exactly when there is none.
+        for d, k, n_max in ((3, 3, 6), (4, 4, 5), (2, 2, 6), (5, 3, 4), (3, 2, 5)):
+            patterns = enumerate_preferential_arrangements(k)
+            for n in range(n_max + 1):
+                for w in all_words(d, n):
+                    least = least_embeddings(w, k)
+                    for p in patterns:
+                        assert find_embedding(w, p) == least.get(p.letters), (w, p)
+
+    def test_hand_checked_witnesses(self):
+        # Hand-checked: a first letter with no completion is passed over,
+        # and among the completions the earliest indices win.
+        assert find_embedding(Word.parse("3132"), Pattern.parse("12")) == (1, 2)
+        assert find_embedding(Word.parse("213132"), Pattern.parse("132")) == (1, 2, 5)
+        assert find_embedding(Word.parse("4321"), Pattern.parse("1")) == (0,)
+        assert find_embedding(Word.parse(""), Pattern.parse("")) == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.tuples(st.just(d), st.lists(st.integers(1, d), max_size=10))
+        ),
+        st.integers(1, 5).flatmap(
+            lambda k: st.sampled_from(enumerate_preferential_arrangements(k))
+        ),
+    )
+    def test_least_embedding_property(self, word_spec, pattern):
+        d, letters = word_spec
+        w = Word(tuple(letters), d)
+        idxs = find_embedding(w, pattern)
+        assert idxs == least_embeddings(w, len(pattern)).get(pattern.letters)
+        assert contains_pattern(w, pattern) == (idxs is not None)
 
 
 class TestArrangements:
