@@ -16,7 +16,6 @@ per-pattern backtracking route by the test suite.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -59,7 +58,6 @@ class ContainmentAutomaton:
         # Slot 0 of each row is unused so rows index directly by letter value.
         self.transitions: list[list[int]] = [[-1] * (d + 1)]
         self.accepting: list[bool] = [self._all_satisfied == 0]
-        self._lock = threading.Lock()
 
     @property
     def state_count(self) -> int:
@@ -70,13 +68,9 @@ class ContainmentAutomaton:
         nxt = self.transitions[state][letter]
         if nxt >= 0:
             return nxt
-        with self._lock:
-            return self._expand(state, letter)
+        return self._expand(state, letter)
 
     def _expand(self, state: int, letter: int) -> int:
-        nxt = self.transitions[state][letter]
-        if nxt >= 0:  # lost the race, another thread built it
-            return nxt
         mask, progress = self._state_keys[state]
         k = self.k
         new_progress = list(progress)
@@ -132,7 +126,6 @@ class ContainmentAutomaton:
 
 
 _cache: dict[tuple[int, int], ContainmentAutomaton] = {}
-_cache_lock = threading.Lock()
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:
@@ -140,9 +133,5 @@ def get_automaton(d: int, k: int) -> ContainmentAutomaton:
     key = (d, k)
     auto = _cache.get(key)
     if auto is None:
-        with _cache_lock:
-            auto = _cache.get(key)
-            if auto is None:
-                auto = ContainmentAutomaton(d, k)
-                _cache[key] = auto
+        auto = _cache[key] = ContainmentAutomaton(d, k)
     return auto

@@ -9,10 +9,14 @@ k.  Refinements, for a word w of length n:
 * minimum    -- minimal superpattern whose length is the least possible for
                 its (k, alphabet) combination.
 
-The exhaustive routes iterate the word space in base-d counter order, carrying
-containment state through the shared automaton and skipping subtrees whose
-prefix is already a superpattern (no strict word can occur below one).  The
-closed-form counts they are checked against live in count_formulas().
+The exhaustive routes run over the states of the shared containment
+automaton, not over words.  Counts come from a transfer-matrix DP: words that
+reach the same state (with the same last or largest letter, when the letter
+rule needs it) share their future, so each length costs one pass over the
+states.  Listings come from one explicit-stack walker that enters a prefix only
+when the DP shows a word of the requested length can still finish below it,
+and yields words in lexicographic order.  The closed-form counts they are
+checked against live in count_formulas().
 """
 
 from __future__ import annotations
@@ -264,11 +268,11 @@ def min_superpattern_length(
                     return depth
                 if t not in seen:
                     seen.add(t)
+                    if len(seen) > state_budget:
+                        raise BudgetExceededError(
+                            f"minimum-length search for k={k}, d={d} exceeded {state_budget} states"
+                        )
                     next_frontier.append(t)
-        if len(seen) > state_budget:
-            raise BudgetExceededError(
-                f"minimum-length search for k={k}, d={d} exceeded {state_budget} states"
-            )
         if not next_frontier:
             raise SuperpatternNotFoundError(
                 f"no superpattern over a {d}-letter alphabet can contain all"
@@ -278,9 +282,134 @@ def min_superpattern_length(
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
-# --- exhaustive scans over the full word space -------------------------------
+# --- exhaustive scans: transfer-matrix DP over the automaton -----------------
 
-_scan_cache: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
+# Letter rules of a word space: any letter, no letter equal to the one before
+# it, or first-occurrence canonical form (each new letter is the next unused).
+_ANY, _NO_REPEAT, _CANONICAL = range(3)
+
+
+class _WordSpace:
+    """The words over {1..d} that extend a fixed prefix under one letter rule,
+    as walks over nodes (automaton state, tag) encoded state * (d + 1) + tag.
+
+    The tag is what the rule must remember: the last letter (_NO_REPEAT), the
+    largest letter so far (_CANONICAL), or nothing, 0 (_ANY).  Words that
+    reach the same node have the same extensions and the same verdicts, so
+    counts come from a transfer-matrix DP over the nodes, level by level
+    (Stanley, EC1 section 4.7), in O(n * nodes * d) steps instead of d^n.
+    """
+
+    def __init__(self, d: int, k: int, rule: int, prefix: tuple[int, ...] = ()):
+        self.auto = get_automaton(d, k)
+        self.d = d
+        self.rule = rule
+        self.prefix = prefix
+        if rule == _NO_REPEAT and prefix:
+            tag = prefix[-1]
+        elif rule == _CANONICAL:
+            tag = max(prefix, default=0)
+        else:
+            tag = 0
+        self.root = self.auto.scan(prefix) * (d + 1) + tag
+        self._moves: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def moves(self, node: int) -> tuple[tuple[int, int], ...]:
+        """The (letter, child node) pairs the rule allows out of a node, in
+        letter order."""
+        out = self._moves.get(node)
+        if out is None:
+            w = self.d + 1
+            state, tag = divmod(node, w)
+            step = self.auto.step
+            if self.rule == _ANY:
+                out = tuple((a, step(state, a) * w) for a in range(1, w))
+            elif self.rule == _NO_REPEAT:
+                out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
+            else:
+                top = min(tag + 1, self.d)
+                out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
+            self._moves[node] = out
+        return out
+
+    def levels(self, n: int, strict: bool) -> tuple[list[dict[int, int]], list[int]]:
+        """Forward DP to length n: levels[t] maps each node reached by words of
+        length t to their number.
+
+        Under strict, a word whose last letter first makes it a superpattern
+        is tallied in hits[t] and not extended (no strict superpattern lies
+        below it), so the levels hold only non-accepting nodes.  Depths below
+        the prefix length hold nothing.
+        """
+        accepting = self.auto.accepting
+        w = self.d + 1
+        moves = self.moves
+        t0 = len(self.prefix)
+        level = {self.root: 1}
+        levels = [{}] * t0 + [level]
+        hits = [0] * (t0 + 1)
+        for _ in range(t0, n):
+            nxt: dict[int, int] = {}
+            hit = 0
+            for u, c in level.items():
+                for _a, v in moves(u):
+                    if strict and accepting[v // w]:
+                        hit += c
+                    else:
+                        nxt[v] = nxt.get(v, 0) + c
+            levels.append(nxt)
+            hits.append(hit)
+            level = nxt
+        return levels, hits
+
+    def walk(self, n: int, strict: bool) -> Iterator[Word]:
+        """The words of length n that are strict superpatterns (strict) or
+        superpatterns (otherwise), in lexicographic order.
+
+        A backward pass over the forward levels keeps, at each depth, only the
+        nodes from which a word of exactly the remaining length still ends in
+        output, and each node at depth n - 1 keeps its finishing letters.  The
+        explicit-stack walk enters only those nodes, so every prefix it visits
+        leads to output.
+        """
+        if n < 0:
+            raise ValueError(f"word length must be at least 0, got {n}")
+        t0 = len(self.prefix)
+        if n <= t0:
+            return
+        accepting = self.auto.accepting
+        w = self.d + 1
+        moves = self.moves
+        levels = self.levels(n - 1, strict)[0]
+        finish = {}
+        for u in levels[n - 1]:
+            letters = tuple(a for a, v in moves(u) if accepting[v // w])
+            if letters:
+                finish[u] = letters
+        # alive[t]: the nodes at depth t below which some word ends in output
+        # (depths t0 .. n - 2 are filled in here; the walk reads no others).
+        alive = [finish] * n
+        for t in range(n - 2, t0 - 1, -1):
+            ahead = alive[t + 1]
+            alive[t] = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
+        del levels
+        if self.root not in alive[t0]:
+            return
+        d = self.d
+        stack = [(self.root, self.prefix)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            u, word = pop()
+            t = len(word)
+            if t == n - 1:
+                for a in finish[u]:
+                    yield Word(word + (a,), d)
+                continue
+            ahead = alive[t + 1]
+            for a, v in reversed(moves(u)):  # the least letter pops first
+                if v in ahead:
+                    push((v, word + (a,)))
 
 
 def strict_counts_by_length(
@@ -288,42 +417,17 @@ def strict_counts_by_length(
 ) -> dict[int, int]:
     """Exact number of strict k-superpatterns of each length 1..n_max over {1..d}.
 
-    One depth-first pass in counter order visits every word whose proper
-    prefixes are all non-superpatterns; a child that turns accepting is a word
-    whose last letter completed the final pattern, i.e. a strict superpattern
-    of that length.  Subtrees under an accepting node are skipped: none of
-    their words can be strict.
+    A forward transfer-matrix DP over the automaton's states: each level maps
+    every non-accepting state to the number of words of that length reaching
+    it, and a step into an accepting state adds to that length's strict count
+    (the last letter completed the final pattern).  The word-space budget
+    still applies, so budget errors match the listing routes.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _require_within_budget(d**n_max, d, budget, f"strict-superpattern scan to n={n_max}")
-    cached = _scan_cache.get((d, k))
-    if cached is not None and cached[0] >= n_max:
-        return {n: cached[1].get(n, 0) for n in range(1, n_max + 1)}
-
-    auto = get_automaton(d, k)
-    counts = {n: 0 for n in range(1, n_max + 1)}
-    step = auto.step
-    transitions = auto.transitions
-    accepting = auto.accepting
-    letters = range(1, d + 1)
-    stack = [(0, 0)]
-    pop = stack.pop
-    push = stack.append
-    while stack:
-        state, t = pop()
-        t1 = t + 1
-        row = transitions[state]
-        for a in letters:
-            ns = row[a]
-            if ns < 0:
-                ns = step(state, a)
-            if accepting[ns]:
-                counts[t1] += 1
-            elif t1 < n_max:
-                push((ns, t1))
-    _scan_cache[(d, k)] = (n_max, counts)
-    return dict(counts)
+    hits = _WordSpace(d, k, _ANY).levels(n_max, strict=True)[1]
+    return {n: hits[n] for n in range(1, n_max + 1)}
 
 
 def count_strict_superpatterns(d: int, k: int, n: int, budget: Optional[int] = None) -> int:
@@ -336,24 +440,7 @@ def iter_strict_superpatterns(
 ) -> Iterator[Word]:
     """Stream the strict k-superpatterns of length n in lexicographic order."""
     _require_within_budget(d**n, d, budget, f"strict-superpattern listing at n={n}")
-    auto = get_automaton(d, k)
-    word: list[int] = []
-
-    def walk(state: int) -> Iterator[Word]:
-        t1 = len(word) + 1
-        for a in range(1, d + 1):
-            ns = auto.step(state, a)
-            if auto.accepting[ns]:
-                if t1 == n:
-                    word.append(a)
-                    yield Word(tuple(word), d)
-                    word.pop()
-            elif t1 < n:
-                word.append(a)
-                yield from walk(ns)
-                word.pop()
-
-    yield from walk(0)
+    yield from _WordSpace(d, k, _ANY).walk(n, strict=True)
 
 
 def iter_superpatterns(
@@ -365,21 +452,7 @@ def iter_superpatterns(
     produced, one representative per letter-isomorphism class.
     """
     _require_within_budget(d**n, d, budget, f"superpattern listing at n={n}")
-    auto = get_automaton(d, k)
-    word: list[int] = []
-
-    def walk(state: int, max_used: int) -> Iterator[Word]:
-        if len(word) == n:
-            if auto.accepting[state]:
-                yield Word(tuple(word), d)
-            return
-        top = min(d, max_used + 1) if canonical else d
-        for a in range(1, top + 1):
-            word.append(a)
-            yield from walk(auto.step(state, a), max(max_used, a))
-            word.pop()
-
-    yield from walk(0, 0)
+    yield from _WordSpace(d, k, _CANONICAL if canonical else _ANY).walk(n, strict=False)
 
 
 # --- the alternating (minimal) word space, first two letters fixed as 1,2 ----
@@ -392,77 +465,38 @@ def _alternating_budget_check(n: int, budget: Optional[int], what: str) -> None:
     _require_within_budget(2 ** (n - 2), 2, budget, what)
 
 
+def _alternating(prefix: tuple[int, ...] = (1, 2)) -> _WordSpace:
+    return _WordSpace(3, 3, _NO_REPEAT, prefix)
+
+
 def iter_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the minimal 3-superpatterns of length n starting 1,2 (one per
     isomorphism class), in lexicographic order."""
     _alternating_budget_check(n, budget, f"minimal-superpattern listing at n={n}")
-    auto = get_automaton(3, 3)
-    word = [1, 2]
-
-    def walk(state: int) -> Iterator[Word]:
-        if len(word) == n:
-            if auto.accepting[state]:
-                yield Word(tuple(word), 3)
-            return
-        last = word[-1]
-        for a in (1, 2, 3):
-            if a == last:
-                continue
-            word.append(a)
-            yield from walk(auto.step(state, a))
-            word.pop()
-
-    yield from walk(auto.scan((1, 2)))
+    yield from _alternating().walk(n, strict=False)
 
 
 def count_minimal_upto_iso(n: int, budget: Optional[int] = None) -> int:
     """Count of iter_minimal_upto_iso(n) without materialising the words.
 
     Once a prefix is accepting every alternating extension stays a
-    superpattern, so an accepting node at depth t contributes 2^(n-t) leaves.
+    superpattern, so each word first accepting at length t contributes
+    2^(n-t) words of length n.
     """
     _alternating_budget_check(n, budget, f"minimal-superpattern count at n={n}")
-    auto = get_automaton(3, 3)
-
-    def tally(state: int, last: int, t: int) -> int:
-        if auto.accepting[state]:
-            return 2 ** (n - t)
-        if t == n:
-            return 0
-        return sum(tally(auto.step(state, a), a, t + 1) for a in (1, 2, 3) if a != last)
-
-    return tally(auto.scan((1, 2)), 2, 2)
+    hits = _alternating().levels(n, strict=True)[1]
+    return sum(h << (n - t) for t, h in enumerate(hits))
 
 
 def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict minimal 3-superpatterns of length n starting 1,2."""
     _alternating_budget_check(n, budget, f"strict-minimal listing at n={n}")
-    auto = get_automaton(3, 3)
-    word = [1, 2]
-
-    def walk(state: int) -> Iterator[Word]:
-        t1 = len(word) + 1
-        last = word[-1]
-        for a in (1, 2, 3):
-            if a == last:
-                continue
-            ns = auto.step(state, a)
-            if auto.accepting[ns]:
-                if t1 == n:
-                    word.append(a)
-                    yield Word(tuple(word), 3)
-                    word.pop()
-            elif t1 < n:
-                word.append(a)
-                yield from walk(ns)
-                word.pop()
-
-    yield from walk(auto.scan((1, 2)))
+    yield from _alternating().walk(n, strict=True)
 
 
 def count_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> int:
     _alternating_budget_check(n, budget, f"strict-minimal count at n={n}")
-    return sum(1 for _ in iter_strict_minimal_upto_iso(n, budget))
+    return _alternating().levels(n, strict=True)[1][n]
 
 
 def enumerate_minimal_upto_iso(n: int, budget: Optional[int] = None) -> list[Word]:
@@ -515,26 +549,10 @@ def count_beta_bruteforce(n: int, budget: Optional[int] = None) -> tuple[int, in
     third letter 3).  The two counts match n^2-7n+14 and 3n-10 for n >= 7.
     """
     _alternating_budget_check(n, budget, f"failing-word count at n={n}")
-    auto = get_automaton(3, 3)
-
-    def failures(state: int, last: int, t: int) -> int:
-        if t == n:
-            return 1
-        total = 0
-        for a in (1, 2, 3):
-            if a == last:
-                continue
-            ns = auto.step(state, a)
-            if not auto.accepting[ns]:  # accepting subtrees contain no failures
-                total += failures(ns, a, t + 1)
-        return total
-
-    state12 = auto.scan((1, 2))
-    out = []
-    for third in (1, 3):
-        ns = auto.step(state12, third)
-        out.append(0 if auto.accepting[ns] else failures(ns, third, 3))
-    return out[0], out[1]
+    ones, threes = (
+        sum(_alternating((1, 2, third)).levels(n, strict=True)[0][n].values()) for third in (1, 3)
+    )
+    return ones, threes
 
 
 def letter_multiplicities(word: Word) -> tuple[int, int, int]:
@@ -554,43 +572,27 @@ def has_flanking_pairs(word: Word) -> bool:
     distinct letters i, j, k there is an occurrence of i preceded by a
     j-then-k subsequence, one followed by j-then-k, and likewise for k-then-j
     (four separate occurrences of i are allowed).
+
+    An i after a j-then-k is the subsequence j, k, i and an i before one is
+    i, j, k, so both halves say that every ordering a, b, c of the three
+    letters occurs: some b lies after the first a and before the last c.
     """
     letters = word.letters
-    if any(v > 3 for v in letters):
+    if max(letters, default=0) > 3:
         raise ValueError("has_flanking_pairs expects a word over {1,2,3}")
-
-    def earliest_completion(j: int, k: int) -> Optional[int]:
-        seen_j = False
-        for idx, a in enumerate(letters):
-            if a == j:
-                seen_j = True
-            elif a == k and seen_j:
-                return idx
-        return None
-
-    def pair_after(j: int, k: int, start: int) -> bool:
-        seen_j = False
-        for idx in range(start + 1, len(letters)):
-            a = letters[idx]
-            if a == j:
-                seen_j = True
-            elif a == k and seen_j:
-                return True
+    text = bytes(letters)
+    find = text.find
+    first = (0, find(1), find(2), find(3))
+    if min(first) < 0:
         return False
-
-    for i in (1, 2, 3):
-        occurrences = [idx for idx, a in enumerate(letters) if a == i]
-        if not occurrences:
+    last = (0, text.rfind(1), text.rfind(2), text.rfind(3))
+    for a, b, c in _DISTINCT_TRIPLES:
+        if not 0 <= find(b, first[a] + 1) < last[c]:
             return False
-        first_i, last_i = occurrences[0], occurrences[-1]
-        j, k = [v for v in (1, 2, 3) if v != i]
-        for jj, kk in ((j, k), (k, j)):
-            completion = earliest_completion(jj, kk)
-            if completion is None or completion >= last_i:
-                return False
-            if not pair_after(jj, kk, first_i):
-                return False
     return True
+
+
+_DISTINCT_TRIPLES = tuple(permutations((1, 2, 3)))
 
 
 @lru_cache(maxsize=1)

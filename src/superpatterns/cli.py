@@ -105,7 +105,8 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     word = Word.parse(args.word, alphabet_size=args.d)
     flags = classify(word, args.k)
-    missing = [str(p) for p in missing_patterns(word, args.k)]
+    # A superpattern misses nothing; search the patterns again only otherwise.
+    missing = [] if flags.is_superpattern else [str(p) for p in missing_patterns(word, args.k)]
     if args.format == "json":
         text = json.dumps(
             {

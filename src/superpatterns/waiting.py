@@ -3,10 +3,10 @@
 Letters are drawn i.i.d. uniformly from {1..d}; the waiting time is the first
 length at which the accumulated prefix contains every length-k pattern.  Three
 mutually checking routes are provided: exact closed-form PMFs for (d, k) =
-(2, 2) and (3, 3), an exhaustive brute-force oracle over the whole word space,
-and a seeded Monte Carlo simulator.  The simulator draws random bytes in
-chunks and expands each byte by exact rejection into several letters, so every
-letter is exactly uniform.  The closed forms have exact rational generating
+(2, 2) and (3, 3), exact counts of strict superpatterns by DP over the
+containment automaton's states, and a seeded Monte Carlo simulator.  The
+simulator draws random bytes in chunks and expands each byte by exact
+rejection into several letters, so every letter is exactly uniform.  The closed forms have exact rational generating
 functions whose Maclaurin coefficients reproduce the PMFs.
 """
 
@@ -77,7 +77,9 @@ def ternary_pmf(n: int) -> Fraction:
 
 
 def brute_force_pmf(d: int, k: int, n: int, budget: Optional[int] = None) -> Fraction:
-    """Oracle PMF value: exhaustively counted strict superpatterns over d^n."""
+    """Oracle PMF value: the strict superpatterns of length n over d^n, counted
+    by the transfer-matrix DP over the containment automaton (independent of
+    the closed forms); the word-space budget still caps n."""
     return Fraction(count_strict_superpatterns(d, k, n, budget), d**n)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +39,9 @@ from superpatterns import (
     strict_counts_by_length,
     verify_quaternary_counterexample,
 )
+from superpatterns.classify import _ANY, _CANONICAL, _NO_REPEAT, _WordSpace
+
+from conftest import all_words, dfs_strict_counts, flanking_pairs_by_scanning
 
 THE_SEVEN = {
     "1213121", "1213212", "1231213", "1231231", "1231321", "1232123", "1232132",
@@ -143,6 +148,15 @@ class TestMinimumLength:
         assert min_superpattern_length(1, 1) == 1
         assert min_superpattern_length(1, 3) == 1
 
+    def test_state_budget_is_checked_per_state(self):
+        # The (4, 4) search grows without a usable bound; it must stop as soon
+        # as it holds more states than the budget, not at the end of a depth.
+        auto = get_automaton(4, 4)
+        before = auto.state_count
+        with pytest.raises(BudgetExceededError, match="exceeded 1000 states"):
+            min_superpattern_length(4, 4, state_budget=1000)
+        assert auto.state_count - before <= 1000
+
 
 class TestAlternatingEnumeration:
     def test_the_seven(self):
@@ -216,6 +230,83 @@ class TestStrictEnumeration:
         assert set(isomorphism_orbit(canonical)) == set(full)
 
 
+def _alternating_words(n: int):
+    """The 2^(n-2) words of length n over {1,2,3} that start 1,2 and never
+    repeat a letter, in lexicographic order."""
+    for choices in product((0, 1), repeat=n - 2):
+        letters = [1, 2]
+        for c in choices:
+            letters.append([v for v in (1, 2, 3) if v != letters[-1]][c])
+        yield Word(tuple(letters), 3)
+
+
+class TestTransferMatrixCounts:
+    @pytest.mark.parametrize("d,k,n_max", [(2, 2, 16), (3, 2, 10), (3, 3, 11), (4, 3, 8)])
+    def test_strict_counts_equal_the_depth_first_search(self, d, k, n_max):
+        assert strict_counts_by_length(d, k, n_max) == dfs_strict_counts(d, k, n_max)
+
+    def test_alternating_counts_equal_a_filter_over_the_words(self):
+        for n in range(3, 12):
+            sp, strict, fail_1, fail_3 = 0, 0, 0, 0
+            for w in _alternating_words(n):
+                if is_superpattern(w, 3):
+                    sp += 1
+                    strict += not is_superpattern(w.prefix(n - 1), 3)
+                elif w.letters[2] == 1:
+                    fail_1 += 1
+                else:
+                    fail_3 += 1
+            assert count_minimal_upto_iso(n) == sp, n
+            assert count_strict_minimal_upto_iso(n) == strict, n
+            assert count_beta_bruteforce(n) == (fail_1, fail_3), n
+
+
+def _no_repeat(letters: tuple[int, ...]) -> bool:
+    return all(a != b for a, b in zip(letters, letters[1:]))
+
+
+def _canonical(letters: tuple[int, ...]) -> bool:
+    return all(a <= max(letters[:i], default=0) + 1 for i, a in enumerate(letters))
+
+
+class TestWalker:
+    RULES = {_ANY: lambda letters: True, _NO_REPEAT: _no_repeat, _CANONICAL: _canonical}
+
+    @pytest.mark.parametrize(
+        "d,k,lengths", [(2, 2, range(0, 8)), (3, 2, range(0, 6)), (3, 3, range(6, 9)), (4, 3, (7,))]
+    )
+    def test_equals_a_filter_over_all_words(self, d, k, lengths):
+        for n in lengths:
+            words = list(all_words(d, n))
+            verdict = {w.letters: is_superpattern(w, k) for w in words}
+            if n:
+                verdict.update((w.letters, is_superpattern(w, k)) for w in all_words(d, n - 1))
+            for rule, allowed in self.RULES.items():
+                for prefix in ((), (1, 2)):
+                    space = [
+                        w for w in words
+                        if w.letters[: len(prefix)] == prefix and allowed(w.letters) and verdict[w.letters]
+                    ]
+                    strict = [w for w in space if not verdict[w.letters[:-1]]]
+                    walker = _WordSpace(d, k, rule, prefix)
+                    assert list(walker.walk(n, strict=False)) == space, (rule, prefix, n)
+                    assert list(walker.walk(n, strict=True)) == strict, (rule, prefix, n)
+
+    def test_public_listings_use_the_walker(self):
+        assert list(iter_strict_superpatterns(3, 3, 8)) == list(_WordSpace(3, 3, _ANY).walk(8, True))
+        canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False)
+        assert list(iter_superpatterns(3, 3, 8, canonical=True)) == list(canonical)
+        alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
+        assert enumerate_minimal_upto_iso(9) == list(alternating.walk(9, False))
+        assert enumerate_strict_minimal_upto_iso(9) == list(alternating.walk(9, True))
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="word length"):
+            list(iter_strict_superpatterns(3, 3, -1))
+        with pytest.raises(ValueError, match="word length"):
+            list(iter_superpatterns(3, 3, -3, canonical=True))
+
+
 class TestCountFormulas:
     def test_values_at_seven(self):
         r = count_formulas(7)
@@ -285,12 +376,25 @@ class TestFlankingPairs:
     def test_holds_on_all_strict_superpatterns_at_eight(self):
         assert all(has_flanking_pairs(w) for w in iter_strict_superpatterns(3, 3, 8))
 
+    def test_equals_the_scanning_oracle_exhaustively(self):
+        for n in range(0, 11):
+            for w in all_words(3, n):
+                assert has_flanking_pairs(w) == flanking_pairs_by_scanning(w), w
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=11, max_size=80), st.integers(3, 5))
+    def test_equals_the_scanning_oracle_on_longer_words(self, letters, d):
+        w = Word(tuple(letters), d)
+        assert has_flanking_pairs(w) == flanking_pairs_by_scanning(w)
+
+    def test_rejects_wide_alphabets(self):
+        with pytest.raises(ValueError):
+            has_flanking_pairs(Word.parse("1214"))
+
     def test_necessity_exhaustively_at_length_eight(self):
         # Superpattern implies flanking.  (At this length the twelve flanking
         # conditions happen to characterise superpatterns exactly; only the
         # necessary direction is relied on anywhere.)
-        from conftest import all_words
-
         for w in all_words(3, 8):
             if is_superpattern(w, 3):
                 assert has_flanking_pairs(w)

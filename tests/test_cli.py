@@ -70,6 +70,13 @@ class TestEnumerate:
         assert out == ""
         assert "--d 3 --k 3" in err
 
+    @pytest.mark.parametrize("scope", ["upto-iso", "full"])
+    def test_negative_length_exits_two(self, capsys, scope):
+        code, out, err = run(capsys, "enumerate", "--n", "-3", "--filter", "all", "--scope", scope)
+        assert code == 2
+        assert out == ""
+        assert "word length" in err
+
     def test_budget_exceeded_exits_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "40", "--filter", "minimal")
         assert code == 3
@@ -229,6 +236,19 @@ class TestCheckGolden:
     CASES = json.loads((Path(__file__).parent / "golden" / "check.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][1:]))
+    def test_byte_identical(self, capsys, case):
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+class TestScanGolden:
+    # enumerate, verify --suite structure and pmf outputs captured from the
+    # word-by-word scans, before counts moved to the transfer-matrix DP and
+    # listings to the DP-pruned walker; both must reproduce them byte for byte,
+    # budget errors included.
+    CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))
     def test_byte_identical(self, capsys, case):
         code, out, err = run(capsys, *case["argv"])
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
