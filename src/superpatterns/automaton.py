@@ -8,10 +8,11 @@ values for the ranks).  Greedy progress is optimal for single-word subsequence
 matching, so this state is exact.
 
 States are interned and transitions cached, which turns the letter update into
-a single table lookup after the first visit.  The exhaustive scans, the online
-waiting-time detector used by the simulator, and the minimum-length search all
-share one automaton per (d, k); its verdicts are cross-checked against the
-per-pattern backtracking route by the test suite.
+a single table lookup after the first visit.  The exhaustive scans, the
+simulator (which steps the transition table directly, one letter at a time)
+and the minimum-length search all share one automaton per (d, k); its verdicts
+are cross-checked against the per-pattern backtracking route by the test
+suite.
 """
 
 from __future__ import annotations
@@ -100,9 +101,6 @@ class ContainmentAutomaton:
             self.accepting.append(mask == self._all_satisfied)
         self.transitions[state][letter] = nxt
         return nxt
-
-    def is_accepting(self, state: int) -> bool:
-        return self.accepting[state]
 
     def missing_pattern_indices(self, state: int) -> list[int]:
         """Indices into ``patterns`` of the patterns not yet contained."""

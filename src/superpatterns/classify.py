@@ -220,9 +220,6 @@ def _min_length_upper_bound(k: int, d: int) -> Optional[int]:
     return None
 
 
-_min_length_cache: dict[tuple[int, int], int] = {}
-
-
 def min_superpattern_length(
     k: int,
     d: int,
@@ -248,13 +245,6 @@ def min_superpattern_length(
                 f"no superpattern over a {d}-letter alphabet can contain all"
                 f" length-{k} patterns"
             )
-    cached = _min_length_cache.get((k, d))
-    if cached is not None:
-        if cached <= n_max:
-            return cached
-        raise SuperpatternNotFoundError(
-            f"least superpattern length for k={k}, d={d} is {cached} > n_max={n_max}"
-        )
     auto = get_automaton(d, k)
     frontier = [0]
     seen = {0}
@@ -264,7 +254,6 @@ def min_superpattern_length(
             for a in range(1, d + 1):
                 t = auto.step(state, a)
                 if auto.accepting[t]:
-                    _min_length_cache[(k, d)] = depth
                     return depth
                 if t not in seen:
                     seen.add(t)

@@ -1,29 +1,29 @@
 """Waiting-time distributions for a random word to become a superpattern.
 
 Letters are drawn i.i.d. uniformly from {1..d}; the waiting time is the first
-length at which the accumulated prefix contains every length-k pattern.  Three
-mutually checking routes are provided: exact closed-form PMFs for (d, k) =
-(2, 2) and (3, 3), exact counts of strict superpatterns by DP over the
-containment automaton's states, and a seeded Monte Carlo simulator.  The
-simulator draws random bytes in chunks and expands each byte by exact
-rejection into several letters, so every letter is exactly uniform.  The closed forms have exact rational generating
-functions whose Maclaurin coefficients reproduce the PMFs.
+length at which the accumulated prefix contains every length-k pattern.  For
+(d, k) = (2, 2) and (3, 3) the exact distribution comes from one place: the
+rational generating function returned by `waiting_time_gf`, whose Maclaurin
+coefficients are the PMF (`pmf_table`) and whose derivatives at 1 give the
+moments.  Two independent routes check it: the closed-form PMFs
+(`binary_pmf`, `ternary_pmf`) and exact counts of strict superpatterns by DP
+over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
+Carlo simulator checks whole distributions; it draws random bytes in chunks
+and expands each byte by exact rejection into several letters, so every
+letter is exactly uniform.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Optional
 
 from .automaton import get_automaton
-from .classify import count_strict_superpatterns
-from .patterns import Pattern, enumerate_preferential_arrangements
-from .patterns import _find_embedding, _occurrences
+from .classify import count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "binary_pmf",
     "ternary_pmf",
     "brute_force_pmf",
-    "tau_online",
     "simulate_tau",
     "pmf_table",
     "coupon_expectations",
@@ -40,11 +39,6 @@ __all__ = [
     "ternary_waiting_time_gf",
     "waiting_time_gf",
 ]
-
-# Least superpattern lengths for the two solved alphabets; the PMFs are zero
-# strictly below these.
-SUPPORT_START = {2: 3, 3: 7}
-
 
 def binary_pmf(n: int) -> Fraction:
     """P(waiting time = n) for d = k = 2: (n-2) / 2^(n-1) from n = 3 on.
@@ -61,9 +55,10 @@ def binary_pmf(n: int) -> Fraction:
 
 
 def ternary_pmf(n: int) -> Fraction:
-    """P(waiting time = n) for d = k = 3.
+    """P(waiting time = n) for d = k = 3: the count_formulas(n).s_total strict
+    superpatterns of length n among the 3^n words, from n = 7 on.
 
-    Equals 6/3^n * sum_{m=7}^{n} [(m-4)^2 - 2] * C(n-2, m-2): each strict
+    That count is 6 * sum_{m=7}^{n} [(m-4)^2 - 2] * C(n-2, m-2): each strict
     superpattern of length n arises from a strict minimal one of some length
     m by inserting n-m adjacent repeats anywhere but before the last letter,
     times the 6 letter relabelings.
@@ -72,8 +67,7 @@ def ternary_pmf(n: int) -> Fraction:
         raise ValueError("the waiting time is supported on positive lengths")
     if n < 7:
         return Fraction(0)
-    total = sum(((m - 4) ** 2 - 2) * math.comb(n - 2, m - 2) for m in range(7, n + 1))
-    return Fraction(6 * total, 3**n)
+    return Fraction(count_formulas(n).s_total, 3**n)
 
 
 def brute_force_pmf(d: int, k: int, n: int, budget: Optional[int] = None) -> Fraction:
@@ -81,27 +75,6 @@ def brute_force_pmf(d: int, k: int, n: int, budget: Optional[int] = None) -> Fra
     by the transfer-matrix DP over the containment automaton (independent of
     the closed forms); the word-space budget still caps n."""
     return Fraction(count_strict_superpatterns(d, k, n, budget), d**n)
-
-
-def tau_online(letters: Iterable[int], k: int) -> int:
-    """Consume letters one at a time and return the first length at which the
-    consumed prefix is a k-superpattern.
-
-    Reference detector: it keeps the list of still-missing patterns and, per
-    letter, rechecks containment of just those against the whole prefix.
-    Raises ValueError if the stream ends first; callers bound the stream.
-    """
-    missing: list[Pattern] = list(enumerate_preferential_arrangements(k))
-    prefix: list[int] = []
-    for t, a in enumerate(letters, 1):
-        if a < 1:
-            raise ValueError(f"letters must be positive, got {a}")
-        prefix.append(a)
-        table = _occurrences(prefix)
-        missing = [p for p in missing if _find_embedding(table, p.letters) is None]
-        if not missing:
-            return t
-    raise ValueError("letter stream ended before the prefix became a superpattern")
 
 
 @dataclass(frozen=True)
@@ -256,24 +229,22 @@ class PmfTable:
 
 
 def pmf_table(d: int, n_max: int) -> PmfTable:
-    """Tabulate the exact PMF for d = 2 or d = 3 (with k = d)."""
-    if d == 2:
-        pmf = binary_pmf
-    elif d == 3:
-        pmf = ternary_pmf
-    else:
-        raise ValueError("exact waiting-time PMFs are available for d = 2 and d = 3 only")
-    if n_max < SUPPORT_START[d]:
-        raise ValueError(f"n_max must reach the least superpattern length {SUPPORT_START[d]}")
-    entries: dict[int, Fraction] = {}
-    cumulative: dict[int, Fraction] = {}
-    running = Fraction(0)
-    for n in range(1, n_max + 1):
-        p = pmf(n)
-        entries[n] = p
-        running += p
-        cumulative[n] = running
-    return PmfTable(d=d, k=d, n_max=n_max, entries=entries, cumulative=cumulative)
+    """Tabulate the exact PMF (with k = d) from the Maclaurin coefficients of
+    waiting_time_gf(d).  The support starts at the lowest power of t in the
+    generating function's numerator, the least superpattern length."""
+    gf = waiting_time_gf(d)
+    start = next(n for n, c in enumerate(gf.numerator.coefficients) if c)
+    if n_max < start:
+        raise ValueError(f"n_max must reach the least superpattern length {start}")
+    probabilities = gf.series_coefficients(n_max)[1:]
+    lengths = range(1, n_max + 1)
+    return PmfTable(
+        d=d,
+        k=d,
+        n_max=n_max,
+        entries=dict(zip(lengths, probabilities)),
+        cumulative=dict(zip(lengths, accumulate(probabilities))),
+    )
 
 
 def coupon_expectations(d: int, k: int) -> tuple[Fraction, Fraction]:
@@ -301,6 +272,9 @@ def ternary_waiting_time_gf() -> RationalFunction:
 
 
 def waiting_time_gf(d: int) -> RationalFunction:
+    """Generating function of the d = k waiting time.  The one place that
+    says which alphabets are solved (d = 2 and d = 3); pmf_table and the
+    moments read it."""
     if d == 2:
         return binary_waiting_time_gf()
     if d == 3:

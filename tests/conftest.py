@@ -1,15 +1,38 @@
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from superpatterns import Word, get_automaton
+from superpatterns import Word, enumerate_preferential_arrangements, get_automaton
+from superpatterns.patterns import _find_embedding, _occurrences
 
 
 def all_words(d: int, n: int) -> Iterator[Word]:
     """Every word of length n over {1..d}, in counter order."""
     for letters in product(range(1, d + 1), repeat=n):
         yield Word(letters, d)
+
+
+def tau_online(letters: Iterable[int], k: int) -> int:
+    """Oracle for the simulator's stopping rule: consume letters one at a time
+    and return the first length at which the consumed prefix is a
+    k-superpattern.
+
+    It keeps the list of still-missing patterns and, per letter, rechecks
+    containment of just those against the whole prefix, without the automaton.
+    Raises ValueError if the stream ends first; callers bound the stream.
+    """
+    missing = list(enumerate_preferential_arrangements(k))
+    prefix: list[int] = []
+    for t, a in enumerate(letters, 1):
+        if a < 1:
+            raise ValueError(f"letters must be positive, got {a}")
+        prefix.append(a)
+        table = _occurrences(prefix)
+        missing = [p for p in missing if _find_embedding(table, p.letters) is None]
+        if not missing:
+            return t
+    raise ValueError("letter stream ended before the prefix became a superpattern")
 
 
 def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:

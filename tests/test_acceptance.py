@@ -30,6 +30,7 @@ from superpatterns import (
     iter_strict_superpatterns,
     min_superpattern_length,
     moments_from_gf,
+    pmf_table,
     simulate_tau,
     strict_counts_by_length,
     ternary_pmf,
@@ -107,17 +108,19 @@ def test_criterion_04_pmf_identities():
 
 
 def test_criterion_05_generating_functions_expand_to_the_pmfs():
-    with _Criterion(5, "series of the generating functions match the PMFs to order 40"):
+    with _Criterion(5, "series of the generating functions and PMF tables match the PMFs to order 200"):
         g2 = binary_waiting_time_gf()
         g3 = ternary_waiting_time_gf()
         assert g2.evaluate(1) == 1
         assert g3.evaluate(1) == 1
-        cs2 = g2.series_coefficients(40)
-        cs3 = g3.series_coefficients(40)
+        cs2 = g2.series_coefficients(200)
+        cs3 = g3.series_coefficients(200)
         assert cs2[0] == 0 and cs3[0] == 0
-        for n in range(1, 41):
-            assert cs2[n] == binary_pmf(n), n
-            assert cs3[n] == ternary_pmf(n), n
+        t2 = pmf_table(2, 200).entries
+        t3 = pmf_table(3, 200).entries
+        for n in range(1, 201):
+            assert cs2[n] == t2[n] == binary_pmf(n), n
+            assert cs3[n] == t3[n] == ternary_pmf(n), n
 
 
 def test_criterion_06_exact_moments():

@@ -242,10 +242,14 @@ class TestCheckGolden:
 
 
 class TestScanGolden:
-    # enumerate, verify --suite structure and pmf outputs captured from the
-    # word-by-word scans, before counts moved to the transfer-matrix DP and
-    # listings to the DP-pruned walker; both must reproduce them byte for byte,
-    # budget errors included.
+    # CLI outputs pinned byte for byte, exit code and stderr included.  The
+    # enumerate, verify --suite structure and pmf --mode brute|both cases were
+    # captured from the word-by-word scans, before counts moved to the
+    # transfer-matrix DP and listings to the DP-pruned walker, budget errors
+    # included.  The exact-mode pmf, gf, moments, counts, coupons and
+    # verify --suite oeis|counterexample cases were captured while pmf still
+    # summed the closed forms term by term, before it read the generating
+    # function's series.
     CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))

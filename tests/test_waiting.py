@@ -20,14 +20,13 @@ from superpatterns import (
     moments_from_gf,
     pmf_table,
     simulate_tau,
-    tau_online,
     ternary_pmf,
     ternary_waiting_time_gf,
     waiting_time_gf,
 )
 from superpatterns.waiting import _letter_decoder
 
-from conftest import all_words
+from conftest import all_words, tau_online
 
 
 class TestBinaryPmf:
@@ -321,8 +320,9 @@ class TestPmfTable:
             pmf_table(4, 20)
 
     def test_truncation_before_support_rejected(self):
-        with pytest.raises(ValueError):
-            pmf_table(3, 5)
+        for d, n_max, start in ((3, 5, 7), (3, 6, 7), (2, 2, 3)):
+            with pytest.raises(ValueError, match=f"least superpattern length {start}$"):
+                pmf_table(d, n_max)
 
 
 class TestCouponExpectations:
