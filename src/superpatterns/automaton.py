@@ -8,11 +8,11 @@ values for the ranks).  Greedy progress is optimal for single-word subsequence
 matching, so this state is exact.
 
 States are interned and transitions cached, which turns the letter update into
-a single table lookup after the first visit.  The exhaustive scans, the
-simulator (which steps the transition table directly, one letter at a time)
-and the minimum-length search all share one automaton per (d, k); its verdicts
-are cross-checked against the per-pattern backtracking route by the test
-suite.
+a single table lookup after the first visit.  The exhaustive scans and the
+minimum-length search share one automaton per (d, k); the simulator instead
+reads a closed and minimised copy (`_dfa`), built from a fresh automaton and
+then dropped.  The verdicts are cross-checked against the per-pattern
+backtracking route by the test suite.
 """
 
 from __future__ import annotations
@@ -53,9 +53,11 @@ class ContainmentAutomaton:
         self._by_pattern = by_pattern
         self._all_satisfied = (1 << len(self.patterns)) - 1
 
-        start = (0, (0,) * len(instances))
-        self._state_ids: dict[tuple[int, tuple[int, ...]], int] = {start: 0}
-        self._state_keys: list[tuple[int, tuple[int, ...]]] = [start]
+        # A state is (satisfied-pattern mask, progress per instance); every
+        # progress value is at most k, so the vector packs into bytes.
+        start = (0, bytes(len(instances)))
+        self._state_ids: dict[tuple[int, bytes], int] = {start: 0}
+        self._state_keys: list[tuple[int, bytes]] = [start]
         # Slot 0 of each row is unused so rows index directly by letter value.
         self.transitions: list[list[int]] = [[-1] * (d + 1)]
         self.accepting: list[bool] = [self._all_satisfied == 0]
@@ -74,7 +76,7 @@ class ContainmentAutomaton:
     def _expand(self, state: int, letter: int) -> int:
         mask, progress = self._state_keys[state]
         k = self.k
-        new_progress = list(progress)
+        new_progress = bytearray(progress)
         completed: list[int] = []
         for idx, (pi, inst) in enumerate(self._instances):
             if (mask >> pi) & 1:
@@ -91,7 +93,7 @@ class ContainmentAutomaton:
             # contained; pinning them to k merges equivalent states.
             for idx in self._by_pattern[pi]:
                 new_progress[idx] = k
-        key = (mask, tuple(new_progress))
+        key = (mask, bytes(new_progress))
         nxt = self._state_ids.get(key)
         if nxt is None:
             nxt = len(self._state_keys)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional
 
-from .automaton import get_automaton
+from .automaton import _cache as _automata, get_automaton
 from .patterns import (
     Pattern,
     Word,
@@ -258,6 +258,9 @@ def min_superpattern_length(
                 if t not in seen:
                     seen.add(t)
                     if len(seen) > state_budget:
+                        # Drop the half-built automaton rather than keep it
+                        # for the life of the process.
+                        _automata.pop((d, k), None)
                         raise BudgetExceededError(
                             f"minimum-length search for k={k}, d={d} exceeded {state_budget} states"
                         )

@@ -87,6 +87,17 @@ def _budget(args: argparse.Namespace) -> Optional[int]:
     return int(env) if env else None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
@@ -462,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, choices=(2, 3), default=3)
     p.add_argument("--n", type=int, required=True, help="truncate the table at this length")
     p.add_argument("--mode", choices=("exact", "brute", "both"), default="exact")
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_positive_int, default=12)
     _add_common(p, budget=True)
     p.set_defaults(func=cmd_pmf)
 
     p = subs.add_parser("moments", help="exact mean and variance of the waiting time")
     p.add_argument("--d", type=int, choices=(2, 3), default=3)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_positive_int, default=12)
     _add_common(p)
     p.set_defaults(func=cmd_moments)
 
@@ -495,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("coupons", help="coupon-collector expectation baselines")
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_positive_int, default=12)
     _add_common(p)
     p.set_defaults(func=cmd_coupons)
 

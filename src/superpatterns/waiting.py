@@ -8,21 +8,25 @@ coefficients are the PMF (`pmf_table`) and whose derivatives at 1 give the
 moments.  Two independent routes check it: the closed-form PMFs
 (`binary_pmf`, `ternary_pmf`) and exact counts of strict superpatterns by DP
 over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
-Carlo simulator checks whole distributions; it draws random bytes in chunks
-and expands each byte by exact rejection into several letters, so every
-letter is exactly uniform.
+Carlo simulator checks whole distributions; it draws random bytes in chunks,
+each byte standing by exact rejection for several letters, so every letter
+is exactly uniform.  It runs on the closed, minimised automaton (`_dfa`), with
+one lookup per random byte in a lazily filled (state, byte) table.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, chain
-from typing import Callable, Iterable, Iterator, Optional
+from operator import sub
+from typing import Callable, Iterable, Optional
 
-from .automaton import get_automaton
+from ._dfa import minimal_dfa
 from .classify import count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
 
@@ -145,12 +149,104 @@ def _letter_decoder(d: int) -> tuple[int, Callable[[bytes], Iterable[int]]]:
     return width, expand
 
 
-def _letter_stream(d: int, rng: random.Random) -> Iterator[int]:
-    """Endless stream of exactly uniform letters on {1..d}, decoded from
-    chunks of at most _CHUNK_BYTES bytes drawn with `rng.randbytes`."""
+class _ByteTable:
+    """The minimal DFA lifted from letters to random bytes below d = 256.
+
+    A byte that decodes to the letters a_1..a_j (see `_letter_decoder`)
+    takes a state through j steps; each time the accepting state is reached a
+    trial finishes and the next one starts from state 0.  Entry [s][b] is the
+    end state when no trial finishes inside byte b, and otherwise the negative
+    int ~(end << 8 | mask), bit o of mask set when a trial finishes at letter
+    o + 1 of the byte.  Entries are filled the first time they are read; -1
+    (~0) marks one not filled yet, and every state shares one all-miss row
+    until its first fill.
+    """
+
+    def __init__(self, d: int, k: int):
+        dfa = minimal_dfa(d, k)
+        self._steps = dfa.rows
+        self._accept = dfa.accept
+        expand = _letter_decoder(d)[1]
+        self._letters = [expand(bytes([b])) for b in range(256)]
+        self.rejected = bytes(b for b in range(256) if not self._letters[b])
+        self.letters_per_byte = len(self._letters[0])
+        self.rows = [_MISS_ROW] * len(dfa.rows)
+
+    def fill(self, state: int, byte: int) -> int:
+        row = self.rows[state]
+        if row is _MISS_ROW:
+            row = self.rows[state] = array("i", _MISS_ROW)
+        end, mask = state, 0
+        for o, a in enumerate(self._letters[byte]):
+            end = self._steps[end][a]
+            if end == self._accept:
+                end = 0
+                mask |= 1 << o
+        row[byte] = entry = ~(end << 8 | mask) if mask else end
+        return entry
+
+    def run(self, rng: random.Random, trials: int, lengths: Counter) -> None:
+        """Count into `lengths` the lengths of the next `trials` trials, read
+        from `rng.randbytes` chunks with the rejected bytes dropped.  Letter
+        o + 1 of kept byte i is letter i * j + o + 1 of its chunk, so finish
+        positions need no per-byte counter, and a trial's length is the
+        difference of two finish positions (`last`, the previous one, is
+        counted from the start of the current chunk)."""
+        rows, fill, rejected, j = self.rows, self.fill, self.rejected, self.letters_per_byte
+        state = last = 0
+        while True:
+            chunk = rng.randbytes(_CHUNK_BYTES).translate(None, rejected)
+            ends: list[int] = []
+            append = ends.append
+            for i, b in enumerate(chunk):
+                entry = rows[state][b]
+                if entry >= 0:
+                    state = entry
+                    continue
+                if entry == -1:
+                    entry = fill(state, b)
+                    if entry >= 0:
+                        state = entry
+                        continue
+                entry = ~entry
+                state = entry >> 8
+                at = i * j
+                for o in _FINISH_OFFSETS[entry & 255]:
+                    append(at + o)
+            if ends:
+                del ends[trials:]
+                lengths.update(map(sub, ends, [last, *ends[:-1]]))
+                trials -= len(ends)
+                if not trials:
+                    return
+                last = ends[-1]
+            last -= len(chunk) * j
+
+
+_MISS_ROW = array("i", [-1]) * 256
+# _FINISH_OFFSETS[mask]: the 1-based letter offsets of a byte at which trials
+# finish, for an 8-bit finish mask (bit o - 1 stands for offset o).
+_FINISH_OFFSETS = reduce(lambda table, o: table + [t + (o,) for t in table], range(1, 9), [()])
+_byte_tables: dict[tuple[int, int], _ByteTable] = {}
+
+
+def _run_letters(d: int, k: int, rng: random.Random, trials: int, lengths: Counter) -> None:
+    """`_ByteTable.run` for d >= 256, where a unit is wider than a byte: one
+    step of the minimal DFA per letter."""
+    dfa = minimal_dfa(d, k)
+    steps, accept = dfa.rows, dfa.accept
     width, expand = _letter_decoder(d)
     draw = partial(rng.randbytes, _CHUNK_BYTES // width * width)
-    return chain.from_iterable(map(expand, iter(draw, None)))
+    state = t = 0
+    for a in chain.from_iterable(map(expand, iter(draw, None))):
+        t += 1
+        state = steps[state][a]
+        if state == accept:
+            lengths[t] += 1
+            trials -= 1
+            if not trials:
+                return
+            state = t = 0
 
 
 def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
@@ -163,34 +259,27 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     expanded by exact rejection into several letters, every one exactly
     uniform on {1..d}.  A trial runs on from where the previous one stopped;
     the letters left over when a block's trials are done are discarded.
+
+    The stream runs through the closed, minimised automaton (`minimal_dfa`),
+    with one table lookup per random byte below d = 256 (`_ByteTable`) and
+    one per letter above.  Raises BudgetExceededError when the automaton
+    outgrows its state budget, as (4,4) does.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if k > d:
         raise ValueError(f"no k={k} superpattern exists over a {d}-letter alphabet")
-    auto = get_automaton(d, k)
-    step = auto.step
-    transitions = auto.transitions
-    accepting = auto.accepting
-    histogram: dict[int, int] = {}
-
+    if d < 256:
+        table = _byte_tables.get((d, k))
+        if table is None:
+            table = _byte_tables[(d, k)] = _ByteTable(d, k)
+        run = table.run
+    else:
+        run = partial(_run_letters, d, k)
+    histogram: Counter = Counter()
     for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
-        remaining = min(_TRIALS_PER_BLOCK, trials - block_start)
-        state = 0
-        t = 0
-        for a in _letter_stream(d, random.Random(_block_seed(seed, block_index))):
-            t += 1
-            ns = transitions[state][a]
-            if ns < 0:
-                ns = step(state, a)
-            state = ns
-            if accepting[state]:
-                histogram[t] = histogram.get(t, 0) + 1
-                remaining -= 1
-                if not remaining:
-                    break
-                state = 0
-                t = 0
+        rng = random.Random(_block_seed(seed, block_index))
+        run(rng, min(_TRIALS_PER_BLOCK, trials - block_start), histogram)
 
     mean = Fraction(sum(n * c for n, c in histogram.items()), trials)
     if trials > 1:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
-from itertools import product
+import random
+from fractions import Fraction
+from functools import partial
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
-from superpatterns import Word, enumerate_preferential_arrangements, get_automaton
+from superpatterns import SimSummary, Word, enumerate_preferential_arrangements, get_automaton
 from superpatterns.patterns import _find_embedding, _occurrences
+from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed, _letter_decoder
 
 
 def all_words(d: int, n: int) -> Iterator[Word]:
@@ -33,6 +37,39 @@ def tau_online(letters: Iterable[int], k: int) -> int:
         if not missing:
             return t
     raise ValueError("letter stream ended before the prefix became a superpattern")
+
+
+def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummary:
+    """Oracle for simulate_tau: the same blocks, seeds and letter stream, read
+    one letter at a time through the shared lazy automaton, with no byte
+    table and no minimisation."""
+    auto = get_automaton(d, k)
+    width, expand = _letter_decoder(d)
+    histogram: dict[int, int] = {}
+    for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
+        remaining = min(_TRIALS_PER_BLOCK, trials - block_start)
+        draw = partial(random.Random(_block_seed(seed, block_index)).randbytes, _CHUNK_BYTES // width * width)
+        state = t = 0
+        for a in chain.from_iterable(map(expand, iter(draw, None))):
+            t += 1
+            state = auto.step(state, a)
+            if auto.accepting[state]:
+                histogram[t] = histogram.get(t, 0) + 1
+                remaining -= 1
+                if not remaining:
+                    break
+                state = t = 0
+    mean = Fraction(sum(n * c for n, c in histogram.items()), trials)
+    variance = sum(c * (n - mean) ** 2 for n, c in histogram.items()) / (trials - 1) if trials > 1 else Fraction(0)
+    return SimSummary(
+        d=d,
+        k=k,
+        trials=trials,
+        seed=seed,
+        sample_mean=float(mean),
+        sample_variance=float(variance),
+        histogram=dict(sorted(histogram.items())),
+    )
 
 
 def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:

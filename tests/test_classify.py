@@ -39,6 +39,7 @@ from superpatterns import (
     strict_counts_by_length,
     verify_quaternary_counterexample,
 )
+from superpatterns.automaton import _cache as automaton_cache
 from superpatterns.classify import _ANY, _CANONICAL, _NO_REPEAT, _WordSpace
 
 from conftest import all_words, dfs_strict_counts, flanking_pairs_by_scanning
@@ -156,6 +157,11 @@ class TestMinimumLength:
         with pytest.raises(BudgetExceededError, match="exceeded 1000 states"):
             min_superpattern_length(4, 4, state_budget=1000)
         assert auto.state_count - before <= 1000
+
+    def test_budget_overrun_drops_the_half_built_automaton(self):
+        with pytest.raises(BudgetExceededError):
+            min_superpattern_length(4, 4, state_budget=1000)
+        assert (4, 4) not in automaton_cache
 
 
 class TestAlternatingEnumeration:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from superpatterns import _dfa
 from superpatterns.cli import main
 
 
@@ -124,6 +125,15 @@ class TestPmf:
         assert code == 3
 
 
+    @pytest.mark.parametrize("command", [["pmf", "--n", "8"], ["moments"], ["coupons"]])
+    @pytest.mark.parametrize("digits", ["0", "-3"])
+    def test_digits_below_one_exit_two_at_parse_time(self, capsys, command, digits):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--digits", digits])
+        assert exc.value.code == 2
+        assert "--digits: must be at least 1" in capsys.readouterr().err
+
+
 class TestMomentsAndGf:
     def test_moments_output(self, capsys):
         code, out, _ = run(capsys, "moments", "--d", "3", "--format", "plain")
@@ -176,6 +186,13 @@ class TestSimulate:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_state_budget_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(_dfa, "STATE_BUDGET", 1000)
+        code, out, err = run(capsys, "simulate", "--d", "4", "--k", "4", "--trials", "10")
+        assert code == 3
+        assert out == ""
+        assert "exceeded 1000 states" in err
 
     def test_golden_csv(self, tmp_path):
         # Pins the simulator's letter stream end to end; a stream change must

@@ -26,7 +26,7 @@ from superpatterns import (
 )
 from superpatterns.waiting import _letter_decoder
 
-from conftest import all_words, tau_online
+from conftest import all_words, simulate_tau_per_letter, tau_online
 
 
 class TestBinaryPmf:
@@ -202,6 +202,23 @@ class TestSimulation:
     @pytest.mark.parametrize("d", [255, 256, 300])
     def test_alphabets_beyond_a_byte_terminate(self, d):
         assert simulate_tau(d, 1, 50, 7).histogram == {1: 50}
+
+    @pytest.mark.parametrize(
+        "d,k,trials",
+        [
+            (1, 1, 1000),
+            (2, 2, 5000),
+            (2, 2, (1 << 16) + 300),  # the second block starts a new generator
+            (3, 2, 5000),
+            (4, 2, 5000),
+            (3, 3, 5000),
+            (4, 3, 2000),
+            (300, 1, 500),  # units wider than a byte take the per-letter route
+        ],
+    )
+    def test_matches_the_per_letter_oracle(self, d, k, trials):
+        for seed in (0, 31):
+            assert simulate_tau(d, k, trials, seed) == simulate_tau_per_letter(d, k, trials, seed)
 
 
 class TestLetterDecoder:
