@@ -12,8 +12,7 @@ table, once per (d, k).
 
 from __future__ import annotations
 
-from .automaton import ContainmentAutomaton
-from .classify import BudgetExceededError
+from .automaton import BudgetExceededError, ContainmentAutomaton
 
 # Enough for (5,3), whose closure has 73,886 states; (4,4) and (6,3) exceed it.
 STATE_BUDGET = 100_000

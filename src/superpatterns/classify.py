@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Optional
 
-from .automaton import _cache as _automata, get_automaton
+from .automaton import BudgetExceededError, _cache as _automata, get_automaton
 from .patterns import (
     Pattern,
     Word,
@@ -68,10 +68,6 @@ __all__ = [
     "verify_quaternary_counterexample",
     "effective_budget",
 ]
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would visit more words/states than the configured cap."""
 
 
 class SuperpatternNotFoundError(RuntimeError):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional
 
 from superpatterns import SimSummary, Word, enumerate_preferential_arrangements, get_automaton
@@ -70,6 +70,72 @@ def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummar
         sample_variance=float(variance),
         histogram=dict(sorted(histogram.items())),
     )
+
+
+class PerInstanceAutomaton:
+    """Oracle for ContainmentAutomaton: the same states, numbered in the same
+    order, keyed by (mask of contained patterns, one progress byte per
+    pattern instance), with every instance stepped in a Python loop on every
+    new transition."""
+
+    def __init__(self, d: int, k: int):
+        self.d = d
+        self.k = k
+        self.patterns = tuple(enumerate_preferential_arrangements(k))
+        self._instances: list[tuple[int, tuple[int, ...]]] = []
+        self._by_pattern: list[list[int]] = []
+        for pi, p in enumerate(self.patterns):
+            idxs = []
+            for values in combinations(range(1, d + 1), p.rank_count()):
+                idxs.append(len(self._instances))
+                self._instances.append((pi, tuple(values[r - 1] for r in p.letters)))
+            self._by_pattern.append(idxs)
+        self._all_contained = (1 << len(self.patterns)) - 1
+        start = (0, bytes(len(self._instances)))
+        self._state_ids = {start: 0}
+        self._state_keys = [start]
+        self.transitions = [[-1] * (d + 1)]
+        self.accepting = [self._all_contained == 0]
+
+    @property
+    def state_count(self) -> int:
+        return len(self._state_keys)
+
+    def step(self, state: int, letter: int) -> int:
+        nxt = self.transitions[state][letter]
+        if nxt >= 0:
+            return nxt
+        mask, progress = self._state_keys[state]
+        k = self.k
+        new_progress = bytearray(progress)
+        completed = []
+        for idx, (pi, inst) in enumerate(self._instances):
+            if (mask >> pi) & 1:
+                continue
+            pr = new_progress[idx]
+            if pr < k and inst[pr] == letter:
+                pr += 1
+                new_progress[idx] = pr
+                if pr == k:
+                    mask |= 1 << pi
+                    completed.append(pi)
+        for pi in completed:
+            for idx in self._by_pattern[pi]:
+                new_progress[idx] = k
+        key = (mask, bytes(new_progress))
+        nxt = self._state_ids.get(key)
+        if nxt is None:
+            nxt = len(self._state_keys)
+            self._state_ids[key] = nxt
+            self._state_keys.append(key)
+            self.transitions.append([-1] * (self.d + 1))
+            self.accepting.append(mask == self._all_contained)
+        self.transitions[state][letter] = nxt
+        return nxt
+
+    def missing_pattern_indices(self, state: int) -> list[int]:
+        mask = self._state_keys[state][0]
+        return [pi for pi in range(len(self.patterns)) if not (mask >> pi) & 1]
 
 
 def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:

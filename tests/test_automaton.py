@@ -1,16 +1,91 @@
 from __future__ import annotations
 
 import random
+import time
+
+import pytest
 
 from superpatterns import (
+    BudgetExceededError,
     ContainmentAutomaton,
     Word,
     get_automaton,
     is_superpattern,
     missing_patterns,
+    simulate_tau,
 )
+from superpatterns import automaton
+from superpatterns.cli import main
 
-from conftest import all_words
+from conftest import PerInstanceAutomaton, all_words
+
+
+def expand_breadth_first(auto, max_states: int) -> None:
+    """Step every letter from each non-accepting state in number order (a
+    breadth-first search), until the closure is done or holds max_states
+    states."""
+    state = 0
+    while state < auto.state_count < max_states:
+        if not auto.accepting[state]:
+            for a in range(1, auto.d + 1):
+                auto.step(state, a)
+        state += 1
+
+
+@pytest.mark.parametrize(
+    "d,k,max_states",
+    [
+        (1, 1, None),
+        (1, 2, None),
+        (2, 1, None),
+        (2, 2, None),
+        (2, 3, None),
+        (3, 1, None),
+        (3, 2, None),
+        (3, 3, None),
+        (4, 2, None),
+        (4, 3, None),
+        (5, 2, None),
+        (4, 4, 20_000),
+    ],
+)
+def test_component_states_match_the_per_instance_oracle(d, k, max_states):
+    auto, oracle = ContainmentAutomaton(d, k), PerInstanceAutomaton(d, k)
+    for a in (auto, oracle):
+        expand_breadth_first(a, max_states or 10**9)
+    assert auto.state_count == oracle.state_count
+    assert auto.transitions == oracle.transitions
+    assert auto.accepting == oracle.accepting
+    assert all(
+        auto.missing_pattern_indices(s) == oracle.missing_pattern_indices(s) for s in range(auto.state_count)
+    )
+
+
+def test_component_overflow_is_a_budget_error(monkeypatch):
+    monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 4)
+    with pytest.raises(BudgetExceededError, match="exceeded 4 progress vectors"):
+        expand_breadth_first(ContainmentAutomaton(3, 3), 10**9)
+
+
+@pytest.mark.parametrize("d,k", [(9, 6), (300, 2)])
+def test_too_many_instances_fail_before_enumeration(d, k):
+    assert d**k > automaton.MAX_INSTANCES
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match="d\\*\\*k pattern instances"):
+        ContainmentAutomaton(d, k)
+    with pytest.raises(BudgetExceededError, match="d\\*\\*k pattern instances"):
+        simulate_tau(d, k, 5, 0)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [["--d", "9", "--k", "6", "--trials", "1"], ["--d", "300", "--k", "2", "--trials", "5"]])
+def test_too_many_instances_exit_three(capsys, argv):
+    start = time.process_time()
+    assert main(["simulate", *argv]) == 3
+    assert time.process_time() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pattern instances" in captured.err
 
 
 def test_agrees_with_backtracking_route_ternary():

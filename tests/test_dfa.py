@@ -23,7 +23,7 @@ def first_acceptance_time(dfa: _dfa.MinimalDfa, letters) -> int | None:
 
 @pytest.mark.parametrize(
     "d,k,states",
-    [(1, 1, 2), (2, 2, 6), (3, 2, 17), (4, 2, 39), (3, 3, 44), (4, 3, 1364)],
+    [(1, 1, 2), (2, 2, 6), (3, 2, 17), (4, 2, 39), (5, 2, 84), (3, 3, 44), (4, 3, 1364)],
 )
 def test_minimised_state_counts(d, k, states):
     dfa = minimal_dfa(d, k)
