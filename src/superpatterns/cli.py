@@ -17,6 +17,7 @@ import os
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .classify import (
     SuperpatternNotFoundError,
     classify,
     count_formulas,
+    effective_budget,
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
@@ -37,12 +39,12 @@ from .classify import (
     iter_strict_superpatterns,
     iter_superpatterns,
     missing_patterns,
+    strict_counts_by_length,
     verify_quaternary_counterexample,
 )
 from .patterns import Pattern, Word, contains_pattern
 from .series import moments_from_gf
 from .waiting import (
-    brute_force_pmf,
     coupon_expectations,
     pmf_table,
     simulate_tau,
@@ -218,52 +220,55 @@ def cmd_counts(args: argparse.Namespace) -> int:
 # --- pmf ------------------------------------------------------------------------
 
 
+def _brute_pmf_column(d: int, n_max: int, budget: Optional[int]) -> list[Fraction]:
+    """P(tau = n) for n = 1..n_max with k = d, read from one strict-count DP.
+
+    The DP is asked to reach the first length over the word-space cap, if
+    there is one, so that a budget error names that length.
+    """
+    cap = effective_budget(d, budget)
+    top = next((n for n in range(1, n_max + 1) if d**n > cap), n_max)
+    counts = strict_counts_by_length(d, d, top, budget)
+    return [Fraction(counts[n], d**n) for n in range(1, n_max + 1)]
+
+
 def cmd_pmf(args: argparse.Namespace) -> int:
     digits = args.digits
     budget = _budget(args)
     table = pmf_table(args.d, args.n)
-    rows = []
-    json_rows = []
-    brute_cum = Fraction(0)
-    for n in range(1, args.n + 1):
-        exact = table.entries[n]
-        cum = table.cumulative[n]
-        if args.mode == "exact":
-            rows.append(f"{n},{exact},{format_decimal(exact, digits)},{cum}")
-            json_rows.append({"n": n, "probability": str(exact), "cumulative": str(cum)})
-        else:
-            brute = brute_force_pmf(args.d, args.d, n, budget)
-            brute_cum += brute
-            if args.mode == "brute":
-                rows.append(f"{n},{brute},{format_decimal(brute, digits)},{brute_cum}")
-                json_rows.append({"n": n, "probability": str(brute), "cumulative": str(brute_cum)})
-            else:
-                rows.append(
-                    f"{n},{exact},{format_decimal(exact, digits)},{cum},{brute},{exact == brute}"
-                )
-                json_rows.append(
-                    {
-                        "n": n,
-                        "probability": str(exact),
-                        "cumulative": str(cum),
-                        "brute_force": str(brute),
-                        "match": exact == brute,
-                    }
-                )
-    tail = table.tail if args.mode != "brute" else 1 - brute_cum
+    lengths = range(1, args.n + 1)
+    brute = None if args.mode == "exact" else _brute_pmf_column(args.d, args.n, budget)
+    if args.mode == "brute":
+        probabilities, cumulative = brute, list(accumulate(brute))
+        tail = 1 - cumulative[-1]
+    else:
+        probabilities = [table.entries[n] for n in lengths]
+        cumulative = [table.cumulative[n] for n in lengths]
+        tail = table.tail
+    checks = brute if args.mode == "both" else repeat(None)
+    rows = zip(lengths, probabilities, cumulative, checks)
     if args.format == "json":
+        json_rows = [
+            {"n": n, "probability": str(p), "cumulative": str(cum)}
+            | ({} if b is None else {"brute_force": str(b), "match": p == b})
+            for n, p, cum, b in rows
+        ]
         text = json.dumps(
             {"d": args.d, "k": args.d, "n_max": args.n, "rows": json_rows, "tail": str(tail)},
             indent=2,
         ) + "\n"
     else:
+        csv_rows = [
+            f"{n},{p},{format_decimal(p, digits)},{cum}" + ("" if b is None else f",{b},{p == b}")
+            for n, p, cum, b in rows
+        ]
         header = "n,probability_exact,probability_decimal,cumulative_exact"
         if args.mode == "both":
             header += ",brute_exact,match"
             tail_row = f"tail,{tail},{format_decimal(tail, digits)},1,,"
         else:
             tail_row = f"tail,{tail},{format_decimal(tail, digits)},1"
-        text = _csv(header, rows, trailer=tail_row)
+        text = _csv(header, csv_rows, trailer=tail_row)
     _emit(text, args.out)
     return EXIT_OK
 

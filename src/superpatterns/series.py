@@ -2,19 +2,58 @@
 
 Everything is computed over arbitrary-precision rationals
 (fractions.Fraction), so probability generating functions can be expanded,
-differentiated, and evaluated with no rounding anywhere.  Floating point is
-for display only and never feeds back into these routines.
+differentiated, and evaluated with no rounding anywhere.  Maclaurin
+expansion runs the denominator's linear recurrence on plain integers, scaled
+so that no term needs a division, and builds one Fraction per coefficient.
+Floating point is for display only and never feeds back into these routines.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "moments_from_gf", "binomial"]
 
 Scalar = Union[int, Fraction]
+
+
+# Trial divisors tried when choosing the recurrence's scale stay below this,
+# so that a huge prime in a denominator costs a thousand remainders, not a
+# factorisation.
+_TRIAL_BOUND = 1 << 10
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _scale_base(denominators: Sequence[int]) -> int:
+    """An integer g >= 1 with denominators[j-1] dividing g^j for every j.
+
+    For each prime below 2^10 the exponent is the least that works, the
+    largest ceil(v_p(den_j) / j); whatever of the lcm has no prime factor
+    that small goes into g whole, which is exact though not always least.
+    """
+    rest = math.lcm(*denominators)
+    g = 1
+    # In increasing order a composite p never divides rest: its prime factors
+    # are already gone.
+    for p in range(2, _TRIAL_BOUND):
+        if rest == 1:
+            break
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        g *= p ** max(-(-_valuation(den, p) // j) for j, den in enumerate(denominators, 1))
+    return g * rest
 
 
 def binomial(n: int, k: int) -> int:
@@ -140,21 +179,38 @@ class RationalFunction:
         return self.numerator(x) / den
 
     def series_coefficients(self, order: int) -> list[Fraction]:
-        """Maclaurin coefficients c_0..c_order by exact long division.
+        """Maclaurin coefficients c_0..c_order, exactly.
 
-        Needs denominator(0) != 0.  The defining recurrence is
-        c_n = (a_n - sum_{j>=1} b_j c_{n-j}) / b_0 where a, b are the
-        numerator and denominator coefficients.
+        Needs denominator(0) != 0.  With a, b the numerator and denominator
+        coefficients, r_j = b_j / b_0 and s_n = a_n / b_0, the coefficients
+        obey c_n = s_n - sum_{j>=1} r_j c_{n-j}.  The recurrence runs on the
+        integers C_n = c_n m g^n, where g makes every R_j = r_j g^j an integer
+        and m is the least that makes every S_n = s_n g^n m one:
+        C_n = S_n - sum_j R_j C_{n-j}.  Each c_n = C_n / (m g^n) then costs
+        one reduction.
         """
         b = self.denominator.coefficients
         if b[0] == 0:
             raise ValueError("series expansion needs a nonzero constant term in the denominator")
+        ratios = [c / b[0] for c in b[1:]]
+        g = _scale_base([r.denominator for r in ratios])
+        # R_D .. R_1, so that a window C_{n-k} .. C_{n-1} pairs with its weights.
+        weights = [(r * g**j).numerator for j, r in reversed(list(enumerate(ratios, 1)))]
+        count = max(order + 1, 0)
+        sources = [a / b[0] * g**n for n, a in enumerate(self.numerator.coefficients[:count])]
+        m = math.lcm(*(s.denominator for s in sources))
+        scaled = [(s * m).numerator for s in sources]
+        scaled += [0] * (count - len(scaled))
+        depth = len(weights)
+        terms: list[int] = []
+        for n, acc in enumerate(scaled):
+            k = min(n, depth)
+            terms.append(acc - sum(map(mul, weights[depth - k :], terms[n - k :])))
         out: list[Fraction] = []
-        for n in range(order + 1):
-            acc = self.numerator.coefficient(n)
-            for j in range(1, min(n, len(b) - 1) + 1):
-                acc -= b[j] * out[n - j]
-            out.append(acc / b[0])
+        scale = m
+        for term in terms:
+            out.append(Fraction(term, scale))
+            scale *= g
         return out
 
     def derivative(self) -> "RationalFunction":

@@ -6,7 +6,13 @@ from functools import partial
 from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional
 
-from superpatterns import SimSummary, Word, enumerate_preferential_arrangements, get_automaton
+from superpatterns import (
+    RationalFunction,
+    SimSummary,
+    Word,
+    enumerate_preferential_arrangements,
+    get_automaton,
+)
 from superpatterns.patterns import _find_embedding, _occurrences
 from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed, _letter_decoder
 
@@ -15,6 +21,22 @@ def all_words(d: int, n: int) -> Iterator[Word]:
     """Every word of length n over {1..d}, in counter order."""
     for letters in product(range(1, d + 1), repeat=n):
         yield Word(letters, d)
+
+
+def series_by_long_division(f: RationalFunction, order: int) -> list[Fraction]:
+    """Oracle for RationalFunction.series_coefficients: Maclaurin coefficients
+    c_0..c_order by long division in Fractions,
+    c_n = (a_n - sum_{j>=1} b_j c_{n-j}) / b_0."""
+    a, b = f.numerator, f.denominator.coefficients
+    if b[0] == 0:
+        raise ValueError("series expansion needs a nonzero constant term in the denominator")
+    out: list[Fraction] = []
+    for n in range(order + 1):
+        acc = a.coefficient(n)
+        for j in range(1, min(n, len(b) - 1) + 1):
+            acc -= b[j] * out[n - j]
+        out.append(acc / b[0])
+    return out
 
 
 def tau_online(letters: Iterable[int], k: int) -> int:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from superpatterns import _dfa
+from superpatterns import _dfa, cli
 from superpatterns.cli import main
 
 
@@ -124,6 +127,20 @@ class TestPmf:
         code, _, err = run(capsys, "pmf", "--d", "3", "--n", "15", "--mode", "brute")
         assert code == 3
 
+    @pytest.mark.parametrize("mode", ["brute", "both"])
+    def test_brute_column_is_one_dp(self, capsys, monkeypatch, mode):
+        calls = []
+        real = cli.strict_counts_by_length
+
+        def counted(d, k, n_max, budget=None):
+            calls.append(n_max)
+            return real(d, k, n_max, budget)
+
+        monkeypatch.setattr(cli, "strict_counts_by_length", counted)
+        code, _, _ = run(capsys, "pmf", "--d", "3", "--n", "12", "--mode", mode)
+        assert code == 0
+        assert calls == [12]
+
 
     @pytest.mark.parametrize("command", [["pmf", "--n", "8"], ["moments"], ["coupons"]])
     @pytest.mark.parametrize("digits", ["0", "-3"])
@@ -164,6 +181,18 @@ class TestMomentsAndGf:
         lines = out.strip().splitlines()
         assert lines[0] == "n,coefficient"
         assert lines[8] == "7,14/729"
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_matches_main(self, capsys):
+        argv = ["gf", "--d", "2", "--n", "5"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "superpatterns", *argv], capture_output=True, env=env, check=False
+        )
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
 class TestSimulate:

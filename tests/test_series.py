@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from superpatterns import Polynomial, RationalFunction, binomial, moments_from_gf
+from superpatterns import Polynomial, RationalFunction, binomial, moments_from_gf, waiting_time_gf
+from superpatterns.series import _scale_base
+
+from conftest import series_by_long_division
 
 
 def random_polynomial(rng, max_degree=4, nonzero_constant=False):
@@ -136,6 +142,57 @@ class TestRationalFunction:
         f = RationalFunction(Polynomial([0, 1]), Polynomial([1, 1]))
         g = RationalFunction(Polynomial([0, 2]), Polynomial([2, 2]))
         assert f == g
+
+
+# Coefficient denominators: 1, primes, prime powers, composites, a prime above
+# the trial-division bound, and a Mersenne prime.
+_DENOMINATORS = (1, 2, 3, 4, 7, 8, 9, 12, 25, 27, 30, 1031, 2**61 - 1)
+_coefficients = st.builds(Fraction, st.integers(-40, 40), st.sampled_from(_DENOMINATORS))
+_nonzero = _coefficients.filter(bool)
+
+
+class TestSeriesExpansion:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_paper_gfs_match_long_division(self, d):
+        f = waiting_time_gf(d)
+        assert f.series_coefficients(1000) == series_by_long_division(f, 1000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(_coefficients, max_size=12),
+        _nonzero,
+        st.lists(_coefficients, max_size=5),
+        st.integers(0, 10),
+    )
+    def test_matches_long_division(self, numerator, b0, rest, order):
+        # b0 may be negative; the numerator's degree often exceeds the order.
+        f = RationalFunction(Polynomial(numerator), Polynomial([b0, *rest]))
+        assert f.series_coefficients(order) == series_by_long_division(f, order)
+
+    @pytest.mark.parametrize("d, g", [(2, 2), (3, 3)])
+    def test_paper_gfs_scale_by_their_alphabet(self, d, g):
+        b = waiting_time_gf(d).denominator.coefficients
+        assert _scale_base([(c / b[0]).denominator for c in b[1:]]) == g
+
+    def test_scale_base_is_least_for_small_primes(self):
+        assert _scale_base([]) == 1
+        assert _scale_base([4, 1, 64]) == 4  # 2^2 | g, 2^6 | g^3
+        assert _scale_base([1, 9, 27]) == 3
+        assert _scale_base([12, 1, 8]) == 12
+        assert _scale_base([1031, 1031**2]) == 1031 * 1031  # large prime goes in whole
+
+    @pytest.mark.parametrize("b0", [2**61 - 1, Fraction((2**61 - 1) ** 2, 7)])
+    def test_large_prime_constant_terms_expand_quickly(self, b0):
+        f = RationalFunction(Polynomial([1]), Polynomial([b0, 1]))
+        start = time.perf_counter()
+        coeffs = f.series_coefficients(200)
+        assert time.perf_counter() - start < 0.5
+        assert coeffs == [Fraction(-1) ** n / b0 ** (n + 1) for n in range(201)]
+
+    def test_negative_order_is_empty(self):
+        f = RationalFunction(Polynomial([1, 2, 3]), Polynomial([1, -1]))
+        assert f.series_coefficients(-1) == []
+        assert f.series_coefficients(-3) == []
 
 
 class TestMoments:
