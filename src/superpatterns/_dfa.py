@@ -6,8 +6,8 @@ through `step` under a state budget, and then merges equivalent states by
 Moore refinement (Hopcroft 1971 is the faster variant of the same partition).
 Every accepting state falls into one block: a trial ends there, so what the
 word does next does not matter, and that block loops to itself on every
-letter.  The full automaton is dropped; `minimal_dfa` keeps only the small
-table, once per (d, k).
+letter.  The full automaton is dropped and only the small table is returned;
+the simulator keeps it, once per (d, k), inside its byte table.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class MinimalDfa:
         self.accept = accept
 
 
-def _close(d: int, k: int, state_budget: int) -> ContainmentAutomaton:
+def _close(d: int, k: int) -> ContainmentAutomaton:
     """A fresh automaton with every state reachable before acceptance built."""
     auto = ContainmentAutomaton(d, k)
     step = auto.step
@@ -45,9 +45,9 @@ def _close(d: int, k: int, state_budget: int) -> ContainmentAutomaton:
         if not auto.accepting[state]:
             for a in letters:
                 step(state, a)
-            if auto.state_count > state_budget:
+            if auto.state_count > STATE_BUDGET:
                 raise BudgetExceededError(
-                    f"closing the automaton for k={k}, d={d} exceeded {state_budget} states"
+                    f"closing the automaton for k={k}, d={d} exceeded {STATE_BUDGET} states"
                 )
         state += 1
     return auto
@@ -81,11 +81,11 @@ def _minimise(transitions: list[list[int]], accepting: list[bool]) -> tuple[list
         count = refined
 
 
-def close_and_minimise(d: int, k: int, *, state_budget: int = STATE_BUDGET) -> MinimalDfa:
+def close_and_minimise(d: int, k: int) -> MinimalDfa:
     """Close the (d, k) automaton and Moore-minimise it; needs k <= d, so that
     some state accepts.  Raises BudgetExceededError once the closure holds
-    more than state_budget states."""
-    auto = _close(d, k, state_budget)
+    more than STATE_BUDGET states."""
+    auto = _close(d, k)
     transitions, accepting = auto.transitions, auto.accepting
     block, count = _minimise(transitions, accepting)
     accept = block[accepting.index(True)]
@@ -95,14 +95,3 @@ def close_and_minimise(d: int, k: int, *, state_budget: int = STATE_BUDGET) -> M
             rows[block[s]] = (-1, *(accept if accepting[s] else block[t] for t in row[1:]))
     return MinimalDfa(tuple(rows), accept)
 
-
-_cache: dict[tuple[int, int], MinimalDfa] = {}
-
-
-def minimal_dfa(d: int, k: int) -> MinimalDfa:
-    """The minimal (d, k) DFA under STATE_BUDGET, built once and kept."""
-    key = (d, k)
-    dfa = _cache.get(key)
-    if dfa is None:
-        dfa = _cache[key] = close_and_minimise(d, k, state_budget=STATE_BUDGET)
-    return dfa

@@ -16,8 +16,9 @@ transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
 lookup.  The exhaustive scans and the minimum-length search share one
-automaton per (d, k); the simulator instead reads a closed and minimised copy
-(`_dfa`), built from a fresh automaton and then dropped.  The verdicts are
+automaton per (d, k); the simulator instead builds a fresh automaton, closes
+and minimises it (`_dfa`), keeps only the minimal table inside its byte table
+and drops the automaton.  The verdicts are
 cross-checked against the per-pattern backtracking route by the test suite.
 """
 

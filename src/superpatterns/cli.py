@@ -82,6 +82,12 @@ def _csv(header: str, rows: list[str], trailer: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_word(word: str) -> str:
+    """A word as one CSV field: a comma-form word (d > 9) is quoted, RFC 4180
+    style.  Words hold only digits and commas, so no quote needs doubling."""
+    return f'"{word}"' if "," in word else word
+
+
 def _budget(args: argparse.Namespace) -> Optional[int]:
     if getattr(args, "budget", None) is not None:
         return args.budget
@@ -138,7 +144,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         text = _csv(
             "word,k,d,is_superpattern,is_minimal,is_strict,is_minimum,missing_patterns",
             [
-                f"{word},{args.k},{word.alphabet_size},{flags.is_superpattern},"
+                f"{_csv_word(str(word))},{args.k},{word.alphabet_size},{flags.is_superpattern},"
                 f"{flags.is_minimal},{flags.is_strict},{flags.is_minimum},"
                 f"{';'.join(missing)}"
             ],
@@ -180,7 +186,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = json.dumps({"words": lines, "count": len(words)}, indent=2) + "\n"
     elif args.format == "csv":
-        text = _csv("word", lines, trailer=f"# count: {len(words)}")
+        text = _csv("word", list(map(_csv_word, lines)), trailer=f"# count: {len(words)}")
     else:
         text = "\n".join([*lines, f"count: {len(words)}"]) + "\n"
     _emit(text, args.out)

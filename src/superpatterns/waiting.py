@@ -11,7 +11,8 @@ over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
 Carlo simulator checks whole distributions; it draws random bytes in chunks,
 each byte standing by exact rejection for several letters, so every letter
 is exactly uniform.  It runs on the closed, minimised automaton (`_dfa`), with
-one lookup per random byte in a lazily filled (state, byte) table.
+one lookup per random byte in a lazily filled (state, byte) table, for
+alphabets of up to 255 letters.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, chain
+from functools import reduce
+from itertools import accumulate
 from operator import sub
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
-from ._dfa import minimal_dfa
+from ._dfa import close_and_minimise
+from .automaton import MAX_INSTANCES, BudgetExceededError
 from .classify import count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
 
@@ -111,46 +113,33 @@ def _block_seed(seed: int, block_index: int) -> int:
     return _splitmix64(_splitmix64(seed & _MASK64) + block_index)
 
 
-def _letter_decoder(d: int) -> tuple[int, Callable[[bytes], Iterable[int]]]:
-    """Return (width, expand): expand maps random bytes, read as `width`-byte
-    little-endian units, to exactly uniform letters on {1..d}.
+def _letter_decoder(d: int) -> list[bytes]:
+    """Return the 256-entry table that maps a random byte to the letters it
+    stands for, exactly uniform on {1..d}.
 
-    One unit holds j base-d digits, j the largest value <= 8 with d^j at most
-    the number of unit values.  A unit below the largest multiple of d^j that
-    fits is accepted and yields the j digits of its residue mod d^j, least
-    significant first, each plus one; any other unit is rejected and yields
-    nothing.  Every digit string is hit by the same number of accepted units,
-    so the letters are exactly uniform and independent.  Below d = 256 the
-    unit is one byte, every letter fits in a byte value, and a chunk expands at
-    C level through a 256-entry table; wider alphabets take wider units.
+    One byte holds j base-d digits, j the largest value <= 8 with d^j <= 256.
+    A byte below the largest multiple of d^j that fits is accepted and yields
+    the j digits of its residue mod d^j, least significant first, each plus
+    one; any other byte is rejected and yields nothing.  Every digit string is
+    hit by the same number of accepted bytes, so the letters are exactly
+    uniform and independent.  Raises BudgetExceededError for d > 255, where a
+    letter no longer fits in a byte.
     """
-    width = max(1, ((d - 1).bit_length() + 7) // 8)
-    values = 256**width
+    if d > 255:
+        raise BudgetExceededError(
+            f"the simulator draws letters from single bytes, so d={d} is over 255;"
+            f" for k >= 2 that alphabet also has d**k pattern instances, at or over"
+            f" the automaton's cap of {MAX_INSTANCES}"
+        )
     j = 1
-    while j < 8 and d ** (j + 1) <= values:
+    while j < 8 and d ** (j + 1) <= 256:
         j += 1
-    limit = values // d**j * d**j
-
-    def digits(unit: int) -> list[int]:
-        letters = []
-        for _ in range(j):
-            unit, r = divmod(unit, d)
-            letters.append(r + 1)
-        return letters
-
-    if d < 256:
-        lookup = [bytes(digits(b)) if b < limit else b"" for b in range(256)].__getitem__
-        return 1, lambda chunk: b"".join(map(lookup, chunk))
-
-    def expand(chunk: bytes) -> list[int]:
-        units = (int.from_bytes(chunk[i : i + width], "little") for i in range(0, len(chunk), width))
-        return [a for u in units if u < limit for a in digits(u)]
-
-    return width, expand
+    limit = 256 // d**j * d**j
+    return [bytes(b // d**i % d + 1 for i in range(j)) if b < limit else b"" for b in range(256)]
 
 
 class _ByteTable:
-    """The minimal DFA lifted from letters to random bytes below d = 256.
+    """The minimal DFA lifted from letters to random bytes.
 
     A byte that decodes to the letters a_1..a_j (see `_letter_decoder`)
     takes a state through j steps; each time the accepting state is reached a
@@ -159,15 +148,15 @@ class _ByteTable:
     int ~(end << 8 | mask), bit o of mask set when a trial finishes at letter
     o + 1 of the byte.  Entries are filled the first time they are read; -1
     (~0) marks one not filled yet, and every state shares one all-miss row
-    until its first fill.
+    until its first fill.  The decoder is checked before the closure, so an
+    alphabet too wide for a byte fails at once.
     """
 
     def __init__(self, d: int, k: int):
-        dfa = minimal_dfa(d, k)
+        self._letters = _letter_decoder(d)
+        dfa = close_and_minimise(d, k)
         self._steps = dfa.rows
         self._accept = dfa.accept
-        expand = _letter_decoder(d)[1]
-        self._letters = [expand(bytes([b])) for b in range(256)]
         self.rejected = bytes(b for b in range(256) if not self._letters[b])
         self.letters_per_byte = len(self._letters[0])
         self.rows = [_MISS_ROW] * len(dfa.rows)
@@ -230,25 +219,6 @@ _FINISH_OFFSETS = reduce(lambda table, o: table + [t + (o,) for t in table], ran
 _byte_tables: dict[tuple[int, int], _ByteTable] = {}
 
 
-def _run_letters(d: int, k: int, rng: random.Random, trials: int, lengths: Counter) -> None:
-    """`_ByteTable.run` for d >= 256, where a unit is wider than a byte: one
-    step of the minimal DFA per letter."""
-    dfa = minimal_dfa(d, k)
-    steps, accept = dfa.rows, dfa.accept
-    width, expand = _letter_decoder(d)
-    draw = partial(rng.randbytes, _CHUNK_BYTES // width * width)
-    state = t = 0
-    for a in chain.from_iterable(map(expand, iter(draw, None))):
-        t += 1
-        state = steps[state][a]
-        if state == accept:
-            lengths[t] += 1
-            trials -= 1
-            if not trials:
-                return
-            state = t = 0
-
-
 def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     """Estimate the waiting-time distribution from `trials` independent runs.
 
@@ -260,26 +230,29 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     uniform on {1..d}.  A trial runs on from where the previous one stopped;
     the letters left over when a block's trials are done are discarded.
 
-    The stream runs through the closed, minimised automaton (`minimal_dfa`),
-    with one table lookup per random byte below d = 256 (`_ByteTable`) and
-    one per letter above.  Raises BudgetExceededError when the automaton
-    outgrows its state budget, as (4,4) does.
+    The stream runs through the closed, minimised automaton
+    (`_dfa.close_and_minimise`), with one table lookup per random byte
+    (`_ByteTable`, kept per (d, k)).  For k = 1 every trial has length 1, so
+    nothing is drawn.  Raises BudgetExceededError for k >= 2 over more than
+    255 letters, and when the closure outgrows its state budget, as (4,4)
+    does.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if d < 1 or k < 1:
+        raise ValueError("need d >= 1 and k >= 1")
     if k > d:
         raise ValueError(f"no k={k} superpattern exists over a {d}-letter alphabet")
-    if d < 256:
+    histogram: Counter = Counter()
+    if k == 1:
+        histogram[1] = trials
+    else:
         table = _byte_tables.get((d, k))
         if table is None:
             table = _byte_tables[(d, k)] = _ByteTable(d, k)
-        run = table.run
-    else:
-        run = partial(_run_letters, d, k)
-    histogram: Counter = Counter()
-    for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
-        rng = random.Random(_block_seed(seed, block_index))
-        run(rng, min(_TRIALS_PER_BLOCK, trials - block_start), histogram)
+        for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
+            rng = random.Random(_block_seed(seed, block_index))
+            table.run(rng, min(_TRIALS_PER_BLOCK, trials - block_start), histogram)
 
     mean = Fraction(sum(n * c for n, c in histogram.items()), trials)
     if trials > 1:

@@ -66,13 +66,13 @@ def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummar
     one letter at a time through the shared lazy automaton, with no byte
     table and no minimisation."""
     auto = get_automaton(d, k)
-    width, expand = _letter_decoder(d)
+    letters = _letter_decoder(d)
     histogram: dict[int, int] = {}
     for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
         remaining = min(_TRIALS_PER_BLOCK, trials - block_start)
-        draw = partial(random.Random(_block_seed(seed, block_index)).randbytes, _CHUNK_BYTES // width * width)
+        draw = partial(random.Random(_block_seed(seed, block_index)).randbytes, _CHUNK_BYTES)
         state = t = 0
-        for a in chain.from_iterable(map(expand, iter(draw, None))):
+        for a in chain.from_iterable(map(letters.__getitem__, chain.from_iterable(iter(draw, None)))):
             t += 1
             state = auto.step(state, a)
             if auto.accepting[state]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from importlib import import_module
 from itertools import product
 
 import pytest
@@ -40,7 +41,7 @@ from superpatterns import (
     verify_quaternary_counterexample,
 )
 from superpatterns.automaton import _cache as automaton_cache
-from superpatterns.classify import _ANY, _CANONICAL, _NO_REPEAT, _WordSpace
+from superpatterns.classify import _ANY, _CANONICAL, _NO_REPEAT, _WordSpace, _every_letter_necessary
 
 from conftest import all_words, dfs_strict_counts, flanking_pairs_by_scanning
 
@@ -144,6 +145,15 @@ class TestMinimumLength:
     def test_impossible_when_alphabet_smaller_than_k(self):
         with pytest.raises(SuperpatternNotFoundError):
             min_superpattern_length(3, 2, n_max=30)
+
+    def test_impossible_without_a_ceiling_needs_no_search(self, monkeypatch):
+        def no_search(d, k):
+            raise AssertionError("no automaton should be built")
+
+        # The package's `classify` name is the function, so fetch the module.
+        monkeypatch.setattr(import_module("superpatterns.classify"), "get_automaton", no_search)
+        with pytest.raises(SuperpatternNotFoundError):
+            min_superpattern_length(3, 2)
 
     def test_single_letter(self):
         assert min_superpattern_length(1, 1) == 1
@@ -431,6 +441,15 @@ class TestQuaternaryCounterexample:
 
     def test_verifies(self):
         assert verify_quaternary_counterexample()
+
+    @pytest.mark.parametrize(
+        "text,k,expected",
+        [("1213121", 3, True), ("12131211", 3, False), ("123123", 3, False), ("1221", 2, False)],
+    )
+    def test_every_letter_necessary(self, text, k, expected):
+        # The counterexample's candidates all fail the superpattern test, so
+        # only these cases reach the single-letter deletions.
+        assert _every_letter_necessary(Word.parse(text), k) is expected
 
     def test_word_is_strict_for_k4(self):
         assert is_superpattern(QUATERNARY_EXAMPLE, 4)

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from superpatterns import _dfa, cli
+from superpatterns import Word, _dfa, cli, is_superpattern
 from superpatterns.cli import main
 
 
@@ -41,6 +44,14 @@ class TestCheck:
         assert code == 0
         assert "superpattern: True" in out
         assert "minimal:      False" in out
+
+    def test_comma_form_word_is_one_csv_field(self, capsys):
+        code, out, _ = run(capsys, "check", "1,2,1,10", "--k", "2")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header) == 8
+        assert Word.parse(row[0]) == Word.parse("1,2,1,10")
+        assert row[1:4] == ["2", "10", "True"]
 
 
 class TestEnumerate:
@@ -81,6 +92,17 @@ class TestEnumerate:
         assert out == ""
         assert "word length" in err
 
+    def test_comma_form_words_are_one_csv_field_each(self, capsys):
+        argv = ["enumerate", "--n", "3", "--filter", "all", "--scope", "full", "--d", "10", "--k", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        header, *rows, trailer = csv.reader(io.StringIO(out))
+        assert header == ["word"] and trailer == ["# count: 90"]
+        assert all(len(row) == 1 for row in rows)
+        words = {Word.parse(row[0], alphabet_size=10) for row in rows}
+        assert Word.parse("10,9,10") in words and len(words) == 90
+        assert all(is_superpattern(w, 2) for w in words)
+
     def test_budget_exceeded_exits_three(self, capsys):
         code, _, err = run(capsys, "enumerate", "--n", "40", "--filter", "minimal")
         assert code == 3
@@ -106,6 +128,12 @@ class TestCounts:
     def test_rejects_below_seven(self, capsys):
         code, _, err = run(capsys, "counts", "--n-from", "5", "--n-to", "9")
         assert code == 2
+
+    def test_rejects_an_empty_range(self, capsys):
+        code, out, err = run(capsys, "counts", "--n-from", "9", "--n-to", "7")
+        assert code == 2
+        assert out == ""
+        assert "--n-from" in err
 
 
 class TestPmf:
@@ -222,6 +250,31 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert "exceeded 1000 states" in err
+
+    def test_zero_pattern_length_exits_two(self, capsys):
+        code, out, err = run(capsys, "simulate", "--d", "300", "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert "k >= 1" in err
+
+    def test_byte_wide_alphabet_exits_three_at_once(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "simulate", "--d", "256", "--k", "2", "--trials", "5")
+        assert time.process_time() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert "over 255" in err
+
+    def test_golden_plain(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--d", "2", "--k", "2", "--trials", "20", "--seed", "3", "--format", "plain")
+        assert code == 0
+        assert out == (
+            "d=2 k=2 trials=20 seed=3\n"
+            "sample mean     = 5.9\n"
+            "sample variance = 9.147368421052631\n"
+            "histogram:\n"
+            "  3: 1\n  4: 5\n  5: 7\n  6: 3\n  7: 2\n  12: 1\n  16: 1\n"
+        )
 
     def test_golden_csv(self, tmp_path):
         # Pins the simulator's letter stream end to end; a stream change must

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from statistics import NormalDist
 import pytest
 
 from superpatterns import (
+    BudgetExceededError,
     Word,
     binary_pmf,
     binary_waiting_time_gf,
@@ -199,9 +201,21 @@ class TestSimulation:
             25: 2, 26: 1, 30: 1, 34: 1, 42: 1,
         }
 
-    @pytest.mark.parametrize("d", [255, 256, 300])
+    @pytest.mark.parametrize("d", [255, 256, 300, 70_000])
     def test_alphabets_beyond_a_byte_terminate(self, d):
+        # k = 1 draws nothing, so no automaton or decoder caps d.
         assert simulate_tau(d, 1, 50, 7).histogram == {1: 50}
+
+    def test_pairs_over_a_byte_wide_alphabet_fail_fast(self):
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="over 255"):
+            simulate_tau(256, 2, 5, 0)
+        assert time.process_time() - start < 0.5
+
+    def test_zero_pattern_length_is_invalid(self):
+        for d in (3, 300):
+            with pytest.raises(ValueError):
+                simulate_tau(d, 0, 5, 0)
 
     @pytest.mark.parametrize(
         "d,k,trials",
@@ -213,7 +227,6 @@ class TestSimulation:
             (4, 2, 5000),
             (3, 3, 5000),
             (4, 3, 2000),
-            (300, 1, 500),  # units wider than a byte take the per-letter route
         ],
     )
     def test_matches_the_per_letter_oracle(self, d, k, trials):
@@ -222,25 +235,28 @@ class TestSimulation:
 
 
 class TestLetterDecoder:
-    @pytest.mark.parametrize("d", [*range(1, 17), 255, 256, 300])
+    @pytest.mark.parametrize("d", [*range(1, 17), 255])
     def test_accepted_units_cover_every_digit_string_equally(self, d):
-        # Enumerate every unit value: the accepted ones must map onto
+        # Enumerate every byte value: the accepted ones must map onto
         # {1..d}^j with one common multiplicity, so each letter is exactly
-        # uniform and independent of the others in its unit.
-        width, expand = _letter_decoder(d)
-        outputs = Counter(tuple(expand(u.to_bytes(width, "little"))) for u in range(256**width))
+        # uniform and independent of the others in its byte.
+        outputs = Counter(map(tuple, _letter_decoder(d)))
         outputs.pop((), None)
         j = len(next(iter(outputs)))
         assert set(outputs) == set(product(range(1, d + 1), repeat=j))
         assert len(set(outputs.values())) == 1
-        # j is the most digits one unit can hold (capped at 8 per byte)
-        assert d**j <= 256**width and (j == 8 or d ** (j + 1) > 256**width)
+        # j is the most digits one byte can hold (capped at 8)
+        assert d**j <= 256 and (j == 8 or d ** (j + 1) > 256)
 
     def test_ternary_packs_five_letters_into_most_bytes(self):
-        width, expand = _letter_decoder(3)
-        lengths = Counter(len(expand(bytes([b]))) for b in range(256))
-        assert width == 1
-        assert lengths == {5: 243, 0: 13}
+        letters = _letter_decoder(3)
+        assert len(letters) == 256
+        assert Counter(map(len, letters)) == {5: 243, 0: 13}
+
+    @pytest.mark.parametrize("d", [256, 300])
+    def test_a_letter_must_fit_in_a_byte(self, d):
+        with pytest.raises(BudgetExceededError):
+            _letter_decoder(d)
 
 
 def _chi_square_critical(df: int, alpha: float) -> float:
