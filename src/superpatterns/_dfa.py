@@ -85,6 +85,8 @@ def close_and_minimise(d: int, k: int) -> MinimalDfa:
     """Close the (d, k) automaton and Moore-minimise it; needs k <= d, so that
     some state accepts.  Raises BudgetExceededError once the closure holds
     more than STATE_BUDGET states."""
+    if k > d:
+        raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
     auto = _close(d, k)
     transitions, accepting = auto.transitions, auto.accepting
     block, count = _minimise(transitions, accepting)

@@ -31,6 +31,7 @@ from .automaton import BudgetExceededError, _cache as _automata, get_automaton
 from .patterns import (
     Pattern,
     Word,
+    _find_embedding,
     _occurrences,
     _relabel_tuple,
     contains_pattern,
@@ -162,14 +163,11 @@ class CountReport:
 # across all patterns; a slice of it serves for a prefix of the word.
 
 
-def _contains_all(word: Word, k: int, table: list[dict[int, int]]) -> bool:
-    return all(contains_pattern(word, p, table) for p in enumerate_preferential_arrangements(k))
-
-
 def is_superpattern(word: Word, k: int) -> bool:
     """Whether the word contains every canonical pattern of length k."""
     _check_k(k)
-    return _contains_all(word, k, _occurrences(word.letters))
+    table = _occurrences(word.letters)
+    return all(contains_pattern(word, p, table) for p in enumerate_preferential_arrangements(k))
 
 
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
@@ -184,11 +182,20 @@ def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
     _check_k(k)
     table = _occurrences(word.letters)
-    if not _contains_all(word, k, table):
-        return ClassFlags(False, False, False, False)
+    # A pattern whose least witness ends before the last letter is contained
+    # in the prefix too, so only those ending on it are searched again there.
+    last = len(table) - 1
+    on_last = []
+    for p in enumerate_preferential_arrangements(k):
+        witness = _find_embedding(table, p)
+        if witness is None:
+            return ClassFlags(False, False, False, False)
+        if witness[-1] == last:
+            on_last.append(p)
     letters = word.letters
     minimal = all(letters[i] != letters[i + 1] for i in range(len(letters) - 1))
-    strict = not _contains_all(word, k, table[:-1])
+    prefix = table[:-1]
+    strict = not all(contains_pattern(word, p, prefix) for p in on_last)
     minimum = False
     if minimal:
         n = len(word)

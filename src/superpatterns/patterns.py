@@ -13,13 +13,16 @@ order-isomorphic to it.  Containment is decided by a backtracking search
 that returns the lexicographically least embedding.  It reads the word
 through a next-occurrence table, built once per word and shared across
 patterns, and tries each distinct letter value once per pattern position.
-An all-subsequences scan is kept as a test oracle.
+It follows the pattern's search plan, built once with the Pattern: for each
+position, its rank, whether an earlier position already fixed that rank's
+value, and otherwise the nearest fixed ranks below and above, whose values
+bound the candidates.  An all-subsequences scan is kept as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
@@ -135,12 +138,17 @@ class Pattern:
     """
 
     letters: tuple[int, ...]
+    # The containment search's plan, derived from the letters (see _plan).
+    plan: tuple[tuple[int, bool, int, int], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         used = set(self.letters)
         if used and used != set(range(1, max(used) + 1)):
             text = "".join(str(v) for v in self.letters)
             raise ValueError(f"{text!r} is not dense-rank canonical")
+        object.__setattr__(self, "plan", _plan(self.letters))
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -158,6 +166,27 @@ class Pattern:
 
     def as_word(self) -> Word:
         return Word(self.letters, max(self.letters, default=1))
+
+
+def _plan(letters: Sequence[int]) -> tuple[tuple[int, bool, int, int], ...]:
+    """One (rank, fixed, below, above) record per pattern position: fixed
+    says an earlier position has the same rank, and below and above are the
+    nearest ranks under and over it that earlier positions have, with
+    sentinels 0 and m + 1 for m ranks.  The search reads below and above only
+    for a rank that is not fixed.
+
+    >>> _plan((2, 1, 2, 3))
+    ((2, False, 0, 4), (1, False, 0, 2), (2, True, 1, 4), (3, False, 2, 4))
+    """
+    top = max(letters, default=0) + 1
+    fixed: set[int] = set()
+    plan = []
+    for r in letters:
+        below = max((s for s in fixed if s < r), default=0)
+        above = min((s for s in fixed if s > r), default=top)
+        plan.append((r, r in fixed, below, above))
+        fixed.add(r)
+    return tuple(plan)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,56 +247,55 @@ def _occurrences(letters: Sequence[int]) -> list[dict[int, int]]:
 
 
 def _find_embedding(
-    table: Sequence[dict[int, int]], pattern: Sequence[int]
+    table: Sequence[dict[int, int]], pattern: Pattern
 ) -> Optional[tuple[int, ...]]:
-    """Backtracking search over pattern positions for the lexicographically
-    least embedding (0-based indices) into the word the table describes, or
-    None.
+    """Backtracking search over the pattern's positions for the
+    lexicographically least embedding (0-based indices) into the word the
+    table describes, or None.
 
     Each position tries each distinct letter value once, at its leftmost
     occurrence after the previous pick: a later occurrence of the same value
-    leaves a subset of the same continuations.  A rank already assigned has
-    one candidate; a free rank takes the values between those of the nearest
-    assigned ranks below and above it.  Candidates come in index order, so
-    the first witness is the one a plain index-by-index search would find.
+    leaves a subset of the same continuations.  The pattern's plan says, per
+    position, whether its rank already has a value, which is then the one
+    candidate, or else which fixed ranks bound it: as values increase with
+    rank, a free rank takes the values strictly between those of the nearest
+    fixed ranks below and above it.  Candidates come in index order, so the
+    first witness is the one a plain index-by-index search would find.
     """
     n = len(table)
-    k = len(pattern)
+    plan = pattern.plan
+    k = len(plan)
     if k > n:
         return None
     if k == 0:
         return ()
-    # value[r] is the letter value given to rank r, 0 while r is free, and
-    # ceiling[r] the same with inf for free; as assigned values increase with
-    # rank, a free rank's bounds are max(value[:r]) and min(ceiling[r + 1:]).
-    m = max(pattern)
-    value = [0] * (m + 1)
-    ceiling = [math.inf] * (m + 2)
+    # value[r] is the letter value given to rank r; the sentinels value[0] = 0
+    # and value[m + 1] = inf bound ranks with no fixed neighbour.  A free
+    # rank's stale value is never read before it is set again.
+    value: list[float] = [0] * (max(pattern.letters) + 1) + [math.inf]
     picked = [0] * k
+    slack = n - k  # position pos may use indices up to slack + pos
 
     def extend(start: int, pos: int) -> bool:
-        r = pattern[pos]
-        last = n - k + pos  # the last index that leaves room for the rest
+        r, fixed, below, above = plan[pos]
+        last = slack + pos
         nxt = pos + 1
-        v = value[r]
-        if v:
-            i = table[start].get(v, n)
+        if fixed:
+            i = table[start].get(value[r], n)
             if i > last:
                 return False
             picked[pos] = i
             return nxt == k or extend(i + 1, nxt)
-        lo = max(value[:r])
-        hi = min(ceiling[r + 1 :])
+        lo = value[below]
+        hi = value[above]
         for v, i in table[start].items():
             if i > last:
                 break
             if lo < v < hi:
-                value[r] = ceiling[r] = v
+                value[r] = v
                 picked[pos] = i
                 if nxt == k or extend(i + 1, nxt):
                     return True
-        value[r] = 0
-        ceiling[r] = math.inf
         return False
 
     return tuple(picked) if extend(0, 0) else None
@@ -279,7 +307,7 @@ def find_embedding(word: Word, pattern: Pattern) -> Optional[tuple[int, ...]]:
     dense-ranks to the pattern; None when the word does not contain the
     pattern.
     """
-    return _find_embedding(_occurrences(word.letters), pattern.letters)
+    return _find_embedding(_occurrences(word.letters), pattern)
 
 
 def contains_pattern(
@@ -298,7 +326,7 @@ def contains_pattern(
     """
     if table is None:
         table = _occurrences(word.letters)
-    return _find_embedding(table, pattern.letters) is not None
+    return _find_embedding(table, pattern) is not None
 
 
 def contains_pattern_bruteforce(word: Word, pattern: Pattern) -> bool:

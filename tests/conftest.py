@@ -55,7 +55,7 @@ def tau_online(letters: Iterable[int], k: int) -> int:
             raise ValueError(f"letters must be positive, got {a}")
         prefix.append(a)
         table = _occurrences(prefix)
-        missing = [p for p in missing if _find_embedding(table, p.letters) is None]
+        missing = [p for p in missing if _find_embedding(table, p) is None]
         if not missing:
             return t
     raise ValueError("letter stream ended before the prefix became a superpattern")

@@ -62,6 +62,15 @@ def test_closure_visits_no_state_past_acceptance():
     assert auto.state_count == 646
 
 
+def test_k_above_d_is_refused_before_closure(monkeypatch):
+    def no_closure(d, k):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(_dfa, "_close", no_closure)
+    with pytest.raises(ValueError, match="d=3, k=4"):
+        close_and_minimise(3, 4)
+
+
 def test_small_budget_fails_fast(monkeypatch):
     monkeypatch.setattr(_dfa, "STATE_BUDGET", 2000)
     start = time.process_time()

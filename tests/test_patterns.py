@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 from itertools import combinations
 
@@ -104,6 +106,21 @@ class TestPatternType:
         for k in range(1, 5):
             for p in enumerate_preferential_arrangements(k):
                 assert dense_rank(p.as_word()) == p
+
+    def test_search_plan_is_invisible(self):
+        p = Pattern.parse("2123")
+        assert repr(p) == "Pattern(letters=(2, 1, 2, 3))"
+        assert hash(p) == hash(((2, 1, 2, 3),))
+        assert [f.name for f in dataclasses.fields(p) if f.compare] == ["letters"]
+        twin = Pattern((2, 1, 2, 3))
+        object.__setattr__(twin, "plan", ())
+        assert twin == p and hash(twin) == hash(p)
+        assert {p: 1}[Pattern.parse("2123")] == 1
+
+    def test_search_plan_follows_the_letters(self):
+        p = Pattern.parse("2123")
+        assert dataclasses.replace(p, letters=(1, 1)).plan == ((1, False, 0, 2), (1, True, 0, 2))
+        assert pickle.loads(pickle.dumps(p)).plan == p.plan
 
 
 class TestContainment:
