@@ -12,7 +12,7 @@ the simulator keeps it, once per (d, k), inside its byte table.
 
 from __future__ import annotations
 
-from .automaton import BudgetExceededError, ContainmentAutomaton
+from .automaton import MAX_INSTANCES, BudgetExceededError, ContainmentAutomaton
 
 # Enough for (5,3), whose closure has 73,886 states; (4,4) and (6,3) exceed it.
 STATE_BUDGET = 100_000
@@ -84,9 +84,17 @@ def _minimise(transitions: list[list[int]], accepting: list[bool]) -> tuple[list
 def close_and_minimise(d: int, k: int) -> MinimalDfa:
     """Close the (d, k) automaton and Moore-minimise it; needs k <= d, so that
     some state accepts.  Raises BudgetExceededError once the closure holds
-    more than STATE_BUDGET states."""
+    more than STATE_BUDGET states, and before any closure work when it must:
+    the pattern 1...1 alone tells apart every count 0..k-1 of each letter,
+    k^d states that all come before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
+    # Past MAX_INSTANCES the automaton's own constructor refuses first, also at once.
+    if k**d > STATE_BUDGET and d**k <= MAX_INSTANCES:
+        raise BudgetExceededError(
+            f"closing the automaton for k={k}, d={d} needs at least k^d = {k**d} states,"
+            f" over the budget of {STATE_BUDGET}"
+        )
     auto = _close(d, k)
     transitions, accepting = auto.transitions, auto.accepting
     block, count = _minimise(transitions, accepting)

@@ -176,15 +176,6 @@ class ContainmentAutomaton:
             state = self.step(state, a)
         return state
 
-    def first_superpattern_time(self, letters: Iterable[int]) -> Optional[int]:
-        """1-based index of the first prefix that is a superpattern, if any."""
-        state = 0
-        for t, a in enumerate(letters, 1):
-            state = self.step(state, a)
-            if self.accepting[state]:
-                return t
-        return None
-
 
 _cache: dict[tuple[int, int], ContainmentAutomaton] = {}
 

@@ -33,7 +33,6 @@ from .patterns import (
     Word,
     _find_embedding,
     _occurrences,
-    _relabel_tuple,
     contains_pattern,
     enumerate_preferential_arrangements,
 )
@@ -52,16 +51,13 @@ __all__ = [
     "count_strict_superpatterns",
     "iter_strict_superpatterns",
     "iter_superpatterns",
-    "enumerate_minimal_upto_iso",
     "iter_minimal_upto_iso",
     "count_minimal_upto_iso",
-    "enumerate_strict_minimal_upto_iso",
     "iter_strict_minimal_upto_iso",
     "count_strict_minimal_upto_iso",
     "isomorphism_orbit",
     "count_formulas",
     "count_beta_bruteforce",
-    "letter_multiplicities",
     "has_flanking_pairs",
     "ends_with_minimum_superpattern",
     "minimum_superpatterns_ternary",
@@ -85,6 +81,10 @@ FALLBACK_WORD_BUDGET = 5_000_000
 # Classification is only meaningful for small k: fubini(6) is already 4683
 # patterns per containment check.
 MAX_CLASSIFY_K = 5
+
+# Most automaton states the minimum-length search may hold; read at call time.
+# The (4, 4) search needs more.
+MIN_LENGTH_STATE_BUDGET = 500_000
 
 
 def effective_budget(d: int, budget: Optional[int] = None) -> int:
@@ -223,57 +223,58 @@ def _min_length_upper_bound(k: int, d: int) -> Optional[int]:
     return None
 
 
-def min_superpattern_length(
-    k: int,
-    d: int,
-    n_max: Optional[int] = None,
-    *,
-    state_budget: int = 500_000,
-) -> int:
+def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
     Breadth-first reachability over the containment automaton: the first depth
     at which an accepting state appears is exactly the least superpattern
-    length, and full closure without acceptance proves none exists.  Raises
-    SuperpatternNotFoundError when nothing is found up to n_max, and
-    BudgetExceededError if the state space outgrows state_budget.
+    length, and full closure without acceptance proves none exists.  A
+    superpattern of length at most n_max uses at most n_max letters, and
+    dense ranking keeps it a superpattern, so the search runs over
+    min(d, n_max) letters.  Raises SuperpatternNotFoundError when nothing is
+    found up to n_max, and BudgetExceededError once the search holds more
+    than MIN_LENGTH_STATE_BUDGET states.
     """
     _check_k(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
+    impossible = f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
     if n_max is None:
         n_max = _min_length_upper_bound(k, d)
         if n_max is None:
-            raise SuperpatternNotFoundError(
-                f"no superpattern over a {d}-letter alphabet can contain all"
-                f" length-{k} patterns"
-            )
-    auto = get_automaton(d, k)
+            raise SuperpatternNotFoundError(impossible)
+    width = max(1, min(d, n_max))
+    budget = MIN_LENGTH_STATE_BUDGET
+    auto = get_automaton(width, k)
     frontier = [0]
     seen = {0}
-    for depth in range(1, n_max + 1):
-        next_frontier = []
-        for state in frontier:
-            for a in range(1, d + 1):
-                t = auto.step(state, a)
-                if auto.accepting[t]:
-                    return depth
-                if t not in seen:
-                    seen.add(t)
-                    if len(seen) > state_budget:
-                        # Drop the half-built automaton rather than keep it
-                        # for the life of the process.
-                        _automata.pop((d, k), None)
-                        raise BudgetExceededError(
-                            f"minimum-length search for k={k}, d={d} exceeded {state_budget} states"
-                        )
-                    next_frontier.append(t)
-        if not next_frontier:
-            raise SuperpatternNotFoundError(
-                f"no superpattern over a {d}-letter alphabet can contain all"
-                f" length-{k} patterns"
-            )
-        frontier = next_frontier
+    try:
+        for depth in range(1, n_max + 1):
+            next_frontier = []
+            for state in frontier:
+                for a in range(1, width + 1):
+                    t = auto.step(state, a)
+                    if auto.accepting[t]:
+                        return depth
+                    if t not in seen:
+                        seen.add(t)
+                        if len(seen) > budget:
+                            raise BudgetExceededError(
+                                f"minimum-length search for k={k}, d={d} exceeded {budget} states"
+                            )
+                        next_frontier.append(t)
+            frontier = next_frontier
+            if not frontier:
+                break
+    except BudgetExceededError:
+        # Drop the half-built automaton rather than keep it for the life of
+        # the process.
+        _automata.pop((width, k), None)
+        raise
+    if not frontier and width == d:
+        raise SuperpatternNotFoundError(impossible)
+    # Over fewer than d letters, even a closed search only rules out lengths
+    # up to n_max.
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
@@ -444,7 +445,14 @@ def iter_superpatterns(
     """Stream every k-superpattern of length n (strict or not), lexicographic.
 
     With canonical=True only words in first-occurrence canonical form are
-    produced, one representative per letter-isomorphism class.
+    produced (each new letter is the least unused one).  That is one word per
+    letter-isomorphism class holding a superpattern only where permuting
+    letters keeps superpattern status: always for d = 2, whose one swap is
+    the complement, and for (d, k) = (3, 3) at every length checked (to
+    n = 10).  Elsewhere a class can hold superpatterns while its canonical
+    word is none: for k = 2, 1132 is a superpattern and its canonical form
+    1123 is not, and for (4, 3) at n = 7, 76 classes hold a superpattern
+    while 15 canonical words are listed.
     """
     _require_within_budget(d**n, d, budget, f"superpattern listing at n={n}")
     yield from _WordSpace(d, k, _CANONICAL if canonical else _ANY).walk(n, strict=False)
@@ -492,14 +500,6 @@ def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterat
 def count_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> int:
     _alternating_budget_check(n, budget, f"strict-minimal count at n={n}")
     return _alternating().levels(n, strict=True)[1][n]
-
-
-def enumerate_minimal_upto_iso(n: int, budget: Optional[int] = None) -> list[Word]:
-    return list(iter_minimal_upto_iso(n, budget))
-
-
-def enumerate_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> list[Word]:
-    return list(iter_strict_minimal_upto_iso(n, budget))
 
 
 def isomorphism_orbit(words: Iterable[Word]) -> list[Word]:
@@ -550,15 +550,6 @@ def count_beta_bruteforce(n: int, budget: Optional[int] = None) -> tuple[int, in
     return ones, threes
 
 
-def letter_multiplicities(word: Word) -> tuple[int, int, int]:
-    """Occurrence counts of the three letters, sorted descending."""
-    if any(v > 3 for v in word.letters):
-        raise ValueError("letter_multiplicities expects a word over {1,2,3}")
-    counts = [word.letters.count(v) for v in (1, 2, 3)]
-    counts.sort(reverse=True)
-    return counts[0], counts[1], counts[2]
-
-
 # --- structural checks -------------------------------------------------------
 
 
@@ -605,13 +596,23 @@ def ends_with_minimum_superpattern(word: Word) -> bool:
     flags = classify(word, 3)
     if not (flags.is_strict and flags.is_minimal):
         raise ValueError("expects a strict minimal superpattern for k=3")
-    targets = {w.letters for w in minimum_superpatterns_ternary()}
-    letters = word.letters
-    n = len(letters)
-    for combo in combinations(range(n - 1), 6):
-        sub = tuple(letters[i] for i in combo) + (letters[-1],)
-        if _relabel_tuple(sub) in targets:
-            return True
+    return _ends_with_minimum(word)
+
+
+def _ends_with_minimum(word: Word) -> bool:
+    """Whether some image of a minimum 3-superpattern, its three letters
+    mapped one-to-one into the word's alphabet, ends with the word's last
+    letter and has the rest of its letters as a subsequence of the word's
+    other letters.  One greedy scan per image (42 of them for d = 3), so
+    O(n) for each instead of a search over the C(n-1, 6) subsequences."""
+    *body, last = word.letters
+    for images in permutations(range(1, word.alphabet_size + 1), 3):
+        for m in minimum_superpatterns_ternary():
+            *head, end = (images[v - 1] for v in m.letters)
+            if end == last:
+                rest = iter(body)
+                if all(v in rest for v in head):
+                    return True
     return False
 
 

@@ -468,7 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("enumerate", help="list superpatterns of one length")
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--filter", choices=("all", "minimal", "strict-minimal"), default="strict-minimal")
-    p.add_argument("--scope", choices=("upto-iso", "full"), default="upto-iso")
+    p.add_argument("--scope", choices=("upto-iso", "full"), default="upto-iso", help=(
+        "upto-iso: the words in first-occurrence canonical form, one per letter-isomorphism class for"
+        " (d, k) = (2, 2) or (3, 3); with --filter all, other (d, k) can miss classes; full: every word"))
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int, default=3)
     _add_common(p, budget=True)

@@ -16,7 +16,7 @@ patterns, and tries each distinct letter value once per pattern position.
 It follows the pattern's search plan, built once with the Pattern: for each
 position, its rank, whether an earlier position already fixed that rank's
 value, and otherwise the nearest fixed ranks below and above, whose values
-bound the candidates.  An all-subsequences scan is kept as a test oracle.
+bound the candidates.
 """
 
 from __future__ import annotations
@@ -24,26 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 __all__ = [
     "Word",
     "Pattern",
-    "LetterPermutation",
     "dense_rank",
     "contains_pattern",
-    "contains_pattern_bruteforce",
     "find_embedding",
     "enumerate_preferential_arrangements",
     "fubini",
     "relabel_canonical",
-    "apply_letter_permutation",
 ]
-
-# All-subsequences cross-check oracle is quadratic-to-exponential; keep it on
-# a short leash so nobody feeds it a long word by accident.
-BRUTEFORCE_MAX_WORD = 10
 
 # enumerate_preferential_arrangements(k) has fubini(k) results (541 at k=5,
 # 545835 at k=8); refuse anything larger.
@@ -105,13 +97,6 @@ class Word:
             alphabet_size = max(letters, default=1)
         return cls(letters, alphabet_size)
 
-    @classmethod
-    def from_letters(cls, letters: Sequence[int], alphabet_size: Optional[int] = None) -> "Word":
-        letters = tuple(letters)
-        if alphabet_size is None:
-            alphabet_size = max(letters, default=1)
-        return cls(letters, alphabet_size)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -164,9 +149,6 @@ class Pattern:
         """Number of distinct ranks used."""
         return max(self.letters, default=0)
 
-    def as_word(self) -> Word:
-        return Word(self.letters, max(self.letters, default=1))
-
 
 def _plan(letters: Sequence[int]) -> tuple[tuple[int, bool, int, int], ...]:
     """One (rank, fixed, below, above) record per pattern position: fixed
@@ -189,28 +171,6 @@ def _plan(letters: Sequence[int]) -> tuple[tuple[int, bool, int, int], ...]:
     return tuple(plan)
 
 
-@dataclass(frozen=True, slots=True)
-class LetterPermutation:
-    """A bijection on {1, ..., d}; images[v - 1] is the image of letter v."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
-
-    @classmethod
-    def identity(cls, d: int) -> "LetterPermutation":
-        return cls(tuple(range(1, d + 1)))
-
-    def __call__(self, letter: int) -> int:
-        return self.images[letter - 1]
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-
 def dense_rank(word: Word) -> Pattern:
     """The dense-rank image of a word: equal letters share a rank, the next
     larger letter takes the next consecutive rank.
@@ -220,12 +180,8 @@ def dense_rank(word: Word) -> Pattern:
     >>> str(dense_rank(Word.parse("373")))
     '121'
     """
-    return Pattern(_dense_rank_tuple(word.letters))
-
-
-def _dense_rank_tuple(letters: Sequence[int]) -> tuple[int, ...]:
-    rank = {v: i + 1 for i, v in enumerate(sorted(set(letters)))}
-    return tuple(rank[v] for v in letters)
+    rank = {v: i + 1 for i, v in enumerate(sorted(set(word.letters)))}
+    return Pattern(tuple(rank[v] for v in word.letters))
 
 
 def _occurrences(letters: Sequence[int]) -> list[dict[int, int]]:
@@ -329,24 +285,6 @@ def contains_pattern(
     return _find_embedding(table, pattern) is not None
 
 
-def contains_pattern_bruteforce(word: Word, pattern: Pattern) -> bool:
-    """Containment decided by scanning every length-k subsequence.
-
-    Cross-check oracle for the backtracking search; only sensible for short
-    words, so words longer than BRUTEFORCE_MAX_WORD are rejected.
-    """
-    if len(word) > BRUTEFORCE_MAX_WORD:
-        raise ValueError(f"brute-force containment capped at |word| <= {BRUTEFORCE_MAX_WORD}")
-    k = len(pattern)
-    if k > len(word):
-        return False
-    target = pattern.letters
-    for idxs in combinations(range(len(word)), k):
-        if _dense_rank_tuple([word.letters[i] for i in idxs]) == target:
-            return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def fubini(k: int) -> int:
     """Ordered Bell number: preferential arrangements of length k.
@@ -440,12 +378,3 @@ def _relabel_tuple(letters: Sequence[int]) -> tuple[int, ...]:
         if v not in renaming:
             renaming[v] = len(renaming) + 1
     return tuple(renaming[v] for v in letters)
-
-
-def apply_letter_permutation(word: Word, sigma: LetterPermutation) -> Word:
-    """Pointwise relabeling of the word's letters by a bijection on its alphabet."""
-    if sigma.degree != word.alphabet_size:
-        raise ValueError(
-            f"permutation degree {sigma.degree} does not match alphabet size {word.alphabet_size}"
-        )
-    return Word(tuple(sigma.images[v - 1] for v in word.letters), word.alphabet_size)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-__all__ = ["Polynomial", "RationalFunction", "moments_from_gf", "binomial"]
+__all__ = ["Polynomial", "RationalFunction", "moments_from_gf"]
 
 Scalar = Union[int, Fraction]
 
@@ -54,13 +54,6 @@ def _scale_base(denominators: Sequence[int]) -> int:
             rest //= p
         g *= p ** max(-(-_valuation(den, p) // j) for j, den in enumerate(denominators, 1))
     return g * rest
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient with the out-of-range convention C(n, k) = 0."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 class Polynomial:

@@ -7,11 +7,15 @@ from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Optional
 
 from superpatterns import (
+    ContainmentAutomaton,
+    Pattern,
     RationalFunction,
     SimSummary,
     Word,
     enumerate_preferential_arrangements,
     get_automaton,
+    minimum_superpatterns_ternary,
+    relabel_canonical,
 )
 from superpatterns.patterns import _find_embedding, _occurrences
 from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed, _letter_decoder
@@ -21,6 +25,47 @@ def all_words(d: int, n: int) -> Iterator[Word]:
     """Every word of length n over {1..d}, in counter order."""
     for letters in product(range(1, d + 1), repeat=n):
         yield Word(letters, d)
+
+
+# The all-subsequences oracle is exponential in the word length; keep it on a
+# short leash so nobody feeds it a long word by accident.
+BRUTEFORCE_MAX_WORD = 10
+
+
+def contains_pattern_bruteforce(word: Word, pattern: Pattern) -> bool:
+    """Oracle for contains_pattern: scan every length-k subsequence and
+    dense-rank it.  Words longer than BRUTEFORCE_MAX_WORD are rejected."""
+    if len(word) > BRUTEFORCE_MAX_WORD:
+        raise ValueError(f"brute-force containment capped at |word| <= {BRUTEFORCE_MAX_WORD}")
+    for idxs in combinations(range(len(word)), len(pattern)):
+        sub = [word.letters[i] for i in idxs]
+        rank = {v: r for r, v in enumerate(sorted(set(sub)), 1)}
+        if tuple(rank[v] for v in sub) == pattern.letters:
+            return True
+    return False
+
+
+def first_acceptance_time(auto: ContainmentAutomaton, letters: Iterable[int]) -> Optional[int]:
+    """The 1-based length of the first prefix the automaton accepts, or None:
+    the waiting time of a letter stream, read off the shared automaton."""
+    state = 0
+    for t, a in enumerate(letters, 1):
+        state = auto.step(state, a)
+        if auto.accepting[state]:
+            return t
+    return None
+
+
+def ends_with_minimum_by_subsets(word: Word) -> bool:
+    """Oracle for ends_with_minimum_superpattern: try every choice of six of
+    the first n - 1 letters, followed by the last letter, and ask whether it
+    relabels to one of the seven minimum 3-superpatterns."""
+    seven = {w.letters for w in minimum_superpatterns_ternary()}
+    *body, last = word.letters
+    return any(
+        relabel_canonical(Word((*sub, last), word.alphabet_size)).letters in seven
+        for sub in combinations(body, 6)
+    )
 
 
 def series_by_long_division(f: RationalFunction, order: int) -> list[Fraction]:

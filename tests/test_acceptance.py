@@ -23,7 +23,6 @@ from superpatterns import (
     count_minimal_upto_iso,
     count_strict_minimal_upto_iso,
     ends_with_minimum_superpattern,
-    enumerate_strict_minimal_upto_iso,
     has_flanking_pairs,
     is_superpattern,
     iter_strict_minimal_upto_iso,
@@ -80,7 +79,7 @@ def test_criterion_01_minimum_length_and_empty_length_six():
 
 def test_criterion_02_the_seven_and_the_full_fortytwo():
     with _Criterion(2, "the seven length-7 strict minimal words; 42 in full"):
-        words = enumerate_strict_minimal_upto_iso(7)
+        words = list(iter_strict_minimal_upto_iso(7))
         assert {str(w) for w in words} == THE_SEVEN
         assert strict_counts_by_length(3, 3, 7)[7] == 42 == 6 * len(words)
 

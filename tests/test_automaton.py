@@ -17,7 +17,7 @@ from superpatterns import (
 from superpatterns import automaton
 from superpatterns.cli import main
 
-from conftest import PerInstanceAutomaton, all_words
+from conftest import PerInstanceAutomaton, all_words, first_acceptance_time
 
 
 def expand_breadth_first(auto, max_states: int) -> None:
@@ -107,7 +107,7 @@ def test_missing_patterns_agree():
     rng = random.Random(11)
     for _ in range(200):
         letters = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 10)))
-        w = Word.from_letters(letters, 3)
+        w = Word(letters, 3)
         state = auto.scan(letters)
         from_auto = {str(auto.patterns[i]) for i in auto.missing_pattern_indices(state)}
         assert from_auto == {str(p) for p in missing_patterns(w, 3)}
@@ -115,10 +115,10 @@ def test_missing_patterns_agree():
 
 def test_first_superpattern_time():
     auto = get_automaton(3, 3)
-    assert auto.first_superpattern_time((1, 2, 1, 3, 1, 2, 1)) == 7
-    assert auto.first_superpattern_time((1, 2, 1, 3, 1, 2)) is None
+    assert first_acceptance_time(auto, (1, 2, 1, 3, 1, 2, 1)) == 7
+    assert first_acceptance_time(auto, (1, 2, 1, 3, 1, 2)) is None
     # acceptance is absorbing: extending a superpattern keeps the same time
-    assert auto.first_superpattern_time((1, 2, 1, 3, 1, 2, 1, 3, 3)) == 7
+    assert first_acceptance_time(auto, (1, 2, 1, 3, 1, 2, 1, 3, 3)) == 7
 
 
 def test_states_are_shared_and_bounded():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from importlib import import_module
 from itertools import product
 
@@ -12,13 +13,10 @@ from superpatterns import (
     BudgetExceededError,
     ClassFlags,
     CountReport,
-    LetterPermutation,
     Pattern,
     SuperpatternNotFoundError,
     Word,
-    apply_letter_permutation,
     classify,
-    contains_pattern_bruteforce,
     enumerate_preferential_arrangements,
     find_embedding,
     get_automaton,
@@ -28,24 +26,40 @@ from superpatterns import (
     count_strict_minimal_upto_iso,
     count_strict_superpatterns,
     ends_with_minimum_superpattern,
-    enumerate_minimal_upto_iso,
-    enumerate_strict_minimal_upto_iso,
     has_flanking_pairs,
     is_superpattern,
     isomorphism_orbit,
+    iter_minimal_upto_iso,
+    iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
     iter_superpatterns,
-    letter_multiplicities,
     min_superpattern_length,
     minimum_superpatterns_ternary,
     missing_patterns,
+    relabel_canonical,
     strict_counts_by_length,
     verify_quaternary_counterexample,
 )
 from superpatterns.automaton import _cache as automaton_cache
-from superpatterns.classify import _ANY, _CANONICAL, _NO_REPEAT, _WordSpace, _every_letter_necessary
+from superpatterns.classify import (
+    _ANY,
+    _CANONICAL,
+    _NO_REPEAT,
+    _WordSpace,
+    _ends_with_minimum,
+    _every_letter_necessary,
+)
 
-from conftest import all_words, dfs_strict_counts, flanking_pairs_by_scanning
+from conftest import (
+    all_words,
+    contains_pattern_bruteforce,
+    dfs_strict_counts,
+    ends_with_minimum_by_subsets,
+    flanking_pairs_by_scanning,
+)
+
+# The classify module itself; the package's `classify` name is the function.
+classify_module = import_module("superpatterns.classify")
 
 THE_SEVEN = {
     "1213121", "1213212", "1231213", "1231231", "1231321", "1232123", "1232132",
@@ -147,7 +161,7 @@ class TestClassify:
         for text in THE_SEVEN:
             w = Word.parse(text, alphabet_size=3)
             for images in permutations((1, 2, 3)):
-                image = apply_letter_permutation(w, LetterPermutation(images))
+                image = Word(tuple(images[v - 1] for v in w.letters), 3)
                 assert classify(image, 3) == classify(w, 3)
 
 
@@ -232,8 +246,7 @@ class TestMinimumLength:
         def no_search(d, k):
             raise AssertionError("no automaton should be built")
 
-        # The package's `classify` name is the function, so fetch the module.
-        monkeypatch.setattr(import_module("superpatterns.classify"), "get_automaton", no_search)
+        monkeypatch.setattr(classify_module, "get_automaton", no_search)
         with pytest.raises(SuperpatternNotFoundError):
             min_superpattern_length(3, 2)
 
@@ -241,43 +254,64 @@ class TestMinimumLength:
         assert min_superpattern_length(1, 1) == 1
         assert min_superpattern_length(1, 3) == 1
 
-    def test_state_budget_is_checked_per_state(self):
+    def test_state_budget_is_checked_per_state(self, monkeypatch):
         # The (4, 4) search grows without a usable bound; it must stop as soon
         # as it holds more states than the budget, not at the end of a depth.
+        monkeypatch.setattr(classify_module, "MIN_LENGTH_STATE_BUDGET", 1000)
         auto = get_automaton(4, 4)
         before = auto.state_count
         with pytest.raises(BudgetExceededError, match="exceeded 1000 states"):
-            min_superpattern_length(4, 4, state_budget=1000)
+            min_superpattern_length(4, 4)
         assert auto.state_count - before <= 1000
 
-    def test_budget_overrun_drops_the_half_built_automaton(self):
+    def test_budget_overrun_drops_the_half_built_automaton(self, monkeypatch):
+        monkeypatch.setattr(classify_module, "MIN_LENGTH_STATE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
-            min_superpattern_length(4, 4, state_budget=1000)
+            min_superpattern_length(4, 4)
         assert (4, 4) not in automaton_cache
+
+    def test_searches_no_more_letters_than_the_length_bound(self):
+        # A superpattern of length <= 7 uses at most 7 letters, so the
+        # search runs on the (7, 3) automaton; pattern 122 alone overflows
+        # the component ids of the (9, 3) one.
+        assert min_superpattern_length(3, 20) == 7
+        assert min_superpattern_length(3, 9, n_max=7) == 7
+        assert (20, 3) not in automaton_cache and (9, 3) not in automaton_cache
+
+    def test_a_closed_search_over_fewer_letters_bounds_only_the_length(self):
+        with pytest.raises(SuperpatternNotFoundError, match="length <= 2 over d=9"):
+            min_superpattern_length(3, 9, n_max=2)
+
+    def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
+        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+        monkeypatch.setattr(import_module("superpatterns.automaton"), "_MAX_COMPONENTS", 50)
+        with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
+            min_superpattern_length(3, 5)
+        assert (5, 3) not in automaton_cache
 
 
 class TestAlternatingEnumeration:
     def test_the_seven(self):
-        words = enumerate_strict_minimal_upto_iso(7)
+        words = list(iter_strict_minimal_upto_iso(7))
         assert {str(w) for w in words} == THE_SEVEN
         assert [str(w) for w in words] == sorted(THE_SEVEN)
 
     def test_none_at_six(self):
-        assert enumerate_strict_minimal_upto_iso(6) == []
-        assert enumerate_minimal_upto_iso(6) == []
+        assert list(iter_strict_minimal_upto_iso(6)) == []
+        assert list(iter_minimal_upto_iso(6)) == []
 
     def test_fourteen_at_eight(self):
-        assert len(enumerate_strict_minimal_upto_iso(8)) == 14
+        assert len(list(iter_strict_minimal_upto_iso(8))) == 14
 
     def test_minimal_counts(self):
-        assert len(enumerate_minimal_upto_iso(7)) == 7
-        assert len(enumerate_minimal_upto_iso(8)) == 28
+        assert len(list(iter_minimal_upto_iso(7))) == 7
+        assert len(list(iter_minimal_upto_iso(8))) == 28
 
     def test_enumerated_words_classify_correctly(self):
-        for w in enumerate_strict_minimal_upto_iso(8):
+        for w in iter_strict_minimal_upto_iso(8):
             flags = classify(w, 3)
             assert flags.is_strict and flags.is_minimal
-        for w in enumerate_minimal_upto_iso(8):
+        for w in iter_minimal_upto_iso(8):
             assert classify(w, 3).is_minimal
 
     def test_counts_match_formulas_through_twenty(self):
@@ -288,8 +322,8 @@ class TestAlternatingEnumeration:
 
     def test_count_agrees_with_list(self):
         for n in range(3, 13):
-            assert count_minimal_upto_iso(n) == len(enumerate_minimal_upto_iso(n))
-            assert count_strict_minimal_upto_iso(n) == len(enumerate_strict_minimal_upto_iso(n))
+            assert count_minimal_upto_iso(n) == len(list(iter_minimal_upto_iso(n)))
+            assert count_strict_minimal_upto_iso(n) == len(list(iter_strict_minimal_upto_iso(n)))
 
 
 class TestStrictEnumeration:
@@ -326,6 +360,35 @@ class TestStrictEnumeration:
         full = list(iter_superpatterns(3, 3, 7))
         assert len(full) == 42
         assert set(isomorphism_orbit(canonical)) == set(full)
+
+
+class TestCanonicalListing:
+    """iter_superpatterns(canonical=True) lists the superpatterns in
+    first-occurrence canonical form: one per letter-isomorphism class only
+    where permuting letters keeps superpattern status."""
+
+    @staticmethod
+    def classes_and_listing(d, k, n):
+        classes = {relabel_canonical(w) for w in iter_superpatterns(d, k, n)}
+        return classes, set(iter_superpatterns(d, k, n, canonical=True))
+
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3)])
+    def test_one_word_per_class_for_the_paper_alphabets(self, d, k):
+        for n in range(1, 9):
+            classes, listed = self.classes_and_listing(d, k, n)
+            assert listed == classes, n
+
+    def test_classes_can_be_missed_for_k_two_over_three_letters(self):
+        assert is_superpattern(Word.parse("1132"), 2)
+        assert relabel_canonical(Word.parse("1132")) == Word.parse("1123", 3)
+        assert not is_superpattern(Word.parse("1123", 3), 2)
+        classes, listed = self.classes_and_listing(3, 2, 4)
+        assert Word.parse("1123", 3) in classes - listed
+        assert listed < classes
+
+    def test_missed_classes_for_four_letters_at_seven(self):
+        classes, listed = self.classes_and_listing(4, 3, 7)
+        assert (len(classes), len(listed)) == (76, 15)
 
 
 def _alternating_words(n: int):
@@ -395,8 +458,8 @@ class TestWalker:
         canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False)
         assert list(iter_superpatterns(3, 3, 8, canonical=True)) == list(canonical)
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
-        assert enumerate_minimal_upto_iso(9) == list(alternating.walk(9, False))
-        assert enumerate_strict_minimal_upto_iso(9) == list(alternating.walk(9, True))
+        assert list(iter_minimal_upto_iso(9)) == list(alternating.walk(9, False))
+        assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="word length"):
@@ -451,17 +514,6 @@ class TestBetaBruteforce:
             assert a + b == (n - 2) ** 2
 
 
-class TestLetterMultiplicities:
-    def test_examples(self):
-        assert letter_multiplicities(Word.parse("1213121")) == (4, 2, 1)
-        assert letter_multiplicities(Word.parse("1213212")) == (3, 3, 1)
-        assert letter_multiplicities(Word.parse("111")) == (3, 0, 0)
-
-    def test_rejects_wide_alphabets(self):
-        with pytest.raises(ValueError):
-            letter_multiplicities(Word.parse("1214"))
-
-
 class TestFlankingPairs:
     def test_holds_on_the_seven(self):
         for w in minimum_superpatterns_ternary():
@@ -505,8 +557,22 @@ class TestTerminalMinimumEmbedding:
 
     @pytest.mark.parametrize("n", [8, 9, 10])
     def test_holds_for_all_strict_minimal(self, n):
-        for w in enumerate_strict_minimal_upto_iso(n):
+        for w in iter_strict_minimal_upto_iso(n):
             assert ends_with_minimum_superpattern(w)
+
+    def test_equals_the_subset_search_on_strict_minimal_words(self):
+        for n in range(7, 13):
+            for w in iter_strict_minimal_upto_iso(n):
+                assert ends_with_minimum_superpattern(w) == ends_with_minimum_by_subsets(w), w
+
+    def test_equals_the_subset_search_on_random_words(self):
+        # Most of these words end with no minimum superpattern, so the False
+        # branch runs too; over four letters the images use any three of them.
+        rng = random.Random(12)
+        for d in (3, 4):
+            for _ in range(600):
+                w = Word(tuple(rng.choices(range(1, d + 1), k=rng.randint(1, 12))), d)
+                assert _ends_with_minimum(w) == ends_with_minimum_by_subsets(w), w
 
     def test_precondition_enforced(self):
         with pytest.raises(ValueError):

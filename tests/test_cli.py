@@ -53,6 +53,13 @@ class TestCheck:
         assert Word.parse(row[0]) == Word.parse("1,2,1,10")
         assert row[1:4] == ["2", "10", "True"]
 
+    def test_minimum_superpattern_over_a_wide_alphabet(self, capsys):
+        start = time.process_time()
+        code, out, _ = run(capsys, "check", "1213121", "--k", "3", "--d", "9", "--format", "json")
+        assert time.process_time() - start < 5
+        assert code == 0
+        assert json.loads(out)["is_minimum"] is True
+
 
 class TestEnumerate:
     def test_seven_upto_iso(self, capsys):
@@ -264,6 +271,14 @@ class TestSimulate:
         assert code == 3
         assert out == ""
         assert "over 255" in err
+
+    def test_wide_binary_alphabet_exits_three_at_once(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "simulate", "--d", "200", "--k", "2", "--trials", "5")
+        assert time.process_time() - start < 0.5
+        assert code == 3
+        assert out == ""
+        assert "k=2, d=200 needs at least k^d" in err
 
     def test_golden_plain(self, capsys):
         code, out, _ = run(capsys, "simulate", "--d", "2", "--k", "2", "--trials", "20", "--seed", "3", "--format", "plain")

@@ -9,10 +9,10 @@ from superpatterns import _dfa
 from superpatterns._dfa import _close, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
-from conftest import all_words
+from conftest import all_words, first_acceptance_time
 
 
-def first_acceptance_time(dfa: _dfa.MinimalDfa, letters) -> int | None:
+def dfa_acceptance_time(dfa: _dfa.MinimalDfa, letters) -> int | None:
     state = 0
     for t, a in enumerate(letters, 1):
         state = dfa.rows[state][a]
@@ -38,7 +38,7 @@ def test_first_acceptance_matches_the_automaton(d, k, n_max):
     auto = ContainmentAutomaton(d, k)
     for n in range(n_max + 1):
         for w in all_words(d, n):
-            assert first_acceptance_time(dfa, w.letters) == auto.first_superpattern_time(w.letters)
+            assert dfa_acceptance_time(dfa, w.letters) == first_acceptance_time(auto, w.letters)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
@@ -69,6 +69,26 @@ def test_k_above_d_is_refused_before_closure(monkeypatch):
     monkeypatch.setattr(_dfa, "_close", no_closure)
     with pytest.raises(ValueError, match="d=3, k=4"):
         close_and_minimise(3, 4)
+
+
+@pytest.mark.parametrize("d", [17, 200])
+def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
+    # Pattern 11 alone needs 2^d states before acceptance, over the budget.
+    def no_closure(d, k):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(_dfa, "_close", no_closure)
+    start = time.process_time()
+    with pytest.raises(BudgetExceededError, match=f"k=2, d={d} needs at least k\\^d = {2**d} states"):
+        simulate_tau(d, 2, 5, 0)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (6, 2), (3, 3), (4, 3), (2, 1)])
+def test_the_refusal_bound_is_below_the_closure(d, k):
+    # So an input the closure would finish within budget is never refused.
+    auto = _close(d, k)
+    assert auto.accepting.count(False) >= k**d
 
 
 def test_small_budget_fails_fast(monkeypatch):

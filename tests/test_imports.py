@@ -49,3 +49,40 @@ def test_imports_are_standard_library_or_package_and_all_used():
         unused += u
     assert outside == [], "imports from outside the standard library"
     assert unused == [], "imported names never used"
+
+
+PERFBENCH = SOURCE.parents[1] / "perfbench"
+
+# Exported because they define the terms the docs use (dense ranking,
+# first-occurrence canonical form, the least embedding), though the program
+# itself never calls them; and the package version.
+KEEP = {"dense_rank", "relabel_canonical", "find_embedding", "__version__"}
+
+
+def _references(path: Path) -> set[str]:
+    """The names and attributes a module reads, leaving out those read
+    inside the definition of the same name (a recursive call is no caller).
+    Import statements and __all__ lists hold no references of this kind."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, inside: frozenset[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.update({node.id} - inside)
+        elif isinstance(node, ast.Attribute):
+            found.update({node.attr} - inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    import superpatterns
+
+    called = set(KEEP)
+    for path in [*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        called |= _references(path)
+    assert [name for name in superpatterns.__all__ if name not in called] == []

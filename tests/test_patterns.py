@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpatterns import (
-    LetterPermutation,
     Pattern,
     Word,
-    apply_letter_permutation,
     contains_pattern,
-    contains_pattern_bruteforce,
     dense_rank,
     enumerate_preferential_arrangements,
     find_embedding,
@@ -23,7 +20,7 @@ from superpatterns import (
     relabel_canonical,
 )
 
-from conftest import all_words
+from conftest import all_words, contains_pattern_bruteforce
 
 
 class TestWordParsing:
@@ -70,14 +67,14 @@ class TestDenseRank:
         for n in range(5):
             for w in all_words(4, n):
                 once = dense_rank(w)
-                assert dense_rank(once.as_word()) == once
+                assert dense_rank(Word(once.letters, 4)) == once
 
     def test_order_isomorphism_contract(self):
         rng = random.Random(2024)
         for _ in range(200):
             n = rng.randrange(0, 9)
             letters = tuple(rng.randrange(1, 10) for _ in range(n))
-            ranks = dense_rank(Word.from_letters(letters, 9)).letters
+            ranks = dense_rank(Word(letters, 9)).letters
             for i in range(n):
                 for j in range(n):
                     assert (ranks[i] < ranks[j]) == (letters[i] < letters[j])
@@ -88,9 +85,7 @@ class TestDenseRank:
         for _ in range(100):
             letters = tuple(rng.randrange(1, 6) for _ in range(rng.randrange(1, 8)))
             squeezed = tuple(2 * v + 3 for v in letters)
-            assert dense_rank(Word.from_letters(letters)) == dense_rank(
-                Word.from_letters(squeezed)
-            )
+            assert dense_rank(Word(letters, 5)) == dense_rank(Word(squeezed, 13))
 
 
 class TestPatternType:
@@ -105,7 +100,7 @@ class TestPatternType:
     def test_dense_rank_fixed_point(self):
         for k in range(1, 5):
             for p in enumerate_preferential_arrangements(k):
-                assert dense_rank(p.as_word()) == p
+                assert dense_rank(Word(p.letters, k)) == p
 
     def test_search_plan_is_invisible(self):
         p = Pattern.parse("2123")
@@ -132,7 +127,7 @@ class TestContainment:
     def test_word_contains_itself_as_pattern(self):
         for k in range(1, 5):
             for p in enumerate_preferential_arrangements(k):
-                assert contains_pattern(p.as_word(), p)
+                assert contains_pattern(Word(p.letters, k), p)
 
     def test_needs_enough_distinct_values(self):
         assert not contains_pattern(Word.parse("111111"), Pattern.parse("123"))
@@ -150,7 +145,7 @@ class TestContainment:
         for _ in range(60):
             n = rng.randrange(4, 11)
             d = rng.randrange(2, 6)
-            w = Word.from_letters([rng.randrange(1, d + 1) for _ in range(n)], d)
+            w = Word(tuple(rng.randrange(1, d + 1) for _ in range(n)), d)
             for p in rng.sample(patterns, 12):
                 assert contains_pattern(w, p) == contains_pattern_bruteforce(w, p), (w, p)
 
@@ -163,8 +158,8 @@ class TestContainment:
         patterns = enumerate_preferential_arrangements(3)
         for _ in range(80):
             letters = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 9))]
-            w = Word.from_letters(letters, 3)
-            stretched = Word.from_letters([3 * v - 1 for v in letters])
+            w = Word(tuple(letters), 3)
+            stretched = Word(tuple(3 * v - 1 for v in letters), 8)
             for p in patterns:
                 assert contains_pattern(w, p) == contains_pattern(stretched, p)
 
@@ -175,7 +170,7 @@ def least_embeddings(word, k):
     combination in order."""
     least = {}
     for idxs in combinations(range(len(word)), k):
-        sub = Word.from_letters([word.letters[i] for i in idxs], word.alphabet_size)
+        sub = Word(tuple(word.letters[i] for i in idxs), word.alphabet_size)
         least.setdefault(dense_rank(sub).letters, idxs)
     return least
 
@@ -186,7 +181,7 @@ class TestFindEmbedding:
         idxs = find_embedding(w, Pattern.parse("123"))
         assert idxs is not None
         assert list(idxs) == sorted(idxs)
-        sub = Word.from_letters([w.letters[i] for i in idxs])
+        sub = Word(tuple(w.letters[i] for i in idxs), 3)
         assert str(dense_rank(sub)) == "123"
 
     def test_absent_when_not_contained(self):
@@ -194,7 +189,7 @@ class TestFindEmbedding:
 
     def test_identity_witness(self):
         p = Pattern.parse("2131")
-        assert find_embedding(p.as_word(), p) == (0, 1, 2, 3)
+        assert find_embedding(Word(p.letters, 3), p) == (0, 1, 2, 3)
 
     def test_witness_soundness_exhaustively(self):
         # The witness is the lexicographically least embedding, which also
@@ -297,31 +292,13 @@ class TestRelabeling:
 
 
 class TestLetterPermutation:
-    def test_swap(self):
-        sigma = LetterPermutation((2, 1))
-        assert str(apply_letter_permutation(Word.parse("121"), sigma)) == "212"
-
-    def test_identity(self):
-        sigma = LetterPermutation.identity(3)
-        w = Word.parse("1213121")
-        assert apply_letter_permutation(w, sigma) == w
-
-    def test_three_cycle(self):
-        sigma = LetterPermutation((3, 1, 2))
-        assert str(apply_letter_permutation(Word.parse("123"), sigma)) == "312"
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(ValueError):
-            LetterPermutation((1, 1, 3))
-
-    def test_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            apply_letter_permutation(Word.parse("121"), LetterPermutation.identity(3))
-
     def test_superpattern_status_invariant_under_relabeling(self):
-        # A general letter permutation does not preserve which individual
-        # patterns are contained (1123 under 1<->2 is a counterexample), but
-        # containing all of them at once is preserved.
+        # Over three letters and k = 3, permuting the letters keeps
+        # superpattern status, though not which individual patterns are
+        # contained (1123 under 1<->2 is a counterexample).  Permutations do not
+        # keep status in general: for k = 2, swapping 2 and 3 takes the
+        # superpattern 1132 to 1123, which is none (see
+        # tests/test_classify.py::TestCanonicalListing).
         from itertools import permutations
 
         pats = enumerate_preferential_arrangements(3)
@@ -332,5 +309,5 @@ class TestLetterPermutation:
         for text in ("1213121", "1232132", "12131211", "1231231"):
             w = Word.parse(text, alphabet_size=3)
             for images in permutations((1, 2, 3)):
-                image = apply_letter_permutation(w, LetterPermutation(images))
+                image = Word(tuple(images[v - 1] for v in w.letters), 3)
                 assert full(image) == full(w)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpatterns import Polynomial, RationalFunction, binomial, moments_from_gf, waiting_time_gf
+from superpatterns import Polynomial, RationalFunction, moments_from_gf, waiting_time_gf
 from superpatterns.series import _scale_base
 
 from conftest import series_by_long_division
@@ -214,22 +214,6 @@ class TestMoments:
         mean, variance = moments_from_gf(f)
         assert mean == 2
         assert variance == 2
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 3) == 10
-        assert binomial(6, 5) == 6
-        assert binomial(7, 0) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(4, 5) == 0
-        assert binomial(4, -1) == 0
-
-    def test_pascal_identity(self):
-        for n in range(1, 12):
-            for k in range(0, n + 1):
-                assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestFractionLaws:

@@ -28,7 +28,7 @@ from superpatterns import (
 )
 from superpatterns.waiting import _letter_decoder
 
-from conftest import all_words, simulate_tau_per_letter, tau_online
+from conftest import all_words, first_acceptance_time, simulate_tau_per_letter, tau_online
 
 
 class TestBinaryPmf:
@@ -131,7 +131,7 @@ class TestTauOnline:
         rng = random.Random(1234)
         for _ in range(150):
             letters = [rng.randrange(1, 4) for _ in range(30)]
-            expected = auto.first_superpattern_time(letters)
+            expected = first_acceptance_time(auto, letters)
             if expected is None:
                 with pytest.raises(ValueError):
                     tau_online(letters, 3)
