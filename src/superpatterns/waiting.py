@@ -11,8 +11,9 @@ over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
 Carlo simulator checks whole distributions; it draws random bytes in chunks,
 each byte standing by exact rejection for several letters, so every letter
 is exactly uniform.  It runs on the closed, minimised automaton (`_dfa`), with
-one lookup per random byte in a lazily filled (state, byte) table, for
-alphabets of up to 255 letters.
+one lookup per random byte in a (state, byte) table whose row for a state is
+built whole, from the tables of shorter letter strings, the first time the
+stream reaches that state; alphabets of up to 255 letters fit in a byte.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from operator import sub
 from typing import Optional
@@ -143,45 +143,99 @@ class _ByteTable:
 
     A byte that decodes to the letters a_1..a_j (see `_letter_decoder`)
     takes a state through j steps; each time the accepting state is reached a
-    trial finishes and the next one starts from state 0.  Entry [s][b] is the
-    end state when no trial finishes inside byte b, and otherwise the negative
-    int ~(end << 8 | mask), bit o of mask set when a trial finishes at letter
-    o + 1 of the byte.  Entries are filled the first time they are read; -1
-    (~0) marks one not filled yet, and every state shares one all-miss row
-    until its first fill.  The decoder is checked before the closure, so an
+    trial finishes and the next one starts from state 0.  Entry rows[s][b] is
+    the end state when no trial finishes inside byte b, and otherwise the
+    negative int ~(end << 8 | code).  A code below 128 is the one letter
+    offset (1..j) at which a trial finishes; a code from 128 up stands for
+    several offsets, in a byte where more than one trial finishes (only when
+    j exceeds the least waiting time, as for k = 2 and d <= 4).  Either way
+    `finishes[code]` is the tuple of offsets.
+
+    A state's row is built whole the first time it is read, by composing the
+    tables of shorter letter strings (`_compose`); until then the state shares
+    `_UNBUILT_ROW`, whose entries carry the code _UNBUILT that no built entry
+    reaches, so the check for an unbuilt row sits off the common paths.
+    Where d^j < 256 a row is its d^j entries repeated, since an accepted byte
+    stands for the letters of its residue mod d^j; the rejected bytes at the
+    end are never read, so the row stops before them.  Rows are built per
+    state, not all at once: most states of a wide alphabet are never reached
+    in a short run.  The decoder is checked before the closure, so an
     alphabet too wide for a byte fails at once.
     """
 
     def __init__(self, d: int, k: int):
-        self._letters = _letter_decoder(d)
+        letters = _letter_decoder(d)
         dfa = close_and_minimise(d, k)
         self._steps = dfa.rows
         self._accept = dfa.accept
-        self.rejected = bytes(b for b in range(256) if not self._letters[b])
-        self.letters_per_byte = len(self._letters[0])
-        self.rows = [_MISS_ROW] * len(dfa.rows)
+        self.rejected = bytes(b for b in range(256) if not letters[b])
+        self.letters_per_byte = len(letters[0])
+        self.rows = [_UNBUILT_ROW] * len(dfa.rows)
+        self.finishes: list[tuple[int, ...]] = [(o,) for o in range(128)]
+        # _tables[length - 1][state]: `_compose(state, length)` for lengths below j.
+        self._tables: list[list[Optional[array]]] = [
+            [None] * len(dfa.rows) for _ in range(self.letters_per_byte - 1)
+        ]
+        self._restarts: dict[int, array] = {}
 
-    def fill(self, state: int, byte: int) -> int:
-        row = self.rows[state]
-        if row is _MISS_ROW:
-            row = self.rows[state] = array("i", _MISS_ROW)
-        end, mask = state, 0
-        for o, a in enumerate(self._letters[byte]):
-            end = self._steps[end][a]
-            if end == self._accept:
-                end = 0
-                mask |= 1 << o
-        row[byte] = entry = ~(end << 8 | mask) if mask else end
-        return entry
+    def build(self, state: int) -> array:
+        """Build, store and return the row of `state`."""
+        table = self._compose(state, self.letters_per_byte)
+        row = self.rows[state] = table * (256 // len(table))
+        return row
+
+    def _compose(self, state: int, length: int) -> array:
+        """Entries for the last `length` letters of a byte read from `state`,
+        indexed by those letters as base-d digits, least significant first:
+        one slice per first letter, read from the table of the state it
+        leads to, or from the restart table when it finishes a trial.  A
+        single letter that finishes a trial does so at the byte's last
+        offset j."""
+        ends, accept = self._steps[state][1:], self._accept
+        if length == 1:
+            return array("i", [~self.letters_per_byte if end == accept else end for end in ends])
+        d = len(ends)
+        tables = self._tables[length - 2]
+        out = array("i", [0]) * d**length
+        for a, end in enumerate(ends):
+            if end == accept:
+                table = self._restart(length - 1)
+            else:
+                table = tables[end]
+                if table is None:
+                    table = tables[end] = self._compose(end, length - 1)
+            out[a::d] = table
+        return out
+
+    def _restart(self, length: int) -> array:
+        """The table of state 0 for the last `length` letters, with a trial
+        finishing at the letter just before them."""
+        table = self._restarts.get(length)
+        if table is None:
+            at = self.letters_per_byte - length
+            table = array("i", [self._finish_before(at, e) for e in self._compose(0, length)])
+            self._restarts[length] = table
+        return table
+
+    def _finish_before(self, at: int, entry: int) -> int:
+        """`entry` with a trial finishing at offset `at`, ahead of the
+        letters the entry covers."""
+        if entry >= 0:
+            return ~(entry << 8 | at)
+        entry = ~entry
+        offsets = (at, *self.finishes[entry & 255])
+        if offsets not in self.finishes:
+            self.finishes.append(offsets)
+        return ~(entry >> 8 << 8 | self.finishes.index(offsets))
 
     def run(self, rng: random.Random, trials: int, lengths: Counter) -> None:
         """Count into `lengths` the lengths of the next `trials` trials, read
         from `rng.randbytes` chunks with the rejected bytes dropped.  Letter
-        o + 1 of kept byte i is letter i * j + o + 1 of its chunk, so finish
+        o of kept byte i is letter i * j + o of its chunk, so finish
         positions need no per-byte counter, and a trial's length is the
         difference of two finish positions (`last`, the previous one, is
         counted from the start of the current chunk)."""
-        rows, fill, rejected, j = self.rows, self.fill, self.rejected, self.letters_per_byte
+        rows, finishes, rejected, j = self.rows, self.finishes, self.rejected, self.letters_per_byte
         state = last = 0
         while True:
             chunk = rng.randbytes(_CHUNK_BYTES).translate(None, rejected)
@@ -192,15 +246,22 @@ class _ByteTable:
                 if entry >= 0:
                     state = entry
                     continue
-                if entry == -1:
-                    entry = fill(state, b)
+                entry = ~entry
+                code = entry & 255
+                if code < 128:
+                    state = entry >> 8
+                    append(i * j + code)
+                    continue
+                if code == _UNBUILT:
+                    entry = self.build(state)[b]
                     if entry >= 0:
                         state = entry
                         continue
-                entry = ~entry
+                    entry = ~entry
+                    code = entry & 255
                 state = entry >> 8
                 at = i * j
-                for o in _FINISH_OFFSETS[entry & 255]:
+                for o in finishes[code]:
                     append(at + o)
             if ends:
                 del ends[trials:]
@@ -212,10 +273,9 @@ class _ByteTable:
             last -= len(chunk) * j
 
 
-_MISS_ROW = array("i", [-1]) * 256
-# _FINISH_OFFSETS[mask]: the 1-based letter offsets of a byte at which trials
-# finish, for an 8-bit finish mask (bit o - 1 stands for offset o).
-_FINISH_OFFSETS = reduce(lambda table, o: table + [t + (o,) for t in table], range(1, 9), [()])
+# The finish code of an unbuilt entry; built entries stay below it.
+_UNBUILT = 255
+_UNBUILT_ROW = array("i", [~_UNBUILT]) * 256
 _byte_tables: dict[tuple[int, int], _ByteTable] = {}
 
 
@@ -254,11 +314,12 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
             rng = random.Random(_block_seed(seed, block_index))
             table.run(rng, min(_TRIALS_PER_BLOCK, trials - block_start), histogram)
 
-    mean = Fraction(sum(n * c for n, c in histogram.items()), trials)
-    if trials > 1:
-        variance = sum(c * (n - mean) ** 2 for n, c in histogram.items()) / (trials - 1)
-    else:
-        variance = Fraction(0)
+    # From S1 = sum n*c and S2 = sum n^2*c, the sample variance
+    # (S2 - S1^2/T) / (T - 1) is one exact fraction.
+    s1 = sum(n * c for n, c in histogram.items())
+    s2 = sum(n * n * c for n, c in histogram.items())
+    mean = Fraction(s1, trials)
+    variance = Fraction(trials * s2 - s1 * s1, trials * (trials - 1)) if trials > 1 else Fraction(0)
     return SimSummary(
         d=d,
         k=k,

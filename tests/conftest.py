@@ -17,6 +17,7 @@ from superpatterns import (
     minimum_superpatterns_ternary,
     relabel_canonical,
 )
+from superpatterns._dfa import MinimalDfa
 from superpatterns.patterns import _find_embedding, _occurrences
 from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed, _letter_decoder
 
@@ -104,6 +105,22 @@ def tau_online(letters: Iterable[int], k: int) -> int:
         if not missing:
             return t
     raise ValueError("letter stream ended before the prefix became a superpattern")
+
+
+def byte_entry_by_letters(
+    dfa: MinimalDfa, letters: list[bytes], state: int, byte: int
+) -> tuple[int, tuple[int, ...]]:
+    """Oracle for one entry of the simulator's byte table: step the minimal
+    DFA through the letters `byte` decodes to (`letters`, from
+    _letter_decoder), one at a time, restarting at state 0 on acceptance.
+    Returns the end state and the 1-based offsets at which trials finish."""
+    end, finishes = state, []
+    for o, a in enumerate(letters[byte], 1):
+        end = dfa.rows[end][a]
+        if end == dfa.accept:
+            end = 0
+            finishes.append(o)
+    return end, tuple(finishes)
 
 
 def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummary:

@@ -13,11 +13,9 @@ import time
 from fractions import Fraction
 
 from superpatterns import (
-    Word,
     binary_pmf,
     binary_waiting_time_gf,
     brute_force_pmf,
-    coupon_expectations,
     count_beta_bruteforce,
     count_formulas,
     count_minimal_upto_iso,

@@ -1,5 +1,5 @@
-"""Static check on the package source: it imports only the standard library
-and itself, and every name it imports is used."""
+"""Static checks: the package source imports only the standard library and
+itself, and neither the package nor the tests import a name they never use."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import ast
 import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "superpatterns"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "superpatterns"
 
 
 def _import_problems(path: Path) -> tuple[list[str], list[str]]:
@@ -47,6 +48,9 @@ def test_imports_are_standard_library_or_package_and_all_used():
         o, u = _import_problems(path)
         outside += o
         unused += u
+    # The tests also import pytest and hypothesis, so only their names are checked.
+    for path in sorted(TESTS.glob("*.py")):
+        unused += _import_problems(path)[1]
     assert outside == [], "imports from outside the standard library"
     assert unused == [], "imported names never used"
 

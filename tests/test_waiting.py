@@ -12,7 +12,6 @@ import pytest
 
 from superpatterns import (
     BudgetExceededError,
-    Word,
     binary_pmf,
     binary_waiting_time_gf,
     brute_force_pmf,
@@ -225,7 +224,10 @@ class TestSimulation:
             (2, 2, (1 << 16) + 300),  # the second block starts a new generator
             (3, 2, 5000),
             (4, 2, 5000),
+            (5, 2, 3000),  # rows tiled from 125 entries
+            (7, 2, 2000),  # rows tiled from 49 entries
             (3, 3, 5000),
+            (3, 3, 1),  # a single trial has variance 0
             (4, 3, 2000),
         ],
     )
