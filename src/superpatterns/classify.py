@@ -15,8 +15,10 @@ reach the same state (with the same last or largest letter, when the letter
 rule needs it) share their future, so each length costs one pass over the
 states.  Listings come from one explicit-stack walker that enters a prefix only
 when the DP shows a word of the requested length can still finish below it,
-and yields words in lexicographic order.  The closed-form counts they are
-checked against live in count_formulas().
+and yields words in lexicographic order.  A count keeps one level of the DP
+and stops once the automaton outgrows SEARCH_STATE_BUDGET states; a listing,
+whose output grows with the words, is bounded by a word-space budget on d^n.
+The closed-form counts they are checked against live in count_formulas().
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from typing import Iterable, Iterator, Optional
 
 from .automaton import BudgetExceededError, _cache as _automata, get_automaton
@@ -63,7 +65,6 @@ __all__ = [
     "minimum_superpatterns_ternary",
     "QUATERNARY_EXAMPLE",
     "verify_quaternary_counterexample",
-    "effective_budget",
 ]
 
 
@@ -71,8 +72,8 @@ class SuperpatternNotFoundError(RuntimeError):
     """No superpattern exists within the searched length range."""
 
 
-# Word-space caps for the exhaustive scans (d**n must stay at or below these);
-# they keep default runs in the minutes range.  Callers may pass an explicit
+# Word-space caps for the listings (d**n must stay at or below these); they
+# keep default runs in the minutes range.  Callers may pass an explicit
 # budget, and the CLI also honours the SUPERPATTERN_BUDGET environment
 # variable.
 DEFAULT_WORD_BUDGETS = {2: 2**24, 3: 3**14}
@@ -82,21 +83,21 @@ FALLBACK_WORD_BUDGET = 5_000_000
 # patterns per containment check.
 MAX_CLASSIFY_K = 5
 
-# Most automaton states the minimum-length search may hold; read at call time.
-# The (4, 4) search needs more.
-MIN_LENGTH_STATE_BUDGET = 500_000
-
-
-def effective_budget(d: int, budget: Optional[int] = None) -> int:
-    if budget is not None:
-        return budget
-    return DEFAULT_WORD_BUDGETS.get(d, FALLBACK_WORD_BUDGET)
+# Most automaton states the minimum-length search and the counting DP may
+# hold; read at call time.  The (4, 4) search needs more.
+SEARCH_STATE_BUDGET = 500_000
 
 
 def _require_within_budget(space: int, d: int, budget: Optional[int], what: str) -> None:
-    cap = effective_budget(d, budget)
+    cap = DEFAULT_WORD_BUDGETS.get(d, FALLBACK_WORD_BUDGET) if budget is None else budget
     if space > cap:
         raise BudgetExceededError(f"{what} would cover {space} words, over the cap of {cap}")
+
+
+def _drop_automaton(d: int, k: int) -> None:
+    """Drop the (d, k) automaton from the shared cache after an overrun,
+    rather than keep it half built for the life of the process."""
+    _automata.pop((d, k), None)
 
 
 def _check_k(k: int) -> None:
@@ -233,7 +234,7 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     dense ranking keeps it a superpattern, so the search runs over
     min(d, n_max) letters.  Raises SuperpatternNotFoundError when nothing is
     found up to n_max, and BudgetExceededError once the search holds more
-    than MIN_LENGTH_STATE_BUDGET states.
+    than SEARCH_STATE_BUDGET states.
     """
     _check_k(k)
     if d < 1:
@@ -244,7 +245,7 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
         if n_max is None:
             raise SuperpatternNotFoundError(impossible)
     width = max(1, min(d, n_max))
-    budget = MIN_LENGTH_STATE_BUDGET
+    budget = SEARCH_STATE_BUDGET
     auto = get_automaton(width, k)
     frontier = [0]
     seen = {0}
@@ -267,9 +268,7 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
             if not frontier:
                 break
     except BudgetExceededError:
-        # Drop the half-built automaton rather than keep it for the life of
-        # the process.
-        _automata.pop((width, k), None)
+        _drop_automaton(width, k)
         raise
     if not frontier and width == d:
         raise SuperpatternNotFoundError(impossible)
@@ -294,20 +293,33 @@ class _WordSpace:
     reach the same node have the same extensions and the same verdicts, so
     counts come from a transfer-matrix DP over the nodes, level by level
     (Stanley, EC1 section 4.7), in O(n * nodes * d) steps instead of d^n.
+
+    A counting space raises BudgetExceededError once the shared automaton
+    holds more than SEARCH_STATE_BUDGET states; a listing is bounded by the
+    word space its caller checks instead.
     """
 
-    def __init__(self, d: int, k: int, rule: int, prefix: tuple[int, ...] = ()):
-        self.auto = get_automaton(d, k)
+    def __init__(
+        self, d: int, k: int, rule: int, prefix: tuple[int, ...] = (), *, counting: bool = False
+    ):
+        if d < 1 or k < 1:
+            raise ValueError("need d >= 1 and k >= 1")
         self.d = d
+        self.k = k
         self.rule = rule
         self.prefix = prefix
+        self.state_cap = SEARCH_STATE_BUDGET if counting else math.inf
+        # No word over fewer than k letters contains the pattern 12...k, so
+        # for k > d the space holds no superpattern and needs no automaton.
+        self.auto = get_automaton(d, k) if k <= d else None
         if rule == _NO_REPEAT and prefix:
             tag = prefix[-1]
         elif rule == _CANONICAL:
             tag = max(prefix, default=0)
         else:
             tag = 0
-        self.root = self.auto.scan(prefix) * (d + 1) + tag
+        if self.auto is not None:
+            self.root = self.auto.scan(prefix) * (d + 1) + tag
         self._moves: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def moves(self, node: int) -> tuple[tuple[int, int], ...]:
@@ -315,6 +327,12 @@ class _WordSpace:
         letter order."""
         out = self._moves.get(node)
         if out is None:
+            # Building a node's moves adds at most d automaton states.
+            if self.auto.state_count > self.state_cap:
+                _drop_automaton(self.d, self.k)
+                raise BudgetExceededError(
+                    f"count for k={self.k}, d={self.d} exceeded {self.state_cap} automaton states"
+                )
             w = self.d + 1
             state, tag = divmod(node, w)
             step = self.auto.step
@@ -328,22 +346,25 @@ class _WordSpace:
             self._moves[node] = out
         return out
 
-    def levels(self, n: int, strict: bool) -> tuple[list[dict[int, int]], list[int]]:
-        """Forward DP to length n: levels[t] maps each node reached by words of
-        length t to their number.
+    def levels(self, n: int, strict: bool) -> Iterator[tuple[dict[int, int], int]]:
+        """Forward DP from the prefix length t0 to length n: yields, for
+        t = t0 .. n, a map from each node reached by words of length t to
+        their number, and the hits at t.
 
         Under strict, a word whose last letter first makes it a superpattern
-        is tallied in hits[t] and not extended (no strict superpattern lies
-        below it), so the levels hold only non-accepting nodes.  Depths below
-        the prefix length hold nothing.
+        is tallied in the hits and not extended (no strict superpattern lies
+        below it), so the levels past t0 hold only non-accepting nodes.  Only
+        the current level is kept; a caller that needs earlier ones keeps them.
         """
+        t0 = len(self.prefix)
+        if self.auto is None:
+            yield from repeat(({}, 0), n - t0 + 1)
+            return
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
-        t0 = len(self.prefix)
         level = {self.root: 1}
-        levels = [{}] * t0 + [level]
-        hits = [0] * (t0 + 1)
+        yield level, 0
         for _ in range(t0, n):
             nxt: dict[int, int] = {}
             hit = 0
@@ -353,10 +374,8 @@ class _WordSpace:
                         hit += c
                     else:
                         nxt[v] = nxt.get(v, 0) + c
-            levels.append(nxt)
-            hits.append(hit)
+            yield nxt, hit
             level = nxt
-        return levels, hits
 
     def walk(self, n: int, strict: bool) -> Iterator[Word]:
         """The words of length n that are strict superpatterns (strict) or
@@ -371,12 +390,12 @@ class _WordSpace:
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
         t0 = len(self.prefix)
-        if n <= t0:
+        if n <= t0 or self.auto is None:
             return
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
-        levels = self.levels(n - 1, strict)[0]
+        levels = [{}] * t0 + [level for level, _hit in self.levels(n - 1, strict)]
         finish = {}
         for u in levels[n - 1]:
             letters = tuple(a for a, v in moves(u) if accepting[v // w])
@@ -408,27 +427,24 @@ class _WordSpace:
                     push((v, word + (a,)))
 
 
-def strict_counts_by_length(
-    d: int, k: int, n_max: int, budget: Optional[int] = None
-) -> dict[int, int]:
+def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
     """Exact number of strict k-superpatterns of each length 1..n_max over {1..d}.
 
     A forward transfer-matrix DP over the automaton's states: each level maps
     every non-accepting state to the number of words of that length reaching
     it, and a step into an accepting state adds to that length's strict count
-    (the last letter completed the final pattern).  The word-space budget
-    still applies, so budget errors match the listing routes.
+    (the last letter completed the final pattern).  It keeps one level, so its
+    size is the automaton's, bounded by SEARCH_STATE_BUDGET states.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _require_within_budget(d**n_max, d, budget, f"strict-superpattern scan to n={n_max}")
-    hits = _WordSpace(d, k, _ANY).levels(n_max, strict=True)[1]
-    return {n: hits[n] for n in range(1, n_max + 1)}
+    levels = _WordSpace(d, k, _ANY, counting=True).levels(n_max, strict=True)
+    return {n: hit for n, (_level, hit) in enumerate(levels) if n}
 
 
-def count_strict_superpatterns(d: int, k: int, n: int, budget: Optional[int] = None) -> int:
+def count_strict_superpatterns(d: int, k: int, n: int) -> int:
     """Exact count of words of length n over {1..d} whose waiting time is n."""
-    return strict_counts_by_length(d, k, n, budget)[n]
+    return strict_counts_by_length(d, k, n)[n]
 
 
 def iter_strict_superpatterns(
@@ -468,38 +484,45 @@ def _alternating_budget_check(n: int, budget: Optional[int], what: str) -> None:
     _require_within_budget(2 ** (n - 2), 2, budget, what)
 
 
-def _alternating(prefix: tuple[int, ...] = (1, 2)) -> _WordSpace:
-    return _WordSpace(3, 3, _NO_REPEAT, prefix)
+def _alternating_count(
+    n: int, prefix: tuple[int, ...] = (1, 2)
+) -> tuple[dict[int, int], list[int]]:
+    """The strict counting DP to length n over the alternating words that
+    extend the prefix: its level at n, and its hits at each length from the
+    prefix's to n."""
+    if n < 3:
+        raise ValueError("alternating enumeration needs n >= 3")
+    hits = []
+    for level, hit in _WordSpace(3, 3, _NO_REPEAT, prefix, counting=True).levels(n, strict=True):
+        hits.append(hit)
+    return level, hits
 
 
 def iter_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the minimal 3-superpatterns of length n starting 1,2 (one per
     isomorphism class), in lexicographic order."""
     _alternating_budget_check(n, budget, f"minimal-superpattern listing at n={n}")
-    yield from _alternating().walk(n, strict=False)
+    yield from _WordSpace(3, 3, _NO_REPEAT, (1, 2)).walk(n, strict=False)
 
 
-def count_minimal_upto_iso(n: int, budget: Optional[int] = None) -> int:
+def count_minimal_upto_iso(n: int) -> int:
     """Count of iter_minimal_upto_iso(n) without materialising the words.
 
     Once a prefix is accepting every alternating extension stays a
     superpattern, so each word first accepting at length t contributes
     2^(n-t) words of length n.
     """
-    _alternating_budget_check(n, budget, f"minimal-superpattern count at n={n}")
-    hits = _alternating().levels(n, strict=True)[1]
-    return sum(h << (n - t) for t, h in enumerate(hits))
+    return sum(h << (n - t) for t, h in enumerate(_alternating_count(n)[1], start=2))
 
 
 def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict minimal 3-superpatterns of length n starting 1,2."""
     _alternating_budget_check(n, budget, f"strict-minimal listing at n={n}")
-    yield from _alternating().walk(n, strict=True)
+    yield from _WordSpace(3, 3, _NO_REPEAT, (1, 2)).walk(n, strict=True)
 
 
-def count_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> int:
-    _alternating_budget_check(n, budget, f"strict-minimal count at n={n}")
-    return _alternating().levels(n, strict=True)[1][n]
+def count_strict_minimal_upto_iso(n: int) -> int:
+    return _alternating_count(n)[1][-1]
 
 
 def isomorphism_orbit(words: Iterable[Word]) -> list[Word]:
@@ -538,15 +561,12 @@ def count_formulas(n: int) -> CountReport:
     )
 
 
-def count_beta_bruteforce(n: int, budget: Optional[int] = None) -> tuple[int, int]:
+def count_beta_bruteforce(n: int) -> tuple[int, int]:
     """Among the 2^(n-2) alternating words starting 1,2, count those that fail
     to become 3-superpatterns, split by the third letter: (third letter 1,
     third letter 3).  The two counts match n^2-7n+14 and 3n-10 for n >= 7.
     """
-    _alternating_budget_check(n, budget, f"failing-word count at n={n}")
-    ones, threes = (
-        sum(_alternating((1, 2, third)).levels(n, strict=True)[0][n].values()) for third in (1, 3)
-    )
+    ones, threes = (sum(_alternating_count(n, (1, 2, third))[0].values()) for third in (1, 3))
     return ones, threes
 
 

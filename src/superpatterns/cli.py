@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from decimal import Decimal, localcontext
@@ -29,7 +30,6 @@ from .classify import (
     SuperpatternNotFoundError,
     classify,
     count_formulas,
-    effective_budget,
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
@@ -89,10 +89,15 @@ def _csv_word(word: str) -> str:
 
 
 def _budget(args: argparse.Namespace) -> Optional[int]:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"${BUDGET_ENV_VAR}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -106,14 +111,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _require_printable(d: int, n: int) -> None:
+    """Refuse, before any work, a length n whose exact values could exceed
+    the interpreter's limit on converting integers to text.
+
+    Every value pmf and gf print for lengths up to n is a probability whose
+    denominator divides d^(n-1), since the strict counts at k = d are
+    multiples of d; so the values print whenever d^(n-1) does.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    ceiling = 10**limit
+    top = int(limit / math.log10(d)) + 1  # within one of the largest printable n
+    while d ** (top - 1) >= ceiling:
+        top -= 1
+    while d**top < ceiling:
+        top += 1
+    if n > top:
+        raise ValueError(
+            f"--n {n} is over {top}: past it the exact values, over denominators up to"
+            f" {d}^(n-1), can pass the {limit}-digit limit on converting integers to text"
+        )
+
+
 def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
     sub.add_argument("--format", choices=("csv", "json", "plain"), default="csv")
     sub.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
     if budget:
         sub.add_argument(
             "--budget",
-            type=int,
-            help=f"word-space cap for exhaustive scans (default per alphabet;"
+            type=_positive_int,
+            help=f"word-space cap for listings (default per alphabet;"
             f" ${BUDGET_ENV_VAR} overrides)",
         )
 
@@ -226,24 +255,15 @@ def cmd_counts(args: argparse.Namespace) -> int:
 # --- pmf ------------------------------------------------------------------------
 
 
-def _brute_pmf_column(d: int, n_max: int, budget: Optional[int]) -> list[Fraction]:
-    """P(tau = n) for n = 1..n_max with k = d, read from one strict-count DP.
-
-    The DP is asked to reach the first length over the word-space cap, if
-    there is one, so that a budget error names that length.
-    """
-    cap = effective_budget(d, budget)
-    top = next((n for n in range(1, n_max + 1) if d**n > cap), n_max)
-    counts = strict_counts_by_length(d, d, top, budget)
-    return [Fraction(counts[n], d**n) for n in range(1, n_max + 1)]
-
-
 def cmd_pmf(args: argparse.Namespace) -> int:
+    _require_printable(args.d, args.n)
     digits = args.digits
-    budget = _budget(args)
     table = pmf_table(args.d, args.n)
     lengths = range(1, args.n + 1)
-    brute = None if args.mode == "exact" else _brute_pmf_column(args.d, args.n, budget)
+    brute = None
+    if args.mode != "exact":
+        counts = strict_counts_by_length(args.d, args.d, args.n)
+        brute = [Fraction(counts[n], args.d**n) for n in lengths]
     if args.mode == "brute":
         probabilities, cumulative = brute, list(accumulate(brute))
         tail = 1 - cumulative[-1]
@@ -320,6 +340,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_gf(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be at least 0")
+    _require_printable(args.d, args.n)
     coeffs = waiting_time_gf(args.d).series_coefficients(args.n)
     if args.format == "json":
         text = json.dumps(
@@ -419,7 +440,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_coupons(args: argparse.Namespace) -> int:
-    single, all_words = coupon_expectations(args.d, args.k)
+    d = args.d
+    limit = sys.get_int_max_str_digits()
+    too_long = ValueError(
+        f"coupons --d {d}: the exact expectations pass the {limit}-digit limit"
+        f" on converting integers to text"
+    )
+    # The denominator of single, the sum of d/j for j = 1..d, is a multiple
+    # of each prime p in (d/2, d): p divides the term j = p and no other.
+    # For d >= 41, Rosser and Schoenfeld's bounds on the sum of log p over
+    # primes put the log of their product above nats.
+    if limit and d >= 41:
+        nats = d * (1 - 1 / math.log(d)) - d / 2 * (1 + 1 / (2 * math.log(d / 2))) - math.log(d)
+        if nats > (limit + 1) * math.log(10):
+            raise too_long
+    single, all_words = coupon_expectations(d, args.k)
+    if limit and max(*single.as_integer_ratio(), *all_words.as_integer_ratio()) >= 10**limit:
+        raise too_long
     digits = args.digits
     if args.format == "json":
         text = json.dumps(
@@ -487,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="truncate the table at this length")
     p.add_argument("--mode", choices=("exact", "brute", "both"), default="exact")
     p.add_argument("--digits", type=_positive_int, default=12)
-    _add_common(p, budget=True)
+    _add_common(p)
     p.set_defaults(func=cmd_pmf)
 
     p = subs.add_parser("moments", help="exact mean and variance of the waiting time")

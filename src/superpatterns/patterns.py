@@ -285,7 +285,6 @@ def contains_pattern(
     return _find_embedding(table, pattern) is not None
 
 
-@lru_cache(maxsize=None)
 def fubini(k: int) -> int:
     """Ordered Bell number: preferential arrangements of length k.
 
@@ -294,9 +293,10 @@ def fubini(k: int) -> int:
     """
     if k < 0:
         raise ValueError("fubini is defined for k >= 0")
-    if k == 0:
-        return 1
-    return sum(math.comb(k, j) * fubini(k - j) for j in range(1, k + 1))
+    counts = [1]
+    for m in range(1, k + 1):
+        counts.append(sum(math.comb(m, j) * counts[m - j] for j in range(1, m + 1)))
+    return counts[k]
 
 
 def _grow_arrangements(
@@ -351,8 +351,8 @@ def enumerate_preferential_arrangements(k: int) -> list[Pattern]:
         raise ValueError("pattern length must be at least 1")
     if k > MAX_PATTERN_LENGTH:
         raise ValueError(
-            f"refusing to enumerate fubini({k}) = {fubini(k)} patterns"
-            f" (cap is k <= {MAX_PATTERN_LENGTH})"
+            f"pattern length k={k} is over the cap of {MAX_PATTERN_LENGTH}"
+            f" (fubini({MAX_PATTERN_LENGTH}) = {fubini(MAX_PATTERN_LENGTH)} patterns)"
         )
     return list(_arrangements(k))
 

@@ -76,11 +76,11 @@ def ternary_pmf(n: int) -> Fraction:
     return Fraction(count_formulas(n).s_total, 3**n)
 
 
-def brute_force_pmf(d: int, k: int, n: int, budget: Optional[int] = None) -> Fraction:
+def brute_force_pmf(d: int, k: int, n: int) -> Fraction:
     """Oracle PMF value: the strict superpatterns of length n over d^n, counted
     by the transfer-matrix DP over the containment automaton (independent of
-    the closed forms); the word-space budget still caps n."""
-    return Fraction(count_strict_superpatterns(d, k, n, budget), d**n)
+    the closed forms)."""
+    return Fraction(count_strict_superpatterns(d, k, n), d**n)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from importlib import import_module
 from itertools import product
 
@@ -257,7 +258,7 @@ class TestMinimumLength:
     def test_state_budget_is_checked_per_state(self, monkeypatch):
         # The (4, 4) search grows without a usable bound; it must stop as soon
         # as it holds more states than the budget, not at the end of a depth.
-        monkeypatch.setattr(classify_module, "MIN_LENGTH_STATE_BUDGET", 1000)
+        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 1000)
         auto = get_automaton(4, 4)
         before = auto.state_count
         with pytest.raises(BudgetExceededError, match="exceeded 1000 states"):
@@ -265,7 +266,7 @@ class TestMinimumLength:
         assert auto.state_count - before <= 1000
 
     def test_budget_overrun_drops_the_half_built_automaton(self, monkeypatch):
-        monkeypatch.setattr(classify_module, "MIN_LENGTH_STATE_BUDGET", 1000)
+        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             min_superpattern_length(4, 4)
         assert (4, 4) not in automaton_cache
@@ -348,11 +349,12 @@ class TestStrictEnumeration:
             flags = classify(w, 3)
             assert flags.is_strict
 
-    def test_budget_enforced(self):
+    def test_budget_enforced(self, monkeypatch):
+        # The (3, 3) automaton has 646 states.
+        monkeypatch.delitem(automaton_cache, (3, 3), raising=False)
+        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 600)
         with pytest.raises(BudgetExceededError):
             count_strict_superpatterns(3, 3, 15)
-        with pytest.raises(BudgetExceededError):
-            count_strict_superpatterns(3, 3, 8, budget=3**7)
 
     def test_full_and_canonical_superpattern_listings(self):
         canonical = list(iter_superpatterns(3, 3, 7, canonical=True))
@@ -420,6 +422,56 @@ class TestTransferMatrixCounts:
             assert count_minimal_upto_iso(n) == sp, n
             assert count_strict_minimal_upto_iso(n) == strict, n
             assert count_beta_bruteforce(n) == (fail_1, fail_3), n
+
+    def test_counts_reach_past_the_word_space_budget(self):
+        # 3^40 and 2^38 words are far over the listings' word-space caps.
+        counts = strict_counts_by_length(3, 3, 40)
+        assert all(counts[n] == count_formulas(n).s_total for n in range(7, 41))
+        f = count_formulas(40)
+        assert count_minimal_upto_iso(40) == f.gamma_total
+        assert count_strict_minimal_upto_iso(40) == f.s_mu
+        assert count_beta_bruteforce(40) == (f.beta_a, f.beta_b)
+
+    def test_counts_are_bounded_by_automaton_states(self, monkeypatch):
+        # A word of length 8 is a superpattern when its waiting time t is at
+        # most 8, and 4^(8-t) words share each strict prefix of length t.
+        expected = sum(c * 4 ** (8 - t) for t, c in strict_counts_by_length(4, 3, 8).items())
+        monkeypatch.delitem(automaton_cache, (4, 3), raising=False)
+        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 2000)
+        with pytest.raises(BudgetExceededError, match="exceeded 2000 automaton states"):
+            strict_counts_by_length(4, 3, 8)
+        assert (4, 3) not in automaton_cache
+        # Listings take no state check; the word space bounds them.
+        assert sum(1 for _ in iter_superpatterns(4, 3, 8)) == expected
+
+    def test_counts_keep_one_level(self):
+        strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace
+        tracemalloc.start()
+        try:
+            counts = strict_counts_by_length(3, 3, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[300] == count_formulas(300).s_total
+        # Keeping all 300 levels of several hundred counts peaks at about 7.5 MB;
+        # one level, at about 0.2 MB.
+        assert peak < 2**20
+
+    def test_no_superpattern_when_k_exceeds_d(self, monkeypatch):
+        def no_automaton(d, k):
+            raise AssertionError("no automaton should be built")
+
+        monkeypatch.setattr(classify_module, "get_automaton", no_automaton)
+        assert strict_counts_by_length(2, 8, 30) == dict.fromkeys(range(1, 31), 0)
+        assert list(iter_superpatterns(2, 20, 5)) == []
+        assert list(iter_strict_superpatterns(1, 9, 4)) == []
+        # The word-space check comes first, so listings keep their budget errors.
+        with pytest.raises(BudgetExceededError):
+            list(iter_superpatterns(2, 8, 25))
+        with pytest.raises(ValueError):
+            list(iter_superpatterns(0, 3, 2))
+        with pytest.raises(ValueError):
+            strict_counts_by_length(2, 0, 3)
 
 
 def _no_repeat(letters: tuple[int, ...]) -> bool:

@@ -4,14 +4,16 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from superpatterns import Word, _dfa, cli, is_superpattern
+from superpatterns import Word, _dfa, binary_pmf, cli, is_superpattern, ternary_pmf
 from superpatterns.cli import main
 
 
@@ -115,6 +117,26 @@ class TestEnumerate:
         assert code == 3
         assert "budget" in err.lower()
 
+    def test_more_pattern_letters_than_alphabet_answers_at_once(self, capsys):
+        start = time.process_time()
+        code, out, _ = run(capsys, "enumerate", "--n", "3", "--filter", "all", "--d", "2", "--k", "8")
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (0, "word\n# count: 0\n")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_two_at_parse_time(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "7", "--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_env_budget_below_one_exits_two(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("SUPERPATTERN_BUDGET", budget)
+        code, out, err = run(capsys, "enumerate", "--n", "7")
+        assert (code, out) == (2, "")
+        assert "SUPERPATTERN_BUDGET: must be at least 1" in err
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("SUPERPATTERN_BUDGET", "16")
         code, _, err = run(capsys, "enumerate", "--n", "8", "--filter", "minimal")
@@ -159,17 +181,35 @@ class TestPmf:
             assert line.endswith("True")
 
     def test_brute_mode_budget(self, capsys):
-        code, _, err = run(capsys, "pmf", "--d", "3", "--n", "15", "--mode", "brute")
-        assert code == 3
+        code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "15", "--mode", "brute")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        assert [Fraction(row[1]) for row in rows] == [ternary_pmf(n) for n in range(1, 16)]
+
+    def test_brute_column_reaches_past_the_word_space_budget(self, capsys):
+        code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "20", "--mode", "both")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        assert [Fraction(row[4]) for row in rows] == [ternary_pmf(n) for n in range(1, 21)]
+        assert all(row[5] == "True" for row in rows)
+        code, out, _ = run(capsys, "pmf", "--mode", "brute", "--d", "2", "--n", "30")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        assert [Fraction(row[1]) for row in rows] == [binary_pmf(n) for n in range(1, 31)]
+
+    def test_budget_is_no_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pmf", "--d", "3", "--n", "8", "--mode", "brute", "--budget", "100"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("mode", ["brute", "both"])
     def test_brute_column_is_one_dp(self, capsys, monkeypatch, mode):
         calls = []
         real = cli.strict_counts_by_length
 
-        def counted(d, k, n_max, budget=None):
+        def counted(d, k, n_max):
             calls.append(n_max)
-            return real(d, k, n_max, budget)
+            return real(d, k, n_max)
 
         monkeypatch.setattr(cli, "strict_counts_by_length", counted)
         code, _, _ = run(capsys, "pmf", "--d", "3", "--n", "12", "--mode", mode)
@@ -216,6 +256,52 @@ class TestMomentsAndGf:
         lines = out.strip().splitlines()
         assert lines[0] == "n,coefficient"
         assert lines[8] == "7,14/729"
+
+
+@pytest.fixture
+def default_int_digits():
+    """The interpreter's default limit on converting integers to text."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.usefixtures("default_int_digits")
+class TestIntegerTextLimit:
+    @pytest.mark.parametrize(
+        "argv,top",
+        [
+            (["gf", "--d", "3", "--n", "9200"], 9013),
+            (["pmf", "--d", "3", "--n", "9200"], 9013),
+            (["pmf", "--d", "2", "--n", "14400"], 14285),
+        ],
+    )
+    def test_unprintable_length_is_refused_at_once(self, capsys, argv, top):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert f"is over {top}" in err
+
+    @pytest.mark.parametrize("d,top", [(2, 14285), (3, 9013)])
+    def test_the_largest_printable_length(self, d, top):
+        cli._require_printable(d, top)
+        with pytest.raises(ValueError, match=f"is over {top}"):
+            cli._require_printable(d, top + 1)
+
+    def test_coupons_over_the_limit(self, capsys):
+        code, out, err = run(capsys, "coupons", "--d", "10000")
+        assert (code, out) == (2, "")
+        assert "coupons --d 10000: the exact expectations pass the 4300-digit limit" in err
+        assert run(capsys, "coupons", "--d", "9000")[0] == 0
+
+    def test_coupons_far_over_the_limit_are_refused_at_once(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "coupons", "--d", "100000")
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "coupons --d 100000" in err
 
 
 class TestModuleEntryPoint:
@@ -333,6 +419,23 @@ class TestCoupons:
         assert code == 0
         assert "single_collection,11/2,5.5" in out
         assert "all_words,33/2,16.5" in out
+
+
+class TestReadmeExamples:
+    def test_cli_examples_exit_zero(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = []
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["superpatterns"]:
+                commands.append(argv[1:])
+            elif argv[:3] == ["python", "-m", "superpatterns"]:
+                commands.append(argv[3:])
+        assert len(commands) == len(block.splitlines())
+        out = str(tmp_path / "out")
+        failed = [argv for argv in commands if main([*argv, "--out", out]) != 0]
+        assert failed == []
 
 
 class TestOutputFile:

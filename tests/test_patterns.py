@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -254,6 +255,12 @@ class TestArrangements:
             enumerate_preferential_arrangements(9)
         with pytest.raises(ValueError):
             enumerate_preferential_arrangements(0)
+
+    def test_size_cap_refuses_at_once(self):
+        start = time.process_time()
+        with pytest.raises(ValueError, match="over the cap of 8"):
+            enumerate_preferential_arrangements(10_000)
+        assert time.process_time() - start < 0.1
 
     def test_fubini_base_cases(self):
         assert fubini(0) == 1
