@@ -296,7 +296,8 @@ class _WordSpace:
 
     A counting space raises BudgetExceededError once the shared automaton
     holds more than SEARCH_STATE_BUDGET states; a listing is bounded by the
-    word space its caller checks instead.
+    word space its caller checks instead.  Either drops the shared automaton
+    when it overruns while growing it, rather than leave it half built.
     """
 
     def __init__(
@@ -327,22 +328,26 @@ class _WordSpace:
         letter order."""
         out = self._moves.get(node)
         if out is None:
-            # Building a node's moves adds at most d automaton states.
-            if self.auto.state_count > self.state_cap:
+            try:
+                # Building a node's moves adds at most d automaton states.
+                if self.auto.state_count > self.state_cap:
+                    raise BudgetExceededError(
+                        f"count for k={self.k}, d={self.d} exceeded"
+                        f" {self.state_cap} automaton states"
+                    )
+                w = self.d + 1
+                state, tag = divmod(node, w)
+                step = self.auto.step
+                if self.rule == _ANY:
+                    out = tuple((a, step(state, a) * w) for a in range(1, w))
+                elif self.rule == _NO_REPEAT:
+                    out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
+                else:
+                    top = min(tag + 1, self.d)
+                    out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
+            except BudgetExceededError:
                 _drop_automaton(self.d, self.k)
-                raise BudgetExceededError(
-                    f"count for k={self.k}, d={self.d} exceeded {self.state_cap} automaton states"
-                )
-            w = self.d + 1
-            state, tag = divmod(node, w)
-            step = self.auto.step
-            if self.rule == _ANY:
-                out = tuple((a, step(state, a) * w) for a in range(1, w))
-            elif self.rule == _NO_REPEAT:
-                out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
-            else:
-                top = min(tag + 1, self.d)
-                out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
+                raise
             self._moves[node] = out
         return out
 

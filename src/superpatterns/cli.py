@@ -225,9 +225,31 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # --- counts ---------------------------------------------------------------------
 
 
+def _require_printable_counts(n: int) -> None:
+    """Refuse, before any work, an --n-to whose row could exceed the
+    interpreter's limit on converting integers to text.
+
+    The row's largest value is s_total = 6 s_a, and every column grows with
+    n.  With N = n - 2, s_a is the sum over j = 5..N of ((j-2)^2 - 2) C(N, j):
+    the full binomial sum N(N+1) 2^(N-2) - 4N 2^(N-1) + 2^(N+1) less its
+    terms j <= 4, so the check needs no per-term sum.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit or n < 7:
+        return
+    big = n - 2
+    s_a = big * (big + 1) * 2 ** (big - 2) - 4 * big * 2 ** (big - 1) + 2 ** (big + 1)
+    s_a -= sum(((j - 2) ** 2 - 2) * math.comb(big, j) for j in range(5))
+    if 6 * s_a >= 10**limit:
+        raise ValueError(
+            f"--n-to {n}: s_total passes the {limit}-digit limit on converting integers to text"
+        )
+
+
 def cmd_counts(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--n-from must not exceed --n-to")
+    _require_printable_counts(args.n_to)
     reports = [count_formulas(n) for n in range(args.n_from, args.n_to + 1)]
     if args.format == "json":
         text = json.dumps(

@@ -1,11 +1,13 @@
 """Exact univariate polynomials, rational functions, and series expansion.
 
 Everything is computed over arbitrary-precision rationals
-(fractions.Fraction), so probability generating functions can be expanded,
-differentiated, and evaluated with no rounding anywhere.  Maclaurin
-expansion runs the denominator's linear recurrence on plain integers, scaled
-so that no term needs a division, and builds one Fraction per coefficient.
-Floating point is for display only and never feeds back into these routines.
+(fractions.Fraction), so probability generating functions can be expanded
+and evaluated with no rounding anywhere.  Maclaurin expansion runs the
+denominator's linear recurrence on plain integers, scaled so that no term
+needs a division, and builds one Fraction per coefficient.  The same
+expansion gives the moments: taken at t = 1 instead of 0, its coefficients
+are the factorial moments.  Floating point is for display only and never
+feeds back into these routines.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class Polynomial:
     """Polynomial with Fraction coefficients, constant term first.
 
     Trailing zero coefficients are trimmed on construction, so equal
-    polynomials compare equal.  The zero polynomial has degree -inf.
+    polynomials compare equal.
     """
 
     __slots__ = ("coefficients",)
@@ -78,10 +80,6 @@ class Polynomial:
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
         return cls([0] * degree + [coefficient])
 
-    @property
-    def degree(self) -> float:
-        return len(self.coefficients) - 1 if self.coefficients else -math.inf
-
     def is_zero(self) -> bool:
         return not self.coefficients
 
@@ -96,21 +94,6 @@ class Polynomial:
             result = result * x + c
         return result
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coefficients])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             return Polynomial([c * other for c in self.coefficients])
@@ -121,8 +104,6 @@ class Polynomial:
             for j, b in enumerate(other.coefficients):
                 out[i + j] += a * b
         return Polynomial(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -136,9 +117,6 @@ class Polynomial:
             base = base * base
             e >>= 1
         return result
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial([i * c for i, c in enumerate(self.coefficients)][1:])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coefficients == other.coefficients
@@ -206,32 +184,11 @@ class RationalFunction:
             scale *= g
         return out
 
-    def derivative(self) -> "RationalFunction":
-        num, den = self.numerator, self.denominator
-        return RationalFunction(
-            num.derivative() * den - num * den.derivative(),
-            den * den,
-        )
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
     def __eq__(self, other: object) -> bool:
         # Equality as functions: cross-multiplied equality of the raw pairs.
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __hash__(self) -> int:
-        raise TypeError("RationalFunction is unhashable (equality is up to cancellation)")
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
@@ -239,14 +196,21 @@ class RationalFunction:
 
 def moments_from_gf(f: RationalFunction) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of the distribution with probability generating
-    function f: mean = f'(1), variance = f''(1) + f'(1) - f'(1)^2.
+    function f.
+
+    The expansion f(1 + s) = sum_i E[C(tau, i)] s^i (Flajolet and Sedgewick,
+    Analytic Combinatorics, ch. III) puts the mean at c_1 and the variance at
+    2 c_2 + c_1 - c_1^2.  Shifting a polynomial sum_i a_i t^i to t = 1 + s
+    gives the coefficient sum_i a_i C(i, j) at s^j; three of them suffice.
 
     Rejects f unless f(1) = 1 exactly.
     """
     total = f.evaluate(1)
     if total != 1:
         raise ValueError(f"not a probability generating function: f(1) = {total}")
-    first = f.derivative()
-    mean = first.evaluate(1)
-    second = first.derivative().evaluate(1)
-    return mean, second + mean - mean * mean
+    shifted = (
+        Polynomial([sum(a * math.comb(i, j) for i, a in enumerate(p.coefficients)) for j in range(3)])
+        for p in (f.numerator, f.denominator)
+    )
+    _, mean, second = RationalFunction(*shifted).series_coefficients(2)
+    return mean, 2 * second + mean - mean * mean

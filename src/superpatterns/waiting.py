@@ -4,7 +4,7 @@ Letters are drawn i.i.d. uniformly from {1..d}; the waiting time is the first
 length at which the accumulated prefix contains every length-k pattern.  For
 (d, k) = (2, 2) and (3, 3) the exact distribution comes from one place: the
 rational generating function returned by `waiting_time_gf`, whose Maclaurin
-coefficients are the PMF (`pmf_table`) and whose derivatives at 1 give the
+coefficients are the PMF (`pmf_table`) and whose expansion at t = 1 gives the
 moments.  Two independent routes check it: the closed-form PMFs
 (`binary_pmf`, `ternary_pmf`) and exact counts of strict superpatterns by DP
 over the containment automaton's states (`brute_force_pmf`).  A seeded Monte

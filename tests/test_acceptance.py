@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-emit.  The exhaustive-scan ceiling honours SUPERPATTERN_BUDGET (a word-space
-cap): the default covers the full length-14 ternary scan, and setting a
-smaller budget trims criterion 3 down (never below length 12) for quick CI.
+emit.  Criterion 3 scans to length 14 by default.  This test alone reads
+SUPERPATTERN_BUDGET, as a word-space size, to pick a lower ceiling (never
+below length 12) for quick CI; the library's counts do not read it.
 """
 
 from __future__ import annotations

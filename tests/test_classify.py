@@ -356,6 +356,13 @@ class TestStrictEnumeration:
         with pytest.raises(BudgetExceededError):
             count_strict_superpatterns(3, 3, 15)
 
+    def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch):
+        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+        monkeypatch.setattr(import_module("superpatterns.automaton"), "_MAX_COMPONENTS", 50)
+        with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
+            list(iter_strict_superpatterns(5, 3, 7))
+        assert (5, 3) not in automaton_cache
+
     def test_full_and_canonical_superpattern_listings(self):
         canonical = list(iter_superpatterns(3, 3, 7, canonical=True))
         assert {str(w) for w in canonical} == THE_SEVEN

@@ -290,6 +290,23 @@ class TestIntegerTextLimit:
         with pytest.raises(ValueError, match=f"is over {top}"):
             cli._require_printable(d, top + 1)
 
+    def test_counts_at_the_edge_of_the_limit(self, capsys):
+        sys.set_int_max_str_digits(640)  # the fixture restores the default
+        for fmt in ("csv", "json"):
+            code, out, _ = run(capsys, "counts", "--n-from", "2105", "--n-to", "2105", "--format", fmt)
+            assert code == 0
+            assert out.splitlines()[-1].startswith("2105,") or json.loads(out)[0]["n"] == 2105
+        code, out, err = run(capsys, "counts", "--n-from", "2106", "--n-to", "2106")
+        assert (code, out) == (2, "")
+        assert "--n-to 2106: s_total passes the 640-digit limit" in err
+
+    def test_unprintable_counts_are_refused_at_once(self, capsys):
+        start = time.process_time()
+        code, out, err = run(capsys, "counts", "--n-from", "14259", "--n-to", "14259")
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "--n-to 14259: s_total passes the 4300-digit limit" in err
+
     def test_coupons_over_the_limit(self, capsys):
         code, out, err = run(capsys, "coupons", "--d", "10000")
         assert (code, out) == (2, "")
