@@ -15,15 +15,21 @@ reach the same state (with the same last or largest letter, when the letter
 rule needs it) share their future, so each length costs one pass over the
 states.  Listings come from one explicit-stack walker that enters a prefix only
 when the DP shows a word of the requested length can still finish below it,
-and yields words in lexicographic order.  A count keeps one level of the DP
-and stops once the automaton outgrows SEARCH_STATE_BUDGET states; a listing,
-whose output grows with the words, is bounded by a word-space budget on d^n.
-The closed-form counts they are checked against live in count_formulas().
+and yields words in lexicographic order; it stops one level above the words,
+where each node's children and their finishing letters are already known.  A
+count keeps one level of the DP and stops once the automaton outgrows
+SEARCH_STATE_BUDGET states; a listing, whose output grows with the words, is
+bounded by a word-space budget on d^n, checked without forming d^n when n is
+far past it.  The closed-form counts they are checked against live in
+count_formulas(), and the flanking-pairs check is one match of a compiled
+pattern over the word's bytes.
 """
 
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
@@ -88,10 +94,28 @@ MAX_CLASSIFY_K = 5
 SEARCH_STATE_BUDGET = 500_000
 
 
-def _require_within_budget(space: int, d: int, budget: Optional[int], what: str) -> None:
+def _require_within_budget(d: int, n: int, budget: Optional[int], what: str) -> None:
+    """Refuse a listing over the d^n words of length n when d^n passes the cap.
+
+    For d >= 2, d^n >= 2^n > cap once n reaches the cap's bit length, so such
+    a space is refused without forming d^n.
+    """
     cap = DEFAULT_WORD_BUDGETS.get(d, FALLBACK_WORD_BUDGET) if budget is None else budget
-    if space > cap:
-        raise BudgetExceededError(f"{what} would cover {space} words, over the cap of {cap}")
+    if (d < 2 or n < cap.bit_length()) and d**n <= cap:
+        return
+    raise BudgetExceededError(f"{what} would cover {_power_text(d, n)} words, over the cap of {cap}")
+
+
+def _power_text(d: int, n: int) -> str:
+    """d^n in digits while it fits the interpreter's limit on converting
+    integers to text (its default when the limit is off), else as "d^n"."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # d^n has about n log10(d) digits; form it only near or under the limit.
+    if d < 2 or n * math.log10(d) < limit + 1:
+        space = d**n
+        if space < 10**limit:
+            return str(space)
+    return f"{d}^{n}"
 
 
 def _drop_automaton(d: int, k: int) -> None:
@@ -390,7 +414,9 @@ class _WordSpace:
         nodes from which a word of exactly the remaining length still ends in
         output, and each node at depth n - 1 keeps its finishing letters.  The
         explicit-stack walk enters only those nodes, so every prefix it visits
-        leads to output.
+        leads to output.  It goes no deeper than n - 2: a node there yields its
+        words directly, each child with finishing letters followed by each of
+        them, so depth n - 1 is never pushed.
         """
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
@@ -416,15 +442,20 @@ class _WordSpace:
         if self.root not in alive[t0]:
             return
         d = self.d
+        if t0 == n - 1:
+            for a in finish[self.root]:
+                yield Word(self.prefix + (a,), d)
+            return
         stack = [(self.root, self.prefix)]
         pop = stack.pop
         push = stack.append
         while stack:
             u, word = pop()
             t = len(word)
-            if t == n - 1:
-                for a in finish[u]:
-                    yield Word(word + (a,), d)
+            if t == n - 2:
+                for a, v in moves(u):
+                    for b in finish.get(v, ()):
+                        yield Word(word + (a, b), d)
                 continue
             ahead = alive[t + 1]
             for a, v in reversed(moves(u)):  # the least letter pops first
@@ -456,7 +487,7 @@ def iter_strict_superpatterns(
     d: int, k: int, n: int, budget: Optional[int] = None
 ) -> Iterator[Word]:
     """Stream the strict k-superpatterns of length n in lexicographic order."""
-    _require_within_budget(d**n, d, budget, f"strict-superpattern listing at n={n}")
+    _require_within_budget(d, n, budget, f"strict-superpattern listing at n={n}")
     yield from _WordSpace(d, k, _ANY).walk(n, strict=True)
 
 
@@ -475,7 +506,7 @@ def iter_superpatterns(
     1123 is not, and for (4, 3) at n = 7, 76 classes hold a superpattern
     while 15 canonical words are listed.
     """
-    _require_within_budget(d**n, d, budget, f"superpattern listing at n={n}")
+    _require_within_budget(d, n, budget, f"superpattern listing at n={n}")
     yield from _WordSpace(d, k, _CANONICAL if canonical else _ANY).walk(n, strict=False)
 
 
@@ -486,7 +517,7 @@ def _alternating_budget_check(n: int, budget: Optional[int], what: str) -> None:
     if n < 3:
         raise ValueError("alternating enumeration needs n >= 3")
     # The space has 2^(n-2) words; reuse the binary word budget for its cap.
-    _require_within_budget(2 ** (n - 2), 2, budget, what)
+    _require_within_budget(2, n - 2, budget, what)
 
 
 def _alternating_count(
@@ -551,7 +582,7 @@ def count_formulas(n: int) -> CountReport:
     """Closed-form ternary superpattern counts at length n (defined for n >= 7)."""
     if n < 7:
         raise ValueError("the counting formulas hold for n >= 7")
-    s_a = sum(((m - 4) ** 2 - 2) * math.comb(n - 2, m - 2) for m in range(7, n + 1))
+    s_a = _strict_count_upto_iso(n)
     beta_a = n * n - 7 * n + 14
     beta_b = 3 * n - 10
     return CountReport(
@@ -566,6 +597,15 @@ def count_formulas(n: int) -> CountReport:
     )
 
 
+def _strict_count_upto_iso(n: int) -> int:
+    """s_a at length n >= 7: with N = n - 2, the sum over j = 5..N of
+    ((j-2)^2 - 2) C(N, j), read as the full binomial sum
+    N(N+1) 2^(N-2) - 4N 2^(N-1) + 2^(N+1) less its terms j <= 4."""
+    big = n - 2
+    full = big * (big + 1) * 2 ** (big - 2) - 4 * big * 2 ** (big - 1) + 2 ** (big + 1)
+    return full - sum(((j - 2) ** 2 - 2) * math.comb(big, j) for j in range(5))
+
+
 def count_beta_bruteforce(n: int) -> tuple[int, int]:
     """Among the 2^(n-2) alternating words starting 1,2, count those that fail
     to become 3-superpatterns, split by the third letter: (third letter 1,
@@ -578,6 +618,16 @@ def count_beta_bruteforce(n: int) -> tuple[int, int]:
 # --- structural checks -------------------------------------------------------
 
 
+# One lookahead per ordering a, b, c of {1, 2, 3}, each matching the
+# subsequence a, b, c greedily from the start of the word's bytes.
+_EVERY_ORDERING = re.compile(
+    b"".join(
+        b"(?=[^%c]*%c[^%c]*%c[^%c]*%c)" % (a, a, b, b, c, c)
+        for a, b, c in permutations((1, 2, 3))
+    )
+)
+
+
 def has_flanking_pairs(word: Word) -> bool:
     """Necessary condition for a ternary superpattern: for every choice of
     distinct letters i, j, k there is an occurrence of i preceded by a
@@ -586,24 +636,15 @@ def has_flanking_pairs(word: Word) -> bool:
 
     An i after a j-then-k is the subsequence j, k, i and an i before one is
     i, j, k, so both halves say that every ordering a, b, c of the three
-    letters occurs: some b lies after the first a and before the last c.
+    letters occurs.  That is one match of six lookaheads [^a]*a[^b]*b[^c]*c,
+    anchored at the start.  Each negated class can stop only before the
+    first of its letter, so a failed lookahead backtracks at most once
+    through each run and the match takes linear time.
     """
     letters = word.letters
     if max(letters, default=0) > 3:
         raise ValueError("has_flanking_pairs expects a word over {1,2,3}")
-    text = bytes(letters)
-    find = text.find
-    first = (0, find(1), find(2), find(3))
-    if min(first) < 0:
-        return False
-    last = (0, text.rfind(1), text.rfind(2), text.rfind(3))
-    for a, b, c in _DISTINCT_TRIPLES:
-        if not 0 <= find(b, first[a] + 1) < last[c]:
-            return False
-    return True
-
-
-_DISTINCT_TRIPLES = tuple(permutations((1, 2, 3)))
+    return _EVERY_ORDERING.match(bytes(letters)) is not None
 
 
 @lru_cache(maxsize=1)

@@ -41,6 +41,7 @@ from .classify import (
     missing_patterns,
     strict_counts_by_length,
     verify_quaternary_counterexample,
+    _strict_count_upto_iso,
 )
 from .patterns import Pattern, Word, contains_pattern
 from .series import moments_from_gf
@@ -230,17 +231,12 @@ def _require_printable_counts(n: int) -> None:
     interpreter's limit on converting integers to text.
 
     The row's largest value is s_total = 6 s_a, and every column grows with
-    n.  With N = n - 2, s_a is the sum over j = 5..N of ((j-2)^2 - 2) C(N, j):
-    the full binomial sum N(N+1) 2^(N-2) - 4N 2^(N-1) + 2^(N+1) less its
-    terms j <= 4, so the check needs no per-term sum.
+    n; s_a comes from its closed form, so the check needs no per-term sum.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or n < 7:
         return
-    big = n - 2
-    s_a = big * (big + 1) * 2 ** (big - 2) - 4 * big * 2 ** (big - 1) + 2 ** (big + 1)
-    s_a -= sum(((j - 2) ** 2 - 2) * math.comb(big, j) for j in range(5))
-    if 6 * s_a >= 10**limit:
+    if 6 * _strict_count_upto_iso(n) >= 10**limit:
         raise ValueError(
             f"--n-to {n}: s_total passes the {limit}-digit limit on converting integers to text"
         )

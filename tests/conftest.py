@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, product
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from superpatterns import (
@@ -239,6 +240,12 @@ def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:
             elif t + 1 < n_max:
                 stack.append((ns, t + 1))
     return counts
+
+
+def strict_count_upto_iso_by_terms(n: int) -> int:
+    """Oracle for the s_a column of count_formulas: the paper's sum over
+    lengths m = 7..n of s_mu(m) C(n-2, m-2), one binomial term at a time."""
+    return sum(((m - 4) ** 2 - 2) * comb(n - 2, m - 2) for m in range(7, n + 1))
 
 
 def flanking_pairs_by_scanning(word: Word) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 from importlib import import_module
 from itertools import product
@@ -57,6 +58,7 @@ from conftest import (
     dfs_strict_counts,
     ends_with_minimum_by_subsets,
     flanking_pairs_by_scanning,
+    strict_count_upto_iso_by_terms,
 )
 
 # The classify module itself; the package's `classify` name is the function.
@@ -560,6 +562,10 @@ class TestCountFormulas:
     def test_csv_row(self):
         assert count_formulas(7).csv_row() == "7,7,7,7,42,14,11,25"
 
+    def test_s_a_equals_the_binomial_sum(self):
+        for n in [*range(7, 301), 2000]:
+            assert count_formulas(n).s_a == strict_count_upto_iso_by_terms(n), n
+
 
 class TestBetaBruteforce:
     @pytest.mark.parametrize("n,expected", [(7, (14, 11)), (8, (22, 14)), (10, (44, 20))])
@@ -595,6 +601,25 @@ class TestFlankingPairs:
     def test_equals_the_scanning_oracle_on_longer_words(self, letters, d):
         w = Word(tuple(letters), d)
         assert has_flanking_pairs(w) == flanking_pairs_by_scanning(w)
+
+    @pytest.mark.parametrize(
+        "letters,expected",
+        [
+            ((1,) * 500_000 + (2,) * 500_000, False),
+            ((1,) * 200_000 + (2,) * 200_000 + (3,) * 200_000 + (2,) * 200_000 + (1,) * 200_000, False),
+            ((1, 2) * 500_000 + (3,), False),
+            ((3,) * 500_000 + (1, 2) * 250_000, False),
+            ((1, 2, 3) * 333_334 + (3, 2, 1), True),
+        ],
+        ids=["1^N 2^N", "1^N 2^N 3^N 2^N 1^N", "(12)^N 3", "3^N (12)^N", "(123)^N 321"],
+    )
+    def test_equals_the_scanning_oracle_on_million_letter_words(self, letters, expected):
+        # Long runs that a backtracking match could rescan; it stays linear.
+        w = Word(letters, 3)
+        start = time.process_time()
+        assert has_flanking_pairs(w) == expected
+        assert time.process_time() - start < 1.0
+        assert flanking_pairs_by_scanning(w) == expected
 
     def test_rejects_wide_alphabets(self):
         with pytest.raises(ValueError):

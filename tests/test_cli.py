@@ -117,6 +117,23 @@ class TestEnumerate:
         assert code == 3
         assert "budget" in err.lower()
 
+    @pytest.mark.parametrize("n", [1_000_000, 30_000_000])
+    @pytest.mark.parametrize(
+        "args,what,space,cap",
+        [
+            (["--filter", "all", "--scope", "full", "--d", "3", "--k", "3"], "superpattern", "3^{n}", 4782969),
+            (["--filter", "minimal"], "minimal-superpattern", "2^{m}", 16777216),
+        ],
+        ids=["all", "minimal"],
+    )
+    def test_budget_past_the_text_limit_exits_three_at_once(self, capsys, n, args, what, space, cap):
+        start = time.process_time()
+        code, out, err = run(capsys, "enumerate", "--n", str(n), *args)
+        assert time.process_time() - start < 0.5
+        words = space.format(n=n, m=n - 2)
+        assert (code, out) == (3, "")
+        assert err == f"budget exceeded: {what} listing at n={n} would cover {words} words, over the cap of {cap}\n"
+
     def test_more_pattern_letters_than_alphabet_answers_at_once(self, capsys):
         start = time.process_time()
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--filter", "all", "--d", "2", "--k", "8")
