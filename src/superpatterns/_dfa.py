@@ -7,7 +7,8 @@ Moore refinement (Hopcroft 1971 is the faster variant of the same partition).
 Every accepting state falls into one block: a trial ends there, so what the
 word does next does not matter, and that block loops to itself on every
 letter.  The full automaton is dropped and only the small table is returned;
-the simulator keeps it, once per (d, k), inside its byte table.
+the simulator reads it once per (d, k) to build its byte table, and keeps
+only that.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
 lookup.  The exhaustive scans and the minimum-length search share one
 automaton per (d, k); the simulator instead builds a fresh automaton, closes
-and minimises it (`_dfa`), keeps only the minimal table inside its byte table
-and drops the automaton.  The verdicts are
+and minimises it (`_dfa`), builds its byte table from the minimal table and
+keeps neither.  The verdicts are
 cross-checked against the per-pattern backtracking route by the test suite.
 """
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -248,22 +249,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
     _require_printable_counts(args.n_to)
     reports = [count_formulas(n) for n in range(args.n_from, args.n_to + 1)]
     if args.format == "json":
-        text = json.dumps(
-            [
-                {
-                    "n": r.n,
-                    "gamma_total": r.gamma_total,
-                    "s_mu": r.s_mu,
-                    "s_a": r.s_a,
-                    "s_total": r.s_total,
-                    "beta_a": r.beta_a,
-                    "beta_b": r.beta_b,
-                    "beta_total": r.beta_total,
-                }
-                for r in reports
-            ],
-            indent=2,
-        ) + "\n"
+        text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
     else:
         text = _csv(COUNT_REPORT_HEADER, [r.csv_row() for r in reports])
     _emit(text, args.out)

@@ -11,9 +11,9 @@ over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
 Carlo simulator checks whole distributions; it draws random bytes in chunks,
 each byte standing by exact rejection for several letters, so every letter
 is exactly uniform.  It runs on the closed, minimised automaton (`_dfa`), with
-one lookup per random byte in a (state, byte) table whose row for a state is
-built whole, from the tables of shorter letter strings, the first time the
-stream reaches that state; alphabets of up to 255 letters fit in a byte.
+one lookup per random byte in a (state, residue) table, every row of which is
+built when the table is made, from the tables of shorter letter strings;
+alphabets of up to 255 letters fit in a byte.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from typing import Optional
 
 from ._dfa import close_and_minimise
 from .automaton import MAX_INSTANCES, BudgetExceededError
@@ -143,79 +142,44 @@ class _ByteTable:
 
     A byte that decodes to the letters a_1..a_j (see `_letter_decoder`)
     takes a state through j steps; each time the accepting state is reached a
-    trial finishes and the next one starts from state 0.  Entry rows[s][b] is
-    the end state when no trial finishes inside byte b, and otherwise the
-    negative int ~(end << 8 | code).  A code below 128 is the one letter
-    offset (1..j) at which a trial finishes; a code from 128 up stands for
-    several offsets, in a byte where more than one trial finishes (only when
-    j exceeds the least waiting time, as for k = 2 and d <= 4).  Either way
-    `finishes[code]` is the tuple of offsets.
+    trial finishes and the next one starts from state 0.  An accepted byte b
+    stands for the digits of its residue r = residues[b] = b mod d^j, and
+    entry rows[s][r] is the end state when no trial finishes inside the byte,
+    and otherwise the negative int ~(end << 8 | code).  A code below 128 is
+    the one letter offset (1..j) at which a trial finishes; a code from 128
+    up stands for several offsets, in a byte where more than one trial
+    finishes (only when j exceeds the least waiting time, as for k = 2 and
+    d <= 4).  Either way `finishes[code]` is the tuple of offsets.
 
-    A state's row is built whole the first time it is read, by composing the
-    tables of shorter letter strings (`_compose`); until then the state shares
-    `_UNBUILT_ROW`, whose entries carry the code _UNBUILT that no built entry
-    reaches, so the check for an unbuilt row sits off the common paths.
-    Where d^j < 256 a row is its d^j entries repeated, since an accepted byte
-    stands for the letters of its residue mod d^j; the rejected bytes at the
-    end are never read, so the row stops before them.  Rows are built per
-    state, not all at once: most states of a wide alphabet are never reached
-    in a short run.  The decoder is checked before the closure, so an
-    alphabet too wide for a byte fails at once.
+    Every row is built at construction, in one pass over letter-string
+    lengths L = 1..j: a state's length-L table, indexed by the last L letters
+    of a byte as base-d digits, least significant first, is d slices, one per
+    first letter, each the length-(L-1) table of the state that letter leads
+    to, or of state 0 with a finish at that letter when it accepts.  The
+    length-j tables are the rows.  The decoder is checked before the
+    closure, so an alphabet too wide for a byte fails at once.
     """
 
     def __init__(self, d: int, k: int):
         letters = _letter_decoder(d)
         dfa = close_and_minimise(d, k)
-        self._steps = dfa.rows
-        self._accept = dfa.accept
+        j = self.letters_per_byte = len(letters[0])
         self.rejected = bytes(b for b in range(256) if not letters[b])
-        self.letters_per_byte = len(letters[0])
-        self.rows = [_UNBUILT_ROW] * len(dfa.rows)
+        self.residues = bytes(b % d**j for b in range(256))
         self.finishes: list[tuple[int, ...]] = [(o,) for o in range(128)]
-        # _tables[length - 1][state]: `_compose(state, length)` for lengths below j.
-        self._tables: list[list[Optional[array]]] = [
-            [None] * len(dfa.rows) for _ in range(self.letters_per_byte - 1)
-        ]
-        self._restarts: dict[int, array] = {}
-
-    def build(self, state: int) -> array:
-        """Build, store and return the row of `state`."""
-        table = self._compose(state, self.letters_per_byte)
-        row = self.rows[state] = table * (256 // len(table))
-        return row
-
-    def _compose(self, state: int, length: int) -> array:
-        """Entries for the last `length` letters of a byte read from `state`,
-        indexed by those letters as base-d digits, least significant first:
-        one slice per first letter, read from the table of the state it
-        leads to, or from the restart table when it finishes a trial.  A
-        single letter that finishes a trial does so at the byte's last
-        offset j."""
-        ends, accept = self._steps[state][1:], self._accept
-        if length == 1:
-            return array("i", [~self.letters_per_byte if end == accept else end for end in ends])
-        d = len(ends)
-        tables = self._tables[length - 2]
-        out = array("i", [0]) * d**length
-        for a, end in enumerate(ends):
-            if end == accept:
-                table = self._restart(length - 1)
-            else:
-                table = tables[end]
-                if table is None:
-                    table = tables[end] = self._compose(end, length - 1)
-            out[a::d] = table
-        return out
-
-    def _restart(self, length: int) -> array:
-        """The table of state 0 for the last `length` letters, with a trial
-        finishing at the letter just before them."""
-        table = self._restarts.get(length)
-        if table is None:
-            at = self.letters_per_byte - length
-            table = array("i", [self._finish_before(at, e) for e in self._compose(0, length)])
-            self._restarts[length] = table
-        return table
+        accept, steps = dfa.accept, [row[1:] for row in dfa.rows]
+        # A single letter that finishes a trial does so at the byte's last offset j.
+        tables = [array("i", [~j if end == accept else end for end in ends]) for ends in steps]
+        for length in range(2, j + 1):
+            restart = array("i", [self._finish_before(j - length + 1, e) for e in tables[0]])
+            built = []
+            for ends in steps:
+                out = array("i", [0]) * d**length
+                for a, end in enumerate(ends):
+                    out[a::d] = restart if end == accept else tables[end]
+                built.append(out)
+            tables = built
+        self.rows = tables
 
     def _finish_before(self, at: int, entry: int) -> int:
         """`entry` with a trial finishing at offset `at`, ahead of the
@@ -230,15 +194,17 @@ class _ByteTable:
 
     def run(self, rng: random.Random, trials: int, lengths: Counter) -> None:
         """Count into `lengths` the lengths of the next `trials` trials, read
-        from `rng.randbytes` chunks with the rejected bytes dropped.  Letter
-        o of kept byte i is letter i * j + o of its chunk, so finish
-        positions need no per-byte counter, and a trial's length is the
-        difference of two finish positions (`last`, the previous one, is
-        counted from the start of the current chunk)."""
-        rows, finishes, rejected, j = self.rows, self.finishes, self.rejected, self.letters_per_byte
+        from `rng.randbytes` chunks with the rejected bytes dropped and the
+        rest mapped to their residues.  Letter o of kept byte i is letter
+        i * j + o of its chunk, so finish positions need no per-byte counter,
+        and a trial's length is the difference of two finish positions
+        (`last`, the previous one, is counted from the start of the current
+        chunk)."""
+        rows, finishes, j = self.rows, self.finishes, self.letters_per_byte
+        residues, rejected = self.residues, self.rejected
         state = last = 0
         while True:
-            chunk = rng.randbytes(_CHUNK_BYTES).translate(None, rejected)
+            chunk = rng.randbytes(_CHUNK_BYTES).translate(residues, rejected)
             ends: list[int] = []
             append = ends.append
             for i, b in enumerate(chunk):
@@ -248,18 +214,10 @@ class _ByteTable:
                     continue
                 entry = ~entry
                 code = entry & 255
+                state = entry >> 8
                 if code < 128:
-                    state = entry >> 8
                     append(i * j + code)
                     continue
-                if code == _UNBUILT:
-                    entry = self.build(state)[b]
-                    if entry >= 0:
-                        state = entry
-                        continue
-                    entry = ~entry
-                    code = entry & 255
-                state = entry >> 8
                 at = i * j
                 for o in finishes[code]:
                     append(at + o)
@@ -273,9 +231,6 @@ class _ByteTable:
             last -= len(chunk) * j
 
 
-# The finish code of an unbuilt entry; built entries stay below it.
-_UNBUILT = 255
-_UNBUILT_ROW = array("i", [~_UNBUILT]) * 256
 _byte_tables: dict[tuple[int, int], _ByteTable] = {}
 
 

@@ -113,16 +113,8 @@ def test_table_is_built_once(monkeypatch):
     rows = list(table.rows)
     simulate_tau(3, 3, 10, 0)
     assert waiting._byte_tables[(3, 3)] is table
-    # The same stream reads the same rows, so none is built again.
+    # The second call reuses the table, rows and all.
     assert all(a is b for a, b in zip(table.rows, rows))
-
-
-def test_rows_are_built_only_where_a_stream_goes(monkeypatch):
-    monkeypatch.setattr(waiting, "_byte_tables", {})
-    simulate_tau(5, 3, 5, 0)
-    rows = waiting._byte_tables[(5, 3)].rows
-    assert len(rows) == 20_193
-    assert sum(row is not waiting._UNBUILT_ROW for row in rows) < 500
 
 
 def _decoded(table: waiting._ByteTable, entry: int) -> tuple[int, tuple[int, ...]]:
@@ -136,31 +128,38 @@ def _decoded(table: waiting._ByteTable, entry: int) -> tuple[int, tuple[int, ...
 # that two trials can finish in one byte.
 @pytest.mark.parametrize(
     "d,k,several",
-    [(2, 2, True), (3, 2, True), (4, 2, True), (5, 2, False), (7, 2, False), (3, 3, False), (4, 3, False)],
+    [
+        (2, 2, True),
+        (3, 2, True),
+        (4, 2, True),
+        (5, 2, False),
+        (6, 2, False),  # 216 entries per row, and a rejected tail
+        (7, 2, False),
+        (10, 2, False),  # 100 entries per row, 200 accepted bytes
+        (3, 3, False),
+        (4, 3, False),
+    ],
 )
 def test_every_row_entry_matches_the_letter_by_letter_oracle(d, k, several):
     table = waiting._ByteTable(d, k)
     dfa = close_and_minimise(d, k)
     letters = waiting._letter_decoder(d)
+    width = d ** len(letters[0])
+    assert list(table.residues) == [b % width for b in range(256)]
+    assert all(len(row) == width for row in table.rows)
     accepted = [b for b, unit in enumerate(letters) if unit]
     several_seen = False
     for state in range(len(dfa.rows)):
         if state == dfa.accept:
             continue
-        row = table.build(state)
-        assert table.rows[state] is row and len(row) == len(accepted)
         for b in accepted:
             end, finishes = byte_entry_by_letters(dfa, letters, state, b)
-            assert _decoded(table, row[b]) == (end, finishes)
+            assert _decoded(table, table.rows[state][table.residues[b]]) == (end, finishes)
             several_seen |= len(finishes) > 1
-    # Rows repeat their d^j entries for d = 5 (j = 3) and d = 7 (j = 2).
-    assert (len(accepted) > d ** len(letters[0])) == (d in (5, 7))
     assert several_seen == several
 
 
 @pytest.mark.parametrize("d,k", [*((d, 2) for d in range(2, 10)), (3, 3), (4, 3)])
 def test_finish_codes_stay_below_the_unbuilt_code(d, k):
-    table = waiting._ByteTable(d, k)
-    for state in range(len(table.rows)):
-        table.build(state)
-    assert len(table.finishes) <= waiting._UNBUILT
+    # An entry keeps its finish code in its low byte.
+    assert len(waiting._ByteTable(d, k).finishes) <= 256

@@ -224,8 +224,10 @@ class TestSimulation:
             (2, 2, (1 << 16) + 300),  # the second block starts a new generator
             (3, 2, 5000),
             (4, 2, 5000),
-            (5, 2, 3000),  # rows tiled from 125 entries
-            (7, 2, 2000),  # rows tiled from 49 entries
+            (5, 2, 3000),  # rows of 125 entries
+            (6, 2, 3000),  # rows of 216 entries, 40 rejected bytes
+            (7, 2, 2000),  # rows of 49 entries
+            (10, 2, 2000),  # rows of 100 entries, 200 accepted bytes
             (3, 3, 5000),
             (3, 3, 1),  # a single trial has variance 0
             (4, 3, 2000),
