@@ -47,16 +47,13 @@ from .patterns import (
 )
 from .series import Polynomial, RationalFunction, moments_from_gf
 from .waiting import (
-    PmfTable,
     SimSummary,
     binary_pmf,
-    binary_waiting_time_gf,
     brute_force_pmf,
     coupon_expectations,
     pmf_table,
     simulate_tau,
     ternary_pmf,
-    ternary_waiting_time_gf,
     waiting_time_gf,
 )
 
@@ -101,7 +98,6 @@ __all__ = [
     "Polynomial",
     "RationalFunction",
     "moments_from_gf",
-    "PmfTable",
     "SimSummary",
     "binary_pmf",
     "ternary_pmf",
@@ -109,8 +105,6 @@ __all__ = [
     "simulate_tau",
     "pmf_table",
     "coupon_expectations",
-    "binary_waiting_time_gf",
-    "ternary_waiting_time_gf",
     "waiting_time_gf",
     "__version__",
 ]

@@ -19,21 +19,6 @@ from .automaton import MAX_INSTANCES, BudgetExceededError, ContainmentAutomaton
 STATE_BUDGET = 100_000
 
 
-class MinimalDfa:
-    """Minimal DFA of "the prefix is a k-superpattern" over {1..d}.
-
-    State 0 reads the empty word; ``rows[s][a]`` is the successor of state s
-    on letter a (slot 0 is unused, as in the automaton), and ``accept`` is the
-    one accepting state, which is absorbing.
-    """
-
-    __slots__ = ("rows", "accept")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...], accept: int):
-        self.rows = rows
-        self.accept = accept
-
-
 def _close(d: int, k: int) -> ContainmentAutomaton:
     """A fresh automaton with every state reachable before acceptance built."""
     auto = ContainmentAutomaton(d, k)
@@ -82,12 +67,20 @@ def _minimise(transitions: list[list[int]], accepting: list[bool]) -> tuple[list
         count = refined
 
 
-def close_and_minimise(d: int, k: int) -> MinimalDfa:
+def close_and_minimise(d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Close the (d, k) automaton and Moore-minimise it; needs k <= d, so that
-    some state accepts.  Raises BudgetExceededError once the closure holds
-    more than STATE_BUDGET states, and before any closure work when it must:
-    the pattern 1...1 alone tells apart every count 0..k-1 of each letter,
-    k^d states that all come before acceptance."""
+    some state accepts.
+
+    Returns (rows, accept), the minimal DFA of "the prefix is a
+    k-superpattern" over {1..d}: state 0 reads the empty word, ``rows[s][a]``
+    is the successor of state s on letter a (slot 0 is unused, as in the
+    automaton), and ``accept`` is the one accepting state, which is
+    absorbing.
+
+    Raises BudgetExceededError once the closure holds more than STATE_BUDGET
+    states, and before any closure work when it must: the pattern 1...1
+    alone tells apart every count 0..k-1 of each letter, k^d states that all
+    come before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
     # Past MAX_INSTANCES the automaton's own constructor refuses first, also at once.
@@ -104,5 +97,5 @@ def close_and_minimise(d: int, k: int) -> MinimalDfa:
     for s, row in enumerate(transitions):
         if not rows[block[s]]:
             rows[block[s]] = (-1, *(accept if accepting[s] else block[t] for t in row[1:]))
-    return MinimalDfa(tuple(rows), accept)
+    return tuple(rows), accept
 

@@ -232,12 +232,18 @@ def _require_printable_counts(n: int) -> None:
     interpreter's limit on converting integers to text.
 
     The row's largest value is s_total = 6 s_a, and every column grows with
-    n; s_a comes from its closed form, so the check needs no per-term sum.
+    n.  With N = n - 2, s_a sums ((j-2)^2 - 2) C(N, j) over j = 5..N, each
+    weight at least 7, so s_a >= 7 (2^N - sum_{j<=4} C(N, j)) >= 7 * 2^(N-1)
+    once N >= 9, and s_total > 2^(N+4).  Past the limit's bit length that
+    bound decides at once; only near it is s_a formed exactly, from its
+    closed form.
     """
     limit = sys.get_int_max_str_digits()
     if not limit or n < 7:
         return
-    if 6 * _strict_count_upto_iso(n) >= 10**limit:
+    # N + 4 = n + 2.  The limit is at least 640 digits, so N is far above 9
+    # wherever the bound decides; the extra bit covers the logarithm's rounding.
+    if n + 2 > limit * math.log2(10) + 1 or 6 * _strict_count_upto_iso(n) >= 10**limit:
         raise ValueError(
             f"--n-to {n}: s_total passes the {limit}-digit limit on converting integers to text"
         )
@@ -262,19 +268,17 @@ def cmd_counts(args: argparse.Namespace) -> int:
 def cmd_pmf(args: argparse.Namespace) -> int:
     _require_printable(args.d, args.n)
     digits = args.digits
-    table = pmf_table(args.d, args.n)
+    # Also in brute mode, so that an n below the support is refused the same way.
+    probabilities = pmf_table(args.d, args.n)
     lengths = range(1, args.n + 1)
     brute = None
     if args.mode != "exact":
         counts = strict_counts_by_length(args.d, args.d, args.n)
         brute = [Fraction(counts[n], args.d**n) for n in lengths]
     if args.mode == "brute":
-        probabilities, cumulative = brute, list(accumulate(brute))
-        tail = 1 - cumulative[-1]
-    else:
-        probabilities = [table.entries[n] for n in lengths]
-        cumulative = [table.cumulative[n] for n in lengths]
-        tail = table.tail
+        probabilities = brute
+    cumulative = list(accumulate(probabilities))
+    tail = 1 - cumulative[-1]
     checks = brute if args.mode == "both" else repeat(None)
     rows = zip(lengths, probabilities, cumulative, checks)
     if args.format == "json":

@@ -83,11 +83,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coefficients):
-            return self.coefficients[power]
-        return Fraction(0)
-
     def __call__(self, x: Scalar) -> Fraction:
         result = Fraction(0)
         for c in reversed(self.coefficients):
@@ -120,9 +115,6 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coefficients == other.coefficients
-
-    def __hash__(self) -> int:
-        return hash(self.coefficients)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coefficients)!r})"

@@ -23,7 +23,6 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import sub
 
 from ._dfa import close_and_minimise
@@ -32,7 +31,6 @@ from .classify import count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
 
 __all__ = [
-    "PmfTable",
     "SimSummary",
     "binary_pmf",
     "ternary_pmf",
@@ -40,8 +38,6 @@ __all__ = [
     "simulate_tau",
     "pmf_table",
     "coupon_expectations",
-    "binary_waiting_time_gf",
-    "ternary_waiting_time_gf",
     "waiting_time_gf",
 ]
 
@@ -112,17 +108,16 @@ def _block_seed(seed: int, block_index: int) -> int:
     return _splitmix64(_splitmix64(seed & _MASK64) + block_index)
 
 
-def _letter_decoder(d: int) -> list[bytes]:
-    """Return the 256-entry table that maps a random byte to the letters it
-    stands for, exactly uniform on {1..d}.
+def _letters_per_byte(d: int) -> int:
+    """The number j of letters, exactly uniform on {1..d}, that one random
+    byte stands for: the largest value <= 8 with d^j <= 256.
 
-    One byte holds j base-d digits, j the largest value <= 8 with d^j <= 256.
-    A byte below the largest multiple of d^j that fits is accepted and yields
-    the j digits of its residue mod d^j, least significant first, each plus
-    one; any other byte is rejected and yields nothing.  Every digit string is
-    hit by the same number of accepted bytes, so the letters are exactly
-    uniform and independent.  Raises BudgetExceededError for d > 255, where a
-    letter no longer fits in a byte.
+    A byte below the largest multiple of d^j that fits is accepted and stands
+    for the j base-d digits of its residue mod d^j, least significant first,
+    each plus one; any other byte is rejected and stands for nothing.  Every
+    digit string is hit by the same number of accepted bytes, so the letters
+    are exactly uniform and independent.  Raises BudgetExceededError for
+    d > 255, where a letter no longer fits in a byte.
     """
     if d > 255:
         raise BudgetExceededError(
@@ -133,14 +128,13 @@ def _letter_decoder(d: int) -> list[bytes]:
     j = 1
     while j < 8 and d ** (j + 1) <= 256:
         j += 1
-    limit = 256 // d**j * d**j
-    return [bytes(b // d**i % d + 1 for i in range(j)) if b < limit else b"" for b in range(256)]
+    return j
 
 
 class _ByteTable:
     """The minimal DFA lifted from letters to random bytes.
 
-    A byte that decodes to the letters a_1..a_j (see `_letter_decoder`)
+    A byte that stands for the letters a_1..a_j (see `_letters_per_byte`)
     takes a state through j steps; each time the accepting state is reached a
     trial finishes and the next one starts from state 0.  An accepted byte b
     stands for the digits of its residue r = residues[b] = b mod d^j, and
@@ -156,18 +150,18 @@ class _ByteTable:
     of a byte as base-d digits, least significant first, is d slices, one per
     first letter, each the length-(L-1) table of the state that letter leads
     to, or of state 0 with a finish at that letter when it accepts.  The
-    length-j tables are the rows.  The decoder is checked before the
-    closure, so an alphabet too wide for a byte fails at once.
+    length-j tables are the rows.  The letters per byte are worked out
+    before the closure, so an alphabet too wide for a byte fails at once.
     """
 
     def __init__(self, d: int, k: int):
-        letters = _letter_decoder(d)
-        dfa = close_and_minimise(d, k)
-        j = self.letters_per_byte = len(letters[0])
-        self.rejected = bytes(b for b in range(256) if not letters[b])
-        self.residues = bytes(b % d**j for b in range(256))
+        j = self.letters_per_byte = _letters_per_byte(d)
+        rows, accept = close_and_minimise(d, k)
+        width = d**j
+        self.rejected = bytes(range(256 // width * width, 256))
+        self.residues = bytes(b % width for b in range(256))
         self.finishes: list[tuple[int, ...]] = [(o,) for o in range(128)]
-        accept, steps = dfa.accept, [row[1:] for row in dfa.rows]
+        steps = [row[1:] for row in rows]
         # A single letter that finishes a trial does so at the byte's last offset j.
         tables = [array("i", [~j if end == accept else end for end in ends]) for ends in steps]
         for length in range(2, j + 1):
@@ -240,7 +234,7 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     Trials are grouped into fixed-size blocks; block i draws from its own
     generator seeded by mixing (seed, i), so the outcome is independent of
     any evaluation order and reruns are bit-identical.  Each block reads one
-    letter stream (see `_letter_decoder`): random bytes in chunks, each byte
+    letter stream (see `_letters_per_byte`): random bytes in chunks, each byte
     expanded by exact rejection into several letters, every one exactly
     uniform on {1..d}.  A trial runs on from where the previous one stopped;
     the letters left over when a block's trials are done are discarded.
@@ -286,43 +280,17 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     )
 
 
-@dataclass(frozen=True)
-class PmfTable:
-    """Exact waiting-time PMF truncated at n_max, with running partial sums.
-
-    entries[n] is P(tau = n) for 1 <= n <= n_max (zero below the support);
-    cumulative[n] is P(tau <= n).  The mass beyond the truncation is kept as
-    the exact `tail` rather than renormalising: the support is infinite.
-    """
-
-    d: int
-    k: int
-    n_max: int
-    entries: dict[int, Fraction]
-    cumulative: dict[int, Fraction]
-
-    @property
-    def tail(self) -> Fraction:
-        return 1 - self.cumulative[self.n_max]
-
-
-def pmf_table(d: int, n_max: int) -> PmfTable:
-    """Tabulate the exact PMF (with k = d) from the Maclaurin coefficients of
-    waiting_time_gf(d).  The support starts at the lowest power of t in the
-    generating function's numerator, the least superpattern length."""
+def pmf_table(d: int, n_max: int) -> list[Fraction]:
+    """P(tau = n) for n = 1..n_max, with k = d: the Maclaurin coefficients of
+    waiting_time_gf(d) from t^1 on, zero below the support.  The support
+    starts at the lowest power of t in the generating function's numerator,
+    the least superpattern length, and is infinite, so the mass past n_max
+    is 1 less the sum of the list."""
     gf = waiting_time_gf(d)
     start = next(n for n, c in enumerate(gf.numerator.coefficients) if c)
     if n_max < start:
         raise ValueError(f"n_max must reach the least superpattern length {start}")
-    probabilities = gf.series_coefficients(n_max)[1:]
-    lengths = range(1, n_max + 1)
-    return PmfTable(
-        d=d,
-        k=d,
-        n_max=n_max,
-        entries=dict(zip(lengths, probabilities)),
-        cumulative=dict(zip(lengths, accumulate(probabilities))),
-    )
+    return gf.series_coefficients(n_max)[1:]
 
 
 def coupon_expectations(d: int, k: int) -> tuple[Fraction, Fraction]:
@@ -336,25 +304,16 @@ def coupon_expectations(d: int, k: int) -> tuple[Fraction, Fraction]:
     return single, k * single
 
 
-def binary_waiting_time_gf() -> RationalFunction:
-    """Generating function of the d = k = 2 waiting time: t^3 / (2 - t)^2."""
-    return RationalFunction(Polynomial.monomial(3), Polynomial([2, -1]) ** 2)
-
-
-def ternary_waiting_time_gf() -> RationalFunction:
-    """Generating function of the d = k = 3 waiting time:
-    2 t^7 (16 t^2 - 63 t + 63) / ((3 - t)^5 (3 - 2t)^3)."""
-    numerator = Polynomial.monomial(7, 2) * Polynomial([63, -63, 16])
-    denominator = Polynomial([3, -1]) ** 5 * Polynomial([3, -2]) ** 3
-    return RationalFunction(numerator, denominator)
-
-
 def waiting_time_gf(d: int) -> RationalFunction:
-    """Generating function of the d = k waiting time.  The one place that
-    says which alphabets are solved (d = 2 and d = 3); pmf_table and the
+    """Generating function of the d = k waiting time: t^3 / (2 - t)^2 for
+    d = 2, and 2 t^7 (16 t^2 - 63 t + 63) / ((3 - t)^5 (3 - 2t)^3) for d = 3.
+    The one place that says which alphabets are solved; pmf_table and the
     moments read it."""
     if d == 2:
-        return binary_waiting_time_gf()
+        return RationalFunction(Polynomial.monomial(3), Polynomial([2, -1]) ** 2)
     if d == 3:
-        return ternary_waiting_time_gf()
+        return RationalFunction(
+            Polynomial.monomial(7, 2) * Polynomial([63, -63, 16]),
+            Polynomial([3, -1]) ** 5 * Polynomial([3, -2]) ** 3,
+        )
     raise ValueError("waiting-time generating functions are available for d = 2 and d = 3 only")

@@ -18,9 +18,8 @@ from superpatterns import (
     minimum_superpatterns_ternary,
     relabel_canonical,
 )
-from superpatterns._dfa import MinimalDfa
 from superpatterns.patterns import _find_embedding, _occurrences
-from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed, _letter_decoder
+from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed
 
 
 def all_words(d: int, n: int) -> Iterator[Word]:
@@ -74,12 +73,12 @@ def series_by_long_division(f: RationalFunction, order: int) -> list[Fraction]:
     """Oracle for RationalFunction.series_coefficients: Maclaurin coefficients
     c_0..c_order by long division in Fractions,
     c_n = (a_n - sum_{j>=1} b_j c_{n-j}) / b_0."""
-    a, b = f.numerator, f.denominator.coefficients
+    a, b = f.numerator.coefficients, f.denominator.coefficients
     if b[0] == 0:
         raise ValueError("series expansion needs a nonzero constant term in the denominator")
     out: list[Fraction] = []
     for n in range(order + 1):
-        acc = a.coefficient(n)
+        acc = a[n] if n < len(a) else Fraction(0)
         for j in range(1, min(n, len(b) - 1) + 1):
             acc -= b[j] * out[n - j]
         out.append(acc / b[0])
@@ -108,17 +107,29 @@ def tau_online(letters: Iterable[int], k: int) -> int:
     raise ValueError("letter stream ended before the prefix became a superpattern")
 
 
+def letters_of_bytes(d: int) -> list[tuple[int, ...]]:
+    """Oracle for the simulator's byte decoding: the letters each byte value
+    0..255 stands for.  A byte carries j base-d digits, j the most (at most
+    8) that 256 values hold; a byte below the largest multiple of d^j that
+    fits stands for the digits of its residue mod d^j, least significant
+    first, each plus one, and any other byte for nothing."""
+    j = max(i for i in range(1, 9) if d**i <= 256)
+    accepted = 256 // d**j * d**j
+    return [tuple(b // d**i % d + 1 for i in range(j)) if b < accepted else () for b in range(256)]
+
+
 def byte_entry_by_letters(
-    dfa: MinimalDfa, letters: list[bytes], state: int, byte: int
+    rows: tuple[tuple[int, ...], ...], accept: int, letters: list[tuple[int, ...]], state: int, byte: int
 ) -> tuple[int, tuple[int, ...]]:
     """Oracle for one entry of the simulator's byte table: step the minimal
-    DFA through the letters `byte` decodes to (`letters`, from
-    _letter_decoder), one at a time, restarting at state 0 on acceptance.
-    Returns the end state and the 1-based offsets at which trials finish."""
+    DFA (`rows`, `accept`) through the letters `byte` stands for (`letters`,
+    from letters_of_bytes), one at a time, restarting at state 0 on
+    acceptance.  Returns the end state and the 1-based offsets at which
+    trials finish."""
     end, finishes = state, []
     for o, a in enumerate(letters[byte], 1):
-        end = dfa.rows[end][a]
-        if end == dfa.accept:
+        end = rows[end][a]
+        if end == accept:
             end = 0
             finishes.append(o)
     return end, tuple(finishes)
@@ -129,7 +140,7 @@ def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummar
     one letter at a time through the shared lazy automaton, with no byte
     table and no minimisation."""
     auto = get_automaton(d, k)
-    letters = _letter_decoder(d)
+    letters = letters_of_bytes(d)
     histogram: dict[int, int] = {}
     for block_index, block_start in enumerate(range(0, trials, _TRIALS_PER_BLOCK)):
         remaining = min(_TRIALS_PER_BLOCK, trials - block_start)

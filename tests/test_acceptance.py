@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from superpatterns import (
     binary_pmf,
-    binary_waiting_time_gf,
     brute_force_pmf,
     count_beta_bruteforce,
     count_formulas,
@@ -31,7 +30,7 @@ from superpatterns import (
     simulate_tau,
     strict_counts_by_length,
     ternary_pmf,
-    ternary_waiting_time_gf,
+    waiting_time_gf,
 )
 from superpatterns.oeis import check_reference_sequences
 
@@ -106,24 +105,24 @@ def test_criterion_04_pmf_identities():
 
 def test_criterion_05_generating_functions_expand_to_the_pmfs():
     with _Criterion(5, "series of the generating functions and PMF tables match the PMFs to order 200"):
-        g2 = binary_waiting_time_gf()
-        g3 = ternary_waiting_time_gf()
+        g2 = waiting_time_gf(2)
+        g3 = waiting_time_gf(3)
         assert g2.evaluate(1) == 1
         assert g3.evaluate(1) == 1
         cs2 = g2.series_coefficients(200)
         cs3 = g3.series_coefficients(200)
         assert cs2[0] == 0 and cs3[0] == 0
-        t2 = pmf_table(2, 200).entries
-        t3 = pmf_table(3, 200).entries
+        t2 = pmf_table(2, 200)
+        t3 = pmf_table(3, 200)
         for n in range(1, 201):
-            assert cs2[n] == t2[n] == binary_pmf(n), n
-            assert cs3[n] == t3[n] == ternary_pmf(n), n
+            assert cs2[n] == t2[n - 1] == binary_pmf(n), n
+            assert cs3[n] == t3[n - 1] == ternary_pmf(n), n
 
 
 def test_criterion_06_exact_moments():
     with _Criterion(6, "moments: (5, 4) binary; mean 217/16 ternary; truncated sum"):
-        assert moments_from_gf(binary_waiting_time_gf()) == (5, 4)
-        mean, _ = moments_from_gf(ternary_waiting_time_gf())
+        assert moments_from_gf(waiting_time_gf(2)) == (5, 4)
+        mean, _ = moments_from_gf(waiting_time_gf(3))
         assert mean == Fraction(217, 16)
         assert float(mean) == 13.5625
         truncated = sum(n * ternary_pmf(n) for n in range(7, 201))

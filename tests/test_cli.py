@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,35 @@ class TestPmf:
         rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
         assert [Fraction(row[1]) for row in rows] == [binary_pmf(n) for n in range(1, 31)]
 
+    @pytest.mark.parametrize("mode", ["exact", "brute"])
+    def test_cumulative_column_is_the_running_sum(self, capsys, mode):
+        code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "30", "--mode", mode)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+        probabilities = [Fraction(row[1]) for row in rows]
+        cumulative = [Fraction(row[3]) for row in rows]
+        assert cumulative == list(accumulate(probabilities))
+        # The support starts at 7; there the column rises strictly, below 1.
+        assert all(p > 0 for p in probabilities[6:])
+        assert all(a < b for a, b in zip(cumulative[5:], cumulative[6:]))
+        assert cumulative[-1] < 1
+
+    def test_tail_decays_geometrically(self, capsys):
+        # The term ratio tends to 2/3, so the tail shrinks by about that per
+        # extra length: ~1e-4 left at n=40, under 1e-6 from n=53 on.
+        for n, low, high in ((40, Fraction(1, 10**6), Fraction(1, 10**4)), (53, 0, Fraction(1, 10**6))):
+            code, out, _ = run(capsys, "pmf", "--d", "3", "--n", str(n))
+            assert code == 0
+            *_, last, tail_row = out.strip().splitlines()
+            tail = Fraction(tail_row.split(",")[1])
+            assert tail == 1 - Fraction(last.split(",")[3])
+            assert low < tail < high
+
+    def test_brute_mode_below_the_support_exits_two(self, capsys):
+        code, out, err = run(capsys, "pmf", "--mode", "brute", "--d", "3", "--n", "5")
+        assert (code, out) == (2, "")
+        assert "least superpattern length 7" in err
+
     def test_budget_is_no_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pmf", "--d", "3", "--n", "8", "--mode", "brute", "--budget", "100"])
@@ -308,6 +338,8 @@ class TestIntegerTextLimit:
             cli._require_printable(d, top + 1)
 
     def test_counts_at_the_edge_of_the_limit(self, capsys):
+        code, out, _ = run(capsys, "counts", "--n-from", "14258", "--n-to", "14258")
+        assert code == 0 and out.splitlines()[-1].startswith("14258,")
         sys.set_int_max_str_digits(640)  # the fixture restores the default
         for fmt in ("csv", "json"):
             code, out, _ = run(capsys, "counts", "--n-from", "2105", "--n-to", "2105", "--format", fmt)
@@ -318,11 +350,13 @@ class TestIntegerTextLimit:
         assert "--n-to 2106: s_total passes the 640-digit limit" in err
 
     def test_unprintable_counts_are_refused_at_once(self, capsys):
-        start = time.process_time()
-        code, out, err = run(capsys, "counts", "--n-from", "14259", "--n-to", "14259")
-        assert time.process_time() - start < 0.5
-        assert (code, out) == (2, "")
-        assert "--n-to 14259: s_total passes the 4300-digit limit" in err
+        # Far past the limit, s_total itself would take gigabytes to form.
+        for n_from, n_to in ((14259, 14259), (7, 10**9), (7, 10**10)):
+            start = time.process_time()
+            code, out, err = run(capsys, "counts", "--n-from", str(n_from), "--n-to", str(n_to))
+            assert time.process_time() - start < 0.5
+            assert (code, out) == (2, "")
+            assert f"--n-to {n_to}: s_total passes the 4300-digit limit" in err
 
     def test_coupons_over_the_limit(self, capsys):
         code, out, err = run(capsys, "coupons", "--d", "10000")

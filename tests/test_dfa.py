@@ -9,14 +9,14 @@ from superpatterns import _dfa, waiting
 from superpatterns._dfa import _close, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
-from conftest import all_words, byte_entry_by_letters, first_acceptance_time
+from conftest import all_words, byte_entry_by_letters, first_acceptance_time, letters_of_bytes
 
 
-def dfa_acceptance_time(dfa: _dfa.MinimalDfa, letters) -> int | None:
+def dfa_acceptance_time(rows: tuple[tuple[int, ...], ...], accept: int, letters) -> int | None:
     state = 0
     for t, a in enumerate(letters, 1):
-        state = dfa.rows[state][a]
-        if state == dfa.accept:
+        state = rows[state][a]
+        if state == accept:
             return t
     return None
 
@@ -26,19 +26,19 @@ def dfa_acceptance_time(dfa: _dfa.MinimalDfa, letters) -> int | None:
     [(1, 1, 2), (2, 2, 6), (3, 2, 17), (4, 2, 39), (5, 2, 84), (3, 3, 44), (4, 3, 1364)],
 )
 def test_minimised_state_counts(d, k, states):
-    dfa = close_and_minimise(d, k)
-    assert len(dfa.rows) == states
-    assert all(len(row) == d + 1 for row in dfa.rows)
-    assert dfa.rows[dfa.accept][1:] == (dfa.accept,) * d
+    rows, accept = close_and_minimise(d, k)
+    assert len(rows) == states
+    assert all(len(row) == d + 1 for row in rows)
+    assert rows[accept][1:] == (accept,) * d
 
 
 @pytest.mark.parametrize("d,k,n_max", [(2, 2, 12), (3, 3, 9), (4, 3, 7)])
 def test_first_acceptance_matches_the_automaton(d, k, n_max):
-    dfa = close_and_minimise(d, k)
+    rows, accept = close_and_minimise(d, k)
     auto = ContainmentAutomaton(d, k)
     for n in range(n_max + 1):
         for w in all_words(d, n):
-            assert dfa_acceptance_time(dfa, w.letters) == first_acceptance_time(auto, w.letters)
+            assert dfa_acceptance_time(rows, accept, w.letters) == first_acceptance_time(auto, w.letters)
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
@@ -51,9 +51,9 @@ def test_refinement_is_at_its_fixed_point(d, k):
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 3)])
 def test_no_two_minimised_states_are_equivalent(d, k):
-    dfa = close_and_minimise(d, k)
-    accepting = [s == dfa.accept for s in range(len(dfa.rows))]
-    assert _minimise([list(row) for row in dfa.rows], accepting)[1] == len(dfa.rows)
+    rows, accept = close_and_minimise(d, k)
+    accepting = [s == accept for s in range(len(rows))]
+    assert _minimise([list(row) for row in rows], accepting)[1] == len(rows)
 
 
 def test_closure_visits_no_state_past_acceptance():
@@ -142,18 +142,18 @@ def _decoded(table: waiting._ByteTable, entry: int) -> tuple[int, tuple[int, ...
 )
 def test_every_row_entry_matches_the_letter_by_letter_oracle(d, k, several):
     table = waiting._ByteTable(d, k)
-    dfa = close_and_minimise(d, k)
-    letters = waiting._letter_decoder(d)
+    rows, accept = close_and_minimise(d, k)
+    letters = letters_of_bytes(d)
     width = d ** len(letters[0])
     assert list(table.residues) == [b % width for b in range(256)]
     assert all(len(row) == width for row in table.rows)
     accepted = [b for b, unit in enumerate(letters) if unit]
     several_seen = False
-    for state in range(len(dfa.rows)):
-        if state == dfa.accept:
+    for state in range(len(rows)):
+        if state == accept:
             continue
         for b in accepted:
-            end, finishes = byte_entry_by_letters(dfa, letters, state, b)
+            end, finishes = byte_entry_by_letters(rows, accept, letters, state, b)
             assert _decoded(table, table.rows[state][table.residues[b]]) == (end, finishes)
             several_seen |= len(finishes) > 1
     assert several_seen == several

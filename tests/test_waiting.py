@@ -5,7 +5,6 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 from statistics import NormalDist
 
 import pytest
@@ -13,7 +12,6 @@ import pytest
 from superpatterns import (
     BudgetExceededError,
     binary_pmf,
-    binary_waiting_time_gf,
     brute_force_pmf,
     classify,
     coupon_expectations,
@@ -22,10 +20,9 @@ from superpatterns import (
     pmf_table,
     simulate_tau,
     ternary_pmf,
-    ternary_waiting_time_gf,
     waiting_time_gf,
 )
-from superpatterns.waiting import _letter_decoder
+from superpatterns.waiting import _ByteTable, _letters_per_byte
 
 from conftest import all_words, first_acceptance_time, simulate_tau_per_letter, tau_online
 
@@ -64,28 +61,28 @@ class TestTernaryPmf:
 
 class TestGeneratingFunctions:
     def test_normalization(self):
-        assert binary_waiting_time_gf().evaluate(1) == 1
-        assert ternary_waiting_time_gf().evaluate(1) == 1
+        assert waiting_time_gf(2).evaluate(1) == 1
+        assert waiting_time_gf(3).evaluate(1) == 1
 
     def test_series_match_pmfs(self):
-        cs2 = binary_waiting_time_gf().series_coefficients(25)
-        cs3 = ternary_waiting_time_gf().series_coefficients(25)
+        cs2 = waiting_time_gf(2).series_coefficients(25)
+        cs3 = waiting_time_gf(3).series_coefficients(25)
         for n in range(1, 26):
             assert cs2[n] == binary_pmf(n)
             assert cs3[n] == ternary_pmf(n)
 
     def test_binary_moments(self):
-        assert moments_from_gf(binary_waiting_time_gf()) == (5, 4)
+        assert moments_from_gf(waiting_time_gf(2)) == (5, 4)
 
     def test_ternary_mean_exact(self):
-        mean, _ = moments_from_gf(ternary_waiting_time_gf())
+        mean, _ = moments_from_gf(waiting_time_gf(3))
         assert mean == Fraction(217, 16)
         assert float(mean) == 13.5625
 
     def test_ternary_variance_cross_checked_by_truncated_series(self):
         # The ternary variance is a derived quantity; confirm the quotient-rule
         # value against a straight truncated-series computation of the moments.
-        mean, variance = moments_from_gf(ternary_waiting_time_gf())
+        mean, variance = moments_from_gf(waiting_time_gf(3))
         mean_trunc = sum(n * ternary_pmf(n) for n in range(7, 201))
         second_trunc = sum(n * n * ternary_pmf(n) for n in range(7, 201))
         assert abs(mean_trunc - mean) < Fraction(1, 10**20)
@@ -239,28 +236,32 @@ class TestSimulation:
 
 
 class TestLetterDecoder:
-    @pytest.mark.parametrize("d", [*range(1, 17), 255])
+    @pytest.mark.parametrize("d", range(1, 256))
     def test_accepted_units_cover_every_digit_string_equally(self, d):
-        # Enumerate every byte value: the accepted ones must map onto
-        # {1..d}^j with one common multiplicity, so each letter is exactly
-        # uniform and independent of the others in its byte.
-        outputs = Counter(map(tuple, _letter_decoder(d)))
-        outputs.pop((), None)
-        j = len(next(iter(outputs)))
-        assert set(outputs) == set(product(range(1, d + 1), repeat=j))
-        assert len(set(outputs.values())) == 1
+        # Enumerate every byte value: the accepted ones must map onto the d^j
+        # residues, one per string of j base-d digits, with one common
+        # multiplicity, so each letter is exactly uniform and independent of
+        # the others in its byte.  A k = 1 table is built whole at any d.
+        table = _ByteTable(d, 1)
+        j = table.letters_per_byte
+        accepted = [b for b in range(256) if b not in table.rejected]
+        hits = Counter(table.residues[b] for b in accepted)
+        assert set(hits) == set(range(d**j))
+        assert len(set(hits.values())) == 1
+        # Fewer bytes are rejected than would make one more multiple of d^j.
+        assert len(table.rejected) < d**j
         # j is the most digits one byte can hold (capped at 8)
         assert d**j <= 256 and (j == 8 or d ** (j + 1) > 256)
 
     def test_ternary_packs_five_letters_into_most_bytes(self):
-        letters = _letter_decoder(3)
-        assert len(letters) == 256
-        assert Counter(map(len, letters)) == {5: 243, 0: 13}
+        table = _ByteTable(3, 1)
+        assert table.letters_per_byte == 5
+        assert (256 - len(table.rejected), len(table.rejected)) == (243, 13)
 
     @pytest.mark.parametrize("d", [256, 300])
     def test_a_letter_must_fit_in_a_byte(self, d):
         with pytest.raises(BudgetExceededError):
-            _letter_decoder(d)
+            _letters_per_byte(d)
 
 
 def _chi_square_critical(df: int, alpha: float) -> float:
@@ -326,31 +327,10 @@ class TestSimulatedDistribution:
 
 class TestPmfTable:
     def test_single_entry_table(self):
-        t = pmf_table(3, 7)
-        assert t.entries[7] == Fraction(42, 2187)
-        assert all(t.entries[n] == 0 for n in range(1, 7))
-        assert t.cumulative[7] == Fraction(42, 2187)
+        assert pmf_table(3, 7) == [0] * 6 + [Fraction(42, 2187)]
 
     def test_binary_start(self):
-        t = pmf_table(2, 3)
-        assert t.entries[3] == Fraction(1, 4)
-
-    def test_partial_sums_strictly_increase_on_support(self):
-        t = pmf_table(3, 30)
-        for n in range(7, 31):
-            assert t.entries[n] > 0
-            assert t.cumulative[n] > t.cumulative[n - 1]
-            assert t.cumulative[n] < 1
-
-    def test_tail_decays_geometrically(self):
-        # The term ratio tends to 2/3, so the tail shrinks by about that per
-        # extra length: ~1e-4 left at n=40, under 1e-6 from n=53 on.
-        t40 = pmf_table(3, 40)
-        assert t40.tail == 1 - t40.cumulative[40]
-        assert Fraction(1, 10**6) < t40.tail < Fraction(1, 10**4)
-        t53 = pmf_table(3, 53)
-        assert t53.cumulative[53] > 1 - Fraction(1, 10**6)
-        assert t53.tail > 0
+        assert pmf_table(2, 3) == [0, 0, Fraction(1, 4)]
 
     def test_unsupported_alphabet(self):
         with pytest.raises(ValueError):
@@ -375,7 +355,7 @@ class TestCouponExpectations:
     def test_superpattern_wait_is_shorter_than_all_words_wait(self):
         # containing all patterns needs less than containing all words
         _, all_words_wait = coupon_expectations(3, 3)
-        mean, _ = moments_from_gf(ternary_waiting_time_gf())
+        mean, _ = moments_from_gf(waiting_time_gf(3))
         assert mean < all_words_wait
 
     def test_invalid(self):
