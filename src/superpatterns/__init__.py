@@ -41,7 +41,6 @@ from .patterns import (
     contains_pattern,
     dense_rank,
     enumerate_preferential_arrangements,
-    find_embedding,
     fubini,
     relabel_canonical,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Pattern",
     "dense_rank",
     "contains_pattern",
-    "find_embedding",
     "enumerate_preferential_arrangements",
     "fubini",
     "relabel_canonical",

@@ -18,8 +18,12 @@ interned and cached in turn, which makes a repeated step a single table
 lookup.  The exhaustive scans and the minimum-length search share one
 automaton per (d, k); the simulator instead builds a fresh automaton, closes
 and minimises it (`_dfa`), builds its byte table from the minimal table and
-keeps neither.  The verdicts are
-cross-checked against the per-pattern backtracking route by the test suite.
+keeps neither.
+
+A containment query (`patterns.contains_pattern`) walks one pattern's
+component alone through the same columns, without forming product states,
+so it interns no state.  The test suite checks the verdicts against a
+backtracking search and a brute-force scan of subsequences.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from __future__ import annotations
 from itertools import combinations
 from operator import getitem
 from struct import Struct, error as StructError
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .patterns import Pattern, enumerate_preferential_arrangements
+if TYPE_CHECKING:
+    from .patterns import Pattern
 
 __all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
 
@@ -55,7 +60,8 @@ class ContainmentAutomaton:
     ``transitions[s][a]`` is the successor of state s on letter a, or -1 when
     not built yet (call step() to build it).  A state's key packs one
     component id per pattern; component id 0 means the pattern is contained,
-    and the state accepts when every component is 0.  Raises
+    and the state accepts when every component is 0.  contains() walks one
+    pattern's component alone and forms no state.  Raises
     BudgetExceededError when d**k exceeds MAX_INSTANCES.
     """
 
@@ -68,9 +74,14 @@ class ContainmentAutomaton:
                 f"the automaton for k={k}, d={d} would track d**k pattern instances,"
                 f" over the cap of {MAX_INSTANCES}"
             )
+        # Imported here: the patterns module answers containment through
+        # this one, so it imports this module first.
+        from .patterns import enumerate_preferential_arrangements
+
         self.d = d
         self.k = k
         self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
+        self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
         # Per pattern: its instances, and its interned progress vectors (one
         # byte per instance) by component id.  Id 0 is "contained" and has no
         # vector of its own; id 1 is the empty word's.
@@ -90,6 +101,8 @@ class ContainmentAutomaton:
         self._columns: list[list[list[int]]] = [
             [[_CONTAINED, _UNFILLED] for _ in self.patterns] for _ in range(d + 1)
         ]
+        # The same lists by pattern: _by_pattern[p][a] is columns[a][p].
+        self._by_pattern = [[column[pi] for column in self._columns] for pi in range(len(self.patterns))]
         packing = Struct(f"{len(self.patterns)}H")
         self._pack, self._unpack = packing.pack, packing.unpack
         start = self._pack(*[1] * len(self.patterns))
@@ -165,6 +178,22 @@ class ContainmentAutomaton:
         columns[pi][component] = nxt
         return nxt
 
+    def contains(self, letters: Iterable[int], pattern: Pattern) -> bool:
+        """Whether the letters contain the pattern: its component alone is
+        walked from the empty word's id 1 and stops at the contained id 0 or
+        when the letters end."""
+        pi = self._pattern_index[pattern.letters]
+        columns = self._by_pattern[pi]
+        component = 1
+        for a in letters:
+            nxt = columns[a][component]
+            if nxt == _UNFILLED:
+                nxt = self._fill(self._columns[a], pi, component, a)
+            if nxt == _CONTAINED:
+                return True
+            component = nxt
+        return False
+
     def missing_pattern_indices(self, state: int) -> list[int]:
         """Indices into ``patterns`` of the patterns not yet contained."""
         ids = self._unpack(self._state_keys[state])
@@ -187,3 +216,20 @@ def get_automaton(d: int, k: int) -> ContainmentAutomaton:
     if auto is None:
         auto = _cache[key] = ContainmentAutomaton(d, k)
     return auto
+
+
+def _contains(d: int, k: int, letters: Iterable[int], pattern: Pattern) -> bool:
+    """Whether letters over 1..d contain the length-k pattern, walked on the
+    shared (d, k) automaton.
+
+    Over many queries one pattern's components can pass their cap.  One walk
+    alone stays far below it, since each step to a new component adds
+    progress, at most k - 1 per instance; so the walk is repeated on a new
+    automaton, which replaces the shared one.
+    """
+    auto = get_automaton(d, k)
+    try:
+        return auto.contains(letters, pattern)
+    except BudgetExceededError:
+        auto = _cache[d, k] = ContainmentAutomaton(d, k)
+        return auto.contains(letters, pattern)

@@ -9,6 +9,10 @@ k.  Refinements, for a word w of length n:
 * minimum    -- minimal superpattern whose length is the least possible for
                 its (k, alphabet) combination.
 
+Queries on one word (is_superpattern, missing_patterns, classify) rank the
+word once and ask patterns.contains_pattern for each pattern, which walks
+that pattern's component of the shared containment automaton.
+
 The exhaustive routes run over the states of the shared containment
 automaton, not over words.  Counts come from a transfer-matrix DP: words that
 reach the same state (with the same last or largest letter, when the letter
@@ -37,10 +41,10 @@ from typing import Iterable, Iterator, Optional
 
 from .automaton import BudgetExceededError, _cache as _automata, get_automaton
 from .patterns import (
+    MAX_CLASSIFY_K,
     Pattern,
     Word,
-    _find_embedding,
-    _occurrences,
+    _ranked,
     contains_pattern,
     enumerate_preferential_arrangements,
 )
@@ -84,10 +88,6 @@ class SuperpatternNotFoundError(RuntimeError):
 # variable.
 DEFAULT_WORD_BUDGETS = {2: 2**24, 3: 3**14}
 FALLBACK_WORD_BUDGET = 5_000_000
-
-# Classification is only meaningful for small k: fubini(6) is already 4683
-# patterns per containment check.
-MAX_CLASSIFY_K = 5
 
 # Most automaton states the minimum-length search and the counting DP may
 # hold; read at call time.  The (4, 4) search needs more.
@@ -184,43 +184,38 @@ class CountReport:
         )
 
 
-# Each query below builds the word's next-occurrence table once and shares it
-# across all patterns; a slice of it serves for a prefix of the word.
+# Each query below ranks the word once and asks contains_pattern per pattern;
+# a ranked word walks the same (w, k) automaton on every call.
 
 
 def is_superpattern(word: Word, k: int) -> bool:
     """Whether the word contains every canonical pattern of length k."""
     _check_k(k)
-    table = _occurrences(word.letters)
-    return all(contains_pattern(word, p, table) for p in enumerate_preferential_arrangements(k))
+    ranked = _ranked(word)
+    return all(contains_pattern(ranked, p) for p in enumerate_preferential_arrangements(k))
 
 
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
     """The canonical length-k patterns the word does not contain, in
     lexicographic order; empty exactly when the word is a superpattern."""
     _check_k(k)
-    table = _occurrences(word.letters)
-    return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(word, p, table)]
+    ranked = _ranked(word)
+    return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(ranked, p)]
 
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
     _check_k(k)
-    table = _occurrences(word.letters)
-    # A pattern whose least witness ends before the last letter is contained
-    # in the prefix too, so only those ending on it are searched again there.
-    last = len(table) - 1
-    on_last = []
-    for p in enumerate_preferential_arrangements(k):
-        witness = _find_embedding(table, p)
-        if witness is None:
-            return ClassFlags(False, False, False, False)
-        if witness[-1] == last:
-            on_last.append(p)
+    ranked = _ranked(word)
+    patterns = enumerate_preferential_arrangements(k)
+    if not all(contains_pattern(ranked, p) for p in patterns):
+        return ClassFlags(False, False, False, False)
     letters = word.letters
     minimal = all(letters[i] != letters[i + 1] for i in range(len(letters) - 1))
-    prefix = table[:-1]
-    strict = not all(contains_pattern(word, p, prefix) for p in on_last)
+    # The prefix keeps the word's ranks, so it walks the same automaton
+    # unless the last letter was its rank's only one.
+    prefix = _ranked(Word(ranked.letters[:-1], ranked.alphabet_size))
+    strict = not all(contains_pattern(prefix, p) for p in patterns)
     minimum = False
     if minimal:
         n = len(word)

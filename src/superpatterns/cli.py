@@ -19,9 +19,8 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, repeat
-from pathlib import Path
-from typing import Optional, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Optional, Sequence
 
 from . import oeis
 from .classify import (
@@ -71,10 +70,16 @@ def format_decimal(value: Fraction, digits: int = 12) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    _emit_pieces([text], out)
+
+
+def _emit_pieces(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write text to the file or to stdout piece by piece, as it is formed."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _csv(header: str, rows: list[str], trailer: Optional[str] = None) -> str:
@@ -253,12 +258,18 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--n-from must not exceed --n-to")
     _require_printable_counts(args.n_to)
-    reports = [count_formulas(n) for n in range(args.n_from, args.n_to + 1)]
+    # Each row is written as it is formed, so the table is never held whole.
+    # The first row is formed before anything is written, so that a refused
+    # --n-from writes nothing.
+    reports = map(count_formulas, range(args.n_from, args.n_to + 1))
     if args.format == "json":
-        text = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+        # The bytes json.dumps(rows, indent=2) gives for the whole list.
+        rows = ("  " + json.dumps(asdict(r), indent=2).replace("\n", "\n  ") for r in reports)
+        pieces = chain(["[\n", next(rows)], (",\n" + row for row in rows), ["\n]\n"])
     else:
-        text = _csv(COUNT_REPORT_HEADER, [r.csv_row() for r in reports])
-    _emit(text, args.out)
+        rows = (r.csv_row() + "\n" for r in reports)
+        pieces = chain([COUNT_REPORT_HEADER + "\n", next(rows)], rows)
+    _emit_pieces(pieces, args.out)
     return EXIT_OK
 
 

@@ -9,29 +9,24 @@ called preferential arrangements, and the number of them of length k is the
 k-th ordered Bell number.
 
 A word contains a pattern when some subsequence of the word is
-order-isomorphic to it.  Containment is decided by a backtracking search
-that returns the lexicographically least embedding.  It reads the word
-through a next-occurrence table, built once per word and shared across
-patterns, and tries each distinct letter value once per pattern position.
-It follows the pattern's search plan, built once with the Pattern: for each
-position, its rank, whether an earlier position already fixed that rank's
-value, and otherwise the nearest fixed ranks below and above, whose values
-bound the candidates.
+order-isomorphic to it.  contains_pattern decides it on the containment
+automaton (`automaton`), walking the pattern's own component alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
+
+from .automaton import _contains
 
 __all__ = [
     "Word",
     "Pattern",
     "dense_rank",
     "contains_pattern",
-    "find_embedding",
     "enumerate_preferential_arrangements",
     "fubini",
     "relabel_canonical",
@@ -40,6 +35,10 @@ __all__ = [
 # enumerate_preferential_arrangements(k) has fubini(k) results (541 at k=5,
 # 545835 at k=8); refuse anything larger.
 MAX_PATTERN_LENGTH = 8
+
+# Containment queries, and so classification, are for small k: the (w, k)
+# automaton tracks all fubini(k) patterns, 4683 at k = 6.
+MAX_CLASSIFY_K = 5
 
 
 def _letters_from_text(text: str) -> tuple[int, ...]:
@@ -123,17 +122,12 @@ class Pattern:
     """
 
     letters: tuple[int, ...]
-    # The containment search's plan, derived from the letters (see _plan).
-    plan: tuple[tuple[int, bool, int, int], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         used = set(self.letters)
         if used and used != set(range(1, max(used) + 1)):
             text = "".join(str(v) for v in self.letters)
             raise ValueError(f"{text!r} is not dense-rank canonical")
-        object.__setattr__(self, "plan", _plan(self.letters))
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
@@ -150,27 +144,6 @@ class Pattern:
         return max(self.letters, default=0)
 
 
-def _plan(letters: Sequence[int]) -> tuple[tuple[int, bool, int, int], ...]:
-    """One (rank, fixed, below, above) record per pattern position: fixed
-    says an earlier position has the same rank, and below and above are the
-    nearest ranks under and over it that earlier positions have, with
-    sentinels 0 and m + 1 for m ranks.  The search reads below and above only
-    for a rank that is not fixed.
-
-    >>> _plan((2, 1, 2, 3))
-    ((2, False, 0, 4), (1, False, 0, 2), (2, True, 1, 4), (3, False, 2, 4))
-    """
-    top = max(letters, default=0) + 1
-    fixed: set[int] = set()
-    plan = []
-    for r in letters:
-        below = max((s for s in fixed if s < r), default=0)
-        above = min((s for s in fixed if s > r), default=top)
-        plan.append((r, r in fixed, below, above))
-        fixed.add(r)
-    return tuple(plan)
-
-
 def dense_rank(word: Word) -> Pattern:
     """The dense-rank image of a word: equal letters share a rank, the next
     larger letter takes the next consecutive rank.
@@ -180,109 +153,46 @@ def dense_rank(word: Word) -> Pattern:
     >>> str(dense_rank(Word.parse("373")))
     '121'
     """
-    rank = {v: i + 1 for i, v in enumerate(sorted(set(word.letters)))}
-    return Pattern(tuple(rank[v] for v in word.letters))
+    return Pattern(_ranked(word).letters)
 
 
-def _occurrences(letters: Sequence[int]) -> list[dict[int, int]]:
-    """Next-occurrence table of a word: entry i maps each distinct value in
-    letters[i:] to its first index at or after i, with the values in order of
-    those indices.  O(n*w) for n letters and w distinct values.
-
-    A search bounded to the table's own length reads a slice table[:m] as the
-    table of the length-m prefix; indices at or past m are never used.
-    """
-    table: list[dict[int, int]] = [{}] * len(letters)
-    following: dict[int, int] = {}
-    for i in range(len(letters) - 1, -1, -1):
-        v = letters[i]
-        row = {v: i, **following}
-        row[v] = i
-        table[i] = following = row
-    return table
+def _ranked(word: Word) -> Word:
+    """The word's dense rank as a Word over its distinct letters (at least
+    one); the word itself when its letters are already exactly
+    1..alphabet_size."""
+    values = set(word.letters)
+    if len(values) == word.alphabet_size:
+        return word
+    rank = {v: r for r, v in enumerate(sorted(values), 1)}
+    return Word(tuple(map(rank.__getitem__, word.letters)), max(len(values), 1))
 
 
-def _find_embedding(
-    table: Sequence[dict[int, int]], pattern: Pattern
-) -> Optional[tuple[int, ...]]:
-    """Backtracking search over the pattern's positions for the
-    lexicographically least embedding (0-based indices) into the word the
-    table describes, or None.
-
-    Each position tries each distinct letter value once, at its leftmost
-    occurrence after the previous pick: a later occurrence of the same value
-    leaves a subset of the same continuations.  The pattern's plan says, per
-    position, whether its rank already has a value, which is then the one
-    candidate, or else which fixed ranks bound it: as values increase with
-    rank, a free rank takes the values strictly between those of the nearest
-    fixed ranks below and above it.  Candidates come in index order, so the
-    first witness is the one a plain index-by-index search would find.
-    """
-    n = len(table)
-    plan = pattern.plan
-    k = len(plan)
-    if k > n:
-        return None
-    if k == 0:
-        return ()
-    # value[r] is the letter value given to rank r; the sentinels value[0] = 0
-    # and value[m + 1] = inf bound ranks with no fixed neighbour.  A free
-    # rank's stale value is never read before it is set again.
-    value: list[float] = [0] * (max(pattern.letters) + 1) + [math.inf]
-    picked = [0] * k
-    slack = n - k  # position pos may use indices up to slack + pos
-
-    def extend(start: int, pos: int) -> bool:
-        r, fixed, below, above = plan[pos]
-        last = slack + pos
-        nxt = pos + 1
-        if fixed:
-            i = table[start].get(value[r], n)
-            if i > last:
-                return False
-            picked[pos] = i
-            return nxt == k or extend(i + 1, nxt)
-        lo = value[below]
-        hi = value[above]
-        for v, i in table[start].items():
-            if i > last:
-                break
-            if lo < v < hi:
-                value[r] = v
-                picked[pos] = i
-                if nxt == k or extend(i + 1, nxt):
-                    return True
-        return False
-
-    return tuple(picked) if extend(0, 0) else None
-
-
-def find_embedding(word: Word, pattern: Pattern) -> Optional[tuple[int, ...]]:
-    """The lexicographically least embedding of the pattern into the word, as
-    a strictly increasing tuple of 0-based indices whose subsequence
-    dense-ranks to the pattern; None when the word does not contain the
-    pattern.
-    """
-    return _find_embedding(_occurrences(word.letters), pattern)
-
-
-def contains_pattern(
-    word: Word, pattern: Pattern, table: Optional[Sequence[dict[int, int]]] = None
-) -> bool:
+def contains_pattern(word: Word, pattern: Pattern) -> bool:
     """Whether some subsequence of the word is order-isomorphic to the pattern.
 
-    Callers testing many patterns against one word pass its next-occurrence
-    table (``_occurrences(word.letters)``), built once; a slice table[:m]
-    restricts the search to the word's length-m prefix.
+    The word, dense-ranked to its w distinct letters, walks the pattern's
+    component of the shared (w, k) automaton until it reads "contained" or
+    ends.  A word already over exactly 1..alphabet_size walks as it is, so a
+    caller asking many patterns ranks it once, with _ranked.  The empty
+    pattern is in every word, and the empty word contains no other.  Raises
+    ValueError for a pattern longer than MAX_CLASSIFY_K, before any
+    automaton is built, and BudgetExceededError when w**k passes the
+    automaton's MAX_INSTANCES.
 
     >>> contains_pattern(Word.parse("5371473"), Pattern.parse("231"))
     True
     >>> contains_pattern(Word.parse("111111"), Pattern.parse("123"))
     False
     """
-    if table is None:
-        table = _occurrences(word.letters)
-    return _find_embedding(table, pattern) is not None
+    k = len(pattern.letters)
+    if k > MAX_CLASSIFY_K:
+        raise ValueError(f"pattern length must be at most {MAX_CLASSIFY_K}, got {k}")
+    if k == 0:
+        return True
+    if k > len(word.letters):
+        return False
+    word = _ranked(word)
+    return _contains(word.alphabet_size, k, word.letters, pattern)
 
 
 def fubini(k: int) -> int:

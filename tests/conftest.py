@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, product
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from superpatterns import (
     ContainmentAutomaton,
@@ -18,7 +19,6 @@ from superpatterns import (
     minimum_superpatterns_ternary,
     relabel_canonical,
 )
-from superpatterns.patterns import _find_embedding, _occurrences
 from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed
 
 
@@ -44,6 +44,105 @@ def contains_pattern_bruteforce(word: Word, pattern: Pattern) -> bool:
         if tuple(rank[v] for v in sub) == pattern.letters:
             return True
     return False
+
+
+# --- the backtracking containment search, kept as the reference oracle -------
+
+
+def search_plan(letters: Sequence[int]) -> tuple[tuple[int, bool, int, int], ...]:
+    """One (rank, fixed, below, above) record per pattern position: fixed
+    says an earlier position has the same rank, and below and above are the
+    nearest ranks under and over it that earlier positions have, with
+    sentinels 0 and m + 1 for m ranks.  The search reads below and above only
+    for a rank that is not fixed.
+
+    >>> search_plan((2, 1, 2, 3))
+    ((2, False, 0, 4), (1, False, 0, 2), (2, True, 1, 4), (3, False, 2, 4))
+    """
+    top = max(letters, default=0) + 1
+    fixed: set[int] = set()
+    plan = []
+    for r in letters:
+        below = max((s for s in fixed if s < r), default=0)
+        above = min((s for s in fixed if s > r), default=top)
+        plan.append((r, r in fixed, below, above))
+        fixed.add(r)
+    return tuple(plan)
+
+
+def occurrences(letters: Sequence[int]) -> list[dict[int, int]]:
+    """Next-occurrence table of a word: entry i maps each distinct value in
+    letters[i:] to its first index at or after i, with the values in order of
+    those indices.  O(n*w) for n letters and w distinct values."""
+    table: list[dict[int, int]] = [{}] * len(letters)
+    following: dict[int, int] = {}
+    for i in range(len(letters) - 1, -1, -1):
+        v = letters[i]
+        row = {v: i, **following}
+        row[v] = i
+        table[i] = following = row
+    return table
+
+
+def embedding_in_table(table: Sequence[dict[int, int]], pattern: Pattern) -> Optional[tuple[int, ...]]:
+    """Backtracking search over the pattern's positions for the
+    lexicographically least embedding (0-based indices) into the word the
+    table describes, or None.
+
+    Each position tries each distinct letter value once, at its leftmost
+    occurrence after the previous pick: a later occurrence of the same value
+    leaves a subset of the same continuations.  The pattern's search plan
+    says, per position, whether its rank already has a value, which is then
+    the one candidate, or else which fixed ranks bound it: as values increase
+    with rank, a free rank takes the values strictly between those of the
+    nearest fixed ranks below and above it.  Candidates come in index order,
+    so the first witness is the one a plain index-by-index search would find.
+    """
+    n = len(table)
+    plan = search_plan(pattern.letters)
+    k = len(plan)
+    if k > n:
+        return None
+    if k == 0:
+        return ()
+    # value[r] is the letter value given to rank r; the sentinels value[0] = 0
+    # and value[m + 1] = inf bound ranks with no fixed neighbour.  A free
+    # rank's stale value is never read before it is set again.
+    value: list[float] = [0] * (max(pattern.letters) + 1) + [math.inf]
+    picked = [0] * k
+    slack = n - k  # position pos may use indices up to slack + pos
+
+    def extend(start: int, pos: int) -> bool:
+        r, fixed, below, above = plan[pos]
+        last = slack + pos
+        nxt = pos + 1
+        if fixed:
+            i = table[start].get(value[r], n)
+            if i > last:
+                return False
+            picked[pos] = i
+            return nxt == k or extend(i + 1, nxt)
+        lo = value[below]
+        hi = value[above]
+        for v, i in table[start].items():
+            if i > last:
+                break
+            if lo < v < hi:
+                value[r] = v
+                picked[pos] = i
+                if nxt == k or extend(i + 1, nxt):
+                    return True
+        return False
+
+    return tuple(picked) if extend(0, 0) else None
+
+
+def find_embedding(word: Word, pattern: Pattern) -> Optional[tuple[int, ...]]:
+    """Oracle for contains_pattern: the lexicographically least embedding of
+    the pattern into the word, as a strictly increasing tuple of 0-based
+    indices whose subsequence dense-ranks to the pattern; None when the word
+    does not contain the pattern.  Any pattern length and any alphabet."""
+    return embedding_in_table(occurrences(word.letters), pattern)
 
 
 def first_acceptance_time(auto: ContainmentAutomaton, letters: Iterable[int]) -> Optional[int]:
@@ -91,7 +190,8 @@ def tau_online(letters: Iterable[int], k: int) -> int:
     k-superpattern.
 
     It keeps the list of still-missing patterns and, per letter, rechecks
-    containment of just those against the whole prefix, without the automaton.
+    containment of just those against the whole prefix by the backtracking
+    search, without the automaton.
     Raises ValueError if the stream ends first; callers bound the stream.
     """
     missing = list(enumerate_preferential_arrangements(k))
@@ -100,8 +200,8 @@ def tau_online(letters: Iterable[int], k: int) -> int:
         if a < 1:
             raise ValueError(f"letters must be positive, got {a}")
         prefix.append(a)
-        table = _occurrences(prefix)
-        missing = [p for p in missing if _find_embedding(table, p) is None]
+        table = occurrences(prefix)
+        missing = [p for p in missing if embedding_in_table(table, p) is None]
         if not missing:
             return t
     raise ValueError("letter stream ended before the prefix became a superpattern")

@@ -19,8 +19,8 @@ from superpatterns import (
     SuperpatternNotFoundError,
     Word,
     classify,
+    contains_pattern,
     enumerate_preferential_arrangements,
-    find_embedding,
     get_automaton,
     count_beta_bruteforce,
     count_formulas,
@@ -57,6 +57,7 @@ from conftest import (
     contains_pattern_bruteforce,
     dfs_strict_counts,
     ends_with_minimum_by_subsets,
+    find_embedding,
     flanking_pairs_by_scanning,
     strict_count_upto_iso_by_terms,
 )
@@ -96,6 +97,43 @@ def planted_superpatterns(draw):
     before = draw(side)
     after = draw(side.filter(lambda a: a or before or k < 4))
     return Word((*before, *core, *after), d), k
+
+
+@st.composite
+def words_with_gaps(draw):
+    """A k in 1..5 and a word of up to 14 letters over 1..d, d <= 7, that
+    leaves some letter of its alphabet unused.  For k = 2 or 3 the word may
+    hold a planted k-superpattern, its ranks mapped in order onto the
+    letters the word uses, which keeps it a superpattern."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(2, 7))
+    used = sorted(draw(st.sets(st.integers(1, d), min_size=1, max_size=d - 1)))
+    core: tuple[int, ...] = ()
+    if k in (2, 3) and len(used) >= k and draw(st.booleans()):
+        core = tuple(used[int(c) - 1] for c in draw(st.sampled_from(PLANTED[k])))
+    letters = draw(st.lists(st.sampled_from(used), max_size=14 - len(core)))
+    # Often at the end, where the planted word's last letter is often
+    # needed, so that strict words are drawn too.
+    cut = draw(st.one_of(st.just(len(letters)), st.integers(0, len(letters))))
+    return Word((*letters[:cut], *core, *letters[cut:]), d), k
+
+
+# The least superpattern lengths for k <= 3 over at least k letters; a word
+# drawn above holds no superpattern short enough to be minimum for k >= 4.
+LEAST_LENGTH = {1: 1, 2: 3, 3: 7}
+
+
+def classify_by_backtracking(word: Word, k: int) -> ClassFlags:
+    """Oracle for classify from the backtracking search: the word contains
+    every pattern, its prefix does not, and its length is the least."""
+    patterns = enumerate_preferential_arrangements(k)
+    if any(find_embedding(word, p) is None for p in patterns):
+        return ClassFlags(False, False, False, False)
+    letters = word.letters
+    minimal = all(a != b for a, b in zip(letters, letters[1:]))
+    prefix = word.prefix(len(word) - 1)
+    strict = any(find_embedding(prefix, p) is None for p in patterns)
+    return ClassFlags(True, minimal, strict, minimal and len(word) == LEAST_LENGTH.get(k))
 
 
 def _in_order(patterns):
@@ -199,6 +237,20 @@ class TestClassify:
         assert is_superpattern(w.prefix(7), 3)
         flags = classify(w, 3)
         assert flags.is_superpattern and flags.is_minimal and not flags.is_strict
+
+
+class TestAgainstTheBacktrackingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(words_with_gaps())
+    def test_every_query_agrees(self, word_k):
+        w, k = word_k
+        assert w.alphabet_size > len(set(w.letters))
+        patterns = enumerate_preferential_arrangements(k)
+        missing = [p for p in patterns if find_embedding(w, p) is None]
+        assert [p for p in patterns if not contains_pattern(w, p)] == missing
+        assert missing_patterns(w, k) == missing
+        assert is_superpattern(w, k) == (not missing)
+        assert classify(w, k) == classify_by_backtracking(w, k)
 
 
 class TestSymmetries:

@@ -8,13 +8,15 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from superpatterns import Word, _dfa, binary_pmf, cli, is_superpattern, ternary_pmf
+from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, ternary_pmf
+from superpatterns.classify import COUNT_REPORT_HEADER, count_formulas
 from superpatterns.cli import main
 
 
@@ -62,6 +64,19 @@ class TestCheck:
         assert time.process_time() - start < 5
         assert code == 0
         assert json.loads(out)["is_minimum"] is True
+
+    def test_distinct_letters_up_to_the_instance_cap(self, capsys, monkeypatch):
+        # The (w, 3) automaton tracks w**3 pattern instances, at most 2**16:
+        # a word with 40 distinct letters is answered and one with 41 exits 3.
+        monkeypatch.setattr(automaton, "_cache", {})
+        forty = ",".join(map(str, range(1, 41)))
+        code, out, err = run(capsys, "check", forty, "--k", "3")
+        assert (code, err) == (1, "")
+        missing = "111;112;121;122;132;211;212;213;221;231;312;321"
+        assert out.splitlines()[1] == f'"{forty}",3,40,False,False,False,False,{missing}'
+        code, out, err = run(capsys, "check", forty + ",41", "--k", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("budget exceeded: the automaton for k=3, d=41")
 
 
 class TestEnumerate:
@@ -172,9 +187,49 @@ class TestCounts:
         assert lines[0] == "n,gamma_total,s_mu,s_a,s_total,beta_a,beta_b,beta_total"
         assert lines[1] == "7,7,7,7,42,14,11,25"
 
-    def test_rejects_below_seven(self, capsys):
+    def test_rejects_below_seven(self, capsys, tmp_path):
         code, _, err = run(capsys, "counts", "--n-from", "5", "--n-to", "9")
         assert code == 2
+        path = tmp_path / "counts.csv"
+        assert main(["counts", "--n-from", "5", "--n-to", "9", "--out", str(path)]) == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "plain"])
+    def test_rows_written_one_by_one_match_the_whole_table(self, capsys, fmt):
+        code, out, _ = run(capsys, "counts", "--n-from", "7", "--n-to", "300", "--format", fmt)
+        reports = [count_formulas(n) for n in range(7, 301)]
+        if fmt == "json":
+            whole = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+        else:
+            whole = "\n".join([COUNT_REPORT_HEADER, *(r.csv_row() for r in reports)]) + "\n"
+        assert (code, out) == (0, whole)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_stays_flat(self, tmp_path, fmt):
+        # Holding every row and the whole text peaked at 73 MB (csv) and
+        # 77 MB (json) here; one row at a time stays near the interpreter's
+        # own.  The child reads its peak RSS from VmHWM: ru_maxrss would keep
+        # the test process's peak across the exec.
+        script = (
+            "import sys\n"
+            "from superpatterns.cli import main\n"
+            f"code = main(['counts', '--n-from', '7', '--n-to', '6000', '--format', '{fmt}', '--out', sys.argv[1]])\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = tmp_path / "counts"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, check=True
+        )
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb / 1024 < 35
+        assert path.read_text().splitlines()[-2 if fmt == "json" else -1].startswith(
+            "  }" if fmt == "json" else "6000,"
+        )
 
     def test_rejects_an_empty_range(self, capsys):
         code, out, err = run(capsys, "counts", "--n-from", "9", "--n-to", "7")

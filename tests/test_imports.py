@@ -58,9 +58,9 @@ def test_imports_are_standard_library_or_package_and_all_used():
 PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 # Exported because they define the terms the docs use (dense ranking,
-# first-occurrence canonical form, the least embedding), though the program
-# itself never calls them; and the package version.
-KEEP = {"dense_rank", "relabel_canonical", "find_embedding", "__version__"}
+# first-occurrence canonical form), though the program itself never calls
+# them; and the package version.
+KEEP = {"dense_rank", "relabel_canonical", "__version__"}
 
 
 def _references(path: Path) -> set[str]:

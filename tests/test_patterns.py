@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-import pickle
 import random
 import time
 from itertools import combinations
@@ -11,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpatterns import (
+    BudgetExceededError,
     Pattern,
     Word,
+    automaton,
     contains_pattern,
     dense_rank,
     enumerate_preferential_arrangements,
-    find_embedding,
     fubini,
     relabel_canonical,
 )
 
-from conftest import all_words, contains_pattern_bruteforce
+from conftest import all_words, contains_pattern_bruteforce, find_embedding
 
 
 class TestWordParsing:
@@ -103,21 +102,6 @@ class TestPatternType:
             for p in enumerate_preferential_arrangements(k):
                 assert dense_rank(Word(p.letters, k)) == p
 
-    def test_search_plan_is_invisible(self):
-        p = Pattern.parse("2123")
-        assert repr(p) == "Pattern(letters=(2, 1, 2, 3))"
-        assert hash(p) == hash(((2, 1, 2, 3),))
-        assert [f.name for f in dataclasses.fields(p) if f.compare] == ["letters"]
-        twin = Pattern((2, 1, 2, 3))
-        object.__setattr__(twin, "plan", ())
-        assert twin == p and hash(twin) == hash(p)
-        assert {p: 1}[Pattern.parse("2123")] == 1
-
-    def test_search_plan_follows_the_letters(self):
-        p = Pattern.parse("2123")
-        assert dataclasses.replace(p, letters=(1, 1)).plan == ((1, False, 0, 2), (1, True, 0, 2))
-        assert pickle.loads(pickle.dumps(p)).plan == p.plan
-
 
 class TestContainment:
     def test_worked_example(self):
@@ -153,6 +137,49 @@ class TestContainment:
     def test_bruteforce_cap(self):
         with pytest.raises(ValueError):
             contains_pattern_bruteforce(Word((1,) * 11, 1), Pattern.parse("11"))
+
+    def test_empty_pattern_is_in_every_word(self):
+        for text in ("", "1", "5371473"):
+            assert contains_pattern(Word.parse(text, alphabet_size=7), Pattern(()))
+
+    def test_empty_word_contains_no_longer_pattern(self):
+        empty = Word((), 3)
+        for k in range(1, 6):
+            assert not any(contains_pattern(empty, p) for p in enumerate_preferential_arrangements(k))
+
+    def test_pattern_over_the_cap_refused_before_any_automaton(self, monkeypatch):
+        def no_automaton(d, k):
+            raise AssertionError(f"built the ({d}, {k}) automaton")
+
+        monkeypatch.setattr(automaton, "get_automaton", no_automaton)
+        for text in ("1", "12345678", "1" * 20):
+            with pytest.raises(ValueError, match="at most 5, got 6"):
+                contains_pattern(Word.parse(text), Pattern.parse("123456"))
+
+    @pytest.mark.parametrize("k,widest", [(3, 40), (4, 16), (5, 9)])
+    def test_words_too_wide_for_the_instance_cap_refused(self, monkeypatch, k, widest):
+        # The (w, k) automaton tracks w**k instances, at most MAX_INSTANCES;
+        # the widest word it takes is answered, one letter more is refused.
+        monkeypatch.setattr(automaton, "_cache", {})
+        assert widest**k <= automaton.MAX_INSTANCES < (widest + 1) ** k
+        ones = Pattern((1,) * k)
+        word = Word(tuple(range(1, widest + 1)), widest + 3)
+        assert not contains_pattern(word, ones)
+        assert contains_pattern(Word(word.letters * k, widest + 3), ones)
+        wider = Word((*word.letters, widest + 3), widest + 3)
+        with pytest.raises(BudgetExceededError):
+            contains_pattern(wider, ones)
+
+    def test_a_full_component_table_is_replaced_not_refused(self, monkeypatch):
+        # Queries on one shared automaton add components; one word's walk
+        # adds at most 2 * 4 + 1 for pattern 123 over four letters.
+        monkeypatch.setattr(automaton, "_cache", {})
+        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 12)
+        p = Pattern.parse("123")
+        first = automaton.get_automaton(4, 3)
+        for w in all_words(4, 6):
+            assert contains_pattern(w, p) == (find_embedding(w, p) is not None), w
+        assert automaton.get_automaton(4, 3) is not first
 
     def test_invariant_under_value_order_preserving_injection(self):
         rng = random.Random(3)
