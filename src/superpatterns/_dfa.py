@@ -2,13 +2,14 @@
 
 `close_and_minimise` builds every state of a fresh `ContainmentAutomaton(d, k)`
 that a word reaches before it becomes a superpattern, by breadth-first search
-through `step` under a state budget, and then merges equivalent states by
-Moore refinement (Hopcroft 1971 is the faster variant of the same partition).
-Every accepting state falls into one block: a trial ends there, so what the
-word does next does not matter, and that block loops to itself on every
-letter.  The full automaton is dropped and only the small table is returned;
-the simulator reads it once per (d, k) to build its byte table, and keeps
-only that.
+through `step`, and then merges equivalent states by Moore refinement
+(Hopcroft 1971 is the faster variant of the same partition).  Every accepting
+state falls into one block: a trial ends there, so what the word does next
+does not matter, and that block loops to itself on every letter.  The full
+automaton is dropped and only the small table is returned; the simulator
+reads it once per (d, k) to build its byte table, and keeps only that.  The
+automaton is made with STATE_BUDGET as its state budget, so it is the
+automaton that stops an overlong closure.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ STATE_BUDGET = 100_000
 
 
 def _close(d: int, k: int) -> ContainmentAutomaton:
-    """A fresh automaton with every state reachable before acceptance built."""
-    auto = ContainmentAutomaton(d, k)
+    """A fresh automaton with every state reachable before acceptance built;
+    it raises BudgetExceededError past STATE_BUDGET states."""
+    auto = ContainmentAutomaton(d, k, STATE_BUDGET)
     step = auto.step
     letters = range(1, d + 1)
     state = 0
@@ -31,10 +33,6 @@ def _close(d: int, k: int) -> ContainmentAutomaton:
         if not auto.accepting[state]:
             for a in letters:
                 step(state, a)
-            if auto.state_count > STATE_BUDGET:
-                raise BudgetExceededError(
-                    f"closing the automaton for k={k}, d={d} exceeded {STATE_BUDGET} states"
-                )
         state += 1
     return auto
 

@@ -15,15 +15,21 @@ own id, so each pattern keeps one lazily filled column per letter, and a new
 transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
-lookup.  The exhaustive scans and the minimum-length search share one
-automaton per (d, k); the simulator instead builds a fresh automaton, closes
-and minimises it (`_dfa`), builds its byte table from the minimal table and
-keeps neither.
+lookup.  The exhaustive scans, the listings and the minimum-length search
+share one automaton per (d, k); the simulator instead builds a fresh
+automaton, closes and minimises it (`_dfa`), builds its byte table from the
+minimal table and keeps neither.
+
+The automaton owns its bounds.  It refuses to intern a state past its state
+budget (SEARCH_STATE_BUDGET unless the caller gives another) or a component
+id past _MAX_COMPONENTS, and a shared automaton that overruns either removes
+itself from the cache before it raises, so the next caller starts afresh.
 
 A containment query (`patterns.contains_pattern`) walks one pattern's
 component alone through the same columns, without forming product states,
-so it interns no state.  The test suite checks the verdicts against a
-backtracking search and a brute-force scan of subsequences.
+so it interns no state; it reports where the pattern was completed.  The
+test suite checks the verdicts against a backtracking search and a
+brute-force scan of subsequences.
 """
 
 from __future__ import annotations
@@ -41,6 +47,12 @@ __all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
 # Most pattern instances (d**k) an automaton may track; each state step may
 # touch all of them, and (9,6) alone has 531,441.
 MAX_INSTANCES = 2**16
+
+# Most states an automaton may intern unless its maker gives another budget;
+# read when the automaton is made.  Counts, listings and the minimum-length
+# search all stop here: (7, 3) words of length 7 and the (4, 4) minimum need
+# more.
+SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.
 _MAX_COMPONENTS = 2**16
@@ -62,10 +74,12 @@ class ContainmentAutomaton:
     component id per pattern; component id 0 means the pattern is contained,
     and the state accepts when every component is 0.  contains() walks one
     pattern's component alone and forms no state.  Raises
-    BudgetExceededError when d**k exceeds MAX_INSTANCES.
+    BudgetExceededError when d**k exceeds MAX_INSTANCES, and when a step
+    would intern a state past state_budget (SEARCH_STATE_BUDGET by default)
+    or a pattern's component id past _MAX_COMPONENTS.
     """
 
-    def __init__(self, d: int, k: int):
+    def __init__(self, d: int, k: int, state_budget: Optional[int] = None):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
         # For d >= 2 any k > 16 is over the cap; no need to raise d to it.
@@ -80,6 +94,7 @@ class ContainmentAutomaton:
 
         self.d = d
         self.k = k
+        self.state_budget = SEARCH_STATE_BUDGET if state_budget is None else state_budget
         self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
         self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
         # Per pattern: its instances, and its interned progress vectors (one
@@ -140,6 +155,8 @@ class ContainmentAutomaton:
         nxt = self._state_ids.get(new_key)
         if nxt is None:
             nxt = len(self._state_keys)
+            if nxt >= self.state_budget:
+                self._overrun(f"exceeded {self.state_budget} states")
             self._state_ids[new_key] = nxt
             self._state_keys.append(new_key)
             self.transitions.append([-1] * (self.d + 1))
@@ -167,10 +184,7 @@ class ContainmentAutomaton:
         if nxt is None:
             nxt = len(self._components[pi])
             if nxt == _MAX_COMPONENTS:
-                raise BudgetExceededError(
-                    f"pattern {self.patterns[pi]} for k={k}, d={self.d} exceeded"
-                    f" {_MAX_COMPONENTS} progress vectors"
-                )
+                self._overrun(f"exceeded {_MAX_COMPONENTS} progress vectors for pattern {self.patterns[pi]}")
             ids[vector] = nxt
             self._components[pi].append(vector)
             for other in self._columns:
@@ -178,21 +192,31 @@ class ContainmentAutomaton:
         columns[pi][component] = nxt
         return nxt
 
-    def contains(self, letters: Iterable[int], pattern: Pattern) -> bool:
-        """Whether the letters contain the pattern: its component alone is
+    def _overrun(self, what: str) -> None:
+        """Raise BudgetExceededError, first dropping this automaton from the
+        shared cache if it is the shared one, rather than keep it half built
+        for the life of the process."""
+        key = (self.d, self.k)
+        if _cache.get(key) is self:
+            del _cache[key]
+        raise BudgetExceededError(f"the automaton for k={self.k}, d={self.d} {what}")
+
+    def contains(self, letters: Iterable[int], pattern: Pattern) -> int:
+        """The 1-based position of the letter that completes the pattern, or 0
+        when the letters do not contain it: the pattern's component alone is
         walked from the empty word's id 1 and stops at the contained id 0 or
         when the letters end."""
         pi = self._pattern_index[pattern.letters]
         columns = self._by_pattern[pi]
         component = 1
-        for a in letters:
+        for position, a in enumerate(letters, 1):
             nxt = columns[a][component]
             if nxt == _UNFILLED:
                 nxt = self._fill(self._columns[a], pi, component, a)
             if nxt == _CONTAINED:
-                return True
+                return position
             component = nxt
-        return False
+        return 0
 
     def missing_pattern_indices(self, state: int) -> list[int]:
         """Indices into ``patterns`` of the patterns not yet contained."""
@@ -218,18 +242,17 @@ def get_automaton(d: int, k: int) -> ContainmentAutomaton:
     return auto
 
 
-def _contains(d: int, k: int, letters: Iterable[int], pattern: Pattern) -> bool:
-    """Whether letters over 1..d contain the length-k pattern, walked on the
-    shared (d, k) automaton.
+def _contains(d: int, k: int, letters: Iterable[int], pattern: Pattern) -> int:
+    """Where letters over 1..d complete the length-k pattern (1-based), or 0
+    when they do not contain it, walked on the shared (d, k) automaton.
 
-    Over many queries one pattern's components can pass their cap.  One walk
-    alone stays far below it, since each step to a new component adds
-    progress, at most k - 1 per instance; so the walk is repeated on a new
-    automaton, which replaces the shared one.
+    Over many queries one pattern's components can pass their cap, and the
+    shared automaton then drops itself.  One walk alone stays far below the
+    cap, since each step to a new component adds progress, at most k - 1 per
+    instance; so the walk is repeated once on a new shared automaton.
     """
     auto = get_automaton(d, k)
     try:
         return auto.contains(letters, pattern)
     except BudgetExceededError:
-        auto = _cache[d, k] = ContainmentAutomaton(d, k)
-        return auto.contains(letters, pattern)
+        return get_automaton(d, k).contains(letters, pattern)

@@ -10,8 +10,9 @@ k.  Refinements, for a word w of length n:
                 its (k, alphabet) combination.
 
 Queries on one word (is_superpattern, missing_patterns, classify) rank the
-word once and ask patterns.contains_pattern for each pattern, which walks
-that pattern's component of the shared containment automaton.
+word once and walk each pattern's component of the shared containment
+automaton.  classify reads strictness from the same walks: the word is
+strict when the last pattern completed is completed by its last letter.
 
 The exhaustive routes run over the states of the shared containment
 automaton, not over words.  Counts come from a transfer-matrix DP: words that
@@ -21,12 +22,13 @@ states.  Listings come from one explicit-stack walker that enters a prefix only
 when the DP shows a word of the requested length can still finish below it,
 and yields words in lexicographic order; it stops one level above the words,
 where each node's children and their finishing letters are already known.  A
-count keeps one level of the DP and stops once the automaton outgrows
-SEARCH_STATE_BUDGET states; a listing, whose output grows with the words, is
-bounded by a word-space budget on d^n, checked without forming d^n when n is
-far past it.  The closed-form counts they are checked against live in
-count_formulas(), and the flanking-pairs check is one match of a compiled
-pattern over the word's bytes.
+count keeps one level of the DP.  Counts, listings and the minimum-length
+search stop when the automaton refuses a state past its budget
+(automaton.SEARCH_STATE_BUDGET); a listing, whose output grows with the
+words, is also bounded by a word-space budget on d^n, checked first and
+without forming d^n when n is far past it.  The closed-form counts they are
+checked against live in count_formulas(), and the flanking-pairs check is
+one match of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, repeat
 from typing import Iterable, Iterator, Optional
 
-from .automaton import BudgetExceededError, _cache as _automata, get_automaton
+from .automaton import BudgetExceededError, _contains, get_automaton
 from .patterns import (
     MAX_CLASSIFY_K,
     Pattern,
@@ -89,10 +91,6 @@ class SuperpatternNotFoundError(RuntimeError):
 DEFAULT_WORD_BUDGETS = {2: 2**24, 3: 3**14}
 FALLBACK_WORD_BUDGET = 5_000_000
 
-# Most automaton states the minimum-length search and the counting DP may
-# hold; read at call time.  The (4, 4) search needs more.
-SEARCH_STATE_BUDGET = 500_000
-
 
 def _require_within_budget(d: int, n: int, budget: Optional[int], what: str) -> None:
     """Refuse a listing over the d^n words of length n when d^n passes the cap.
@@ -116,12 +114,6 @@ def _power_text(d: int, n: int) -> str:
         if space < 10**limit:
             return str(space)
     return f"{d}^{n}"
-
-
-def _drop_automaton(d: int, k: int) -> None:
-    """Drop the (d, k) automaton from the shared cache after an overrun,
-    rather than keep it half built for the life of the process."""
-    _automata.pop((d, k), None)
 
 
 def _check_k(k: int) -> None:
@@ -184,8 +176,8 @@ class CountReport:
         )
 
 
-# Each query below ranks the word once and asks contains_pattern per pattern;
-# a ranked word walks the same (w, k) automaton on every call.
+# Each query below ranks the word once and walks it per pattern; a ranked
+# word walks the same (w, k) automaton on every call.
 
 
 def is_superpattern(word: Word, k: int) -> bool:
@@ -207,18 +199,20 @@ def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
     _check_k(k)
     ranked = _ranked(word)
-    patterns = enumerate_preferential_arrangements(k)
-    if not all(contains_pattern(ranked, p) for p in patterns):
-        return ClassFlags(False, False, False, False)
+    # The word is strict when its last letter completes some pattern, that
+    # is, when the latest pattern to be completed is completed there.
+    last = 0
+    for p in enumerate_preferential_arrangements(k):
+        end = _contains(ranked.alphabet_size, k, ranked.letters, p)
+        if not end:
+            return ClassFlags(False, False, False, False)
+        last = max(last, end)
     letters = word.letters
-    minimal = all(letters[i] != letters[i + 1] for i in range(len(letters) - 1))
-    # The prefix keeps the word's ranks, so it walks the same automaton
-    # unless the last letter was its rank's only one.
-    prefix = _ranked(Word(ranked.letters[:-1], ranked.alphabet_size))
-    strict = not all(contains_pattern(prefix, p) for p in patterns)
+    n = len(letters)
+    minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
+    strict = last == n
     minimum = False
     if minimal:
-        n = len(word)
         bound = _min_length_upper_bound(k, word.alphabet_size)
         if bound is None or n <= bound:
             # The word itself is a superpattern, so the search below length n
@@ -252,8 +246,8 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     superpattern of length at most n_max uses at most n_max letters, and
     dense ranking keeps it a superpattern, so the search runs over
     min(d, n_max) letters.  Raises SuperpatternNotFoundError when nothing is
-    found up to n_max, and BudgetExceededError once the search holds more
-    than SEARCH_STATE_BUDGET states.
+    found up to n_max, and BudgetExceededError when the automaton passes
+    its state budget.
     """
     _check_k(k)
     if d < 1:
@@ -264,31 +258,22 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
         if n_max is None:
             raise SuperpatternNotFoundError(impossible)
     width = max(1, min(d, n_max))
-    budget = SEARCH_STATE_BUDGET
     auto = get_automaton(width, k)
     frontier = [0]
     seen = {0}
-    try:
-        for depth in range(1, n_max + 1):
-            next_frontier = []
-            for state in frontier:
-                for a in range(1, width + 1):
-                    t = auto.step(state, a)
-                    if auto.accepting[t]:
-                        return depth
-                    if t not in seen:
-                        seen.add(t)
-                        if len(seen) > budget:
-                            raise BudgetExceededError(
-                                f"minimum-length search for k={k}, d={d} exceeded {budget} states"
-                            )
-                        next_frontier.append(t)
-            frontier = next_frontier
-            if not frontier:
-                break
-    except BudgetExceededError:
-        _drop_automaton(width, k)
-        raise
+    for depth in range(1, n_max + 1):
+        next_frontier = []
+        for state in frontier:
+            for a in range(1, width + 1):
+                t = auto.step(state, a)
+                if auto.accepting[t]:
+                    return depth
+                if t not in seen:
+                    seen.add(t)
+                    next_frontier.append(t)
+        frontier = next_frontier
+        if not frontier:
+            break
     if not frontier and width == d:
         raise SuperpatternNotFoundError(impossible)
     # Over fewer than d letters, even a closed search only rules out lengths
@@ -313,22 +298,17 @@ class _WordSpace:
     counts come from a transfer-matrix DP over the nodes, level by level
     (Stanley, EC1 section 4.7), in O(n * nodes * d) steps instead of d^n.
 
-    A counting space raises BudgetExceededError once the shared automaton
-    holds more than SEARCH_STATE_BUDGET states; a listing is bounded by the
-    word space its caller checks instead.  Either drops the shared automaton
-    when it overruns while growing it, rather than leave it half built.
+    Counts and listings alike raise BudgetExceededError when the shared
+    automaton refuses a state past its budget; it has then dropped itself
+    from the cache.
     """
 
-    def __init__(
-        self, d: int, k: int, rule: int, prefix: tuple[int, ...] = (), *, counting: bool = False
-    ):
+    def __init__(self, d: int, k: int, rule: int, prefix: tuple[int, ...] = ()):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
         self.d = d
-        self.k = k
         self.rule = rule
         self.prefix = prefix
-        self.state_cap = SEARCH_STATE_BUDGET if counting else math.inf
         # No word over fewer than k letters contains the pattern 12...k, so
         # for k > d the space holds no superpattern and needs no automaton.
         self.auto = get_automaton(d, k) if k <= d else None
@@ -347,26 +327,16 @@ class _WordSpace:
         letter order."""
         out = self._moves.get(node)
         if out is None:
-            try:
-                # Building a node's moves adds at most d automaton states.
-                if self.auto.state_count > self.state_cap:
-                    raise BudgetExceededError(
-                        f"count for k={self.k}, d={self.d} exceeded"
-                        f" {self.state_cap} automaton states"
-                    )
-                w = self.d + 1
-                state, tag = divmod(node, w)
-                step = self.auto.step
-                if self.rule == _ANY:
-                    out = tuple((a, step(state, a) * w) for a in range(1, w))
-                elif self.rule == _NO_REPEAT:
-                    out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
-                else:
-                    top = min(tag + 1, self.d)
-                    out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
-            except BudgetExceededError:
-                _drop_automaton(self.d, self.k)
-                raise
+            w = self.d + 1
+            state, tag = divmod(node, w)
+            step = self.auto.step
+            if self.rule == _ANY:
+                out = tuple((a, step(state, a) * w) for a in range(1, w))
+            elif self.rule == _NO_REPEAT:
+                out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
+            else:
+                top = min(tag + 1, self.d)
+                out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
             self._moves[node] = out
         return out
 
@@ -465,11 +435,11 @@ def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
     every non-accepting state to the number of words of that length reaching
     it, and a step into an accepting state adds to that length's strict count
     (the last letter completed the final pattern).  It keeps one level, so its
-    size is the automaton's, bounded by SEARCH_STATE_BUDGET states.
+    size is the automaton's, bounded by the automaton's state budget.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    levels = _WordSpace(d, k, _ANY, counting=True).levels(n_max, strict=True)
+    levels = _WordSpace(d, k, _ANY).levels(n_max, strict=True)
     return {n: hit for n, (_level, hit) in enumerate(levels) if n}
 
 
@@ -524,7 +494,7 @@ def _alternating_count(
     if n < 3:
         raise ValueError("alternating enumeration needs n >= 3")
     hits = []
-    for level, hit in _WordSpace(3, 3, _NO_REPEAT, prefix, counting=True).levels(n, strict=True):
+    for level, hit in _WordSpace(3, 3, _NO_REPEAT, prefix).levels(n, strict=True):
         hits.append(hit)
     return level, hits
 

@@ -192,7 +192,7 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     if k > len(word.letters):
         return False
     word = _ranked(word)
-    return _contains(word.alphabet_size, k, word.letters, pattern)
+    return _contains(word.alphabet_size, k, word.letters, pattern) > 0
 
 
 def fubini(k: int) -> int:

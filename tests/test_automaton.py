@@ -4,11 +4,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superpatterns import (
     BudgetExceededError,
     ContainmentAutomaton,
     Word,
+    enumerate_preferential_arrangements,
     get_automaton,
     is_superpattern,
     missing_patterns,
@@ -17,7 +20,7 @@ from superpatterns import (
 from superpatterns import automaton
 from superpatterns.cli import main
 
-from conftest import PerInstanceAutomaton, all_words, first_acceptance_time
+from conftest import PerInstanceAutomaton, all_words, find_embedding, first_acceptance_time
 
 
 def expand_breadth_first(auto, max_states: int) -> None:
@@ -111,6 +114,29 @@ def test_missing_patterns_agree():
         state = auto.scan(letters)
         from_auto = {str(auto.patterns[i]) for i in auto.missing_pattern_indices(state)}
         assert from_auto == {str(p) for p in missing_patterns(w, 3)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), max_size=12),
+    st.integers(1, 4).flatmap(lambda k: st.sampled_from(enumerate_preferential_arrangements(k))),
+)
+def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
+    # The length of the shortest prefix holding the pattern, by the
+    # backtracking oracle, or 0 when the whole word does not hold it.
+    word = Word(tuple(letters), 4)
+    shortest = (t for t in range(1, len(letters) + 1) if find_embedding(word.prefix(t), pattern) is not None)
+    assert get_automaton(4, len(pattern)).contains(letters, pattern) == next(shortest, 0)
+
+
+def test_a_fresh_automaton_refuses_states_past_its_own_budget():
+    shared = get_automaton(3, 3)
+    auto = ContainmentAutomaton(3, 3, 100)
+    with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 100 states"):
+        expand_breadth_first(auto, 10**9)
+    assert auto.state_count == 100
+    # An automaton outside the cache leaves the shared one in place.
+    assert get_automaton(3, 3) is shared
 
 
 def test_first_superpattern_time():

@@ -42,6 +42,7 @@ from superpatterns import (
     strict_counts_by_length,
     verify_quaternary_counterexample,
 )
+from superpatterns import automaton
 from superpatterns.automaton import _cache as automaton_cache
 from superpatterns.classify import (
     _ANY,
@@ -311,16 +312,17 @@ class TestMinimumLength:
 
     def test_state_budget_is_checked_per_state(self, monkeypatch):
         # The (4, 4) search grows without a usable bound; it must stop as soon
-        # as it holds more states than the budget, not at the end of a depth.
-        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 1000)
+        # as it would hold more states than the budget, not at the end of a depth.
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
         auto = get_automaton(4, 4)
-        before = auto.state_count
-        with pytest.raises(BudgetExceededError, match="exceeded 1000 states"):
+        with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 1000 states"):
             min_superpattern_length(4, 4)
-        assert auto.state_count - before <= 1000
+        assert auto.state_count == 1000
 
     def test_budget_overrun_drops_the_half_built_automaton(self, monkeypatch):
-        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 1000)
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             min_superpattern_length(4, 4)
         assert (4, 4) not in automaton_cache
@@ -339,7 +341,7 @@ class TestMinimumLength:
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
-        monkeypatch.setattr(import_module("superpatterns.automaton"), "_MAX_COMPONENTS", 50)
+        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
         with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
             min_superpattern_length(3, 5)
         assert (5, 3) not in automaton_cache
@@ -406,13 +408,13 @@ class TestStrictEnumeration:
     def test_budget_enforced(self, monkeypatch):
         # The (3, 3) automaton has 646 states.
         monkeypatch.delitem(automaton_cache, (3, 3), raising=False)
-        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 600)
-        with pytest.raises(BudgetExceededError):
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
+        with pytest.raises(BudgetExceededError, match="exceeded 600 states"):
             count_strict_superpatterns(3, 3, 15)
 
     def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
-        monkeypatch.setattr(import_module("superpatterns.automaton"), "_MAX_COMPONENTS", 50)
+        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
         with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
             list(iter_strict_superpatterns(5, 3, 7))
         assert (5, 3) not in automaton_cache
@@ -497,13 +499,45 @@ class TestTransferMatrixCounts:
         # A word of length 8 is a superpattern when its waiting time t is at
         # most 8, and 4^(8-t) words share each strict prefix of length t.
         expected = sum(c * 4 ** (8 - t) for t, c in strict_counts_by_length(4, 3, 8).items())
+        assert sum(1 for _ in iter_superpatterns(4, 3, 8)) == expected
         monkeypatch.delitem(automaton_cache, (4, 3), raising=False)
-        monkeypatch.setattr(classify_module, "SEARCH_STATE_BUDGET", 2000)
-        with pytest.raises(BudgetExceededError, match="exceeded 2000 automaton states"):
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 2000)
+        with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             strict_counts_by_length(4, 3, 8)
         assert (4, 3) not in automaton_cache
-        # Listings take no state check; the word space bounds them.
-        assert sum(1 for _ in iter_superpatterns(4, 3, 8)) == expected
+        # Listings are refused at the same budget, though the word space
+        # (4^8 words) is far inside its own cap.
+        with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
+            list(iter_superpatterns(4, 3, 8))
+        assert (4, 3) not in automaton_cache
+
+    def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch):
+        # 4^10 words are under the word-space cap, but the (4, 4) states the
+        # listing's DP needs are not under the state budget.
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 5000 states"):
+            next(iter_superpatterns(4, 4, 10))
+        assert (4, 4) not in automaton_cache
+
+    @pytest.mark.parametrize(
+        "cap,value,overrun",
+        [
+            ("SEARCH_STATE_BUDGET", 1000, lambda: strict_counts_by_length(4, 4, 12)),
+            ("SEARCH_STATE_BUDGET", 1000, lambda: min_superpattern_length(4, 4)),
+            ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 10))),
+            # A component cap of 2 leaves no id for the first step of 1234, so
+            # the query fails as well on the fresh automaton it retries on.
+            ("_MAX_COMPONENTS", 2, lambda: contains_pattern(Word.parse("1234"), Pattern.parse("1234"))),
+        ],
+        ids=["count", "min-length", "listing", "containment"],
+    )
+    def test_no_overrun_automaton_stays_shared(self, monkeypatch, cap, value, overrun):
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        monkeypatch.setattr(automaton, cap, value)
+        with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=4 exceeded {value} "):
+            overrun()
+        assert (4, 4) not in automaton_cache
 
     def test_counts_keep_one_level(self):
         strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace

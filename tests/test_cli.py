@@ -133,6 +133,17 @@ class TestEnumerate:
         assert code == 3
         assert "budget" in err.lower()
 
+    def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch):
+        # 4^10 words pass the word-space cap; the (4, 4) states do not pass
+        # the automaton's budget, so the listing stops there, not at the end.
+        monkeypatch.setattr(automaton, "_cache", {})
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
+        argv = ["enumerate", "--n", "10", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: the automaton for k=4, d=4 exceeded 5000 states\n"
+        assert (4, 4) not in automaton._cache
+
     @pytest.mark.parametrize("n", [1_000_000, 30_000_000])
     @pytest.mark.parametrize(
         "args,what,space,cap",

@@ -90,3 +90,31 @@ def test_every_export_has_a_caller_outside_the_tests():
     for path in [*SOURCE.glob("*.py"), *PERFBENCH.glob("*.py")]:
         called |= _references(path)
     assert [name for name in superpatterns.__all__ if name not in called] == []
+
+
+# The containment automaton alone decides how many states it may hold and
+# drops itself from the shared cache when it overruns.
+AUTOMATON_ONLY = {"_cache", "SEARCH_STATE_BUDGET"}
+
+
+def _identifiers(path: Path) -> set[str]:
+    """Every name a module's code uses: variables, attributes, and imported
+    names with their aliases."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update({node.name, node.asname} - {None})
+    return found
+
+
+def test_only_the_automaton_names_its_budget_and_cache():
+    named = {
+        path.name: sorted(_identifiers(path) & AUTOMATON_ONLY)
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "automaton.py"
+    }
+    assert {name: found for name, found in named.items() if found} == {}
