@@ -1,84 +1,110 @@
-"""The containment automaton closed and minimised, for the simulator.
+"""The containment automaton's minimal DFA, for the simulator.
 
-`close_and_minimise` builds every state of a fresh `ContainmentAutomaton(d, k)`
-that a word reaches before it becomes a superpattern, by breadth-first search
-through `step`, and then merges equivalent states by Moore refinement
-(Hopcroft 1971 is the faster variant of the same partition).  Every accepting
-state falls into one block: a trial ends there, so what the word does next
-does not matter, and that block loops to itself on every letter.  The full
-automaton is dropped and only the small table is returned; the simulator
-reads it once per (d, k) to build its byte table, and keeps only that.  The
-automaton is made with STATE_BUDGET as its state budget, so it is the
-automaton that stops an overlong closure.
+`close_and_minimise` never builds the full product automaton.  It closes
+each pattern's component of a fresh `ContainmentAutomaton(d, k)` on its own
+and merges its equivalent states by Moore refinement (Hopcroft 1971 is the
+faster variant of the same partition).  It then joins the minimised
+components one at a time, smallest first: each join closes the product of
+the DFA so far and one component by breadth-first search from the pair of
+start states, and is minimised again before the next.  A product state
+accepts when both of its parts do; a trial ends there, so what the word does
+next does not matter, and it loops to itself on every letter.  The minimal
+DFA is unique up to renaming, so this is the DFA the full product would
+minimise to.  Every product is held to STATE_BUDGET states; the components
+are bounded by the automaton's own cap on a pattern's progress vectors.  The
+simulator reads the result once per (d, k) to build its byte table, and
+keeps only that.
 """
 
 from __future__ import annotations
 
 from .automaton import MAX_INSTANCES, BudgetExceededError, ContainmentAutomaton
 
-# Enough for (5,3), whose closure has 73,886 states; (4,4) and (6,3) exceed it.
+# Most states of any product a join builds.  The largest products are 25,889
+# states for (5,3), whose full product has 73,886, and 53,260 for (4,4);
+# (6,3) needs 206,793.
 STATE_BUDGET = 100_000
 
-
-def _close(d: int, k: int) -> ContainmentAutomaton:
-    """A fresh automaton with every state reachable before acceptance built;
-    it raises BudgetExceededError past STATE_BUDGET states."""
-    auto = ContainmentAutomaton(d, k, STATE_BUDGET)
-    step = auto.step
-    letters = range(1, d + 1)
-    state = 0
-    # States are numbered as they are found, so visiting them in number order
-    # is a breadth-first search.
-    while state < auto.state_count:
-        if not auto.accepting[state]:
-            for a in letters:
-                step(state, a)
-        state += 1
-    return auto
+# A DFA as (rows, start, accept): rows[s][a - 1] is the successor of state s
+# on letter a, and accept is the one accepting state, which loops to itself.
+Dfa = tuple[list[tuple[int, ...]], int, int]
 
 
-def _refine(transitions: list[list[int]], accepting: list[bool], block: list[int]) -> tuple[list[int], int]:
+def _refine(columns: list, block: list[int]) -> tuple[list[int], int]:
     """One Moore round: two states stay in one block when they share a block
-    and, letter by letter, their successors do.  Accepting states are compared
-    by block only.  Blocks are numbered in order of their first state, so the
-    start state's block is 0.  Returns (new blocks, number of blocks)."""
-    ids: dict[tuple[int, ...], int] = {}
-    refined = [
-        ids.setdefault(
-            (block[s],) if accepting[s] else (block[s], *map(block.__getitem__, row[1:])),
-            len(ids),
-        )
-        for s, row in enumerate(transitions)
-    ]
-    return refined, len(ids)
+    and, letter by letter, their successors do (``columns[a - 1][s]`` is
+    state s's successor on letter a).  Blocks are numbered in order of their
+    first state, so state 0's block is 0.  Returns (new blocks, number of
+    blocks)."""
+    keys = list(zip(block, *(map(block.__getitem__, column) for column in columns)))
+    ids = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    return list(map(ids.__getitem__, keys)), len(ids)
 
 
-def _minimise(transitions: list[list[int]], accepting: list[bool]) -> tuple[list[int], int]:
+def _minimise(columns: list, accepting: list[bool]) -> tuple[list[int], int]:
     """Moore refinement from the split into accepting and other states, until
-    a round splits no block.  Returns (block of each state, number of blocks)."""
+    a round splits no block; accepting states must loop to themselves.
+    Returns (block of each state, number of blocks)."""
     block = [int(a) for a in accepting]
     count = len(set(block))
     while True:
-        block, refined = _refine(transitions, accepting, block)
+        block, refined = _refine(columns, block)
         if refined == count:
             return block, count
         count = refined
 
 
-def close_and_minimise(d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Close the (d, k) automaton and Moore-minimise it; needs k <= d, so that
-    some state accepts.
+def _minimal(columns: list, accepting: list[bool], start: int = 0) -> Dfa:
+    """The DFA whose states are the Moore blocks."""
+    block, count = _minimise(columns, accepting)
+    # Any state of a block stands for it; the dict keeps the blocks in order.
+    members = list({b: s for s, b in enumerate(block)}.values())
+    rows = list(zip(*([block[column[s]] for s in members] for column in columns)))
+    return rows, block[start], block[accepting.index(True)]
+
+
+def _join(d: int, k: int, left: Dfa, right: Dfa) -> tuple[list[list[int]], list[bool]]:
+    """The product of two DFAs, closed by breadth-first search from the pair
+    of start states, which becomes state 0; the pair of accepting states is
+    the one accepting state, and loops to itself as both parts do.  Returns
+    (columns, accepting), ``columns[a - 1][s]`` being state s's successor on
+    letter a, and raises BudgetExceededError past STATE_BUDGET states."""
+    rows_a, start_a, accept_a = left
+    rows_b, start_b, accept_b = right
+    # State (a, b) is keyed a * width + b.
+    width = len(rows_b)
+    keys = [start_a * width + start_b]
+    ids = {keys[0]: 0}
+    columns: list[list[int]] = [[] for _ in range(d)]
+    for key in keys:
+        a, b = divmod(key, width)
+        for p, q, column in zip(rows_a[a], rows_b[b], columns):
+            key = p * width + q
+            t = ids.get(key)
+            if t is None:
+                t = ids[key] = len(keys)
+                keys.append(key)
+            column.append(t)
+        if len(keys) > STATE_BUDGET:
+            raise BudgetExceededError(f"the automaton for k={k}, d={d} exceeded {STATE_BUDGET} states")
+    both = accept_a * width + accept_b
+    return columns, [key == both for key in keys]
+
+
+def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
+    """The minimal DFA of the (d, k) automaton; needs k <= d, so that some
+    state accepts.
 
     Returns (rows, accept), the minimal DFA of "the prefix is a
-    k-superpattern" over {1..d}: state 0 reads the empty word, ``rows[s][a]``
-    is the successor of state s on letter a (slot 0 is unused, as in the
-    automaton), and ``accept`` is the one accepting state, which is
-    absorbing.
+    k-superpattern" over {1..d}: state 0 reads the empty word,
+    ``rows[s][a - 1]`` is the successor of state s on letter a, and
+    ``accept`` is the one accepting state, which is absorbing.
 
-    Raises BudgetExceededError once the closure holds more than STATE_BUDGET
-    states, and before any closure work when it must: the pattern 1...1
-    alone tells apart every count 0..k-1 of each letter, k^d states that all
-    come before acceptance."""
+    Raises BudgetExceededError once a product holds more than STATE_BUDGET
+    states, or a component more progress vectors than the automaton allows,
+    and before any closure work when it must: the pattern 1...1 alone tells
+    apart every count 0..k-1 of each letter, so its minimised component, and
+    every product it joins, has k^d states before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
     # Past MAX_INSTANCES the automaton's own constructor refuses first, also at once.
@@ -87,13 +113,15 @@ def close_and_minimise(d: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int
             f"closing the automaton for k={k}, d={d} needs at least k^d = {k**d} states,"
             f" over the budget of {STATE_BUDGET}"
         )
-    auto = _close(d, k)
-    transitions, accepting = auto.transitions, auto.accepting
-    block, count = _minimise(transitions, accepting)
-    accept = block[accepting.index(True)]
-    rows: list[tuple[int, ...]] = [()] * count
-    for s, row in enumerate(transitions):
-        if not rows[block[s]]:
-            rows[block[s]] = (-1, *(accept if accepting[s] else block[t] for t in row[1:]))
-    return tuple(rows), accept
-
+    auto = ContainmentAutomaton(d, k)
+    components = []
+    for pi in range(len(auto.patterns)):
+        columns = auto.closed_component(pi)
+        # The contained id 0 accepts, and the empty word's id 1 starts.
+        components.append(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1))
+    # The product of no components: one state, accepting every word.
+    dfa: Dfa = [(0,) * d], 0, 0
+    for component in sorted(components, key=lambda c: len(c[0])):
+        dfa = _minimal(*_join(d, k, dfa, component))
+    rows, _, accept = dfa
+    return rows, accept

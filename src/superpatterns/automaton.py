@@ -16,9 +16,10 @@ transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
 lookup.  The exhaustive scans, the listings and the minimum-length search
-share one automaton per (d, k); the simulator instead builds a fresh
-automaton, closes and minimises it (`_dfa`), builds its byte table from the
-minimal table and keeps neither.
+share one automaton per (d, k).  The simulator forms no product state: it
+makes a fresh automaton, closes each pattern's component alone
+(`closed_component`), and `_dfa` minimises and joins them into the minimal
+DFA, from which the simulator builds its byte table, keeping neither.
 
 The automaton owns its bounds.  It refuses to intern a state past its state
 budget (SEARCH_STATE_BUDGET unless the caller gives another) or a component
@@ -217,6 +218,21 @@ class ContainmentAutomaton:
                 return position
             component = nxt
         return 0
+
+    def closed_component(self, pi: int) -> list[list[int]]:
+        """Pattern pi's component with every id reachable from the empty
+        word's id 1 filled in, as one column per letter: ``columns[a -
+        1][c]`` is the id after letter a from id c, and the contained id 0
+        loops to itself.  The columns are the automaton's own (read-only by
+        convention).  Forms no state."""
+        columns = self._by_pattern[pi]
+        component = 1
+        while component < len(self._components[pi]):
+            for a in range(1, self.d + 1):
+                if columns[a][component] == _UNFILLED:
+                    self._fill(self._columns[a], pi, component, a)
+            component += 1
+        return columns[1:]
 
     def missing_pattern_indices(self, state: int) -> list[int]:
         """Indices into ``patterns`` of the patterns not yet contained."""

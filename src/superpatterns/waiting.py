@@ -10,10 +10,10 @@ moments.  Two independent routes check it: the closed-form PMFs
 over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
 Carlo simulator checks whole distributions; it draws random bytes in chunks,
 each byte standing by exact rejection for several letters, so every letter
-is exactly uniform.  It runs on the closed, minimised automaton (`_dfa`), with
-one lookup per random byte in a (state, residue) table, every row of which is
-built when the table is made, from the tables of shorter letter strings;
-alphabets of up to 255 letters fit in a byte.
+is exactly uniform.  It runs on the containment automaton's minimal DFA
+(`_dfa`), with one lookup per random byte in a (state, residue) table, every
+row of which is built when the table is made, from the tables of shorter
+letter strings; alphabets of up to 255 letters fit in a byte.
 """
 
 from __future__ import annotations
@@ -138,12 +138,14 @@ class _ByteTable:
     takes a state through j steps; each time the accepting state is reached a
     trial finishes and the next one starts from state 0.  An accepted byte b
     stands for the digits of its residue r = residues[b] = b mod d^j, and
-    entry rows[s][r] is the end state when no trial finishes inside the byte,
-    and otherwise the negative int ~(end << 8 | code).  A code below 128 is
-    the one letter offset (1..j) at which a trial finishes; a code from 128
-    up stands for several offsets, in a byte where more than one trial
-    finishes (only when j exceeds the least waiting time, as for k = 2 and
-    d <= 4).  Either way `finishes[code]` is the tuple of offsets.
+    entry rows[s][r] is the end state when no trial finishes inside the byte.
+    Otherwise it is a variant of the end state: an id from `states` up, with
+    `offsets[id]` the letter offsets (1..j) at which trials finish, more
+    than one only when j exceeds the least waiting time, as for k = 2 and
+    d <= 4.  A variant's row is its end state's row, the same array object,
+    so variants cost no table memory and the next byte reads on from the
+    variant as from its end state.  For (3,3) every id is below 256, a cached
+    small int.
 
     Every row is built at construction, in one pass over letter-string
     lengths L = 1..j: a state's length-L table, indexed by the last L letters
@@ -160,31 +162,38 @@ class _ByteTable:
         width = d**j
         self.rejected = bytes(range(256 // width * width, 256))
         self.residues = bytes(b % width for b in range(256))
-        self.finishes: list[tuple[int, ...]] = [(o,) for o in range(128)]
-        steps = [row[1:] for row in rows]
+        n = self.states = len(rows)
+        # The finish offsets by id (none for a state), and each variant's end
+        # state by id - n.
+        offsets: list[tuple[int, ...]] = [()] * n
+        ends_of: list[int] = []
+        variants: dict[tuple[int, tuple[int, ...]], int] = {}
+
+        def finish_before(at: int, entry: int) -> int:
+            """The id for `entry` with a trial finishing at offset `at`, ahead
+            of the letters the entry covers."""
+            key = (entry if entry < n else ends_of[entry - n], (at, *offsets[entry]))
+            if key not in variants:
+                variants[key] = len(offsets)
+                ends_of.append(key[0])
+                offsets.append(key[1])
+            return variants[key]
+
         # A single letter that finishes a trial does so at the byte's last offset j.
-        tables = [array("i", [~j if end == accept else end for end in ends]) for ends in steps]
+        tables = [array("i", [finish_before(j, 0) if end == accept else end for end in ends]) for ends in rows]
         for length in range(2, j + 1):
-            restart = array("i", [self._finish_before(j - length + 1, e) for e in tables[0]])
+            restart = array("i", [finish_before(j - length + 1, e) for e in tables[0]])
             built = []
-            for ends in steps:
+            for ends in rows:
                 out = array("i", [0]) * d**length
                 for a, end in enumerate(ends):
                     out[a::d] = restart if end == accept else tables[end]
                 built.append(out)
             tables = built
-        self.rows = tables
-
-    def _finish_before(self, at: int, entry: int) -> int:
-        """`entry` with a trial finishing at offset `at`, ahead of the
-        letters the entry covers."""
-        if entry >= 0:
-            return ~(entry << 8 | at)
-        entry = ~entry
-        offsets = (at, *self.finishes[entry & 255])
-        if offsets not in self.finishes:
-            self.finishes.append(offsets)
-        return ~(entry >> 8 << 8 | self.finishes.index(offsets))
+        self.rows = tables + [tables[end] for end in ends_of]
+        self.offsets = offsets
+        # The common case, read first: the one offset, or 0 for none or several.
+        self.single = [o[0] if len(o) == 1 else 0 for o in offsets]
 
     def run(self, rng: random.Random, trials: int, lengths: Counter) -> None:
         """Count into `lengths` the lengths of the next `trials` trials, read
@@ -194,7 +203,8 @@ class _ByteTable:
         and a trial's length is the difference of two finish positions
         (`last`, the previous one, is counted from the start of the current
         chunk)."""
-        rows, finishes, j = self.rows, self.finishes, self.letters_per_byte
+        rows, offsets, single = self.rows, self.offsets, self.single
+        n, j = self.states, self.letters_per_byte
         residues, rejected = self.residues, self.rejected
         state = last = 0
         while True:
@@ -202,19 +212,15 @@ class _ByteTable:
             ends: list[int] = []
             append = ends.append
             for i, b in enumerate(chunk):
-                entry = rows[state][b]
-                if entry >= 0:
-                    state = entry
-                    continue
-                entry = ~entry
-                code = entry & 255
-                state = entry >> 8
-                if code < 128:
-                    append(i * j + code)
-                    continue
-                at = i * j
-                for o in finishes[code]:
-                    append(at + o)
+                state = rows[state][b]
+                if state >= n:
+                    o = single[state]
+                    if o:
+                        append(i * j + o)
+                        continue
+                    at = i * j
+                    for o in offsets[state]:
+                        append(at + o)
             if ends:
                 del ends[trials:]
                 lengths.update(map(sub, ends, [last, *ends[:-1]]))
@@ -239,12 +245,12 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     uniform on {1..d}.  A trial runs on from where the previous one stopped;
     the letters left over when a block's trials are done are discarded.
 
-    The stream runs through the closed, minimised automaton
+    The stream runs through the containment automaton's minimal DFA
     (`_dfa.close_and_minimise`), with one table lookup per random byte
     (`_ByteTable`, kept per (d, k)).  For k = 1 every trial has length 1, so
     nothing is drawn.  Raises BudgetExceededError for k >= 2 over more than
-    255 letters, and when the closure outgrows its state budget, as (4,4)
-    does.
+    255 letters, and when building the DFA outgrows its state budget, as
+    (6,3) does.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -156,6 +156,23 @@ def first_acceptance_time(auto: ContainmentAutomaton, letters: Iterable[int]) ->
     return None
 
 
+def close_lazily(d: int, k: int) -> ContainmentAutomaton:
+    """Oracle for the closure behind `_dfa.close_and_minimise`: a fresh
+    automaton with every state reachable before acceptance built, the full
+    product of all pattern components, by breadth-first search through
+    step (accepting states are not expanded)."""
+    auto = ContainmentAutomaton(d, k)
+    # States are numbered as they are found, so visiting them in number order
+    # is a breadth-first search.
+    state = 0
+    while state < auto.state_count:
+        if not auto.accepting[state]:
+            for a in range(1, d + 1):
+                auto.step(state, a)
+        state += 1
+    return auto
+
+
 def ends_with_minimum_by_subsets(word: Word) -> bool:
     """Oracle for ends_with_minimum_superpattern: try every choice of six of
     the first n - 1 letters, followed by the last letter, and ask whether it
@@ -219,7 +236,7 @@ def letters_of_bytes(d: int) -> list[tuple[int, ...]]:
 
 
 def byte_entry_by_letters(
-    rows: tuple[tuple[int, ...], ...], accept: int, letters: list[tuple[int, ...]], state: int, byte: int
+    rows: list[tuple[int, ...]], accept: int, letters: list[tuple[int, ...]], state: int, byte: int
 ) -> tuple[int, tuple[int, ...]]:
     """Oracle for one entry of the simulator's byte table: step the minimal
     DFA (`rows`, `accept`) through the letters `byte` stands for (`letters`,
@@ -228,7 +245,7 @@ def byte_entry_by_letters(
     trials finish."""
     end, finishes = state, []
     for o, a in enumerate(letters[byte], 1):
-        end = rows[end][a]
+        end = rows[end][a - 1]
         if end == accept:
             end = 0
             finishes.append(o)

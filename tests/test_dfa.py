@@ -6,16 +6,16 @@ import pytest
 
 from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau
 from superpatterns import _dfa, waiting
-from superpatterns._dfa import _close, _minimise, _refine, close_and_minimise
+from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
-from conftest import all_words, byte_entry_by_letters, first_acceptance_time, letters_of_bytes
+from conftest import all_words, byte_entry_by_letters, close_lazily, first_acceptance_time, letters_of_bytes
 
 
-def dfa_acceptance_time(rows: tuple[tuple[int, ...], ...], accept: int, letters) -> int | None:
+def dfa_acceptance_time(rows: list[tuple[int, ...]], accept: int, letters) -> int | None:
     state = 0
     for t, a in enumerate(letters, 1):
-        state = rows[state][a]
+        state = rows[state][a - 1]
         if state == accept:
             return t
     return None
@@ -28,8 +28,8 @@ def dfa_acceptance_time(rows: tuple[tuple[int, ...], ...], accept: int, letters)
 def test_minimised_state_counts(d, k, states):
     rows, accept = close_and_minimise(d, k)
     assert len(rows) == states
-    assert all(len(row) == d + 1 for row in rows)
-    assert rows[accept][1:] == (accept,) * d
+    assert all(len(row) == d for row in rows)
+    assert rows[accept] == (accept,) * d
 
 
 @pytest.mark.parametrize("d,k,n_max", [(2, 2, 12), (3, 3, 9), (4, 3, 7)])
@@ -41,32 +41,74 @@ def test_first_acceptance_matches_the_automaton(d, k, n_max):
             assert dfa_acceptance_time(rows, accept, w.letters) == first_acceptance_time(auto, w.letters)
 
 
+def lazy_columns(auto: ContainmentAutomaton) -> list[list[int]]:
+    """The oracle closure's transitions by letter, its unexpanded accepting
+    states looping to themselves, as the minimiser takes them."""
+    return [
+        [s if accepting else row[a] for s, (row, accepting) in enumerate(zip(auto.transitions, auto.accepting))]
+        for a in range(1, auto.d + 1)
+    ]
+
+
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (3, 3)])
 def test_refinement_is_at_its_fixed_point(d, k):
-    auto = _close(d, k)
-    block, count = _minimise(auto.transitions, auto.accepting)
+    auto = close_lazily(d, k)
+    columns = lazy_columns(auto)
+    block, count = _minimise(columns, auto.accepting)
     assert block[0] == 0
-    assert _refine(auto.transitions, auto.accepting, block)[1] == count
+    assert _refine(columns, block)[1] == count
+
+
+def minimised_full_product(d: int, k: int) -> tuple[list[list[int]], int]:
+    """The oracle closure Moore-minimised: (rows over letters 1..d, accept)."""
+    auto = close_lazily(d, k)
+    block, count = _minimise(lazy_columns(auto), auto.accepting)
+    accept = block[auto.accepting.index(True)]
+    rows: list = [None] * count
+    for s, row in enumerate(auto.transitions):
+        if rows[block[s]] is None:
+            rows[block[s]] = [accept] * d if auto.accepting[s] else [block[t] for t in row[1:]]
+    return rows, accept
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (6, 2), (3, 3), (4, 3)])
+def test_joined_components_minimise_to_the_full_product(d, k):
+    expected, expected_accept = minimised_full_product(d, k)
+    rows, accept = close_and_minimise(d, k)
+    assert len(rows) == len(expected)
+    # A paired breadth-first search from both starts finds the renaming; it
+    # must respect every transition and be one-to-one.
+    image = {0: 0}
+    queue = [0]
+    for s in queue:
+        for t, u in zip(expected[s], rows[image[s]]):
+            if t not in image:
+                image[t] = u
+                queue.append(t)
+            assert image[t] == u
+    assert sorted(image.values()) == list(range(len(rows)))
+    assert image[expected_accept] == accept
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 3)])
 def test_no_two_minimised_states_are_equivalent(d, k):
     rows, accept = close_and_minimise(d, k)
     accepting = [s == accept for s in range(len(rows))]
-    assert _minimise([list(row) for row in rows], accepting)[1] == len(rows)
+    assert _minimise(list(zip(*rows)), accepting)[1] == len(rows)
 
 
 def test_closure_visits_no_state_past_acceptance():
-    auto = _close(3, 3)
+    auto = close_lazily(3, 3)
     assert auto.accepting.count(True) == 1
     assert auto.state_count == 646
 
 
-def test_k_above_d_is_refused_before_closure(monkeypatch):
-    def no_closure(d, k):
-        raise AssertionError("closure started")
+def no_closure(d, k):
+    raise AssertionError("closure started")
 
-    monkeypatch.setattr(_dfa, "_close", no_closure)
+
+def test_k_above_d_is_refused_before_closure(monkeypatch):
+    monkeypatch.setattr(_dfa, "ContainmentAutomaton", no_closure)
     with pytest.raises(ValueError, match="d=3, k=4"):
         close_and_minimise(3, 4)
 
@@ -74,10 +116,7 @@ def test_k_above_d_is_refused_before_closure(monkeypatch):
 @pytest.mark.parametrize("d", [17, 200])
 def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
     # Pattern 11 alone needs 2^d states before acceptance, over the budget.
-    def no_closure(d, k):
-        raise AssertionError("closure started")
-
-    monkeypatch.setattr(_dfa, "_close", no_closure)
+    monkeypatch.setattr(_dfa, "ContainmentAutomaton", no_closure)
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match=f"k=2, d={d} needs at least k\\^d = {2**d} states"):
         simulate_tau(d, 2, 5, 0)
@@ -86,9 +125,15 @@ def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (6, 2), (3, 3), (4, 3), (2, 1)])
 def test_the_refusal_bound_is_below_the_closure(d, k):
-    # So an input the closure would finish within budget is never refused.
-    auto = _close(d, k)
+    # So an input the closure would finish within budget is never refused:
+    # the full product has k^d states before acceptance, and so has the
+    # minimised component of 1...1, which every product that joins it maps
+    # onto.
+    auto = close_lazily(d, k)
     assert auto.accepting.count(False) >= k**d
+    ones = ContainmentAutomaton(d, k)
+    columns = ones.closed_component([p.letters for p in ones.patterns].index((1,) * k))
+    assert len(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1)[0]) - 1 >= k**d
 
 
 def test_small_budget_fails_fast(monkeypatch):
@@ -117,11 +162,10 @@ def test_table_is_built_once(monkeypatch):
     assert all(a is b for a, b in zip(table.rows, rows))
 
 
-def _decoded(table: waiting._ByteTable, entry: int) -> tuple[int, tuple[int, ...]]:
-    if entry >= 0:
-        return entry, ()
-    code = ~entry & 255
-    return ~entry >> 8, (code,) if code < 128 else table.finishes[code]
+def _decoded(table: waiting._ByteTable, owners: dict[int, int], entry: int) -> tuple[int, tuple[int, ...]]:
+    """An entry as (end state, finish offsets): a variant's end is the state
+    whose row object it shares (`owners` maps id(row) to the state)."""
+    return owners[id(table.rows[entry])], table.offsets[entry]
 
 
 # several: whether a byte holds more letters than the least waiting time, so
@@ -148,18 +192,29 @@ def test_every_row_entry_matches_the_letter_by_letter_oracle(d, k, several):
     assert list(table.residues) == [b % width for b in range(256)]
     assert all(len(row) == width for row in table.rows)
     accepted = [b for b, unit in enumerate(letters) if unit]
+    owners = {id(row): s for s, row in enumerate(table.rows[: table.states])}
     several_seen = False
     for state in range(len(rows)):
         if state == accept:
             continue
         for b in accepted:
             end, finishes = byte_entry_by_letters(rows, accept, letters, state, b)
-            assert _decoded(table, table.rows[state][table.residues[b]]) == (end, finishes)
+            entry = table.rows[state][table.residues[b]]
+            assert (entry < table.states) == (not finishes)
+            assert _decoded(table, owners, entry) == (end, finishes)
             several_seen |= len(finishes) > 1
     assert several_seen == several
 
 
 @pytest.mark.parametrize("d,k", [*((d, 2) for d in range(2, 10)), (3, 3), (4, 3)])
-def test_finish_codes_stay_below_the_unbuilt_code(d, k):
-    # An entry keeps its finish code in its low byte.
-    assert len(waiting._ByteTable(d, k).finishes) <= 256
+def test_variants_share_their_end_state_rows(d, k):
+    # A variant's row is a state's row object, so variants add no table
+    # memory; the entry test above checks that it is its end state's.
+    table = waiting._ByteTable(d, k)
+    state_rows = {id(row) for row in table.rows[: table.states]}
+    assert len(state_rows) == table.states
+    assert {id(row) for row in table.rows} == state_rows
+    assert all(table.offsets[v] for v in range(table.states, len(table.rows)))
+    if (d, k) == (3, 3):
+        # Every id is a cached small int.
+        assert len(table.rows) <= 256

@@ -19,6 +19,7 @@ from superpatterns import (
     moments_from_gf,
     pmf_table,
     simulate_tau,
+    strict_counts_by_length,
     ternary_pmf,
     waiting_time_gf,
 )
@@ -304,6 +305,15 @@ class TestSimulatedDistribution:
         histogram = simulate_tau(d, d, self.TRIALS, 2026).histogram
         assert sum(c for n, c in histogram.items() if pmf(n) == 0) == 0
         statistic, df = _chi_square(histogram, pmf, self.TRIALS)
+        assert df >= 10
+        assert statistic < _chi_square_critical(df, self.ALPHA), (statistic, df)
+
+    def test_four_letter_histogram_fits_the_strict_counts(self):
+        # The exact (4,3) PMF is the strict-superpattern counts over 4^n, from
+        # the DP over the lazy automaton, not from the simulator's DFA.
+        counts = strict_counts_by_length(4, 3, 60)
+        histogram = simulate_tau(4, 3, self.TRIALS, 2026).histogram
+        statistic, df = _chi_square(histogram, lambda n: Fraction(counts[n], 4**n), self.TRIALS)
         assert df >= 10
         assert statistic < _chi_square_critical(df, self.ALPHA), (statistic, df)
 
