@@ -24,18 +24,17 @@ and yields words in lexicographic order; it stops one level above the words,
 where each node's children and their finishing letters are already known.  A
 count keeps one level of the DP.  Counts, listings and the minimum-length
 search stop when the automaton refuses a state past its budget
-(automaton.SEARCH_STATE_BUDGET); a listing, whose output grows with the
-words, is also bounded by a word-space budget on d^n, checked first and
-without forming d^n when n is far past it.  The closed-form counts they are
-checked against live in count_formulas(), and the flanking-pairs check is
-one match of a compiled pattern over the word's bytes.
+(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words it
+would print, which the walker's DP counts before the first one
+(WORD_BUDGET by default).  The closed-form counts they are checked against
+live in count_formulas(), and the flanking-pairs check is one match of a
+compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
@@ -84,36 +83,9 @@ class SuperpatternNotFoundError(RuntimeError):
     """No superpattern exists within the searched length range."""
 
 
-# Word-space caps for the listings (d**n must stay at or below these); they
-# keep default runs in the minutes range.  Callers may pass an explicit
-# budget, and the CLI also honours the SUPERPATTERN_BUDGET environment
-# variable.
-DEFAULT_WORD_BUDGETS = {2: 2**24, 3: 3**14}
-FALLBACK_WORD_BUDGET = 5_000_000
-
-
-def _require_within_budget(d: int, n: int, budget: Optional[int], what: str) -> None:
-    """Refuse a listing over the d^n words of length n when d^n passes the cap.
-
-    For d >= 2, d^n >= 2^n > cap once n reaches the cap's bit length, so such
-    a space is refused without forming d^n.
-    """
-    cap = DEFAULT_WORD_BUDGETS.get(d, FALLBACK_WORD_BUDGET) if budget is None else budget
-    if (d < 2 or n < cap.bit_length()) and d**n <= cap:
-        return
-    raise BudgetExceededError(f"{what} would cover {_power_text(d, n)} words, over the cap of {cap}")
-
-
-def _power_text(d: int, n: int) -> str:
-    """d^n in digits while it fits the interpreter's limit on converting
-    integers to text (its default when the limit is off), else as "d^n"."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    # d^n has about n log10(d) digits; form it only near or under the limit.
-    if d < 2 or n * math.log10(d) < limit + 1:
-        space = d**n
-        if space < 10**limit:
-            return str(space)
-    return f"{d}^{n}"
+# The most words a listing may print, unless its caller passes a budget; the
+# CLI passes --budget or the SUPERPATTERN_BUDGET environment variable.
+WORD_BUDGET = 2**24
 
 
 def _check_k(k: int) -> None:
@@ -343,7 +315,8 @@ class _WordSpace:
     def levels(self, n: int, strict: bool) -> Iterator[tuple[dict[int, int], int]]:
         """Forward DP from the prefix length t0 to length n: yields, for
         t = t0 .. n, a map from each node reached by words of length t to
-        their number, and the hits at t.
+        their number, and the hits at t: the words of length t past t0 that
+        are superpatterns (strict superpatterns, under strict).
 
         Under strict, a word whose last letter first makes it a superpattern
         is tallied in the hits and not extended (no strict superpattern lies
@@ -364,14 +337,17 @@ class _WordSpace:
             hit = 0
             for u, c in level.items():
                 for _a, v in moves(u):
-                    if strict and accepting[v // w]:
+                    if accepting[v // w]:
                         hit += c
-                    else:
-                        nxt[v] = nxt.get(v, 0) + c
+                        if strict:
+                            continue
+                    nxt[v] = nxt.get(v, 0) + c
             yield nxt, hit
             level = nxt
 
-    def walk(self, n: int, strict: bool) -> Iterator[Word]:
+    def walk(
+        self, n: int, strict: bool, budget: Optional[int] = None, what: str = "listing"
+    ) -> Iterator[Word]:
         """The words of length n that are strict superpatterns (strict) or
         superpatterns (otherwise), in lexicographic order.
 
@@ -382,21 +358,42 @@ class _WordSpace:
         leads to output.  It goes no deeper than n - 2: a node there yields its
         words directly, each child with finishing letters followed by each of
         them, so depth n - 1 is never pushed.
+
+        Before the first word, the count of them (each node at depth n - 1
+        times its finishing letters) is checked against the budget
+        (WORD_BUDGET by default), and BudgetExceededError is raised past it.
+        The DP's step is one fixed non-negative linear map, so once a level of
+        n - 1's parity dominates, node by node, the level two lengths before
+        it, the counts at n's parity never fall again: the forward pass then
+        refuses at the first such length whose count passes the budget.
         """
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
         t0 = len(self.prefix)
         if n <= t0 or self.auto is None:
             return
+        cap = WORD_BUDGET if budget is None else budget
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
-        levels = [{}] * t0 + [level for level, _hit in self.levels(n - 1, strict)]
+        levels: list[dict[int, int]] = [{}] * t0
+        grows = False
+        for t, (level, hit) in enumerate(self.levels(n - 1, strict), start=t0):
+            if (n - t) % 2:
+                if not grows and t - 2 >= t0:
+                    grows = all(level.get(u, 0) >= c for u, c in levels[t - 2].items())
+            elif grows and hit > cap:
+                raise BudgetExceededError(f"{what} at n={n} would print more than {cap} words")
+            levels.append(level)
         finish = {}
-        for u in levels[n - 1]:
+        count = 0
+        for u, c in levels[n - 1].items():
             letters = tuple(a for a, v in moves(u) if accepting[v // w])
             if letters:
                 finish[u] = letters
+                count += c * len(letters)
+        if count > cap:
+            raise BudgetExceededError(f"{what} at n={n} would print {count} words, over the cap of {cap}")
         # alive[t]: the nodes at depth t below which some word ends in output
         # (depths t0 .. n - 2 are filled in here; the walk reads no others).
         alive = [finish] * n
@@ -451,9 +448,10 @@ def count_strict_superpatterns(d: int, k: int, n: int) -> int:
 def iter_strict_superpatterns(
     d: int, k: int, n: int, budget: Optional[int] = None
 ) -> Iterator[Word]:
-    """Stream the strict k-superpatterns of length n in lexicographic order."""
-    _require_within_budget(d, n, budget, f"strict-superpattern listing at n={n}")
-    yield from _WordSpace(d, k, _ANY).walk(n, strict=True)
+    """Stream the strict k-superpatterns of length n in lexicographic order,
+    or raise BudgetExceededError, before the first, when they number more
+    than the budget (WORD_BUDGET by default)."""
+    yield from _WordSpace(d, k, _ANY).walk(n, True, budget, "strict-superpattern listing")
 
 
 def iter_superpatterns(
@@ -469,20 +467,22 @@ def iter_superpatterns(
     n = 10).  Elsewhere a class can hold superpatterns while its canonical
     word is none: for k = 2, 1132 is a superpattern and its canonical form
     1123 is not, and for (4, 3) at n = 7, 76 classes hold a superpattern
-    while 15 canonical words are listed.
+    while 15 canonical words are listed.  Bounded like
+    iter_strict_superpatterns.
     """
-    _require_within_budget(d, n, budget, f"superpattern listing at n={n}")
-    yield from _WordSpace(d, k, _CANONICAL if canonical else _ANY).walk(n, strict=False)
+    space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
+    yield from space.walk(n, False, budget, "superpattern listing")
 
 
 # --- the alternating (minimal) word space, first two letters fixed as 1,2 ----
 
 
-def _alternating_budget_check(n: int, budget: Optional[int], what: str) -> None:
+def _alternating(n: int, prefix: tuple[int, ...] = (1, 2)) -> _WordSpace:
+    """The alternating (3, 3) word space that extends the prefix, for
+    listings and counts at a length n >= 3."""
     if n < 3:
         raise ValueError("alternating enumeration needs n >= 3")
-    # The space has 2^(n-2) words; reuse the binary word budget for its cap.
-    _require_within_budget(2, n - 2, budget, what)
+    return _WordSpace(3, 3, _NO_REPEAT, prefix)
 
 
 def _alternating_count(
@@ -491,10 +491,8 @@ def _alternating_count(
     """The strict counting DP to length n over the alternating words that
     extend the prefix: its level at n, and its hits at each length from the
     prefix's to n."""
-    if n < 3:
-        raise ValueError("alternating enumeration needs n >= 3")
     hits = []
-    for level, hit in _WordSpace(3, 3, _NO_REPEAT, prefix).levels(n, strict=True):
+    for level, hit in _alternating(n, prefix).levels(n, strict=True):
         hits.append(hit)
     return level, hits
 
@@ -502,8 +500,7 @@ def _alternating_count(
 def iter_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the minimal 3-superpatterns of length n starting 1,2 (one per
     isomorphism class), in lexicographic order."""
-    _alternating_budget_check(n, budget, f"minimal-superpattern listing at n={n}")
-    yield from _WordSpace(3, 3, _NO_REPEAT, (1, 2)).walk(n, strict=False)
+    yield from _alternating(n).walk(n, False, budget, "minimal-superpattern listing")
 
 
 def count_minimal_upto_iso(n: int) -> int:
@@ -518,8 +515,7 @@ def count_minimal_upto_iso(n: int) -> int:
 
 def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict minimal 3-superpatterns of length n starting 1,2."""
-    _alternating_budget_check(n, budget, f"strict-minimal listing at n={n}")
-    yield from _WordSpace(3, 3, _NO_REPEAT, (1, 2)).walk(n, strict=True)
+    yield from _alternating(n).walk(n, True, budget, "strict-minimal listing")
 
 
 def count_strict_minimal_upto_iso(n: int) -> int:

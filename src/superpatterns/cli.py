@@ -149,7 +149,7 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
         sub.add_argument(
             "--budget",
             type=_positive_int,
-            help=f"word-space cap for listings (default per alphabet;"
+            help=f"most words a listing may print (default 2^24;"
             f" ${BUDGET_ENV_VAR} overrides)",
         )
 

@@ -1,14 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-emit.  Criterion 3 scans to length 14 by default.  This test alone reads
-SUPERPATTERN_BUDGET, as a word-space size, to pick a lower ceiling (never
-below length 12) for quick CI; the library's counts do not read it.
+emit.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
 
@@ -41,17 +38,6 @@ THE_SEVEN = {
 }
 
 
-def _scan_ceiling() -> int:
-    env = os.environ.get("SUPERPATTERN_BUDGET")
-    if not env:
-        return 14
-    budget = int(env)
-    n = 14
-    while n > 12 and 3**n > budget:
-        n -= 1
-    return n
-
-
 class _Criterion:
     def __init__(self, number: int, name: str):
         self.number = number
@@ -82,7 +68,7 @@ def test_criterion_02_the_seven_and_the_full_fortytwo():
 
 
 def test_criterion_03_counting_formulas_match_exhaustive_scans():
-    n_hi = _scan_ceiling()
+    n_hi = 14
     with _Criterion(3, f"closed forms vs exhaustive scans for n=7..{n_hi}"):
         scan = strict_counts_by_length(3, 3, n_hi)
         for n in range(7, n_hi + 1):

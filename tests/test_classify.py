@@ -487,7 +487,8 @@ class TestTransferMatrixCounts:
             assert count_beta_bruteforce(n) == (fail_1, fail_3), n
 
     def test_counts_reach_past_the_word_space_budget(self):
-        # 3^40 and 2^38 words are far over the listings' word-space caps.
+        # Counts are bounded by automaton states, not by the 3^40 and 2^38
+        # words they range over.
         counts = strict_counts_by_length(3, 3, 40)
         assert all(counts[n] == count_formulas(n).s_total for n in range(7, 41))
         f = count_formulas(40)
@@ -505,15 +506,15 @@ class TestTransferMatrixCounts:
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             strict_counts_by_length(4, 3, 8)
         assert (4, 3) not in automaton_cache
-        # Listings are refused at the same budget, though the word space
-        # (4^8 words) is far inside its own cap.
+        # Listings are refused at the same budget, though their words are
+        # far inside the word cap.
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             list(iter_superpatterns(4, 3, 8))
         assert (4, 3) not in automaton_cache
 
     def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch):
-        # 4^10 words are under the word-space cap, but the (4, 4) states the
-        # listing's DP needs are not under the state budget.
+        # The (4, 4) states the listing's DP needs are not under the state
+        # budget, so the listing stops before it counts its words.
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
         with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 5000 states"):
@@ -560,13 +561,67 @@ class TestTransferMatrixCounts:
         assert strict_counts_by_length(2, 8, 30) == dict.fromkeys(range(1, 31), 0)
         assert list(iter_superpatterns(2, 20, 5)) == []
         assert list(iter_strict_superpatterns(1, 9, 4)) == []
-        # The word-space check comes first, so listings keep their budget errors.
-        with pytest.raises(BudgetExceededError):
-            list(iter_superpatterns(2, 8, 25))
+        # A listing is bounded by the words it prints, and here there are none.
+        assert list(iter_superpatterns(2, 8, 25)) == []
         with pytest.raises(ValueError):
             list(iter_superpatterns(0, 3, 2))
         with pytest.raises(ValueError):
             strict_counts_by_length(2, 0, 3)
+
+
+class TestWordCap:
+    """A listing is refused exactly when the words it would print pass its
+    budget, whichever of the walker's two checks refuses it."""
+
+    LISTINGS = {
+        "strict-minimal": iter_strict_minimal_upto_iso,
+        "minimal": iter_minimal_upto_iso,
+        "(3,3) strict": lambda n, budget: iter_strict_superpatterns(3, 3, n, budget),
+        "(3,3) canonical-all": lambda n, budget: iter_superpatterns(3, 3, n, canonical=True, budget=budget),
+        "(4,3) strict": lambda n, budget: iter_strict_superpatterns(4, 3, n, budget),
+    }
+
+    def listed(self, space: str, n: int, budget: int) -> list[Word]:
+        return list(self.LISTINGS[space](n, budget))
+
+    def exact_counts(self, space: str) -> dict[int, int]:
+        """Each length's count by a route other than the walker's."""
+        if space == "strict-minimal":
+            return {n: count_strict_minimal_upto_iso(n) for n in range(3, 81)}
+        if space == "minimal":
+            return {n: count_minimal_upto_iso(n) for n in range(3, 81)}
+        if space == "(3,3) strict":
+            return strict_counts_by_length(3, 3, 80)
+        if space == "(4,3) strict":
+            return strict_counts_by_length(4, 3, 18)
+        return {n: len(self.listed(space, n, 10**9)) for n in range(1, 11)}
+
+    @pytest.mark.parametrize("budget", [100, 5000])
+    @pytest.mark.parametrize("space", list(LISTINGS))
+    def test_refused_exactly_when_the_count_passes_the_budget(self, space, budget):
+        for n, count in self.exact_counts(space).items():
+            try:
+                words = self.listed(space, n, budget)
+            except BudgetExceededError:
+                assert count > budget, n
+            else:
+                assert len(words) == count <= budget, n
+
+    @pytest.mark.parametrize(
+        "space,n,count,what",
+        [
+            ("strict-minimal", 27, 527, "strict-minimal listing"),
+            ("minimal", 12, 924, "minimal-superpattern listing"),
+            ("(3,3) strict", 9, 1608, "strict-superpattern listing"),
+            ("(3,3) canonical-all", 8, 77, "superpattern listing"),
+        ],
+    )
+    def test_a_budget_of_the_count_answers_and_one_less_refuses(self, space, n, count, what):
+        assert len(self.listed(space, n, count)) == count
+        message = f"{what} at n={n} would print {count} words, over the cap of {count - 1}"
+        with pytest.raises(BudgetExceededError) as exc:
+            self.listed(space, n, count - 1)
+        assert str(exc.value) == message
 
 
 def _no_repeat(letters: tuple[int, ...]) -> bool:

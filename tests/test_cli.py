@@ -134,8 +134,8 @@ class TestEnumerate:
         assert "budget" in err.lower()
 
     def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch):
-        # 4^10 words pass the word-space cap; the (4, 4) states do not pass
-        # the automaton's budget, so the listing stops there, not at the end.
+        # The (4, 4) states the listing's DP needs pass the automaton's
+        # budget, so the listing stops there, before it counts its words.
         monkeypatch.setattr(automaton, "_cache", {})
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
         argv = ["enumerate", "--n", "10", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
@@ -146,20 +146,30 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", [1_000_000, 30_000_000])
     @pytest.mark.parametrize(
-        "args,what,space,cap",
+        "args,what",
         [
-            (["--filter", "all", "--scope", "full", "--d", "3", "--k", "3"], "superpattern", "3^{n}", 4782969),
-            (["--filter", "minimal"], "minimal-superpattern", "2^{m}", 16777216),
+            (["--filter", "all", "--scope", "full", "--d", "3", "--k", "3"], "superpattern"),
+            (["--filter", "minimal"], "minimal-superpattern"),
+            ([], "strict-minimal"),
         ],
-        ids=["all", "minimal"],
+        ids=["all", "minimal", "strict-minimal"],
     )
-    def test_budget_past_the_text_limit_exits_three_at_once(self, capsys, n, args, what, space, cap):
+    def test_budget_past_the_text_limit_exits_three_at_once(self, capsys, n, args, what):
+        # The forward pass stops at the first length of n's parity whose
+        # count passes the cap, once the counts can no longer fall.
         start = time.process_time()
         code, out, err = run(capsys, "enumerate", "--n", str(n), *args)
         assert time.process_time() - start < 0.5
-        words = space.format(n=n, m=n - 2)
         assert (code, out) == (3, "")
-        assert err == f"budget exceeded: {what} listing at n={n} would cover {words} words, over the cap of {cap}\n"
+        assert err == f"budget exceeded: {what} listing at n={n} would print more than 16777216 words\n"
+
+    @pytest.mark.parametrize("n,count", [(27, 527), (40, 1294)])
+    def test_strict_minimal_listing_is_bounded_by_its_words(self, capsys, n, count):
+        # 2^(n-2) alternating words, but only (n-4)^2 - 2 of them are printed.
+        code, out, _ = run(capsys, "enumerate", "--n", str(n))
+        assert code == 0
+        assert out.splitlines()[-1] == f"# count: {count}" == f"# count: {(n - 4) ** 2 - 2}"
+        assert len(out.splitlines()) == count + 2
 
     def test_more_pattern_letters_than_alphabet_answers_at_once(self, capsys):
         start = time.process_time()

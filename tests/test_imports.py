@@ -118,3 +118,18 @@ def test_only_the_automaton_names_its_budget_and_cache():
         if path.name != "automaton.py"
     }
     assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_only_classify_names_the_word_cap():
+    # The listings' default word cap lives in classify alone: the CLI passes
+    # --budget or $SUPERPATTERN_BUDGET through and holds no default of its own.
+    named = [path.name for path in sorted(SOURCE.glob("*.py")) if "WORD_BUDGET" in _identifiers(path)]
+    assert named == ["classify.py"]
+    cli = ast.parse((SOURCE / "cli.py").read_text())
+    budget_options = [
+        call
+        for call in ast.walk(cli)
+        if isinstance(call, ast.Call)
+        and any(isinstance(arg, ast.Constant) and arg.value == "--budget" for arg in call.args)
+    ]
+    assert budget_options and all(kw.arg != "default" for call in budget_options for kw in call.keywords)
