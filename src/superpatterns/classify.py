@@ -24,11 +24,11 @@ and yields words in lexicographic order; it stops one level above the words,
 where each node's children and their finishing letters are already known.  A
 count keeps one level of the DP.  Counts, listings and the minimum-length
 search stop when the automaton refuses a state past its budget
-(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words it
-would print, which the walker's DP counts before the first one
-(WORD_BUDGET by default).  The closed-form counts they are checked against
-live in count_formulas(), and the flanking-pairs check is one match of a
-compiled pattern over the word's bytes.
+(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
+letters it would print, which the walker's DP counts before the first word
+(WORD_BUDGET words by default).  The closed-form counts they are checked
+against live in count_formulas(), and the flanking-pairs check is one match
+of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ class SuperpatternNotFoundError(RuntimeError):
     """No superpattern exists within the searched length range."""
 
 
-# The most words a listing may print, unless its caller passes a budget; the
-# CLI passes --budget or the SUPERPATTERN_BUDGET environment variable.
+# The most words a listing may print (and so its letters, see _WordSpace.walk)
+# unless its caller passes a budget, as the CLI's --budget does.
 WORD_BUDGET = 2**24
 
 
@@ -345,9 +345,7 @@ class _WordSpace:
             yield nxt, hit
             level = nxt
 
-    def walk(
-        self, n: int, strict: bool, budget: Optional[int] = None, what: str = "listing"
-    ) -> Iterator[Word]:
+    def walk(self, n: int, strict: bool, budget: Optional[int], what: str) -> Iterator[Word]:
         """The words of length n that are strict superpatterns (strict) or
         superpatterns (otherwise), in lexicographic order.
 
@@ -359,13 +357,15 @@ class _WordSpace:
         words directly, each child with finishing letters followed by each of
         them, so depth n - 1 is never pushed.
 
-        Before the first word, the count of them (each node at depth n - 1
-        times its finishing letters) is checked against the budget
-        (WORD_BUDGET by default), and BudgetExceededError is raised past it.
-        The DP's step is one fixed non-negative linear map, so once a level of
-        n - 1's parity dominates, node by node, the level two lengths before
-        it, the counts at n's parity never fall again: the forward pass then
-        refuses at the first such length whose count passes the budget.
+        Before the first word, their count (each node at depth n - 1 times its
+        finishing letters) meets the budget B (WORD_BUDGET by default): past B
+        words, or past B * (B.bit_length() + 1) letters, as many as a word
+        space of at most B words (d^n, d >= 2, or 2^(n - 2) alternating) can
+        hold, BudgetExceededError is raised.  The DP's step is one fixed
+        non-negative linear map, so once a level of n - 1's parity dominates,
+        node by node, the one two lengths before, the counts at n's parity
+        never fall again, and the forward pass refuses at the first such
+        length past either cap.  An empty strict level ends the listing.
         """
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
@@ -373,17 +373,27 @@ class _WordSpace:
         if n <= t0 or self.auto is None:
             return
         cap = WORD_BUDGET if budget is None else budget
+        letter_cap = cap * (cap.bit_length() + 1)
+
+        def refuse_past_cap(count: int, bound: str) -> None:
+            if count > cap or count * n > letter_cap:
+                raise BudgetExceededError(
+                    f"{what} at n={n} would print {bound}{count} words of {n} letters,"
+                    f" over the cap of {cap} words or {letter_cap} letters"
+                )
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
         levels: list[dict[int, int]] = [{}] * t0
         grows = False
         for t, (level, hit) in enumerate(self.levels(n - 1, strict), start=t0):
+            if not level:
+                return
             if (n - t) % 2:
                 if not grows and t - 2 >= t0:
                     grows = all(level.get(u, 0) >= c for u, c in levels[t - 2].items())
-            elif grows and hit > cap:
-                raise BudgetExceededError(f"{what} at n={n} would print more than {cap} words")
+            elif grows:
+                refuse_past_cap(hit, "at least ")
             levels.append(level)
         finish = {}
         count = 0
@@ -392,8 +402,7 @@ class _WordSpace:
             if letters:
                 finish[u] = letters
                 count += c * len(letters)
-        if count > cap:
-            raise BudgetExceededError(f"{what} at n={n} would print {count} words, over the cap of {cap}")
+        refuse_past_cap(count, "")
         # alive[t]: the nodes at depth t below which some word ends in output
         # (depths t0 .. n - 2 are filled in here; the walk reads no others).
         alive = [finish] * n
@@ -401,11 +410,9 @@ class _WordSpace:
             ahead = alive[t + 1]
             alive[t] = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
         del levels
-        if self.root not in alive[t0]:
-            return
         d = self.d
         if t0 == n - 1:
-            for a in finish[self.root]:
+            for a in finish.get(self.root, ()):
                 yield Word(self.prefix + (a,), d)
             return
         stack = [(self.root, self.prefix)]
@@ -445,12 +452,9 @@ def count_strict_superpatterns(d: int, k: int, n: int) -> int:
     return strict_counts_by_length(d, k, n)[n]
 
 
-def iter_strict_superpatterns(
-    d: int, k: int, n: int, budget: Optional[int] = None
-) -> Iterator[Word]:
+def iter_strict_superpatterns(d: int, k: int, n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict k-superpatterns of length n in lexicographic order,
-    or raise BudgetExceededError, before the first, when they number more
-    than the budget (WORD_BUDGET by default)."""
+    bounded by the budget as in _WordSpace.walk."""
     yield from _WordSpace(d, k, _ANY).walk(n, True, budget, "strict-superpattern listing")
 
 
@@ -467,8 +471,7 @@ def iter_superpatterns(
     n = 10).  Elsewhere a class can hold superpatterns while its canonical
     word is none: for k = 2, 1132 is a superpattern and its canonical form
     1123 is not, and for (4, 3) at n = 7, 76 classes hold a superpattern
-    while 15 canonical words are listed.  Bounded like
-    iter_strict_superpatterns.
+    while 15 canonical words are listed.  Bounded as in _WordSpace.walk.
     """
     space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
     yield from space.walk(n, False, budget, "superpattern listing")

@@ -149,8 +149,8 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
         sub.add_argument(
             "--budget",
             type=_positive_int,
-            help=f"most words a listing may print (default 2^24;"
-            f" ${BUDGET_ENV_VAR} overrides)",
+            help=f"most words B a listing may print, with at most B * (B.bit_length() + 1) letters"
+            f" (default B = 2^24; ${BUDGET_ENV_VAR} overrides)",
         )
 
 

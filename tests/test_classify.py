@@ -570,8 +570,9 @@ class TestTransferMatrixCounts:
 
 
 class TestWordCap:
-    """A listing is refused exactly when the words it would print pass its
-    budget, whichever of the walker's two checks refuses it."""
+    """A listing is refused exactly when what it would print passes its
+    budget B: more than B words, or more than B * (B.bit_length() + 1)
+    letters, whichever of the walker's two checks refuses it."""
 
     LISTINGS = {
         "strict-minimal": iter_strict_minimal_upto_iso,
@@ -599,29 +600,70 @@ class TestWordCap:
     @pytest.mark.parametrize("budget", [100, 5000])
     @pytest.mark.parametrize("space", list(LISTINGS))
     def test_refused_exactly_when_the_count_passes_the_budget(self, space, budget):
+        letter_cap = budget * (budget.bit_length() + 1)
         for n, count in self.exact_counts(space).items():
             try:
                 words = self.listed(space, n, budget)
             except BudgetExceededError:
-                assert count > budget, n
+                assert count > budget or count * n > letter_cap, n
             else:
-                assert len(words) == count <= budget, n
+                assert len(words) == count <= budget and count * n <= letter_cap, n
 
     @pytest.mark.parametrize(
-        "space,n,count,what",
+        "space,n,count,budget,what",
         [
-            ("strict-minimal", 27, 527, "strict-minimal listing"),
-            ("minimal", 12, 924, "minimal-superpattern listing"),
-            ("(3,3) strict", 9, 1608, "strict-superpattern listing"),
-            ("(3,3) canonical-all", 8, 77, "superpattern listing"),
+            # Words bind: 1,608 words of 9 letters fit 1,608 * 12 letters.
+            ("(3,3) strict", 9, 1608, 1608, "strict-superpattern listing"),
+            # Both bind at once: 77 words of 8 letters are 77 * 8 letters.
+            ("(3,3) canonical-all", 8, 77, 77, "superpattern listing"),
+            # Letters bind: 527 * 27 = 14,229 letters, and 1,186 * 12 = 14,232.
+            ("strict-minimal", 27, 527, 1186, "strict-minimal listing"),
+            # 924 * 12 = 11,088 letters, exactly 1,008 * 11.
+            ("minimal", 12, 924, 1008, "minimal-superpattern listing"),
         ],
     )
-    def test_a_budget_of_the_count_answers_and_one_less_refuses(self, space, n, count, what):
-        assert len(self.listed(space, n, count)) == count
-        message = f"{what} at n={n} would print {count} words, over the cap of {count - 1}"
+    def test_the_least_budget_that_fits_answers_and_one_less_refuses(self, space, n, count, budget, what):
+        assert len(self.listed(space, n, budget)) == count
+        cap = budget - 1
+        message = (
+            f"{what} at n={n} would print {count} words of {n} letters,"
+            f" over the cap of {cap} words or {cap * (cap.bit_length() + 1)} letters"
+        )
         with pytest.raises(BudgetExceededError) as exc:
-            self.listed(space, n, count - 1)
+            self.listed(space, n, cap)
         assert str(exc.value) == message
+
+    def test_the_default_cap_answers_strict_minimal_listings_to_761(self):
+        # 757^2 - 2 = 573,047 words of 761 letters fit 2^24 * 26 letters;
+        # 758^2 - 2 words of 762 letters do not.
+        assert len(next(iter_strict_minimal_upto_iso(761)).letters) == 761
+        with pytest.raises(BudgetExceededError, match="would print 574562 words of 762 letters"):
+            next(iter_strict_minimal_upto_iso(762))
+
+    @pytest.mark.parametrize(
+        "listing",
+        [
+            lambda: iter_strict_superpatterns(2, 2, 10**7),
+            lambda: iter_strict_superpatterns(3, 2, 10**7),
+            lambda: iter_superpatterns(2, 1, 10**7),
+        ],
+        ids=["(2,2) strict", "(3,2) strict", "(2,1) all"],
+    )
+    def test_slowly_growing_listings_are_refused_at_once(self, listing):
+        # Counts growing only polynomially in n still pass the letter cap
+        # within a few levels of the forward pass.
+        start = time.process_time()
+        with pytest.raises(BudgetExceededError, match="would print at least"):
+            list(listing())
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_a_strict_listing_whose_levels_empty_returns_at_once(self, d):
+        # Every word of one letter is a strict 1-superpattern, so no longer
+        # one is: the forward pass ends at the first empty level.
+        start = time.process_time()
+        assert list(iter_strict_superpatterns(d, 1, 3 * 10**7)) == []
+        assert time.process_time() - start < 0.5
 
 
 def _no_repeat(letters: tuple[int, ...]) -> bool:
@@ -652,16 +694,17 @@ class TestWalker:
                     ]
                     strict = [w for w in space if not verdict[w.letters[:-1]]]
                     walker = _WordSpace(d, k, rule, prefix)
-                    assert list(walker.walk(n, strict=False)) == space, (rule, prefix, n)
-                    assert list(walker.walk(n, strict=True)) == strict, (rule, prefix, n)
+                    assert list(walker.walk(n, False, None, "listing")) == space, (rule, prefix, n)
+                    assert list(walker.walk(n, True, None, "listing")) == strict, (rule, prefix, n)
 
     def test_public_listings_use_the_walker(self):
-        assert list(iter_strict_superpatterns(3, 3, 8)) == list(_WordSpace(3, 3, _ANY).walk(8, True))
-        canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False)
+        strict = _WordSpace(3, 3, _ANY).walk(8, True, None, "listing")
+        assert list(iter_strict_superpatterns(3, 3, 8)) == list(strict)
+        canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False, None, "listing")
         assert list(iter_superpatterns(3, 3, 8, canonical=True)) == list(canonical)
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
-        assert list(iter_minimal_upto_iso(9)) == list(alternating.walk(9, False))
-        assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True))
+        assert list(iter_minimal_upto_iso(9)) == list(alternating.walk(9, False, None, "listing"))
+        assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None, "listing"))
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="word length"):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -144,7 +145,9 @@ class TestEnumerate:
         assert err == "budget exceeded: the automaton for k=4, d=4 exceeded 5000 states\n"
         assert (4, 4) not in automaton._cache
 
-    @pytest.mark.parametrize("n", [1_000_000, 30_000_000])
+    # Up to n = 4,100 the strict-minimal count (n-4)^2 - 2 stays under 2^24
+    # words; its letters pass the letter cap from n = 762 on.
+    @pytest.mark.parametrize("n", [1000, 4100, 1_000_000, 30_000_000])
     @pytest.mark.parametrize(
         "args,what",
         [
@@ -161,7 +164,11 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--n", str(n), *args)
         assert time.process_time() - start < 0.5
         assert (code, out) == (3, "")
-        assert err == f"budget exceeded: {what} listing at n={n} would print more than 16777216 words\n"
+        assert re.fullmatch(
+            f"budget exceeded: {what} listing at n={n} would print at least [0-9]+ words of {n} letters,"
+            " over the cap of 16777216 words or 436207616 letters\n",
+            err,
+        )
 
     @pytest.mark.parametrize("n,count", [(27, 527), (40, 1294)])
     def test_strict_minimal_listing_is_bounded_by_its_words(self, capsys, n, count):
