@@ -24,7 +24,6 @@ from .classify import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    isomorphism_orbit,
     iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
@@ -85,7 +84,6 @@ __all__ = [
     "count_minimal_upto_iso",
     "iter_strict_minimal_upto_iso",
     "count_strict_minimal_upto_iso",
-    "isomorphism_orbit",
     "count_formulas",
     "count_beta_bruteforce",
     "has_flanking_pairs",

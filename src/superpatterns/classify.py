@@ -20,15 +20,18 @@ reach the same state (with the same last or largest letter, when the letter
 rule needs it) share their future, so each length costs one pass over the
 states.  Listings come from one explicit-stack walker that enters a prefix only
 when the DP shows a word of the requested length can still finish below it,
-and yields words in lexicographic order; it stops one level above the words,
-where each node's children and their finishing letters are already known.  A
-count keeps one level of the DP.  Counts, listings and the minimum-length
-search stop when the automaton refuses a state past its budget
-(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
-letters it would print, which the walker's DP counts before the first word
-(WORD_BUDGET words by default).  The closed-form counts they are checked
-against live in count_formulas(), and the flanking-pairs check is one match
-of a compiled pattern over the word's bytes.
+and yields words in lexicographic order.  It keeps the current prefix's
+letters in one shared list and stops two levels above the words, where each
+node's two-letter tails are already known: it yields them in bulk, the prefix
+joined to each tail, as Words built without re-checking letters that are the
+automaton's moves over 1..d.  So past the DP a listing costs time linear in
+the letters it prints.  A count keeps one level of the DP.  Counts, listings
+and the minimum-length search stop when the automaton refuses a state past
+its budget (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the
+words and letters it would print, which the walker's DP counts before the
+first word (WORD_BUDGET words by default).  The closed-form counts they are
+checked against live in count_formulas(), and the flanking-pairs check is one
+match of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .automaton import BudgetExceededError, _contains, get_automaton
 from .patterns import (
@@ -46,6 +49,7 @@ from .patterns import (
     Pattern,
     Word,
     _ranked,
+    _unchecked_word,
     contains_pattern,
     enumerate_preferential_arrangements,
 )
@@ -68,7 +72,6 @@ __all__ = [
     "count_minimal_upto_iso",
     "iter_strict_minimal_upto_iso",
     "count_strict_minimal_upto_iso",
-    "isomorphism_orbit",
     "count_formulas",
     "count_beta_bruteforce",
     "has_flanking_pairs",
@@ -351,11 +354,17 @@ class _WordSpace:
 
         A backward pass over the forward levels keeps, at each depth, only the
         nodes from which a word of exactly the remaining length still ends in
-        output, and each node at depth n - 1 keeps its finishing letters.  The
-        explicit-stack walk enters only those nodes, so every prefix it visits
-        leads to output.  It goes no deeper than n - 2: a node there yields its
-        words directly, each child with finishing letters followed by each of
-        them, so depth n - 1 is never pushed.
+        output.  Each node at depth n - 1 keeps its finishing letters, and each
+        node at depth n - 2 its two-letter tails (a, b): a letter into a child
+        with finishing letters, then each of them.  The explicit-stack walk
+        enters only those nodes, so every prefix it visits leads to output,
+        and it goes no deeper than n - 2.  Its stack holds (node, depth,
+        letter into it); the letters of the current prefix live in one shared
+        list, cut back to the popped depth and extended by the popped letter.
+        At depth n - 2 the prefix becomes a tuple once, and the node yields
+        its words in bulk: the prefix joined to each tail, built as Words
+        without re-checking letters that are moves over 1..d.  So past the
+        DP the walk costs time linear in the letters it prints.
 
         Before the first word, their count (each node at depth n - 1 times its
         finishing letters) meets the budget B (WORD_BUDGET by default): past B
@@ -395,41 +404,51 @@ class _WordSpace:
             elif grows:
                 refuse_past_cap(hit, "at least ")
             levels.append(level)
+        # Finishing letters are kept as one-letter tails.
         finish = {}
         count = 0
         for u, c in levels[n - 1].items():
-            letters = tuple(a for a, v in moves(u) if accepting[v // w])
-            if letters:
-                finish[u] = letters
-                count += c * len(letters)
+            ends = tuple((a,) for a, v in moves(u) if accepting[v // w])
+            if ends:
+                finish[u] = ends
+                count += c * len(ends)
         refuse_past_cap(count, "")
-        # alive[t]: the nodes at depth t below which some word ends in output
-        # (depths t0 .. n - 2 are filled in here; the walk reads no others).
-        alive = [finish] * n
-        for t in range(n - 2, t0 - 1, -1):
+        # alive[t]: the nodes at depth t below which some word ends in output,
+        # with their tails at depths n - 2 and n - 1 (depths t0 .. n - 1 are
+        # filled in here; the walk reads no others).
+        alive: list = [finish] * n
+        if t0 <= n - 2:
+            alive[n - 2] = {
+                u: ends
+                for u in levels[n - 2]
+                if (ends := tuple((a, b) for a, v in moves(u) for (b,) in finish.get(v, ())))
+            }
+        for t in range(n - 3, t0 - 1, -1):
             ahead = alive[t + 1]
             alive[t] = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
         del levels
         d = self.d
-        if t0 == n - 1:
-            for a in finish.get(self.root, ()):
-                yield Word(self.prefix + (a,), d)
+        if t0 >= n - 2:
+            ends = alive[t0].get(self.root, ())
+            yield from map(_unchecked_word, map(self.prefix.__add__, ends), repeat(d))
             return
-        stack = [(self.root, self.prefix)]
+        tails = alive[n - 2]
+        path = list(self.prefix)
+        # Entries (node, depth, letter into it), the least letter on top.
+        stack = [(v, t0 + 1, a) for a, v in reversed(moves(self.root)) if v in alive[t0 + 1]]
         pop = stack.pop
         push = stack.append
         while stack:
-            u, word = pop()
-            t = len(word)
+            u, t, a = pop()
+            path[t - 1 :] = (a,)
             if t == n - 2:
-                for a, v in moves(u):
-                    for b in finish.get(v, ()):
-                        yield Word(word + (a, b), d)
+                yield from map(_unchecked_word, map(tuple(path).__add__, tails[u]), repeat(d))
                 continue
             ahead = alive[t + 1]
-            for a, v in reversed(moves(u)):  # the least letter pops first
+            t += 1
+            for a, v in reversed(moves(u)):
                 if v in ahead:
-                    push((v, word + (a,)))
+                    push((v, t, a))
 
 
 def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
@@ -500,10 +519,21 @@ def _alternating_count(
     return level, hits
 
 
+def _minimal_listing(
+    n: int, strict: bool, budget: Optional[int], prefix: tuple[int, ...] = (1, 2)
+) -> Iterator[Word]:
+    """The minimal (strict minimal, under strict) 3-superpatterns of length n
+    that extend the prefix, in lexicographic order.  Under the empty prefix
+    that is every one of them: six per isomorphism class, since each holds
+    all three letters.  Bounded as in _WordSpace.walk."""
+    what = "strict-minimal listing" if strict else "minimal-superpattern listing"
+    return _alternating(n, prefix).walk(n, strict, budget, what)
+
+
 def iter_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the minimal 3-superpatterns of length n starting 1,2 (one per
     isomorphism class), in lexicographic order."""
-    yield from _alternating(n).walk(n, False, budget, "minimal-superpattern listing")
+    yield from _minimal_listing(n, False, budget)
 
 
 def count_minimal_upto_iso(n: int) -> int:
@@ -518,25 +548,11 @@ def count_minimal_upto_iso(n: int) -> int:
 
 def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict minimal 3-superpatterns of length n starting 1,2."""
-    yield from _alternating(n).walk(n, True, budget, "strict-minimal listing")
+    yield from _minimal_listing(n, True, budget)
 
 
 def count_strict_minimal_upto_iso(n: int) -> int:
     return _alternating_count(n)[1][-1]
-
-
-def isomorphism_orbit(words: Iterable[Word]) -> list[Word]:
-    """All distinct letter-isomorphic images of the given words, sorted."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[Word] = []
-    for w in words:
-        for images in permutations(range(1, w.alphabet_size + 1)):
-            relabeled = tuple(images[v - 1] for v in w.letters)
-            if relabeled not in seen:
-                seen.add(relabeled)
-                out.append(Word(relabeled, w.alphabet_size))
-    out.sort(key=lambda w: w.letters)
-    return out
 
 
 # --- closed-form counts ------------------------------------------------------
@@ -606,7 +622,9 @@ def has_flanking_pairs(word: Word) -> bool:
     through each run and the match takes linear time.
     """
     letters = word.letters
-    if max(letters, default=0) > 3:
+    # A Word's letters are at most its alphabet size, so only an alphabet
+    # past 3 needs its letters read.
+    if word.alphabet_size > 3 and max(letters, default=0) > 3:
         raise ValueError("has_flanking_pairs expects a word over {1,2,3}")
     return _EVERY_ORDERING.match(bytes(letters)) is not None
 

@@ -33,7 +33,6 @@ from .classify import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    isomorphism_orbit,
     iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
@@ -41,6 +40,7 @@ from .classify import (
     missing_patterns,
     strict_counts_by_length,
     verify_quaternary_counterexample,
+    _minimal_listing,
     _strict_count_upto_iso,
 )
 from .patterns import Pattern, Word, contains_pattern
@@ -208,16 +208,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if args.filter != "all" and (args.d, args.k) != (3, 3):
         raise ValueError(f"--filter {args.filter} is defined only for --d 3 --k 3")
-    if args.filter == "strict-minimal":
-        words = list(iter_strict_minimal_upto_iso(n, budget))
-    elif args.filter == "minimal":
-        words = list(iter_minimal_upto_iso(n, budget))
-    else:
+    strict = args.filter == "strict-minimal"
+    if args.filter == "all":
         words = list(
             iter_superpatterns(args.d, args.k, n, canonical=args.scope == "upto-iso", budget=budget)
         )
-    if args.scope == "full" and args.filter in ("minimal", "strict-minimal"):
-        words = isomorphism_orbit(words)
+    elif args.scope == "full":
+        words = list(_minimal_listing(n, strict, budget, prefix=()))
+    else:
+        words = list((iter_strict_minimal_upto_iso if strict else iter_minimal_upto_iso)(n, budget))
     lines = [str(w) for w in words]
     if args.format == "json":
         text = json.dumps({"words": lines, "count": len(words)}, indent=2) + "\n"

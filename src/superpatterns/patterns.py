@@ -106,6 +106,25 @@ class Word:
         return Word(self.letters[:length], self.alphabet_size)
 
 
+_new_word = object.__new__
+_set_letters = Word.letters.__set__
+_set_alphabet_size = Word.alphabet_size.__set__
+
+
+def _unchecked_word(letters: tuple[int, ...], alphabet_size: int) -> Word:
+    """A Word built without __post_init__'s checks, at about half the cost.
+
+    Only for letters already known to lie in 1..alphabet_size: the listing
+    walker's, whose letters are its automaton's moves over 1..d.  Writing
+    the two slots directly gives a value equal, in fields, hash and str, to
+    Word(letters, alphabet_size).
+    """
+    word = _new_word(Word)
+    _set_letters(word, letters)
+    _set_alphabet_size(word, alphabet_size)
+    return word
+
+
 @dataclass(frozen=True, slots=True)
 class Pattern:
     """A dense-rank canonical word: its letters are exactly {1, ..., m}.

@@ -4,7 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, product
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -26,6 +26,21 @@ def all_words(d: int, n: int) -> Iterator[Word]:
     """Every word of length n over {1..d}, in counter order."""
     for letters in product(range(1, d + 1), repeat=n):
         yield Word(letters, d)
+
+
+def isomorphism_orbit(words: Iterable[Word]) -> list[Word]:
+    """Oracle for the full listings: all distinct letter-isomorphic images of
+    the given words, sorted."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[Word] = []
+    for w in words:
+        for images in permutations(range(1, w.alphabet_size + 1)):
+            relabeled = tuple(images[v - 1] for v in w.letters)
+            if relabeled not in seen:
+                seen.add(relabeled)
+                out.append(Word(relabeled, w.alphabet_size))
+    out.sort(key=lambda w: w.letters)
+    return out
 
 
 # The all-subsequences oracle is exponential in the word length; keep it on a

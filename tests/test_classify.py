@@ -30,7 +30,6 @@ from superpatterns import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    isomorphism_orbit,
     iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
@@ -51,6 +50,7 @@ from superpatterns.classify import (
     _WordSpace,
     _ends_with_minimum,
     _every_letter_necessary,
+    _minimal_listing,
 )
 
 from conftest import (
@@ -60,6 +60,7 @@ from conftest import (
     ends_with_minimum_by_subsets,
     find_embedding,
     flanking_pairs_by_scanning,
+    isomorphism_orbit,
     strict_count_upto_iso_by_terms,
 )
 
@@ -382,6 +383,12 @@ class TestAlternatingEnumeration:
             assert count_minimal_upto_iso(n) == len(list(iter_minimal_upto_iso(n)))
             assert count_strict_minimal_upto_iso(n) == len(list(iter_strict_minimal_upto_iso(n)))
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["minimal", "strict-minimal"])
+    def test_full_listing_is_the_orbit_of_the_listing_up_to_isomorphism(self, strict):
+        upto_iso = iter_strict_minimal_upto_iso if strict else iter_minimal_upto_iso
+        for n in range(3, 13):
+            assert list(_minimal_listing(n, strict, None, prefix=())) == isomorphism_orbit(upto_iso(n)), n
+
 
 class TestStrictEnumeration:
     def test_binary_length_three(self):
@@ -694,8 +701,14 @@ class TestWalker:
                     ]
                     strict = [w for w in space if not verdict[w.letters[:-1]]]
                     walker = _WordSpace(d, k, rule, prefix)
-                    assert list(walker.walk(n, False, None, "listing")) == space, (rule, prefix, n)
+                    listed = list(walker.walk(n, False, None, "listing"))
+                    assert listed == space, (rule, prefix, n)
                     assert list(walker.walk(n, True, None, "listing")) == strict, (rule, prefix, n)
+                    # The walker builds its words unchecked; each is still the
+                    # checked Word in value, hash and text.
+                    for w in listed:
+                        checked = Word(w.letters, w.alphabet_size)
+                        assert (w, hash(w), str(w)) == (checked, hash(checked), str(checked))
 
     def test_public_listings_use_the_walker(self):
         strict = _WordSpace(3, 3, _ANY).walk(8, True, None, "listing")
@@ -705,6 +718,14 @@ class TestWalker:
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
         assert list(iter_minimal_upto_iso(9)) == list(alternating.walk(9, False, None, "listing"))
         assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None, "listing"))
+
+    def test_the_walk_is_linear_in_the_letters_it_prints(self):
+        # One word of 10^5 letters: the walk shares one path of letters, so
+        # it copies no prefix per depth.
+        start = time.process_time()
+        (word,) = iter_superpatterns(1, 1, 10**5)
+        assert time.process_time() - start < 1.0
+        assert word.letters == (1,) * 10**5
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="word length"):
@@ -808,6 +829,10 @@ class TestFlankingPairs:
     def test_rejects_wide_alphabets(self):
         with pytest.raises(ValueError):
             has_flanking_pairs(Word.parse("1214"))
+        with pytest.raises(ValueError):
+            has_flanking_pairs(Word((1, 2, 4), 4))
+        # A wide alphabet whose letters stay in 1..3 is answered.
+        assert has_flanking_pairs(Word((1, 2, 3), 4)) is False
 
     def test_necessity_exhaustively_at_length_eight(self):
         # Superpattern implies flanking.  (At this length the twelve flanking

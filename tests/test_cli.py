@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, ternary_pmf
-from superpatterns.classify import COUNT_REPORT_HEADER, count_formulas
+from superpatterns.classify import COUNT_REPORT_HEADER, _minimal_listing, count_formulas
 from superpatterns.cli import main
 
 
@@ -133,6 +133,29 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--n", "40", "--filter", "minimal")
         assert code == 3
         assert "budget" in err.lower()
+
+    @pytest.mark.parametrize(
+        "flt,n,count,what",
+        [("minimal", 24, 25162920, "minimal-superpattern"), ("strict-minimal", 421, 1043322, "strict-minimal")],
+    )
+    def test_full_scope_is_capped_by_the_words_it_prints(self, capsys, flt, n, count, what):
+        # --scope full walks every alternating word, six per class, and the
+        # cap counts those: n - 1 is the longest listing answered.
+        code, out, err = run(capsys, "enumerate", "--n", str(n), "--filter", flt, "--scope", "full")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"budget exceeded: {what} listing at n={n} would print {count} words of {n} letters,"
+            " over the cap of 16777216 words or 436207616 letters\n"
+        )
+        strict = flt == "strict-minimal"
+        assert len(next(_minimal_listing(n - 1, strict, None, prefix=())).letters) == n - 1
+
+    def test_one_long_word_is_listed_in_linear_time(self, capsys):
+        start = time.process_time()
+        argv = ["enumerate", "--d", "1", "--k", "1", "--n", "60000", "--filter", "all", "--scope", "full"]
+        code, out, _ = run(capsys, *argv)
+        assert time.process_time() - start < 1.0
+        assert (code, out) == (0, "word\n" + "1" * 60000 + "\n# count: 1\n")
 
     def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch):
         # The (4, 4) states the listing's DP needs pass the automaton's

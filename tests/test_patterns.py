@@ -49,6 +49,16 @@ class TestWordParsing:
         with pytest.raises(ValueError):
             Word((1, 4), 3)
 
+    @pytest.mark.parametrize(
+        "letters,alphabet_size",
+        [((0,), 3), ((4,), 3), ((), 0)],
+        ids=["letter 0", "letter 4 of 3", "alphabet 0"],
+    )
+    def test_the_public_constructor_checks_every_word(self, letters, alphabet_size):
+        # The listings build their words unchecked; Word(...) itself does not.
+        with pytest.raises(ValueError):
+            Word(letters, alphabet_size)
+
     def test_empty_word(self):
         w = Word.parse("")
         assert len(w) == 0
