@@ -24,7 +24,6 @@ from .classify import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
     iter_superpatterns,
@@ -80,7 +79,6 @@ __all__ = [
     "count_strict_superpatterns",
     "iter_strict_superpatterns",
     "iter_superpatterns",
-    "iter_minimal_upto_iso",
     "count_minimal_upto_iso",
     "iter_strict_minimal_upto_iso",
     "count_strict_minimal_upto_iso",

@@ -21,9 +21,9 @@ makes a fresh automaton, closes each pattern's component alone
 (`closed_component`), and `_dfa` minimises and joins them into the minimal
 DFA, from which the simulator builds its byte table, keeping neither.
 
-The automaton owns its bounds.  It refuses to intern a state past its state
-budget (SEARCH_STATE_BUDGET unless the caller gives another) or a component
-id past _MAX_COMPONENTS, and a shared automaton that overruns either removes
+The automaton owns its bounds.  It refuses to intern a state past
+SEARCH_STATE_BUDGET (read when it is made) or a component id past
+_MAX_COMPONENTS, and a shared automaton that overruns either removes
 itself from the cache before it raises, so the next caller starts afresh.
 
 A containment query (`patterns.contains_pattern`) walks one pattern's
@@ -35,6 +35,7 @@ brute-force scan of subsequences.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from operator import getitem
 from struct import Struct, error as StructError
@@ -49,10 +50,9 @@ __all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
 # touch all of them, and (9,6) alone has 531,441.
 MAX_INSTANCES = 2**16
 
-# Most states an automaton may intern unless its maker gives another budget;
-# read when the automaton is made.  Counts, listings and the minimum-length
-# search all stop here: (7, 3) words of length 7 and the (4, 4) minimum need
-# more.
+# Most states an automaton may intern; read when the automaton is made.
+# Counts, listings and the minimum-length search all stop here: (7, 3) words
+# of length 7 and the (4, 4) minimum need more.
 SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.
@@ -76,11 +76,11 @@ class ContainmentAutomaton:
     and the state accepts when every component is 0.  contains() walks one
     pattern's component alone and forms no state.  Raises
     BudgetExceededError when d**k exceeds MAX_INSTANCES, and when a step
-    would intern a state past state_budget (SEARCH_STATE_BUDGET by default)
-    or a pattern's component id past _MAX_COMPONENTS.
+    would intern a state past SEARCH_STATE_BUDGET, read when the automaton
+    is made, or a pattern's component id past _MAX_COMPONENTS.
     """
 
-    def __init__(self, d: int, k: int, state_budget: Optional[int] = None):
+    def __init__(self, d: int, k: int):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
         # For d >= 2 any k > 16 is over the cap; no need to raise d to it.
@@ -95,7 +95,7 @@ class ContainmentAutomaton:
 
         self.d = d
         self.k = k
-        self.state_budget = SEARCH_STATE_BUDGET if state_budget is None else state_budget
+        self.state_budget = SEARCH_STATE_BUDGET
         self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
         self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
         # Per pattern: its instances, and its interned progress vectors (one
@@ -239,11 +239,9 @@ class ContainmentAutomaton:
         ids = self._unpack(self._state_keys[state])
         return [pi for pi, c in enumerate(ids) if c != _CONTAINED]
 
-    def scan(self, letters: Iterable[int], state: int = 0) -> int:
-        """Final state after reading a whole letter sequence."""
-        for a in letters:
-            state = self.step(state, a)
-        return state
+    def scan(self, letters: Iterable[int]) -> int:
+        """State after reading a whole letter sequence from the empty word."""
+        return reduce(self.step, letters, 0)
 
 
 _cache: dict[tuple[int, int], ContainmentAutomaton] = {}

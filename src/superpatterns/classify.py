@@ -68,7 +68,6 @@ __all__ = [
     "count_strict_superpatterns",
     "iter_strict_superpatterns",
     "iter_superpatterns",
-    "iter_minimal_upto_iso",
     "count_minimal_upto_iso",
     "iter_strict_minimal_upto_iso",
     "count_strict_minimal_upto_iso",
@@ -483,17 +482,21 @@ def iter_superpatterns(
     """Stream every k-superpattern of length n (strict or not), lexicographic.
 
     With canonical=True only words in first-occurrence canonical form are
-    produced (each new letter is the least unused one).  That is one word per
-    letter-isomorphism class holding a superpattern only where permuting
-    letters keeps superpattern status: always for d = 2, whose one swap is
-    the complement, and for (d, k) = (3, 3) at every length checked (to
-    n = 10).  Elsewhere a class can hold superpatterns while its canonical
-    word is none: for k = 2, 1132 is a superpattern and its canonical form
-    1123 is not, and for (4, 3) at n = 7, 76 classes hold a superpattern
-    while 15 canonical words are listed.  Bounded as in _WordSpace.walk.
+    produced (each new letter is the least unused one), one per
+    letter-isomorphism class, which needs every relabelling of the letters to
+    keep superpattern status.  That holds for k = 1, for k > d and for
+    d = k <= 4; it fails for every other (d, k) up to (6, 2) (for k = 2, 1132
+    is a superpattern and its canonical form 1123 is not) and is unchecked
+    beyond, so there canonical=True raises ValueError.  Bounded as in
+    _WordSpace.walk.
     """
+    if canonical and 1 < k <= d and not k == d <= 4:
+        raise ValueError(
+            f"a listing up to isomorphism at d={d}, k={k} would miss classes, since relabelling letters"
+            " changes which words are superpatterns; it is answered only for k = 1, k > d or d = k <= 4"
+        )
     space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
-    yield from space.walk(n, False, budget, "superpattern listing")
+    return space.walk(n, False, budget, "superpattern listing")
 
 
 # --- the alternating (minimal) word space, first two letters fixed as 1,2 ----
@@ -530,14 +533,9 @@ def _minimal_listing(
     return _alternating(n, prefix).walk(n, strict, budget, what)
 
 
-def iter_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
-    """Stream the minimal 3-superpatterns of length n starting 1,2 (one per
-    isomorphism class), in lexicographic order."""
-    yield from _minimal_listing(n, False, budget)
-
-
 def count_minimal_upto_iso(n: int) -> int:
-    """Count of iter_minimal_upto_iso(n) without materialising the words.
+    """The number of minimal 3-superpatterns of length n starting 1,2 (one
+    per isomorphism class), without listing them.
 
     Once a prefix is accepting every alternating extension stays a
     superpattern, so each word first accepting at length t contributes

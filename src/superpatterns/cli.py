@@ -3,7 +3,8 @@
 Every subcommand is a thin wrapper over one library operation and produces
 deterministic output: the same invocation (including seed) writes byte-iden-
 tical files.  Output formats are csv (default), json, and plain; plain is for
-reading, not parsing.
+reading, not parsing.  Tables and listings are written line by line as they
+are formed, so their memory does not grow with their length.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
 error, 3 enumeration budget exceeded, 4 verification failure.
@@ -19,8 +20,8 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oeis
 from .classify import (
@@ -33,7 +34,6 @@ from .classify import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
     iter_superpatterns,
@@ -69,11 +69,7 @@ def format_decimal(value: Fraction, digits: int = 12) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    _emit_pieces([text], out)
-
-
-def _emit_pieces(pieces: Iterable[str], out: Optional[str]) -> None:
+def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
     """Write text to the file or to stdout piece by piece, as it is formed."""
     if out:
         with open(out, "w") as fh:
@@ -82,11 +78,19 @@ def _emit_pieces(pieces: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _csv(header: str, rows: list[str], trailer: Optional[str] = None) -> str:
-    lines = [header, *rows]
+def _json(value: object) -> list[str]:
+    """A JSON document as one piece."""
+    return [json.dumps(value, indent=2) + "\n"]
+
+
+def _csv(header: str, rows: Iterable[str], trailer: Optional[str] = None) -> Iterator[str]:
+    """A CSV table line by line: the header, each row as it is formed, and
+    the trailer."""
+    yield header + "\n"
+    for row in rows:
+        yield row + "\n"
     if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
+        yield trailer + "\n"
 
 
 def _csv_word(word: str) -> str:
@@ -163,7 +167,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     # A superpattern misses nothing; search the patterns again only otherwise.
     missing = [] if flags.is_superpattern else [str(p) for p in missing_patterns(word, args.k)]
     if args.format == "json":
-        text = json.dumps(
+        pieces = _json(
             {
                 "word": str(word),
                 "k": args.k,
@@ -173,11 +177,10 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "is_strict": flags.is_strict,
                 "is_minimum": flags.is_minimum,
                 "missing_patterns": missing,
-            },
-            indent=2,
-        ) + "\n"
+            }
+        )
     elif args.format == "csv":
-        text = _csv(
+        pieces = _csv(
             "word,k,d,is_superpattern,is_minimal,is_strict,is_minimum,missing_patterns",
             [
                 f"{_csv_word(str(word))},{args.k},{word.alphabet_size},{flags.is_superpattern},"
@@ -195,8 +198,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         ]
         if missing:
             lines.append(f"  missing patterns: {' '.join(missing)}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        pieces = ["\n".join(lines) + "\n"]
+    _emit(pieces, args.out)
     return EXIT_OK if flags.is_superpattern else EXIT_NOT_SUPERPATTERN
 
 
@@ -205,27 +208,37 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     budget = _budget(args)
-    n = args.n
     if args.filter != "all" and (args.d, args.k) != (3, 3):
         raise ValueError(f"--filter {args.filter} is defined only for --d 3 --k 3")
-    strict = args.filter == "strict-minimal"
+    full = args.scope == "full"
     if args.filter == "all":
-        words = list(
-            iter_superpatterns(args.d, args.k, n, canonical=args.scope == "upto-iso", budget=budget)
-        )
-    elif args.scope == "full":
-        words = list(_minimal_listing(n, strict, budget, prefix=()))
+        words = iter_superpatterns(args.d, args.k, args.n, canonical=not full, budget=budget)
     else:
-        words = list((iter_strict_minimal_upto_iso if strict else iter_minimal_upto_iso)(n, budget))
-    lines = [str(w) for w in words]
-    if args.format == "json":
-        text = json.dumps({"words": lines, "count": len(words)}, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv("word", list(map(_csv_word, lines)), trailer=f"# count: {len(words)}")
-    else:
-        text = "\n".join([*lines, f"count: {len(words)}"]) + "\n"
-    _emit(text, args.out)
+        words = _minimal_listing(args.n, args.filter == "strict-minimal", budget, () if full else (1, 2))
+    # The walker refuses before its first word, so a refused listing, whose
+    # first word is formed before anything is opened, writes nothing.
+    first = list(islice(words, 1))
+    _emit(_listing(chain(first, words), args.format), args.out)
     return EXIT_OK
+
+
+def _listing(words: Iterable[Word], fmt: str) -> Iterator[str]:
+    """A listing line by line, each word as it is yielded and the count
+    after the words."""
+    count = 0
+    if fmt == "json":
+        # The bytes json.dumps({"words": [...], "count": count}, indent=2) gives.
+        yield '{\n  "words": ['
+        for count, word in enumerate(words, 1):
+            yield ("\n    " if count == 1 else ",\n    ") + json.dumps(str(word))
+        yield ("\n  ]" if count else "]") + f',\n  "count": {count}\n}}\n'
+        return
+    csv = fmt == "csv"
+    if csv:
+        yield "word\n"
+    for count, word in enumerate(words, 1):
+        yield (_csv_word(str(word)) if csv else str(word)) + "\n"
+    yield f"{'# ' if csv else ''}count: {count}\n"
 
 
 # --- counts ---------------------------------------------------------------------
@@ -257,18 +270,17 @@ def cmd_counts(args: argparse.Namespace) -> int:
     if args.n_from > args.n_to:
         raise ValueError("--n-from must not exceed --n-to")
     _require_printable_counts(args.n_to)
-    # Each row is written as it is formed, so the table is never held whole.
     # The first row is formed before anything is written, so that a refused
     # --n-from writes nothing.
     reports = map(count_formulas, range(args.n_from, args.n_to + 1))
+    reports = chain([next(reports)], reports)
     if args.format == "json":
         # The bytes json.dumps(rows, indent=2) gives for the whole list.
         rows = ("  " + json.dumps(asdict(r), indent=2).replace("\n", "\n  ") for r in reports)
         pieces = chain(["[\n", next(rows)], (",\n" + row for row in rows), ["\n]\n"])
     else:
-        rows = (r.csv_row() + "\n" for r in reports)
-        pieces = chain([COUNT_REPORT_HEADER + "\n", next(rows)], rows)
-    _emit_pieces(pieces, args.out)
+        pieces = _csv(COUNT_REPORT_HEADER, (r.csv_row() for r in reports))
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -297,23 +309,20 @@ def cmd_pmf(args: argparse.Namespace) -> int:
             | ({} if b is None else {"brute_force": str(b), "match": p == b})
             for n, p, cum, b in rows
         ]
-        text = json.dumps(
-            {"d": args.d, "k": args.d, "n_max": args.n, "rows": json_rows, "tail": str(tail)},
-            indent=2,
-        ) + "\n"
+        pieces = _json({"d": args.d, "k": args.d, "n_max": args.n, "rows": json_rows, "tail": str(tail)})
     else:
-        csv_rows = [
+        csv_rows = (
             f"{n},{p},{format_decimal(p, digits)},{cum}" + ("" if b is None else f",{b},{p == b}")
             for n, p, cum, b in rows
-        ]
+        )
         header = "n,probability_exact,probability_decimal,cumulative_exact"
         if args.mode == "both":
             header += ",brute_exact,match"
             tail_row = f"tail,{tail},{format_decimal(tail, digits)},1,,"
         else:
             tail_row = f"tail,{tail},{format_decimal(tail, digits)},1"
-        text = _csv(header, csv_rows, trailer=tail_row)
-    _emit(text, args.out)
+        pieces = _csv(header, csv_rows, trailer=tail_row)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -324,7 +333,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     mean, variance = moments_from_gf(waiting_time_gf(args.d))
     digits = args.digits
     if args.format == "json":
-        text = json.dumps(
+        pieces = _json(
             {
                 "d": args.d,
                 "k": args.d,
@@ -332,11 +341,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 "mean_decimal": format_decimal(mean, digits),
                 "variance": str(variance),
                 "variance_decimal": format_decimal(variance, digits),
-            },
-            indent=2,
-        ) + "\n"
+            }
+        )
     elif args.format == "csv":
-        text = _csv(
+        pieces = _csv(
             "quantity,exact,decimal",
             [
                 f"mean,{mean},{format_decimal(mean, digits)}",
@@ -344,11 +352,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
             ],
         )
     else:
-        text = (
-            f"mean     = {mean} = {format_decimal(mean, digits)}\n"
-            f"variance = {variance} = {format_decimal(variance, digits)}\n"
-        )
-    _emit(text, args.out)
+        pieces = [
+            f"mean     = {mean} = {format_decimal(mean, digits)}\n",
+            f"variance = {variance} = {format_decimal(variance, digits)}\n",
+        ]
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -361,12 +369,10 @@ def cmd_gf(args: argparse.Namespace) -> int:
     _require_printable(args.d, args.n)
     coeffs = waiting_time_gf(args.d).series_coefficients(args.n)
     if args.format == "json":
-        text = json.dumps(
-            {"d": args.d, "coefficients": {n: str(c) for n, c in enumerate(coeffs)}}, indent=2
-        ) + "\n"
+        pieces = _json({"d": args.d, "coefficients": {n: str(c) for n, c in enumerate(coeffs)}})
     else:
-        text = _csv("n,coefficient", [f"{n},{c}" for n, c in enumerate(coeffs)])
-    _emit(text, args.out)
+        pieces = _csv("n,coefficient", (f"{n},{c}" for n, c in enumerate(coeffs)))
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -376,7 +382,7 @@ def cmd_gf(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     summary = simulate_tau(args.d, args.k, args.trials, args.seed)
     if args.format == "json":
-        text = json.dumps(
+        pieces = _json(
             {
                 "d": summary.d,
                 "k": summary.k,
@@ -385,11 +391,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "mean": summary.sample_mean,
                 "variance": summary.sample_variance,
                 "histogram": {str(n): c for n, c in summary.histogram.items()},
-            },
-            indent=2,
-        ) + "\n"
+            }
+        )
     elif args.format == "csv":
-        text = _csv("n,count", [f"{n},{c}" for n, c in summary.histogram.items()])
+        pieces = _csv("n,count", (f"{n},{c}" for n, c in summary.histogram.items()))
     else:
         lines = [
             f"d={summary.d} k={summary.k} trials={summary.trials} seed={summary.seed}",
@@ -398,8 +403,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "histogram:",
         ]
         lines += [f"  {n}: {c}" for n, c in summary.histogram.items()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+        pieces = ["\n".join(lines) + "\n"]
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -445,12 +450,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("counterexample", "all"):
         checks += _counterexample_checks()
     if args.format == "json":
-        text = json.dumps([{"check": name, "ok": ok} for name, ok in checks], indent=2) + "\n"
+        pieces = _json([{"check": name, "ok": ok} for name, ok in checks])
     elif args.format == "csv":
-        text = _csv("check,ok", [f"{name},{ok}" for name, ok in checks])
+        pieces = _csv("check,ok", (f"{name},{ok}" for name, ok in checks))
     else:
-        text = "".join(f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in checks)
-    _emit(text, args.out)
+        pieces = [f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in checks]
+    _emit(pieces, args.out)
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY_FAILED
 
 
@@ -477,17 +482,16 @@ def cmd_coupons(args: argparse.Namespace) -> int:
         raise too_long
     digits = args.digits
     if args.format == "json":
-        text = json.dumps(
+        pieces = _json(
             {
                 "d": args.d,
                 "k": args.k,
                 "single_collection": str(single),
                 "all_words": str(all_words),
-            },
-            indent=2,
-        ) + "\n"
+            }
+        )
     elif args.format == "csv":
-        text = _csv(
+        pieces = _csv(
             "quantity,exact,decimal",
             [
                 f"single_collection,{single},{format_decimal(single, digits)}",
@@ -495,11 +499,11 @@ def cmd_coupons(args: argparse.Namespace) -> int:
             ],
         )
     else:
-        text = (
-            f"single coupon collection: {single} = {format_decimal(single, digits)}\n"
-            f"all length-{args.k} words:  {all_words} = {format_decimal(all_words, digits)}\n"
-        )
-    _emit(text, args.out)
+        pieces = [
+            f"single coupon collection: {single} = {format_decimal(single, digits)}\n",
+            f"all length-{args.k} words:  {all_words} = {format_decimal(all_words, digits)}\n",
+        ]
+    _emit(pieces, args.out)
     return EXIT_OK
 
 
@@ -524,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--filter", choices=("all", "minimal", "strict-minimal"), default="strict-minimal")
     p.add_argument("--scope", choices=("upto-iso", "full"), default="upto-iso", help=(
-        "upto-iso: the words in first-occurrence canonical form, one per letter-isomorphism class for"
-        " (d, k) = (2, 2) or (3, 3); with --filter all, other (d, k) can miss classes; full: every word"))
+        "upto-iso: one word per letter-isomorphism class, in first-occurrence canonical form (with --filter"
+        " all only for k = 1, k > d or d = k <= 4, where relabelling keeps superpatterns); full: every word"))
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--k", type=int, default=3)
     _add_common(p, budget=True)

@@ -129,9 +129,12 @@ def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
     assert get_automaton(4, len(pattern)).contains(letters, pattern) == next(shortest, 0)
 
 
-def test_a_fresh_automaton_refuses_states_past_its_own_budget():
+def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
     shared = get_automaton(3, 3)
-    auto = ContainmentAutomaton(3, 3, 100)
+    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 100)
+    auto = ContainmentAutomaton(3, 3)
+    # The budget is read when the automaton is made.
+    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 10**6)
     with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 100 states"):
         expand_breadth_first(auto, 10**9)
     assert auto.state_count == 100

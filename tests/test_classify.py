@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from importlib import import_module
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,6 @@ from superpatterns import (
     ends_with_minimum_superpattern,
     has_flanking_pairs,
     is_superpattern,
-    iter_minimal_upto_iso,
     iter_strict_minimal_upto_iso,
     iter_strict_superpatterns,
     iter_superpatterns,
@@ -42,6 +41,7 @@ from superpatterns import (
     verify_quaternary_counterexample,
 )
 from superpatterns import automaton
+from superpatterns._dfa import close_and_minimise
 from superpatterns.automaton import _cache as automaton_cache
 from superpatterns.classify import (
     _ANY,
@@ -356,20 +356,20 @@ class TestAlternatingEnumeration:
 
     def test_none_at_six(self):
         assert list(iter_strict_minimal_upto_iso(6)) == []
-        assert list(iter_minimal_upto_iso(6)) == []
+        assert list(_minimal_listing(6, False, None)) == []
 
     def test_fourteen_at_eight(self):
         assert len(list(iter_strict_minimal_upto_iso(8))) == 14
 
     def test_minimal_counts(self):
-        assert len(list(iter_minimal_upto_iso(7))) == 7
-        assert len(list(iter_minimal_upto_iso(8))) == 28
+        assert len(list(_minimal_listing(7, False, None))) == 7
+        assert len(list(_minimal_listing(8, False, None))) == 28
 
     def test_enumerated_words_classify_correctly(self):
         for w in iter_strict_minimal_upto_iso(8):
             flags = classify(w, 3)
             assert flags.is_strict and flags.is_minimal
-        for w in iter_minimal_upto_iso(8):
+        for w in _minimal_listing(8, False, None):
             assert classify(w, 3).is_minimal
 
     def test_counts_match_formulas_through_twenty(self):
@@ -380,14 +380,14 @@ class TestAlternatingEnumeration:
 
     def test_count_agrees_with_list(self):
         for n in range(3, 13):
-            assert count_minimal_upto_iso(n) == len(list(iter_minimal_upto_iso(n)))
+            assert count_minimal_upto_iso(n) == len(list(_minimal_listing(n, False, None)))
             assert count_strict_minimal_upto_iso(n) == len(list(iter_strict_minimal_upto_iso(n)))
 
     @pytest.mark.parametrize("strict", [False, True], ids=["minimal", "strict-minimal"])
     def test_full_listing_is_the_orbit_of_the_listing_up_to_isomorphism(self, strict):
-        upto_iso = iter_strict_minimal_upto_iso if strict else iter_minimal_upto_iso
         for n in range(3, 13):
-            assert list(_minimal_listing(n, strict, None, prefix=())) == isomorphism_orbit(upto_iso(n)), n
+            upto_iso = _minimal_listing(n, strict, None)
+            assert list(_minimal_listing(n, strict, None, prefix=())) == isomorphism_orbit(upto_iso), n
 
 
 class TestStrictEnumeration:
@@ -434,10 +434,31 @@ class TestStrictEnumeration:
         assert set(isomorphism_orbit(canonical)) == set(full)
 
 
+def _every_relabelling_keeps_the_language(d: int, k: int) -> bool:
+    """Whether each permutation sigma of the letters maps the superpatterns
+    onto themselves: a walk over the pairs (state of w, state of sigma(w))
+    of the minimal DFA, from the pair of start states, finds no pair where
+    one accepts and the other does not."""
+    rows, accept = close_and_minimise(d, k)
+    for sigma in permutations(range(d)):
+        seen = {(0, 0)}
+        todo = [(0, 0)]
+        while todo:
+            s, t = todo.pop()
+            if (s == accept) != (t == accept):
+                return False
+            for a in range(d):
+                pair = (rows[s][a], rows[t][sigma[a]])
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return True
+
+
 class TestCanonicalListing:
     """iter_superpatterns(canonical=True) lists the superpatterns in
-    first-occurrence canonical form: one per letter-isomorphism class only
-    where permuting letters keeps superpattern status."""
+    first-occurrence canonical form, one per letter-isomorphism class, and is
+    refused where permuting letters changes superpattern status."""
 
     @staticmethod
     def classes_and_listing(d, k, n):
@@ -450,17 +471,37 @@ class TestCanonicalListing:
             classes, listed = self.classes_and_listing(d, k, n)
             assert listed == classes, n
 
-    def test_classes_can_be_missed_for_k_two_over_three_letters(self):
+    def test_refused_for_k_two_over_three_letters(self):
+        # The canonical word of 1132's class is no superpattern, so the
+        # canonical listing would miss the class.
         assert is_superpattern(Word.parse("1132"), 2)
         assert relabel_canonical(Word.parse("1132")) == Word.parse("1123", 3)
         assert not is_superpattern(Word.parse("1123", 3), 2)
-        classes, listed = self.classes_and_listing(3, 2, 4)
-        assert Word.parse("1123", 3) in classes - listed
-        assert listed < classes
+        with pytest.raises(ValueError, match="at d=3, k=2 "):
+            iter_superpatterns(3, 2, 4, canonical=True)
 
-    def test_missed_classes_for_four_letters_at_seven(self):
-        classes, listed = self.classes_and_listing(4, 3, 7)
-        assert (len(classes), len(listed)) == (76, 15)
+    def test_refused_for_four_letters_at_seven(self):
+        # 76 classes hold a superpattern; only 15 of their canonical words do.
+        assert len({relabel_canonical(w) for w in iter_superpatterns(4, 3, 7)}) == 76
+        with pytest.raises(ValueError, match="at d=4, k=3 "):
+            iter_superpatterns(4, 3, 7, canonical=True)
+
+    @pytest.mark.parametrize(
+        "d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 2), (6, 2)]
+    )
+    def test_answered_exactly_where_every_relabelling_keeps_the_language(self, d, k):
+        # (4, 4) keeps it too, but its DFA takes seconds to build.
+        try:
+            iter_superpatterns(d, k, 3, canonical=True)
+        except ValueError:
+            answered = False
+        else:
+            answered = True
+        assert answered == _every_relabelling_keeps_the_language(d, k)
+
+    @pytest.mark.parametrize("d,k", [(1, 2), (1, 3), (2, 3), (3, 4), (5, 6)])
+    def test_answered_with_no_words_where_k_passes_d(self, d, k):
+        assert list(iter_superpatterns(d, k, 8, canonical=True)) == []
 
 
 def _alternating_words(n: int):
@@ -583,7 +624,7 @@ class TestWordCap:
 
     LISTINGS = {
         "strict-minimal": iter_strict_minimal_upto_iso,
-        "minimal": iter_minimal_upto_iso,
+        "minimal": lambda n, budget: _minimal_listing(n, False, budget),
         "(3,3) strict": lambda n, budget: iter_strict_superpatterns(3, 3, n, budget),
         "(3,3) canonical-all": lambda n, budget: iter_superpatterns(3, 3, n, canonical=True, budget=budget),
         "(4,3) strict": lambda n, budget: iter_strict_superpatterns(4, 3, n, budget),
@@ -716,7 +757,6 @@ class TestWalker:
         canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False, None, "listing")
         assert list(iter_superpatterns(3, 3, 8, canonical=True)) == list(canonical)
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
-        assert list(iter_minimal_upto_iso(9)) == list(alternating.walk(9, False, None, "listing"))
         assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None, "listing"))
 
     def test_the_walk_is_linear_in_the_letters_it_prints(self):

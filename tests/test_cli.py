@@ -27,6 +27,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_child(*argv):
+    """main(argv) in a fresh interpreter: its exit code and peak RSS in MB.
+    The child reads its peak from VmHWM: ru_maxrss would keep the test
+    process's peak across the exec."""
+    script = (
+        "import sys\n"
+        "from superpatterns.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read().splitlines()\n"
+        "print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    return code, peak_kb / 1024
+
+
 class TestCheck:
     def test_superpattern_exits_zero(self, capsys):
         code, out, _ = run(capsys, "check", "1213121", "--k", "3", "--format", "csv")
@@ -150,6 +170,29 @@ class TestEnumerate:
         strict = flt == "strict-minimal"
         assert len(next(_minimal_listing(n - 1, strict, None, prefix=())).letters) == n - 1
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_stays_flat(self, tmp_path, fmt):
+        # 262,108 words: holding the whole listing peaked at 115 MB (csv) and
+        # 130 MB (json) here; one word at a time stays near the interpreter's
+        # own.
+        path = tmp_path / "listing"
+        argv = ["enumerate", "--d", "2", "--k", "2", "--n", "18", "--filter", "all", "--scope", "full"]
+        code, peak_mb = run_in_child(*argv, "--format", fmt, "--out", str(path))
+        assert code == 0
+        assert peak_mb < 35
+        last = "222222222222222212"
+        if fmt == "json":
+            tail = [f'    "{last}"', "  ],", '  "count": 262108', "}"]
+        else:
+            tail = [last, "# count: 262108"]
+        assert path.read_text().splitlines()[-len(tail) :] == tail
+
+    def test_a_refused_listing_writes_no_file(self, tmp_path):
+        path = tmp_path / "listing"
+        assert main(["enumerate", "--n", "17", "--filter", "all", "--out", str(path)]) == 3
+        assert not path.exists()
+
     def test_one_long_word_is_listed_in_linear_time(self, capsys):
         start = time.process_time()
         argv = ["enumerate", "--d", "1", "--k", "1", "--n", "60000", "--filter", "all", "--scope", "full"]
@@ -260,24 +303,12 @@ class TestCounts:
     def test_peak_memory_stays_flat(self, tmp_path, fmt):
         # Holding every row and the whole text peaked at 73 MB (csv) and
         # 77 MB (json) here; one row at a time stays near the interpreter's
-        # own.  The child reads its peak RSS from VmHWM: ru_maxrss would keep
-        # the test process's peak across the exec.
-        script = (
-            "import sys\n"
-            "from superpatterns.cli import main\n"
-            f"code = main(['counts', '--n-from', '7', '--n-to', '6000', '--format', '{fmt}', '--out', sys.argv[1]])\n"
-            "status = open('/proc/self/status').read().splitlines()\n"
-            "print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # own.
         path = tmp_path / "counts"
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env, check=True
-        )
-        code, peak_kb = map(int, proc.stdout.split())
+        argv = ["counts", "--n-from", "7", "--n-to", "6000", "--format", fmt, "--out", str(path)]
+        code, peak_mb = run_in_child(*argv)
         assert code == 0
-        assert peak_kb / 1024 < 35
+        assert peak_mb < 35
         assert path.read_text().splitlines()[-2 if fmt == "json" else -1].startswith(
             "  }" if fmt == "json" else "6000,"
         )
