@@ -45,7 +45,6 @@ from typing import Iterator, Optional
 
 from .automaton import BudgetExceededError, _contains, get_automaton
 from .patterns import (
-    MAX_CLASSIFY_K,
     Pattern,
     Word,
     _ranked,
@@ -88,11 +87,6 @@ class SuperpatternNotFoundError(RuntimeError):
 # The most words a listing may print (and so its letters, see _WordSpace.walk)
 # unless its caller passes a budget, as the CLI's --budget does.
 WORD_BUDGET = 2**24
-
-
-def _check_k(k: int) -> None:
-    if not 1 <= k <= MAX_CLASSIFY_K:
-        raise ValueError(f"pattern length k must be in 1..{MAX_CLASSIFY_K}, got {k}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +150,6 @@ class CountReport:
 
 def is_superpattern(word: Word, k: int) -> bool:
     """Whether the word contains every canonical pattern of length k."""
-    _check_k(k)
     ranked = _ranked(word)
     return all(contains_pattern(ranked, p) for p in enumerate_preferential_arrangements(k))
 
@@ -164,14 +157,12 @@ def is_superpattern(word: Word, k: int) -> bool:
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
     """The canonical length-k patterns the word does not contain, in
     lexicographic order; empty exactly when the word is a superpattern."""
-    _check_k(k)
     ranked = _ranked(word)
     return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(ranked, p)]
 
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
-    _check_k(k)
     ranked = _ranked(word)
     # The word is strict when its last letter completes some pattern, that
     # is, when the latest pattern to be completed is completed there.
@@ -186,12 +177,10 @@ def classify(word: Word, k: int) -> ClassFlags:
     minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
     strict = last == n
     minimum = False
-    if minimal:
-        bound = _min_length_upper_bound(k, word.alphabet_size)
-        if bound is None or n <= bound:
-            # The word itself is a superpattern, so the search below length n
-            # always resolves.
-            minimum = min_superpattern_length(k, word.alphabet_size, n_max=n) == n
+    if minimal and n <= _min_length_upper_bound(k, word.alphabet_size):
+        # The word holds 12...k, so its alphabet has a bound; and it is a
+        # superpattern, so the search below length n always resolves.
+        minimum = min_superpattern_length(k, word.alphabet_size, n_max=n) == n
     return ClassFlags(True, minimal, strict, minimum)
 
 
@@ -220,10 +209,10 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     superpattern of length at most n_max uses at most n_max letters, and
     dense ranking keeps it a superpattern, so the search runs over
     min(d, n_max) letters.  Raises SuperpatternNotFoundError when nothing is
-    found up to n_max, and BudgetExceededError when the automaton passes
-    its state budget.
+    found up to n_max, BudgetExceededError when the automaton passes its
+    state budget, and ValueError, first, for k past MAX_PATTERN_LENGTH.
     """
-    _check_k(k)
+    enumerate_preferential_arrangements(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     impossible = f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
@@ -365,6 +354,10 @@ class _WordSpace:
         without re-checking letters that are moves over 1..d.  So past the
         DP the walk costs time linear in the letters it prints.
 
+        Both passes share one list of per-depth levels: the backward pass
+        overwrites each forward level with the nodes it keeps, and a level
+        equal to its neighbour is stored once, so a d = 1 walk holds one.
+
         Before the first word, their count (each node at depth n - 1 times its
         finishing letters) meets the budget B (WORD_BUDGET by default): past B
         words, or past B * (B.bit_length() + 1) letters, as many as a word
@@ -392,7 +385,7 @@ class _WordSpace:
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
-        levels: list[dict[int, int]] = [{}] * t0
+        levels: list = [{}] * t0
         grows = False
         for t, (level, hit) in enumerate(self.levels(n - 1, strict), start=t0):
             if not level:
@@ -402,6 +395,8 @@ class _WordSpace:
                     grows = all(level.get(u, 0) >= c for u, c in levels[t - 2].items())
             elif grows:
                 refuse_past_cap(hit, "at least ")
+            if levels and level == levels[-1]:
+                level = levels[-1]
             levels.append(level)
         # Finishing letters are kept as one-letter tails.
         finish = {}
@@ -412,29 +407,29 @@ class _WordSpace:
                 finish[u] = ends
                 count += c * len(ends)
         refuse_past_cap(count, "")
-        # alive[t]: the nodes at depth t below which some word ends in output,
-        # with their tails at depths n - 2 and n - 1 (depths t0 .. n - 1 are
-        # filled in here; the walk reads no others).
-        alive: list = [finish] * n
+        # Now levels[t] becomes the nodes at depth t below which some word
+        # ends in output, with their tails at depths n - 1 and n - 2 (depths
+        # t0 .. n - 1 are overwritten; the walk reads no others).
+        levels[n - 1] = finish
         if t0 <= n - 2:
-            alive[n - 2] = {
+            levels[n - 2] = {
                 u: ends
                 for u in levels[n - 2]
                 if (ends := tuple((a, b) for a, v in moves(u) for (b,) in finish.get(v, ())))
             }
         for t in range(n - 3, t0 - 1, -1):
-            ahead = alive[t + 1]
-            alive[t] = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
-        del levels
+            ahead = levels[t + 1]
+            alive = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
+            levels[t] = ahead if alive == ahead else alive
         d = self.d
         if t0 >= n - 2:
-            ends = alive[t0].get(self.root, ())
+            ends = levels[t0].get(self.root, ())
             yield from map(_unchecked_word, map(self.prefix.__add__, ends), repeat(d))
             return
-        tails = alive[n - 2]
+        tails = levels[n - 2]
         path = list(self.prefix)
         # Entries (node, depth, letter into it), the least letter on top.
-        stack = [(v, t0 + 1, a) for a, v in reversed(moves(self.root)) if v in alive[t0 + 1]]
+        stack = [(v, t0 + 1, a) for a, v in reversed(moves(self.root)) if v in levels[t0 + 1]]
         pop = stack.pop
         push = stack.append
         while stack:
@@ -443,7 +438,7 @@ class _WordSpace:
             if t == n - 2:
                 yield from map(_unchecked_word, map(tuple(path).__add__, tails[u]), repeat(d))
                 continue
-            ahead = alive[t + 1]
+            ahead = levels[t + 1]
             t += 1
             for a, v in reversed(moves(u)):
                 if v in ahead:

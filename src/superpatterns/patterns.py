@@ -11,6 +11,10 @@ k-th ordered Bell number.
 A word contains a pattern when some subsequence of the word is
 order-isomorphic to it.  contains_pattern decides it on the containment
 automaton (`automaton`), walking the pattern's own component alone.
+
+MAX_PATTERN_LENGTH (5) is the one cap on pattern length: the enumerator and
+contains_pattern check it first, and every automaton, query and search lists
+its patterns before it walks anything, so each refuses a longer k at once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Sequence
 
 from .automaton import _contains
@@ -32,13 +37,8 @@ __all__ = [
     "relabel_canonical",
 ]
 
-# enumerate_preferential_arrangements(k) has fubini(k) results (541 at k=5,
-# 545835 at k=8); refuse anything larger.
-MAX_PATTERN_LENGTH = 8
-
-# Containment queries, and so classification, are for small k: the (w, k)
-# automaton tracks all fubini(k) patterns, 4683 at k = 6.
-MAX_CLASSIFY_K = 5
+# Each automaton tracks all fubini(k) patterns at once: 541 at k = 5, 4683 at k = 6.
+MAX_PATTERN_LENGTH = 5
 
 
 def _letters_from_text(text: str) -> tuple[int, ...]:
@@ -194,7 +194,7 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     ends.  A word already over exactly 1..alphabet_size walks as it is, so a
     caller asking many patterns ranks it once, with _ranked.  The empty
     pattern is in every word, and the empty word contains no other.  Raises
-    ValueError for a pattern longer than MAX_CLASSIFY_K, before any
+    ValueError for a pattern longer than MAX_PATTERN_LENGTH, before any
     automaton is built, and BudgetExceededError when w**k passes the
     automaton's MAX_INSTANCES.
 
@@ -204,8 +204,8 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     False
     """
     k = len(pattern.letters)
-    if k > MAX_CLASSIFY_K:
-        raise ValueError(f"pattern length must be at most {MAX_CLASSIFY_K}, got {k}")
+    if k > MAX_PATTERN_LENGTH:
+        raise ValueError(f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {k}")
     if k == 0:
         return True
     if k > len(word.letters):
@@ -228,46 +228,10 @@ def fubini(k: int) -> int:
     return counts[k]
 
 
-def _grow_arrangements(
-    prefix: list[int], max_used: int, missing: set[int], k: int, out: list[tuple[int, ...]]
-) -> None:
-    # missing holds the values in 1..max_used not yet used; a leaf is canonical
-    # exactly when it is empty.
-    if len(prefix) == k:
-        if not missing:
-            out.append(tuple(prefix))
-        return
-    remaining = k - len(prefix) - 1
-    for v in range(1, k + 1):
-        if v <= max_used:
-            was_missing = v in missing
-            if len(missing) - was_missing > remaining:
-                continue
-            if was_missing:
-                missing.discard(v)
-            prefix.append(v)
-            _grow_arrangements(prefix, max_used, missing, k, out)
-            prefix.pop()
-            if was_missing:
-                missing.add(v)
-        else:
-            # Jumping to v opens the gap max_used+1..v-1, which the remaining
-            # positions must still be able to fill; larger v only widens it.
-            opened = set(range(max_used + 1, v))
-            if len(missing) + len(opened) > remaining:
-                break
-            missing |= opened
-            prefix.append(v)
-            _grow_arrangements(prefix, v, missing, k, out)
-            prefix.pop()
-            missing -= opened
-
-
 @lru_cache(maxsize=None)
 def _arrangements(k: int) -> tuple[Pattern, ...]:
-    out: list[tuple[int, ...]] = []
-    _grow_arrangements([], 0, set(), k, out)
-    return tuple(Pattern(t) for t in out)
+    # The tuples over 1..k whose letters are exactly 1..max, in lexicographic order.
+    return tuple(Pattern(t) for t in product(range(1, k + 1), repeat=k) if len(set(t)) == max(t))
 
 
 def enumerate_preferential_arrangements(k: int) -> list[Pattern]:

@@ -14,8 +14,10 @@ from superpatterns import (
     enumerate_preferential_arrangements,
     get_automaton,
     is_superpattern,
+    iter_superpatterns,
     missing_patterns,
     simulate_tau,
+    strict_counts_by_length,
 )
 from superpatterns import automaton
 from superpatterns.cli import main
@@ -89,6 +91,27 @@ def test_too_many_instances_exit_three(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "pattern instances" in captured.err
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: ContainmentAutomaton(6, 6),
+        lambda: strict_counts_by_length(6, 6, 6),
+        lambda: list(iter_superpatterns(6, 6, 6)),
+        lambda: simulate_tau(6, 6, 1, 0),
+        lambda: enumerate_preferential_arrangements(6),
+    ],
+    ids=["automaton", "count", "listing", "simulate", "arrangements"],
+)
+def test_pattern_length_past_the_cap_fails_at_once(route):
+    # 6**6 is under MAX_INSTANCES, so only the cap on pattern length stops
+    # these, before any pattern is listed.
+    assert 6**6 <= automaton.MAX_INSTANCES
+    start = time.process_time()
+    with pytest.raises(ValueError, match="k=6 is over the cap of 5"):
+        route()
+    assert time.process_time() - start < 0.5
 
 
 def test_agrees_with_backtracking_route_ternary():

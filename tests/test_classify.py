@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from importlib import import_module
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -766,6 +770,24 @@ class TestWalker:
         (word,) = iter_superpatterns(1, 1, 10**5)
         assert time.process_time() - start < 1.0
         assert word.letters == (1,) * 10**5
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_one_long_word_keeps_few_levels(self):
+        # One node per depth: a DP dict and an alive set per depth peaked at
+        # 149 MB here; equal levels stored once stay near the interpreter's
+        # own.  A fresh interpreter, so that no earlier test sets the peak.
+        script = (
+            "from superpatterns import iter_superpatterns\n"
+            "(word,) = iter_superpatterns(1, 1, 300_000)\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(len(word), next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(classify_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        length, peak_kb = map(int, proc.stdout.split())
+        assert length == 300_000
+        assert peak_kb / 1024 < 60
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="word length"):

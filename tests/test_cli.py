@@ -594,6 +594,23 @@ class TestSimulate:
         )
 
 
+class TestPatternLengthCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--d", "6", "--k", "6", "--n", "6", "--filter", "all", "--scope", "full"],
+            ["simulate", "--d", "6", "--k", "6", "--trials", "1"],
+        ],
+        ids=["enumerate", "simulate"],
+    )
+    def test_k_six_exits_two_at_once(self, capsys, argv):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "k=6 is over the cap of 5" in err
+
+
 class TestVerify:
     def test_counterexample_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "counterexample", "--format", "plain")
@@ -671,7 +688,8 @@ class TestScanGolden:
     # included.  The exact-mode pmf, gf, moments, counts, coupons and
     # verify --suite oeis|counterexample cases were captured while pmf still
     # summed the closed forms term by term, before it read the generating
-    # function's series.
+    # function's series.  The (6, 6) enumerate and simulate cases pin the
+    # refusal of patterns longer than 5.
     CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))

@@ -133,3 +133,13 @@ def test_only_classify_names_the_word_cap():
         and any(isinstance(arg, ast.Constant) and arg.value == "--budget" for arg in call.args)
     ]
     assert budget_options and all(kw.arg != "default" for call in budget_options for kw in call.keywords)
+
+
+def test_only_patterns_names_the_pattern_length_cap():
+    # One cap on pattern length serves every route: the enumerator checks it
+    # before it lists anything, and every automaton lists its patterns first.
+    named = {
+        path.name: sorted(_identifiers(path) & {"MAX_PATTERN_LENGTH", "MAX_CLASSIFY_K"})
+        for path in sorted(SOURCE.glob("*.py"))
+    }
+    assert {name: found for name, found in named.items() if found} == {"patterns.py": ["MAX_PATTERN_LENGTH"]}

@@ -285,7 +285,11 @@ class TestArrangements:
     @pytest.mark.parametrize("k,count", [(1, 1), (2, 3), (3, 13), (4, 75), (5, 541), (6, 4683)])
     def test_counts_match_fubini(self, k, count):
         assert fubini(k) == count
-        assert len(enumerate_preferential_arrangements(k)) == count
+        if k <= 5:
+            assert len(enumerate_preferential_arrangements(k)) == count
+        else:
+            with pytest.raises(ValueError, match=f"k={k} is over the cap of 5"):
+                enumerate_preferential_arrangements(k)
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -295,7 +299,7 @@ class TestArrangements:
 
     def test_size_cap_refuses_at_once(self):
         start = time.process_time()
-        with pytest.raises(ValueError, match="over the cap of 8"):
+        with pytest.raises(ValueError, match="over the cap of 5"):
             enumerate_preferential_arrangements(10_000)
         assert time.process_time() - start < 0.1
 
