@@ -15,8 +15,9 @@ own id, so each pattern keeps one lazily filled column per letter, and a new
 transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
-lookup.  The exhaustive scans, the listings and the minimum-length search
-share one automaton per (d, k).  The simulator forms no product state: it
+lookup.  One word-space DP (`classify._WordSpace`) steps product states
+for the exhaustive scans, the listings and the minimum-length search alike,
+on one shared automaton per (d, k).  The simulator forms no product state: it
 makes a fresh automaton, closes each pattern's component alone
 (`closed_component`), and `_dfa` minimises and joins them into the minimal
 DFA, from which the simulator builds its byte table, keeping neither.
@@ -52,7 +53,7 @@ MAX_INSTANCES = 2**16
 
 # Most states an automaton may intern; read when the automaton is made.
 # Counts, listings and the minimum-length search all stop here: (7, 3) words
-# of length 7 and the (4, 4) minimum need more.
+# of length 7 and the (4, 5) minimum need more.
 SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.

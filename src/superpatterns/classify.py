@@ -25,13 +25,15 @@ letters in one shared list and stops two levels above the words, where each
 node's two-letter tails are already known: it yields them in bulk, the prefix
 joined to each tail, as Words built without re-checking letters that are the
 automaton's moves over 1..d.  So past the DP a listing costs time linear in
-the letters it prints.  A count keeps one level of the DP.  Counts, listings
-and the minimum-length search stop when the automaton refuses a state past
-its budget (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the
-words and letters it would print, which the walker's DP counts before the
-first word (WORD_BUDGET words by default).  The closed-form counts they are
-checked against live in count_formulas(), and the flanking-pairs check is one
-match of a compiled pattern over the word's bytes.
+the letters it prints.  A count keeps one level of the DP, and the least
+superpattern length is the first length at which the strict count is not
+zero.  Counts, listings and that least length stop when the automaton
+refuses a state past its budget (automaton.SEARCH_STATE_BUDGET); a listing
+is also bounded by the words and letters it would print, which the walker's
+DP counts before the first word (WORD_BUDGET words by default).  The
+closed-form counts they are checked against live in count_formulas(), and
+the flanking-pairs check is one match of a compiled pattern over the word's
+bytes.
 """
 
 from __future__ import annotations
@@ -177,70 +179,58 @@ def classify(word: Word, k: int) -> ClassFlags:
     minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
     strict = last == n
     minimum = False
-    if minimal and n <= _min_length_upper_bound(k, word.alphabet_size):
-        # The word holds 12...k, so its alphabet has a bound; and it is a
-        # superpattern, so the search below length n always resolves.
+    if minimal and n <= _min_length_upper_bound(k):
+        # The word is a superpattern, so the search to length n resolves.
         minimum = min_superpattern_length(k, word.alphabet_size, n_max=n) == n
     return ClassFlags(True, minimal, strict, minimum)
 
 
-def _min_length_upper_bound(k: int, d: int) -> Optional[int]:
-    """Known upper bound on the least superpattern length, when one exists.
+def _min_length_upper_bound(k: int) -> int:
+    """Known upper bound on the least superpattern length over d >= k
+    letters: the bound for alphabet size k applies verbatim, since patterns
+    of length k never use more than k distinct values."""
+    return {1: 1, 2: 3}.get(k, k * k - 2 * k + 4)
 
-    For d >= k the bound for alphabet size k applies verbatim, since patterns
-    of length k never use more than k distinct values.  For k > d no
-    superpattern exists at all (permutation patterns need k distinct letters).
-    """
-    if k == 1:
-        return 1
-    if d >= k:
-        if k == 2:
-            return 3
-        return k * k - 2 * k + 4
-    return None
+
+def _relabelling_keeps_status(d: int, k: int) -> bool:
+    """Whether every relabelling of the letters of a word over {1..d} keeps
+    its k-superpattern status, so its first-occurrence canonical form stands
+    for its letter-isomorphism class.  That holds for k = 1, for k > d and
+    for d = k <= 4; it fails for every other (d, k) up to (6, 2) (for k = 2,
+    1132 is a superpattern and its canonical form 1123 is not) and is
+    unchecked beyond."""
+    return k == 1 or k > d or k == d <= 4
 
 
 def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
-    Breadth-first reachability over the containment automaton: the first depth
-    at which an accepting state appears is exactly the least superpattern
-    length, and full closure without acceptance proves none exists.  A
-    superpattern of length at most n_max uses at most n_max letters, and
-    dense ranking keeps it a superpattern, so the search runs over
-    min(d, n_max) letters.  Raises SuperpatternNotFoundError when nothing is
-    found up to n_max, BudgetExceededError when the automaton passes its
-    state budget, and ValueError, first, for k past MAX_PATTERN_LENGTH.
+    Read off the strict counting DP of the listings: the first length with a
+    hit is the least superpattern length.  No word over fewer than k letters
+    holds 12...k, so k > d is refused with no search, and the search stops at
+    the known bound.  A superpattern of length at most n_max holds k equal
+    letters, so it uses at most n_max - k + 1 distinct ones, and dense
+    ranking keeps it a superpattern: the DP runs over that many letters, on
+    canonical words where _relabelling_keeps_status.  Raises
+    SuperpatternNotFoundError when nothing is found up to n_max,
+    BudgetExceededError when the automaton passes its state budget, and
+    ValueError, first, for k past MAX_PATTERN_LENGTH.
     """
     enumerate_preferential_arrangements(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
-    impossible = f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
-    if n_max is None:
-        n_max = _min_length_upper_bound(k, d)
-        if n_max is None:
-            raise SuperpatternNotFoundError(impossible)
-    width = max(1, min(d, n_max))
-    auto = get_automaton(width, k)
-    frontier = [0]
-    seen = {0}
-    for depth in range(1, n_max + 1):
-        next_frontier = []
-        for state in frontier:
-            for a in range(1, width + 1):
-                t = auto.step(state, a)
-                if auto.accepting[t]:
-                    return depth
-                if t not in seen:
-                    seen.add(t)
-                    next_frontier.append(t)
-        frontier = next_frontier
-        if not frontier:
-            break
-    if not frontier and width == d:
-        raise SuperpatternNotFoundError(impossible)
-    # Over fewer than d letters, even a closed search only rules out lengths
-    # up to n_max.
+    if k > d:
+        raise SuperpatternNotFoundError(
+            f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
+        )
+    bound = _min_length_upper_bound(k)
+    n_max = bound if n_max is None else min(n_max, bound)
+    width = min(d, n_max - k + 1)
+    if width >= k:
+        rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
+        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(n_max, strict=True)):
+            if hit:
+                return n
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
@@ -478,14 +468,11 @@ def iter_superpatterns(
 
     With canonical=True only words in first-occurrence canonical form are
     produced (each new letter is the least unused one), one per
-    letter-isomorphism class, which needs every relabelling of the letters to
-    keep superpattern status.  That holds for k = 1, for k > d and for
-    d = k <= 4; it fails for every other (d, k) up to (6, 2) (for k = 2, 1132
-    is a superpattern and its canonical form 1123 is not) and is unchecked
-    beyond, so there canonical=True raises ValueError.  Bounded as in
-    _WordSpace.walk.
+    letter-isomorphism class; where _relabelling_keeps_status fails that
+    would miss classes, so there canonical=True raises ValueError.  Bounded
+    as in _WordSpace.walk.
     """
-    if canonical and 1 < k <= d and not k == d <= 4:
+    if canonical and not _relabelling_keeps_status(d, k):
         raise ValueError(
             f"a listing up to isomorphism at d={d}, k={k} would miss classes, since relabelling letters"
             " changes which words are superpatterns; it is answered only for k = 1, k > d or d = k <= 4"

@@ -60,12 +60,16 @@ def _letters_from_text(text: str) -> tuple[int, ...]:
     return letters
 
 
+# Letter value v to the ASCII digit for v, for letters 0..9.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def _letters_to_text(letters: Sequence[int], alphabet_size: int) -> str:
-    # Digit string for d <= 9, comma-separated beyond; the two forms round-trip
-    # through parse().
+    # Digit string for d <= 9, formed in one step from the letters' bytes,
+    # comma-separated beyond; the two forms round-trip through parse().
     if alphabet_size <= 9:
-        return "".join(str(v) for v in letters)
-    return ",".join(str(v) for v in letters)
+        return bytes(letters).translate(_DIGITS).decode()
+    return ",".join(map(str, letters))
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +160,7 @@ class Pattern:
         return len(self.letters)
 
     def __str__(self) -> str:
-        return "".join(str(v) for v in self.letters) if self.letters else ""
+        return _letters_to_text(self.letters, self.rank_count())
 
     def rank_count(self) -> int:
         """Number of distinct ranks used."""

@@ -13,6 +13,7 @@ from superpatterns import (
     Pattern,
     RationalFunction,
     SimSummary,
+    SuperpatternNotFoundError,
     Word,
     enumerate_preferential_arrangements,
     get_automaton,
@@ -383,6 +384,40 @@ def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:
             elif t + 1 < n_max:
                 stack.append((ns, t + 1))
     return counts
+
+
+def min_length_bfs(k: int, d: int, n_max: Optional[int] = None) -> int:
+    """Oracle for min_superpattern_length: breadth-first reachability over
+    the raw automaton states of min(d, n_max) letters.  The first depth at
+    which an accepting state appears is the least superpattern length, and a
+    full closure without acceptance over all d letters proves none exists."""
+    enumerate_preferential_arrangements(k)
+    if d < 1:
+        raise ValueError("alphabet size must be at least 1")
+    if n_max is None:
+        if k > d:
+            raise SuperpatternNotFoundError(f"no superpattern over d={d} for k={k}")
+        n_max = 1 if k == 1 else 3 if k == 2 else k * k - 2 * k + 4
+    width = max(1, min(d, n_max))
+    auto = get_automaton(width, k)
+    frontier = [0]
+    seen = {0}
+    for depth in range(1, n_max + 1):
+        next_frontier = []
+        for state in frontier:
+            for a in range(1, width + 1):
+                t = auto.step(state, a)
+                if auto.accepting[t]:
+                    return depth
+                if t not in seen:
+                    seen.add(t)
+                    next_frontier.append(t)
+        frontier = next_frontier
+        if not frontier:
+            break
+    if not frontier and width == d:
+        raise SuperpatternNotFoundError(f"no superpattern over d={d} for k={k}")
+    raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
 def strict_count_upto_iso_by_terms(n: int) -> int:

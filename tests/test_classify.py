@@ -54,8 +54,10 @@ from superpatterns.classify import (
     _WordSpace,
     _ends_with_minimum,
     _every_letter_necessary,
+    _min_length_upper_bound,
     _minimal_listing,
 )
+from superpatterns.patterns import MAX_PATTERN_LENGTH
 
 from conftest import (
     all_words,
@@ -65,6 +67,7 @@ from conftest import (
     find_embedding,
     flanking_pairs_by_scanning,
     isomorphism_orbit,
+    min_length_bfs,
     strict_count_upto_iso_by_terms,
 )
 
@@ -227,8 +230,9 @@ class TestClassify:
         assert flags.is_strict == (accepted and not auto.accepting[auto.scan(w.letters[:-1])])
 
     # derandomize: classify on a minimal 4-superpattern of at most 12 letters
-    # runs the (4, d) minimum-length search, which overruns its state budget
-    # after about 35 s; the fixed example set draws no such word.
+    # runs the (4, d) minimum-length search, which answers in seconds for
+    # d = 4 and overruns its state budget for d >= 5; the fixed example set
+    # draws no such word.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(words_and_k(), planted_superpatterns()))
     def test_strict_means_the_prefix_falls_short(self, word_k):
@@ -316,7 +320,7 @@ class TestMinimumLength:
         assert min_superpattern_length(1, 3) == 1
 
     def test_state_budget_is_checked_per_state(self, monkeypatch):
-        # The (4, 4) search grows without a usable bound; it must stop as soon
+        # The (4, 4) search needs about 194,000 states; it must stop as soon
         # as it would hold more states than the budget, not at the end of a depth.
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
@@ -333,9 +337,10 @@ class TestMinimumLength:
         assert (4, 4) not in automaton_cache
 
     def test_searches_no_more_letters_than_the_length_bound(self):
-        # A superpattern of length <= 7 uses at most 7 letters, so the
-        # search runs on the (7, 3) automaton; pattern 122 alone overflows
-        # the component ids of the (9, 3) one.
+        # A superpattern of length <= 7 holds three equal letters, so it uses
+        # at most 5 distinct ones and the search runs on the (5, 3)
+        # automaton; pattern 122 alone overflows the component ids of the
+        # (9, 3) one.
         assert min_superpattern_length(3, 20) == 7
         assert min_superpattern_length(3, 9, n_max=7) == 7
         assert (20, 3) not in automaton_cache and (9, 3) not in automaton_cache
@@ -343,6 +348,36 @@ class TestMinimumLength:
     def test_a_closed_search_over_fewer_letters_bounds_only_the_length(self):
         with pytest.raises(SuperpatternNotFoundError, match="length <= 2 over d=9"):
             min_superpattern_length(3, 9, n_max=2)
+
+    @pytest.mark.parametrize(
+        "k,d,n_maxes",
+        [(k, d, (None, *range(9))) for k in (1, 2, 3) for d in range(1, 6)]
+        + [(4, d, range(9)) for d in range(1, 5)],
+    )
+    def test_agrees_with_the_breadth_first_search(self, k, d, n_maxes):
+        for n_max in n_maxes:
+            outcomes = []
+            for search in (min_superpattern_length, min_length_bfs):
+                try:
+                    outcomes.append(search(k, d, n_max))
+                except (SuperpatternNotFoundError, BudgetExceededError) as e:
+                    outcomes.append(type(e))
+            assert outcomes[0] == outcomes[1], n_max
+
+    def test_every_pattern_length_has_a_superpattern_at_the_bound(self):
+        # The search stops at _min_length_upper_bound, so for each k it must
+        # be the length of some k-superpattern over k letters.
+        witnesses = ["1", "121", "1213121", "123413214231", "3154231453241352413"]
+        assert len(witnesses) == MAX_PATTERN_LENGTH
+        for k, text in enumerate(witnesses, 1):
+            w = Word.parse(text)
+            assert (w.alphabet_size, len(w)) == (k, _min_length_upper_bound(k))
+            assert is_superpattern(w, k), text
+
+    def test_quaternary(self):
+        # The (4, 4) DP walks canonical words to length 12 in seconds.
+        assert min_superpattern_length(4, 4) == 12
+        assert classify(Word.parse("123413214231"), 4).is_minimum
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
@@ -491,10 +526,9 @@ class TestCanonicalListing:
             iter_superpatterns(4, 3, 7, canonical=True)
 
     @pytest.mark.parametrize(
-        "d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 2), (6, 2)]
+        "d,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4), (5, 2), (6, 2)]
     )
     def test_answered_exactly_where_every_relabelling_keeps_the_language(self, d, k):
-        # (4, 4) keeps it too, but its DFA takes seconds to build.
         try:
             iter_superpatterns(d, k, 3, canonical=True)
         except ValueError:

@@ -671,7 +671,9 @@ class TestCheckGolden:
     # Outputs captured from the position-by-position backtracker, before the
     # search was rewritten; the containment search must reproduce them byte
     # for byte.  Cases cover k = 2..5, the empty word, 24-letter (4,4) words
-    # and QUATERNARY_EXAMPLE, each in csv, json and plain.
+    # and QUATERNARY_EXAMPLE, each in csv, json and plain.  The 12-letter
+    # minimum (4,4) word, in csv, was captured once the minimum-length search
+    # could answer it.
     CASES = json.loads((Path(__file__).parent / "golden" / "check.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][1:]))

@@ -100,8 +100,13 @@ AUTOMATON_ONLY = {"_cache", "SEARCH_STATE_BUDGET"}
 def _identifiers(path: Path) -> set[str]:
     """Every name a module's code uses: variables, attributes, and imported
     names with their aliases."""
+    return _identifiers_of(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _identifiers_of(tree: ast.AST) -> set[str]:
+    """Every name the code below one syntax-tree node uses, as _identifiers."""
     found: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -133,6 +138,18 @@ def test_only_classify_names_the_word_cap():
         and any(isinstance(arg, ast.Constant) and arg.value == "--budget" for arg in call.args)
     ]
     assert budget_options and all(kw.arg != "default" for call in budget_options for kw in call.keywords)
+
+
+def test_only_the_word_space_reaches_the_automaton_in_classify():
+    # Counts, listings and the least superpattern length are all read off the
+    # word space's DP; a second search over the automaton's states stays out.
+    tree = ast.parse((SOURCE / "classify.py").read_text())
+    named = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "get_automaton" in _identifiers_of(node)
+    ]
+    assert named == ["_WordSpace"]
 
 
 def test_only_patterns_names_the_pattern_length_cap():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -35,6 +36,19 @@ class TestWordParsing:
         assert w.letters == (10, 2, 11)
         assert str(w) == "10,2,11"
         assert Word.parse(str(w)) == w
+
+    def test_digit_text_is_formed_in_one_step(self):
+        w = Word(tuple(random.Random(7).choices(range(1, 10), k=300_000)), 9)
+        tracemalloc.start()
+        try:
+            text = str(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Word.parse(text) == w
+        # One string per letter peaked at about 17 MB; the letters' bytes,
+        # translated, at about 0.6 MB.
+        assert peak < 2 * 2**20
 
     def test_explicit_alphabet_size(self):
         w = Word.parse("121", alphabet_size=3)
