@@ -17,10 +17,12 @@ first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
 lookup.  One word-space DP (`classify._WordSpace`) steps product states
 for the exhaustive scans, the listings and the minimum-length search alike,
-on one shared automaton per (d, k).  The simulator forms no product state: it
-makes a fresh automaton, closes each pattern's component alone
-(`closed_component`), and `_dfa` minimises and joins them into the minimal
-DFA, from which the simulator builds its byte table, keeping neither.
+on one shared automaton per (d, k); the search asks of its last level only
+whether a letter completes a state (`completes`), which interns nothing.
+The simulator forms no product state: it makes a fresh automaton, closes
+each pattern's component alone (`closed_component`), and `_dfa` minimises
+and joins them into the minimal DFA, from which the simulator builds its
+byte table, keeping neither.
 
 The automaton owns its bounds.  It refuses to intern a state past
 SEARCH_STATE_BUDGET (read when it is made) or a component id past
@@ -165,6 +167,23 @@ class ContainmentAutomaton:
             self.accepting.append(new_key == self._accept_key)
         self.transitions[state][letter] = nxt
         return nxt
+
+    def completes(self, state: int, letter: int) -> bool:
+        """Whether the letter takes the state to acceptance, found without
+        interning the successor: each pattern the state still misses must be
+        completed by the letter."""
+        nxt = self.transitions[state][letter]
+        if nxt >= 0:
+            return self.accepting[nxt]
+        columns = self._columns[letter]
+        for pi, c in enumerate(self._unpack(self._state_keys[state])):
+            if c != _CONTAINED:
+                after = columns[pi][c]
+                if after == _UNFILLED:
+                    after = self._fill(columns, pi, c, letter)
+                if after != _CONTAINED:
+                    return False
+        return True
 
     def _fill(self, columns: list[list[int]], pi: int, component: int, letter: int) -> int:
         """Pattern pi's component after one letter, by stepping each instance;

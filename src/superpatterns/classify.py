@@ -21,19 +21,23 @@ rule needs it) share their future, so each length costs one pass over the
 states.  Listings come from one explicit-stack walker that enters a prefix only
 when the DP shows a word of the requested length can still finish below it,
 and yields words in lexicographic order.  It keeps the current prefix's
-letters in one shared list and stops two levels above the words, where each
-node's two-letter tails are already known: it yields them in bulk, the prefix
-joined to each tail, as Words built without re-checking letters that are the
-automaton's moves over 1..d.  So past the DP a listing costs time linear in
-the letters it prints.  A count keeps one level of the DP, and the least
-superpattern length is the first length at which the strict count is not
-zero.  Counts, listings and that least length stop when the automaton
-refuses a state past its budget (automaton.SEARCH_STATE_BUDGET); a listing
-is also bounded by the words and letters it would print, which the walker's
-DP counts before the first word (WORD_BUDGET words by default).  The
-closed-form counts they are checked against live in count_formulas(), and
-the flanking-pairs check is one match of a compiled pattern over the word's
-bytes.
+letters in one shared list and stops at a split depth h, where each node's
+tails, the words' last n - h letters, are already built as tail blocks
+shared by every prefix that reaches the node: it yields them in bulk, the
+prefix joined to each tail, as Words built without re-checking letters that
+are the automaton's moves over 1..d.  The blocks rise from the finishing
+letters while the nodes at the next depth up hold fewer tails than prefixes
+reach them and the tail letters built stay within the words printed, so past
+the DP a listing costs time linear in the letters it prints.  A count keeps
+one level of the DP, and the least superpattern length is the first length
+at which some word's last letter completes one, tested on each level without
+interning the states that letter leads to.  Counts, listings and that least
+length stop when the automaton refuses a state past its budget
+(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
+letters it would print, which the walker's DP counts before the first word
+(WORD_BUDGET words by default).  The closed-form counts they are checked
+against live in count_formulas(), and the flanking-pairs check is one match
+of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -205,11 +209,14 @@ def _relabelling_keeps_status(d: int, k: int) -> bool:
 def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
-    Read off the strict counting DP of the listings: the first length with a
-    hit is the least superpattern length.  No word over fewer than k letters
-    holds 12...k, so k > d is refused with no search, and the search stops at
-    the known bound.  A superpattern of length at most n_max holds k equal
-    letters, so it uses at most n_max - k + 1 distinct ones, and dense
+    Read off the strict counting DP of the listings: the least superpattern
+    length is one more than the first level with a node that some letter
+    completes.  That is tested before the DP builds the next level, without
+    interning the states the letters lead to, so the search stops one level
+    short of the states that would hold the hits.  No word over fewer than k
+    letters holds 12...k, so k > d is refused with no search, and the search
+    stops at the known bound.  A superpattern of length at most n_max holds k
+    equal letters, so it uses at most n_max - k + 1 distinct ones, and dense
     ranking keeps it a superpattern: the DP runs over that many letters, on
     canonical words where _relabelling_keeps_status.  Raises
     SuperpatternNotFoundError when nothing is found up to n_max,
@@ -228,8 +235,9 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     width = min(d, n_max - k + 1)
     if width >= k:
         rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
-        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(n_max, strict=True)):
-            if hit:
+        space = _WordSpace(width, k, rule)
+        for n, (level, _hit) in enumerate(space.levels(n_max - 1, strict=True), start=1):
+            if any(map(space.completes, level)):
                 return n
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
@@ -293,6 +301,17 @@ class _WordSpace:
             self._moves[node] = out
         return out
 
+    def completes(self, node: int) -> bool:
+        """Whether some letter the rule allows out of the node completes a
+        superpattern, tested without interning the states it leads to."""
+        state, tag = divmod(node, self.d + 1)
+        if self.rule == _CANONICAL:
+            letters = range(1, min(tag + 1, self.d) + 1)
+        else:
+            # Under _ANY the tag is 0, which is no letter.
+            letters = (a for a in range(1, self.d + 1) if a != tag)
+        return any(self.auto.completes(state, a) for a in letters)
+
     def levels(self, n: int, strict: bool) -> Iterator[tuple[dict[int, int], int]]:
         """Forward DP from the prefix length t0 to length n: yields, for
         t = t0 .. n, a map from each node reached by words of length t to
@@ -332,21 +351,34 @@ class _WordSpace:
 
         A backward pass over the forward levels keeps, at each depth, only the
         nodes from which a word of exactly the remaining length still ends in
-        output.  Each node at depth n - 1 keeps its finishing letters, and each
-        node at depth n - 2 its two-letter tails (a, b): a letter into a child
-        with finishing letters, then each of them.  The explicit-stack walk
-        enters only those nodes, so every prefix it visits leads to output,
-        and it goes no deeper than n - 2.  Its stack holds (node, depth,
-        letter into it); the letters of the current prefix live in one shared
-        list, cut back to the popped depth and extended by the popped letter.
-        At depth n - 2 the prefix becomes a tuple once, and the node yields
-        its words in bulk: the prefix joined to each tail, built as Words
-        without re-checking letters that are moves over 1..d.  So past the
-        DP the walk costs time linear in the letters it prints.
+        output.  It starts with tail blocks: each node at depth h = n - 1
+        keeps its finishing letters as one-letter tails, and a node one depth
+        up keeps a letter into each child followed by each of the child's
+        tails.  Prefixes that reach the same node share its tails, so the
+        blocks rise a depth at a time while two counts the walk already has
+        say they pay: the nodes alive at the new depth hold fewer tails than
+        there are prefixes reaching them (the sum of their forward counts),
+        and the tail letters built so far, the new depth's included, stay
+        within the words the listing prints.  The second rule keeps the
+        blocks linear in the output and the first word quick.  Each level
+        of tails replaces the one below it; above h only alive nodes are kept.
+
+        The explicit-stack walk enters only alive nodes, so every prefix it
+        visits leads to output, and it goes no deeper than h.  Its stack
+        holds (node, depth, letters into it); the letters of the current
+        prefix live in one shared list, cut back to the popped depth and
+        extended by the popped letter (the root's entry rewrites the
+        prefix's own last letter).  At depth h the prefix becomes a tuple
+        once, and the node yields its words in bulk: the prefix joined to
+        each tail, built as Words without re-checking letters that are moves
+        over 1..d.  So past the DP the walk costs time linear in the letters
+        it prints.
 
         Both passes share one list of per-depth levels: the backward pass
         overwrites each forward level with the nodes it keeps, and a level
         equal to its neighbour is stored once, so a d = 1 walk holds one.
+        A k-superpattern has at least 2k - 1 letters, so a shorter listing
+        returns before any DP.
 
         Before the first word, their count (each node at depth n - 1 times its
         finishing letters) meets the budget B (WORD_BUDGET by default): past B
@@ -361,7 +393,9 @@ class _WordSpace:
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
         t0 = len(self.prefix)
-        if n <= t0 or self.auto is None:
+        # A k-superpattern holds k equal letters (for 1...1) and k distinct
+        # ones (for 12...k), and the two share at most one letter.
+        if n <= t0 or self.auto is None or n < 2 * self.auto.k - 1:
             return
         cap = WORD_BUDGET if budget is None else budget
         letter_cap = cap * (cap.bit_length() + 1)
@@ -388,51 +422,58 @@ class _WordSpace:
             if levels and level == levels[-1]:
                 level = levels[-1]
             levels.append(level)
-        # Finishing letters are kept as one-letter tails.
-        finish = {}
+        # tails maps each node at depth h from which some word ends in output
+        # to the n - h letters that finish it, starting at h = n - 1; sizes
+        # counts a level's tails before it is built (see the docstring).
+        tails = {}
         count = 0
         for u, c in levels[n - 1].items():
-            ends = tuple((a,) for a, v in moves(u) if accepting[v // w])
+            ends = [(a,) for a, v in moves(u) if accepting[v // w]]
             if ends:
-                finish[u] = ends
+                tails[u] = ends
                 count += c * len(ends)
         refuse_past_cap(count, "")
+        if not count:
+            return
+        built = sum(map(len, tails.values()))
+        h = n - 1
+        while h > t0:
+            reached = levels[h - 1]
+            sizes = {u: s for u in reached if (s := sum(len(tails.get(v, ())) for _a, v in moves(u)))}
+            total = sum(sizes.values())
+            built += total * (n - h + 1)
+            if total >= sum(map(reached.__getitem__, sizes)) or built > count:
+                break
+            tails = {u: [(a,) + tail for a, v in moves(u) for tail in tails.get(v, ())] for u in sizes}
+            h -= 1
         # Now levels[t] becomes the nodes at depth t below which some word
-        # ends in output, with their tails at depths n - 1 and n - 2 (depths
-        # t0 .. n - 1 are overwritten; the walk reads no others).
-        levels[n - 1] = finish
-        if t0 <= n - 2:
-            levels[n - 2] = {
-                u: ends
-                for u in levels[n - 2]
-                if (ends := tuple((a, b) for a, v in moves(u) for (b,) in finish.get(v, ())))
-            }
-        for t in range(n - 3, t0 - 1, -1):
+        # ends in output, for t = t0 + 1 .. h, with the tails at h (the walk
+        # reads no others).
+        del levels[h:]
+        levels.append(tails)
+        for t in range(h - 1, t0, -1):
             ahead = levels[t + 1]
             alive = {u for u in levels[t] if any(v in ahead for _a, v in moves(u))}
             levels[t] = ahead if alive == ahead else alive
         d = self.d
-        if t0 >= n - 2:
-            ends = levels[t0].get(self.root, ())
-            yield from map(_unchecked_word, map(self.prefix.__add__, ends), repeat(d))
-            return
-        tails = levels[n - 2]
         path = list(self.prefix)
-        # Entries (node, depth, letter into it), the least letter on top.
-        stack = [(v, t0 + 1, a) for a, v in reversed(moves(self.root)) if v in levels[t0 + 1]]
+        # Entries (node, depth, letters into it), the least letter on top;
+        # the root's entry sets no letter, since prefix[-1:] rewrites the
+        # prefix's last letter with itself.
+        stack = [(self.root, t0, self.prefix[-1:])]
         pop = stack.pop
         push = stack.append
         while stack:
             u, t, a = pop()
-            path[t - 1 :] = (a,)
-            if t == n - 2:
+            path[t - 1 :] = a
+            if t == h:
                 yield from map(_unchecked_word, map(tuple(path).__add__, tails[u]), repeat(d))
                 continue
             ahead = levels[t + 1]
             t += 1
             for a, v in reversed(moves(u)):
                 if v in ahead:
-                    push((v, t, a))
+                    push((v, t, (a,)))
 
 
 def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:

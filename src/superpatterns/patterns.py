@@ -149,7 +149,9 @@ class Pattern:
     def __post_init__(self) -> None:
         used = set(self.letters)
         if used and used != set(range(1, max(used) + 1)):
-            text = "".join(str(v) for v in self.letters)
+            # The text parse() reads back: digits, or commas past 9 (and for
+            # a negative letter, which has no digit).
+            text = _letters_to_text(self.letters, max(used) if min(used) >= 0 else 10)
             raise ValueError(f"{text!r} is not dense-rank canonical")
 
     @classmethod

@@ -374,9 +374,13 @@ class TestMinimumLength:
             assert (w.alphabet_size, len(w)) == (k, _min_length_upper_bound(k))
             assert is_superpattern(w, k), text
 
-    def test_quaternary(self):
-        # The (4, 4) DP walks canonical words to length 12 in seconds.
+    def test_quaternary(self, monkeypatch):
+        # The (4, 4) DP walks canonical words to length 12 in seconds.  Its
+        # last level is only tested for a completing letter, not interned:
+        # interning it took the automaton from 106,996 to 194,102 states.
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         assert min_superpattern_length(4, 4) == 12
+        assert get_automaton(4, 4).state_count < 110_000
         assert classify(Word.parse("123413214231"), 4).is_minimum
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
@@ -721,8 +725,11 @@ class TestWordCap:
 
     def test_the_default_cap_answers_strict_minimal_listings_to_761(self):
         # 757^2 - 2 = 573,047 words of 761 letters fit 2^24 * 26 letters;
-        # 758^2 - 2 words of 762 letters do not.
+        # 758^2 - 2 words of 762 letters do not.  The tail blocks built
+        # before the first word hold no more letters than there are words.
+        start = time.process_time()
         assert len(next(iter_strict_minimal_upto_iso(761)).letters) == 761
+        assert time.process_time() - start < 0.5
         with pytest.raises(BudgetExceededError, match="would print 574562 words of 762 letters"):
             next(iter_strict_minimal_upto_iso(762))
 
@@ -752,6 +759,14 @@ class TestWordCap:
         assert time.process_time() - start < 0.5
 
 
+def _run_fresh(script: str) -> str:
+    """The standard output of a script run in a fresh interpreter on this
+    checkout's package."""
+    src = str(Path(classify_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout
+
+
 def _no_repeat(letters: tuple[int, ...]) -> bool:
     return all(a != b for a, b in zip(letters, letters[1:]))
 
@@ -764,9 +779,13 @@ class TestWalker:
     RULES = {_ANY: lambda letters: True, _NO_REPEAT: _no_repeat, _CANONICAL: _canonical}
 
     @pytest.mark.parametrize(
-        "d,k,lengths", [(2, 2, range(0, 8)), (3, 2, range(0, 6)), (3, 3, range(6, 9)), (4, 3, (7,))]
+        "d,k,lengths", [(2, 2, range(0, 15)), (3, 2, range(0, 6)), (3, 3, range(6, 11)), (4, 3, (7,))]
     )
     def test_equals_a_filter_over_all_words(self, d, k, lengths):
+        # The tail blocks rise past depth n - 2 at (3, 3) n = 10, and at
+        # (2, 2) up to n - 5 at n = 13 and 14 (any letter and canonical); the
+        # two-letter alternating space holds one word per prefix, so there
+        # they stay at n - 1.
         for n in lengths:
             words = list(all_words(d, n))
             verdict = {w.letters: is_superpattern(w, k) for w in words}
@@ -797,6 +816,47 @@ class TestWalker:
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
         assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None, "listing"))
 
+    def test_tail_blocks_spare_the_walk_most_prefixes(self, monkeypatch):
+        # The (3, 3) strict words of length 14 share their last five letters
+        # among 10,682 tails, and the walk expands 17,432 nodes; stepping
+        # down to depth n - 2 for every prefix took 182,924.
+        expansions = 0
+        moves = _WordSpace.moves
+
+        def counted(space, node):
+            nonlocal expansions
+            expansions += 1
+            return moves(space, node)
+
+        monkeypatch.setattr(_WordSpace, "moves", counted)
+        words = sum(1 for _ in iter_strict_superpatterns(3, 3, 14))
+        assert words == 414_024
+        assert expansions < words / 10
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_tail_blocks_keep_the_listing_small(self):
+        # Draining the 414,024 strict (3, 3) words of length 14 peaks near
+        # 18 MB (16.5 MB with two-letter tails only); a fresh interpreter, so
+        # that no earlier test sets the peak.
+        script = (
+            "from superpatterns import iter_strict_superpatterns\n"
+            "count = sum(1 for _ in iter_strict_superpatterns(3, 3, 14))\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(count, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        )
+        count, peak_kb = map(int, _run_fresh(script).split())
+        assert count == 414_024
+        assert peak_kb / 1024 < 24
+
+    def test_listings_shorter_than_two_k_less_one_are_empty(self):
+        # 1...1 and 12...k share at most one letter of a k-superpattern, so
+        # it has at least 2k - 1; at 2k - 1 there are words.
+        for k in range(1, 6):
+            for n in range(2 * k - 1):
+                assert list(_WordSpace(k, k, _ANY).walk(n, False, None, "listing")) == [], (k, n)
+        assert [str(w) for w in iter_strict_superpatterns(2, 2, 3)] == ["121", "212"]
+        assert [str(w) for w in iter_superpatterns(3, 3, 5)] == []
+
     def test_the_walk_is_linear_in_the_letters_it_prints(self):
         # One word of 10^5 letters: the walk shares one path of letters, so
         # it copies no prefix per depth.
@@ -816,10 +876,7 @@ class TestWalker:
             "status = open('/proc/self/status').read().splitlines()\n"
             "print(len(word), next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
         )
-        src = str(Path(classify_module.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-        length, peak_kb = map(int, proc.stdout.split())
+        length, peak_kb = map(int, _run_fresh(script).split())
         assert length == 300_000
         assert peak_kb / 1024 < 60
 

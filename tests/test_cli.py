@@ -250,6 +250,14 @@ class TestEnumerate:
         assert time.process_time() - start < 0.5
         assert (code, out) == (0, "word\n# count: 0\n")
 
+    def test_words_too_short_for_a_superpattern_answer_at_once(self, capsys):
+        # A 5-superpattern needs 2 * 5 - 1 letters; the DP over (5, 5) words
+        # of length 8 took 40 s and 825 MB to find none.
+        start = time.process_time()
+        code, out, _ = run(capsys, "enumerate", "--d", "5", "--k", "5", "--n", "8", "--filter", "all", "--scope", "full")
+        assert time.process_time() - start < 0.5
+        assert (code, out) == (0, "word\n# count: 0\n")
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exits_two_at_parse_time(self, capsys, budget):
         with pytest.raises(SystemExit) as exc:
@@ -691,7 +699,8 @@ class TestScanGolden:
     # verify --suite oeis|counterexample cases were captured while pmf still
     # summed the closed forms term by term, before it read the generating
     # function's series.  The (6, 6) enumerate and simulate cases pin the
-    # refusal of patterns longer than 5.
+    # refusal of patterns longer than 5.  The (5, 5) enumerate case at n = 8
+    # was captured from the DP that walked those words before finding none.
     CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"]))

@@ -121,6 +121,14 @@ class TestPatternType:
         with pytest.raises(ValueError):
             Pattern.parse(bad)
 
+    def test_rejection_names_the_letters_as_parse_reads_them(self):
+        with pytest.raises(ValueError, match=r"^'1,3,10' is not dense-rank canonical$"):
+            Pattern.parse("1,3,10")
+        with pytest.raises(ValueError, match=r"^'131' is not dense-rank canonical$"):
+            Pattern.parse("131")
+        with pytest.raises(ValueError, match=r"^'-1,1' is not dense-rank canonical$"):
+            Pattern((-1, 1))
+
     def test_dense_rank_fixed_point(self):
         for k in range(1, 5):
             for p in enumerate_preferential_arrangements(k):
