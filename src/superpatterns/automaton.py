@@ -24,10 +24,11 @@ each pattern's component alone (`closed_component`), and `_dfa` minimises
 and joins them into the minimal DFA, from which the simulator builds its
 byte table, keeping neither.
 
-The automaton owns its bounds.  It refuses to intern a state past
-SEARCH_STATE_BUDGET (read when it is made) or a component id past
-_MAX_COMPONENTS, and a shared automaton that overruns either removes
-itself from the cache before it raises, so the next caller starts afresh.
+The automaton owns its bounds.  It lists its patterns, which refuses a
+pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances.  It
+refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
+_MAX_COMPONENTS, each read when used, and a shared automaton that overruns
+either removes itself from the cache before it raises.
 
 A containment query (`patterns.contains_pattern`) walks one pattern's
 component alone through the same columns, without forming product states,
@@ -50,10 +51,10 @@ if TYPE_CHECKING:
 __all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
 
 # Most pattern instances (d**k) an automaton may track; each state step may
-# touch all of them, and (9,6) alone has 531,441.
+# touch all of them, and (10,5) alone has 100,000.
 MAX_INSTANCES = 2**16
 
-# Most states an automaton may intern; read when the automaton is made.
+# Most states an automaton may intern; read when a state is interned.
 # Counts, listings and the minimum-length search all stop here: (7, 3) words
 # of length 7 and the (4, 5) minimum need more.
 SEARCH_STATE_BUDGET = 500_000
@@ -77,29 +78,27 @@ class ContainmentAutomaton:
     not built yet (call step() to build it).  A state's key packs one
     component id per pattern; component id 0 means the pattern is contained,
     and the state accepts when every component is 0.  contains() walks one
-    pattern's component alone and forms no state.  Raises
-    BudgetExceededError when d**k exceeds MAX_INSTANCES, and when a step
-    would intern a state past SEARCH_STATE_BUDGET, read when the automaton
-    is made, or a pattern's component id past _MAX_COMPONENTS.
+    pattern's component alone and forms no state.  Raises ValueError for k
+    past MAX_PATTERN_LENGTH, first; BudgetExceededError when d**k exceeds
+    MAX_INSTANCES, and when a step would intern a state past
+    SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
     """
 
     def __init__(self, d: int, k: int):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
-        # For d >= 2 any k > 16 is over the cap; no need to raise d to it.
-        if (d > 1 and k > 16) or d**k > MAX_INSTANCES:
-            raise BudgetExceededError(
-                f"the automaton for k={k}, d={d} would track d**k pattern instances,"
-                f" over the cap of {MAX_INSTANCES}"
-            )
         # Imported here: the patterns module answers containment through
         # this one, so it imports this module first.
         from .patterns import enumerate_preferential_arrangements
 
+        self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
+        if d**k > MAX_INSTANCES:
+            raise BudgetExceededError(
+                f"the automaton for k={k}, d={d} would track d**k pattern instances,"
+                f" over the cap of {MAX_INSTANCES}"
+            )
         self.d = d
         self.k = k
-        self.state_budget = SEARCH_STATE_BUDGET
-        self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
         self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
         # Per pattern: its instances, and its interned progress vectors (one
         # byte per instance) by component id.  Id 0 is "contained" and has no
@@ -159,8 +158,8 @@ class ContainmentAutomaton:
         nxt = self._state_ids.get(new_key)
         if nxt is None:
             nxt = len(self._state_keys)
-            if nxt >= self.state_budget:
-                self._overrun(f"exceeded {self.state_budget} states")
+            if nxt >= SEARCH_STATE_BUDGET:
+                self._overrun(f"exceeded {SEARCH_STATE_BUDGET} states")
             self._state_ids[new_key] = nxt
             self._state_keys.append(new_key)
             self.transitions.append([-1] * (self.d + 1))

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations, repeat
 from typing import Iterator, Optional
 
@@ -254,10 +254,11 @@ class _WordSpace:
     as walks over nodes (automaton state, tag) encoded state * (d + 1) + tag.
 
     The tag is what the rule must remember: the last letter (_NO_REPEAT), the
-    largest letter so far (_CANONICAL), or nothing, 0 (_ANY).  Words that
-    reach the same node have the same extensions and the same verdicts, so
-    counts come from a transfer-matrix DP over the nodes, level by level
-    (Stanley, EC1 section 4.7), in O(n * nodes * d) steps instead of d^n.
+    largest letter so far (_CANONICAL), or nothing, 0 (_ANY); the other
+    methods read the rule only through pairs(tag).  Words that reach the same
+    node have the same extensions and the same verdicts, so counts come from
+    a transfer-matrix DP over the nodes, level by level (Stanley, EC1
+    section 4.7), in O(n * nodes * d) steps instead of d^n.
 
     Counts and listings alike raise BudgetExceededError when the shared
     automaton refuses a state past its budget; it has then dropped itself
@@ -268,20 +269,27 @@ class _WordSpace:
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
         self.d = d
-        self.rule = rule
         self.prefix = prefix
+        # The rule, stated once: the (letter, next tag) pairs allowed after a
+        # tag, in letter order, and a refused listing's name by strict.
+        letters = range(1, d + 1)
+        self.listing = ("superpattern", "strict-superpattern")
+        if rule == _ANY:
+            pairs = lambda tag: tuple((a, 0) for a in letters)
+        elif rule == _NO_REPEAT:
+            pairs = lambda tag: tuple((a, a) for a in letters if a != tag)
+            self.listing = ("minimal-superpattern", "strict-minimal")
+        else:
+            pairs = lambda tag: tuple((a, max(tag, a)) for a in letters[: tag + 1])
+        self.pairs = cache(pairs)
         # No word over fewer than k letters contains the pattern 12...k, so
         # for k > d the space holds no superpattern and needs no automaton.
         self.auto = get_automaton(d, k) if k <= d else None
-        if rule == _NO_REPEAT and prefix:
-            tag = prefix[-1]
-        elif rule == _CANONICAL:
-            tag = max(prefix, default=0)
-        else:
-            tag = 0
-        if self.auto is not None:
-            self.root = self.auto.scan(prefix) * (d + 1) + tag
         self._moves: dict[int, tuple[tuple[int, int], ...]] = {}
+        if self.auto is not None:
+            self.root = 0  # the empty word's node: state 0, tag 0
+            for a in prefix:
+                self.root = dict(self.moves(self.root))[a]
 
     def moves(self, node: int) -> tuple[tuple[int, int], ...]:
         """The (letter, child node) pairs the rule allows out of a node, in
@@ -291,26 +299,14 @@ class _WordSpace:
             w = self.d + 1
             state, tag = divmod(node, w)
             step = self.auto.step
-            if self.rule == _ANY:
-                out = tuple((a, step(state, a) * w) for a in range(1, w))
-            elif self.rule == _NO_REPEAT:
-                out = tuple((a, step(state, a) * w + a) for a in range(1, w) if a != tag)
-            else:
-                top = min(tag + 1, self.d)
-                out = tuple((a, step(state, a) * w + max(tag, a)) for a in range(1, top + 1))
-            self._moves[node] = out
+            out = self._moves[node] = tuple((a, step(state, a) * w + b) for a, b in self.pairs(tag))
         return out
 
     def completes(self, node: int) -> bool:
         """Whether some letter the rule allows out of the node completes a
         superpattern, tested without interning the states it leads to."""
         state, tag = divmod(node, self.d + 1)
-        if self.rule == _CANONICAL:
-            letters = range(1, min(tag + 1, self.d) + 1)
-        else:
-            # Under _ANY the tag is 0, which is no letter.
-            letters = (a for a in range(1, self.d + 1) if a != tag)
-        return any(self.auto.completes(state, a) for a in letters)
+        return any(self.auto.completes(state, a) for a, _b in self.pairs(tag))
 
     def levels(self, n: int, strict: bool) -> Iterator[tuple[dict[int, int], int]]:
         """Forward DP from the prefix length t0 to length n: yields, for
@@ -345,7 +341,7 @@ class _WordSpace:
             yield nxt, hit
             level = nxt
 
-    def walk(self, n: int, strict: bool, budget: Optional[int], what: str) -> Iterator[Word]:
+    def walk(self, n: int, strict: bool, budget: Optional[int]) -> Iterator[Word]:
         """The words of length n that are strict superpatterns (strict) or
         superpatterns (otherwise), in lexicographic order.
 
@@ -384,11 +380,12 @@ class _WordSpace:
         finishing letters) meets the budget B (WORD_BUDGET by default): past B
         words, or past B * (B.bit_length() + 1) letters, as many as a word
         space of at most B words (d^n, d >= 2, or 2^(n - 2) alternating) can
-        hold, BudgetExceededError is raised.  The DP's step is one fixed
-        non-negative linear map, so once a level of n - 1's parity dominates,
-        node by node, the one two lengths before, the counts at n's parity
-        never fall again, and the forward pass refuses at the first such
-        length past either cap.  An empty strict level ends the listing.
+        hold, BudgetExceededError is raised, naming the listing by the rule
+        and strict.  The DP's step is one fixed non-negative linear map, so
+        once a level of n - 1's parity dominates, node by node, the one two
+        lengths before, the counts at n's parity never fall again, and the
+        forward pass refuses at the first such length past either cap.  An
+        empty strict level ends the listing.
         """
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
@@ -403,8 +400,8 @@ class _WordSpace:
         def refuse_past_cap(count: int, bound: str) -> None:
             if count > cap or count * n > letter_cap:
                 raise BudgetExceededError(
-                    f"{what} at n={n} would print {bound}{count} words of {n} letters,"
-                    f" over the cap of {cap} words or {letter_cap} letters"
+                    f"{self.listing[strict]} listing at n={n} would print {bound}{count} words of"
+                    f" {n} letters, over the cap of {cap} words or {letter_cap} letters"
                 )
         accepting = self.auto.accepting
         w = self.d + 1
@@ -499,7 +496,7 @@ def count_strict_superpatterns(d: int, k: int, n: int) -> int:
 def iter_strict_superpatterns(d: int, k: int, n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict k-superpatterns of length n in lexicographic order,
     bounded by the budget as in _WordSpace.walk."""
-    yield from _WordSpace(d, k, _ANY).walk(n, True, budget, "strict-superpattern listing")
+    return _WordSpace(d, k, _ANY).walk(n, True, budget)
 
 
 def iter_superpatterns(
@@ -519,7 +516,7 @@ def iter_superpatterns(
             " changes which words are superpatterns; it is answered only for k = 1, k > d or d = k <= 4"
         )
     space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
-    return space.walk(n, False, budget, "superpattern listing")
+    return space.walk(n, False, budget)
 
 
 # --- the alternating (minimal) word space, first two letters fixed as 1,2 ----
@@ -552,8 +549,7 @@ def _minimal_listing(
     that extend the prefix, in lexicographic order.  Under the empty prefix
     that is every one of them: six per isomorphism class, since each holds
     all three letters.  Bounded as in _WordSpace.walk."""
-    what = "strict-minimal listing" if strict else "minimal-superpattern listing"
-    return _alternating(n, prefix).walk(n, strict, budget, what)
+    return _alternating(n, prefix).walk(n, strict, budget)
 
 
 def count_minimal_upto_iso(n: int) -> int:
@@ -569,7 +565,7 @@ def count_minimal_upto_iso(n: int) -> int:
 
 def iter_strict_minimal_upto_iso(n: int, budget: Optional[int] = None) -> Iterator[Word]:
     """Stream the strict minimal 3-superpatterns of length n starting 1,2."""
-    yield from _minimal_listing(n, True, budget)
+    return _minimal_listing(n, True, budget)
 
 
 def count_strict_minimal_upto_iso(n: int) -> int:

@@ -288,6 +288,7 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
+    waiting_time_gf(args.d)  # refuses an unsolved alphabet; _require_printable needs d >= 2
     _require_printable(args.d, args.n)
     digits = args.digits
     # Also in brute mode, so that an n below the support is refused the same way.
@@ -366,8 +367,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_gf(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be at least 0")
+    gf = waiting_time_gf(args.d)  # first, as in cmd_pmf
     _require_printable(args.d, args.n)
-    coeffs = waiting_time_gf(args.d).series_coefficients(args.n)
+    coeffs = gf.series_coefficients(args.n)
     if args.format == "json":
         pieces = _json({"d": args.d, "coefficients": {n: str(c) for n, c in enumerate(coeffs)}})
     else:
@@ -542,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_counts)
 
     p = subs.add_parser("pmf", help="waiting-time probability mass function")
-    p.add_argument("--d", type=int, choices=(2, 3), default=3)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, required=True, help="truncate the table at this length")
     p.add_argument("--mode", choices=("exact", "brute", "both"), default="exact")
     p.add_argument("--digits", type=_positive_int, default=12)
@@ -550,13 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pmf)
 
     p = subs.add_parser("moments", help="exact mean and variance of the waiting time")
-    p.add_argument("--d", type=int, choices=(2, 3), default=3)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--digits", type=_positive_int, default=12)
     _add_common(p)
     p.set_defaults(func=cmd_moments)
 
     p = subs.add_parser("gf", help="series coefficients of the waiting-time generating function")
-    p.add_argument("--d", type=int, choices=(2, 3), default=3)
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--n", type=int, required=True, help="highest coefficient order")
     _add_common(p)
     p.set_defaults(func=cmd_gf)

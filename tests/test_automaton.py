@@ -72,7 +72,7 @@ def test_component_overflow_is_a_budget_error(monkeypatch):
         expand_breadth_first(ContainmentAutomaton(3, 3), 10**9)
 
 
-@pytest.mark.parametrize("d,k", [(9, 6), (300, 2)])
+@pytest.mark.parametrize("d,k", [(10, 5), (17, 4), (300, 2)])
 def test_too_many_instances_fail_before_enumeration(d, k):
     assert d**k > automaton.MAX_INSTANCES
     start = time.process_time()
@@ -83,7 +83,14 @@ def test_too_many_instances_fail_before_enumeration(d, k):
     assert time.process_time() - start < 0.5
 
 
-@pytest.mark.parametrize("argv", [["--d", "9", "--k", "6", "--trials", "1"], ["--d", "300", "--k", "2", "--trials", "5"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--d", "10", "--k", "5", "--trials", "1"],
+        ["--d", "17", "--k", "4", "--trials", "1"],
+        ["--d", "300", "--k", "2", "--trials", "5"],
+    ],
+)
 def test_too_many_instances_exit_three(capsys, argv):
     start = time.process_time()
     assert main(["simulate", *argv]) == 3
@@ -101,15 +108,19 @@ def test_too_many_instances_exit_three(capsys, argv):
         lambda: list(iter_superpatterns(6, 6, 6)),
         lambda: simulate_tau(6, 6, 1, 0),
         lambda: enumerate_preferential_arrangements(6),
+        lambda: ContainmentAutomaton(9, 6),
+        lambda: simulate_tau(9, 6, 1, 0),
+        lambda: ContainmentAutomaton(7, 7),
+        lambda: list(iter_superpatterns(7, 7, 13)),
     ],
-    ids=["automaton", "count", "listing", "simulate", "arrangements"],
+    ids=["automaton", "count", "listing", "simulate", "arrangements", "9,6", "simulate-9,6", "7,7", "listing-7,7"],
 )
 def test_pattern_length_past_the_cap_fails_at_once(route):
-    # 6**6 is under MAX_INSTANCES, so only the cap on pattern length stops
-    # these, before any pattern is listed.
-    assert 6**6 <= automaton.MAX_INSTANCES
+    # Every automaton lists its patterns before it checks the cap on pattern
+    # instances, so the cap on pattern length stops these before any pattern
+    # is listed, under MAX_INSTANCES (6**6) or over it (9**6, 7**7).
     start = time.process_time()
-    with pytest.raises(ValueError, match="k=6 is over the cap of 5"):
+    with pytest.raises(ValueError, match="k=[67] is over the cap of 5"):
         route()
     assert time.process_time() - start < 0.5
 
@@ -154,10 +165,10 @@ def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
 
 def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
     shared = get_automaton(3, 3)
-    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 100)
     auto = ContainmentAutomaton(3, 3)
-    # The budget is read when the automaton is made.
-    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 10**6)
+    # The budget is read when a state is interned, so a lower one set after
+    # the automaton was made still binds it.
+    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 100)
     with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 100 states"):
         expand_breadth_first(auto, 10**9)
     assert auto.state_count == 100

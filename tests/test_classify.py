@@ -438,6 +438,14 @@ class TestStrictEnumeration:
         assert count_strict_superpatterns(2, 2, 3) == 2
         assert {str(w) for w in iter_strict_superpatterns(2, 2, 3)} == {"121", "212"}
 
+    def test_strict_listings_refuse_at_the_call(self):
+        # Like iter_superpatterns, both return the walker itself, so a bad
+        # input is refused before any word is asked for.
+        with pytest.raises(ValueError, match="k=6 is over the cap of 5"):
+            iter_strict_superpatterns(6, 6, 6)
+        with pytest.raises(ValueError, match="needs n >= 3"):
+            iter_strict_minimal_upto_iso(2)
+
     def test_ternary_counts(self):
         assert count_strict_superpatterns(3, 3, 7) == 42
         assert count_strict_superpatterns(3, 3, 6) == 0
@@ -799,9 +807,9 @@ class TestWalker:
                     ]
                     strict = [w for w in space if not verdict[w.letters[:-1]]]
                     walker = _WordSpace(d, k, rule, prefix)
-                    listed = list(walker.walk(n, False, None, "listing"))
+                    listed = list(walker.walk(n, False, None))
                     assert listed == space, (rule, prefix, n)
-                    assert list(walker.walk(n, True, None, "listing")) == strict, (rule, prefix, n)
+                    assert list(walker.walk(n, True, None)) == strict, (rule, prefix, n)
                     # The walker builds its words unchecked; each is still the
                     # checked Word in value, hash and text.
                     for w in listed:
@@ -809,12 +817,12 @@ class TestWalker:
                         assert (w, hash(w), str(w)) == (checked, hash(checked), str(checked))
 
     def test_public_listings_use_the_walker(self):
-        strict = _WordSpace(3, 3, _ANY).walk(8, True, None, "listing")
+        strict = _WordSpace(3, 3, _ANY).walk(8, True, None)
         assert list(iter_strict_superpatterns(3, 3, 8)) == list(strict)
-        canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False, None, "listing")
+        canonical = _WordSpace(3, 3, _CANONICAL).walk(8, False, None)
         assert list(iter_superpatterns(3, 3, 8, canonical=True)) == list(canonical)
         alternating = _WordSpace(3, 3, _NO_REPEAT, (1, 2))
-        assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None, "listing"))
+        assert list(iter_strict_minimal_upto_iso(9)) == list(alternating.walk(9, True, None))
 
     def test_tail_blocks_spare_the_walk_most_prefixes(self, monkeypatch):
         # The (3, 3) strict words of length 14 share their last five letters
@@ -853,7 +861,7 @@ class TestWalker:
         # it has at least 2k - 1; at 2k - 1 there are words.
         for k in range(1, 6):
             for n in range(2 * k - 1):
-                assert list(_WordSpace(k, k, _ANY).walk(n, False, None, "listing")) == [], (k, n)
+                assert list(_WordSpace(k, k, _ANY).walk(n, False, None)) == [], (k, n)
         assert [str(w) for w in iter_strict_superpatterns(2, 2, 3)] == ["121", "212"]
         assert [str(w) for w in iter_superpatterns(3, 3, 5)] == []
 

@@ -449,6 +449,16 @@ class TestMomentsAndGf:
         assert lines[0] == "n,coefficient"
         assert lines[8] == "7,14/729"
 
+    @pytest.mark.parametrize(
+        "argv", [["pmf", "--d", "4", "--n", "10"], ["gf", "--d", "1", "--n", "3"], ["moments", "--d", "5"]]
+    )
+    def test_unsolved_alphabet_exits_two_with_the_library_message(self, capsys, argv):
+        # waiting_time_gf alone says which alphabets are solved; gf --d 1
+        # is refused by it before the text-limit check divides by log10(d).
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: waiting-time generating functions are available for d = 2 and d = 3 only\n"
+
 
 @pytest.fixture
 def default_int_digits():
@@ -608,15 +618,19 @@ class TestPatternLengthCap:
         [
             ["enumerate", "--d", "6", "--k", "6", "--n", "6", "--filter", "all", "--scope", "full"],
             ["simulate", "--d", "6", "--k", "6", "--trials", "1"],
+            # d**k is over MAX_INSTANCES here, yet the cap on pattern length,
+            # checked first, decides the exit code.
+            ["enumerate", "--d", "9", "--k", "9", "--n", "17", "--filter", "all", "--scope", "full"],
+            ["simulate", "--d", "9", "--k", "6", "--trials", "1"],
         ],
-        ids=["enumerate", "simulate"],
+        ids=["enumerate", "simulate", "enumerate-9,9", "simulate-9,6"],
     )
     def test_k_six_exits_two_at_once(self, capsys, argv):
         start = time.process_time()
         code, out, err = run(capsys, *argv)
         assert time.process_time() - start < 0.5
         assert (code, out) == (2, "")
-        assert "k=6 is over the cap of 5" in err
+        assert f"k={argv[argv.index('--k') + 1]} is over the cap of 5" in err
 
 
 class TestVerify:

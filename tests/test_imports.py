@@ -130,14 +130,39 @@ def test_only_classify_names_the_word_cap():
     # --budget or $SUPERPATTERN_BUDGET through and holds no default of its own.
     named = [path.name for path in sorted(SOURCE.glob("*.py")) if "WORD_BUDGET" in _identifiers(path)]
     assert named == ["classify.py"]
+    budget_options = _option_calls("--budget")
+    assert budget_options and all(kw.arg != "default" for call in budget_options for kw in call.keywords)
+
+
+def _option_calls(option: str) -> list[ast.Call]:
+    """The calls in cli.py that declare the option, such as "--d"."""
     cli = ast.parse((SOURCE / "cli.py").read_text())
-    budget_options = [
+    return [
         call
         for call in ast.walk(cli)
         if isinstance(call, ast.Call)
-        and any(isinstance(arg, ast.Constant) and arg.value == "--budget" for arg in call.args)
+        and any(isinstance(arg, ast.Constant) and arg.value == option for arg in call.args)
     ]
-    assert budget_options and all(kw.arg != "default" for call in budget_options for kw in call.keywords)
+
+
+def test_only_the_generating_function_says_which_alphabets_are_solved():
+    # waiting_time_gf refuses an unsolved alphabet; no --d option repeats
+    # that list as argparse choices.
+    d_options = _option_calls("--d")
+    assert d_options and all(kw.arg != "choices" for call in d_options for kw in call.keywords)
+
+
+def test_the_word_space_states_its_letter_rule_once():
+    # Only _WordSpace.__init__ turns a rule into the pairs the other methods read.
+    tree = ast.parse((SOURCE / "classify.py").read_text())
+    space = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_WordSpace")
+    named = [
+        node.name
+        for node in space.body
+        if isinstance(node, ast.FunctionDef)
+        and _identifiers_of(node) & {"_ANY", "_NO_REPEAT", "_CANONICAL"}
+    ]
+    assert named == ["__init__"]
 
 
 def test_only_the_word_space_reaches_the_automaton_in_classify():
