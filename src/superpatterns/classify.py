@@ -30,14 +30,15 @@ letters while the nodes at the next depth up hold fewer tails than prefixes
 reach them and the tail letters built stay within the words printed, so past
 the DP a listing costs time linear in the letters it prints.  A count keeps
 one level of the DP, and the least superpattern length is the first length
-at which some word's last letter completes one, tested on each level without
-interning the states that letter leads to.  Counts, listings and that least
-length stop when the automaton refuses a state past its budget
-(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
-letters it would print, which the walker's DP counts before the first word
-(WORD_BUDGET words by default).  The closed-form counts they are checked
-against live in count_formulas(), and the flanking-pairs check is one match
-of a compiled pattern over the word's bytes.
+with a nonzero strict count.  That DP stops one short of the longest length
+searched, which is decided by whether some letter completes a node of the
+last level, without interning the states that letter leads to.  Counts,
+listings and that least length stop when the automaton refuses a state past
+its budget (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the
+words and letters it would print, which the walker's DP counts before the
+first word (WORD_BUDGET words by default).  The closed-form counts they are
+checked against live in count_formulas(), and the flanking-pairs check is
+one match of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -210,15 +211,15 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
     Read off the strict counting DP of the listings: the least superpattern
-    length is one more than the first level with a node that some letter
-    completes.  That is tested before the DP builds the next level, without
-    interning the states the letters lead to, so the search stops one level
-    short of the states that would hold the hits.  No word over fewer than k
-    letters holds 12...k, so k > d is refused with no search, and the search
-    stops at the known bound.  A superpattern of length at most n_max holds k
-    equal letters, so it uses at most n_max - k + 1 distinct ones, and dense
-    ranking keeps it a superpattern: the DP runs over that many letters, on
-    canonical words where _relabelling_keeps_status.  Raises
+    length is the first length with a nonzero strict count.  The DP runs to
+    n_max - 1 only; whether some letter completes a node of that last level
+    decides n_max, tested without interning the states the letters lead to,
+    so the search never interns a state of length n_max.  No word over fewer
+    than k letters holds 12...k, so k > d is refused with no search, and the
+    search stops at the known bound.  A superpattern of length at most n_max
+    holds k equal letters, so it uses at most n_max - k + 1 distinct ones,
+    and dense ranking keeps it a superpattern: the DP runs over that many
+    letters, on canonical words where _relabelling_keeps_status.  Raises
     SuperpatternNotFoundError when nothing is found up to n_max,
     BudgetExceededError when the automaton passes its state budget, and
     ValueError, first, for k past MAX_PATTERN_LENGTH.
@@ -236,9 +237,11 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     if width >= k:
         rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
         space = _WordSpace(width, k, rule)
-        for n, (level, _hit) in enumerate(space.levels(n_max - 1, strict=True), start=1):
-            if any(map(space.completes, level)):
+        for n, (level, hit) in enumerate(space.levels(n_max - 1, strict=True)):
+            if hit:
                 return n
+        if any(map(space.completes, level)):
+            return n_max
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
@@ -687,32 +690,20 @@ def _ends_with_minimum(word: Word) -> bool:
 QUATERNARY_EXAMPLE = Word.parse("121312141213121", alphabet_size=4)
 
 
-def _every_letter_necessary(word: Word, k: int) -> bool:
-    """Superpattern in which deleting any single letter breaks containment."""
-    if not is_superpattern(word, k):
-        return False
-    letters = word.letters
-    for i in range(len(letters)):
-        if is_superpattern(Word(letters[:i] + letters[i + 1 :], word.alphabet_size), k):
-            return False
-    return True
-
-
 def verify_quaternary_counterexample() -> bool:
     """The 15-letter word 121312141213121 is a strict superpattern for
     length-4 patterns over {1,2,3,4}, yet none of its C(15,12) = 455
-    length-12 subsequences is a superpattern with every letter necessary.
+    length-12 subsequences is a superpattern.
 
-    So strictness does not force an embedded minimum-length superpattern once
-    the alphabet grows past three letters.
+    The least 4-superpattern over four letters has L(4,4) = 12 letters
+    (min_superpattern_length(4, 4)), so a 12-letter one is minimum: it has
+    no two equal adjacent letters, since deleting one of them would leave an
+    11-letter superpattern.  So strictness does not force an embedded
+    minimum superpattern once the alphabet grows past three letters.
     """
     w = QUATERNARY_EXAMPLE
     if not is_superpattern(w, 4):
         return False
     if is_superpattern(w.prefix(len(w) - 1), 4):
         return False
-    for idxs in combinations(range(len(w)), 12):
-        candidate = Word(tuple(w.letters[i] for i in idxs), 4)
-        if _every_letter_necessary(candidate, 4):
-            return False
-    return True
+    return not any(is_superpattern(Word(letters, 4), 4) for letters in combinations(w.letters, 12))

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from operator import mul
 from typing import Sequence, Union
 
@@ -103,15 +105,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("polynomial powers must be non-negative")
-        result = Polynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return reduce(mul, repeat(self, exponent), Polynomial([1]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coefficients == other.coefficients

@@ -179,9 +179,9 @@ class _ByteTable:
                 offsets.append(key[1])
             return variants[key]
 
-        # A single letter that finishes a trial does so at the byte's last offset j.
-        tables = [array("i", [finish_before(j, 0) if end == accept else end for end in ends]) for ends in rows]
-        for length in range(2, j + 1):
+        # State s's length-0 table: no letters lead anywhere but s.
+        tables = [array("i", [s]) for s in range(n)]
+        for length in range(1, j + 1):
             restart = array("i", [finish_before(j - length + 1, e) for e in tables[0]])
             built = []
             for ends in rows:

@@ -53,7 +53,6 @@ from superpatterns.classify import (
     _NO_REPEAT,
     _WordSpace,
     _ends_with_minimum,
-    _every_letter_necessary,
     _min_length_upper_bound,
     _minimal_listing,
 )
@@ -382,6 +381,28 @@ class TestMinimumLength:
         assert min_superpattern_length(4, 4) == 12
         assert get_automaton(4, 4).state_count < 110_000
         assert classify(Word.parse("123413214231"), 4).is_minimum
+
+    @pytest.mark.parametrize("k,least", [(3, 7), (4, 12)])
+    def test_only_the_last_level_is_asked_for_a_completing_letter(self, monkeypatch, k, least):
+        # Shorter lengths are read off the strict counts, so completes sees
+        # only nodes of the level at depth n_max - 1, here least - 1.
+        levels, completes = _WordSpace.levels, _WordSpace.completes
+        yielded: list[dict[int, int]] = []
+        asked: list[tuple[int, bool]] = []
+
+        def recorded_levels(space, n, strict):
+            for level, hit in levels(space, n, strict):
+                yielded.append(level)
+                yield level, hit
+
+        def recorded_completes(space, node):
+            asked.append((len(yielded) - 1, node in yielded[-1]))
+            return completes(space, node)
+
+        monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
+        monkeypatch.setattr(_WordSpace, "completes", recorded_completes)
+        assert min_superpattern_length(k, k) == least == _min_length_upper_bound(k)
+        assert asked and set(asked) == {(least - 1, True)}
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
@@ -1044,14 +1065,13 @@ class TestQuaternaryCounterexample:
     def test_verifies(self):
         assert verify_quaternary_counterexample()
 
-    @pytest.mark.parametrize(
-        "text,k,expected",
-        [("1213121", 3, True), ("12131211", 3, False), ("123123", 3, False), ("1221", 2, False)],
-    )
-    def test_every_letter_necessary(self, text, k, expected):
-        # The counterexample's candidates all fail the superpattern test, so
-        # only these cases reach the single-letter deletions.
-        assert _every_letter_necessary(Word.parse(text), k) is expected
+    def test_a_word_that_embeds_a_minimum_superpattern_is_refused(self, monkeypatch):
+        # A strict 15-letter 4-superpattern that embeds the minimum one
+        # 123413214231: drop its 3rd, 9th and 12th letters.
+        word = Word.parse("121341322141231", alphabet_size=4)
+        assert is_superpattern(word, 4) and not is_superpattern(word.prefix(14), 4)
+        monkeypatch.setattr(classify_module, "QUATERNARY_EXAMPLE", word)
+        assert not verify_quaternary_counterexample()
 
     def test_word_is_strict_for_k4(self):
         assert is_superpattern(QUATERNARY_EXAMPLE, 4)

@@ -116,7 +116,8 @@ def test_k_above_d_is_refused_before_closure(monkeypatch):
 @pytest.mark.parametrize("d", [17, 200])
 def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
     # Pattern 11 alone needs 2^d states before acceptance, over the budget.
-    monkeypatch.setattr(_dfa, "ContainmentAutomaton", no_closure)
+    # The automaton itself is made first (40,000 instances at d = 200).
+    monkeypatch.setattr(ContainmentAutomaton, "closed_component", no_closure)
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match=f"k=2, d={d} needs at least k\\^d = {2**d} states"):
         simulate_tau(d, 2, 5, 0)

@@ -125,6 +125,13 @@ def test_only_the_automaton_names_its_budget_and_cache():
     assert {name: found for name, found in named.items() if found} == {}
 
 
+def test_the_dfa_names_no_automaton_cap():
+    # The automaton refuses past its own caps when _dfa makes it, so _dfa
+    # needs none of them to order its refusals.
+    caps = {"MAX_INSTANCES", "_MAX_COMPONENTS", "SEARCH_STATE_BUDGET"}
+    assert sorted(_identifiers(SOURCE / "_dfa.py") & caps) == []
+
+
 def test_only_classify_names_the_word_cap():
     # The listings' default word cap lives in classify alone: the CLI passes
     # --budget or $SUPERPATTERN_BUDGET through and holds no default of its own.
