@@ -30,11 +30,14 @@ refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
 _MAX_COMPONENTS, each read when used, and a shared automaton that overruns
 either removes itself from the cache before it raises.
 
-A containment query (`patterns.contains_pattern`) walks one pattern's
-component alone through the same columns, without forming product states,
-so it interns no state; it reports where the pattern was completed.  The
-test suite checks the verdicts against a backtracking search and a
-brute-force scan of subsequences.
+A containment query walks each pattern's component alone through the same
+columns, without forming product states, so it interns no state; it
+reports where each pattern was completed.  One call (`ends`) walks a whole
+word over every pattern, for `classify.missing_patterns` and
+`classify.classify`, or over one, for `patterns.contains_pattern`; `_ends`
+runs it on the shared automaton and is the one place a walk that overruns
+is retried.  The test suite checks the verdicts against a backtracking
+search and a brute-force scan of subsequences.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import reduce
 from itertools import combinations
 from operator import getitem
 from struct import Struct, error as StructError
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:
     from .patterns import Pattern
@@ -77,11 +80,11 @@ class ContainmentAutomaton:
     ``transitions[s][a]`` is the successor of state s on letter a, or -1 when
     not built yet (call step() to build it).  A state's key packs one
     component id per pattern; component id 0 means the pattern is contained,
-    and the state accepts when every component is 0.  contains() walks one
-    pattern's component alone and forms no state.  Raises ValueError for k
-    past MAX_PATTERN_LENGTH, first; BudgetExceededError when d**k exceeds
-    MAX_INSTANCES, and when a step would intern a state past
-    SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
+    and the state accepts when every component is 0.  ends() walks a word
+    through each pattern's component alone and forms no state.  Raises
+    ValueError for k past MAX_PATTERN_LENGTH, first; BudgetExceededError
+    when d**k exceeds MAX_INSTANCES, and when a step would intern a state
+    past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
     """
 
     def __init__(self, d: int, k: int):
@@ -221,22 +224,33 @@ class ContainmentAutomaton:
             del _cache[key]
         raise BudgetExceededError(f"the automaton for k={self.k}, d={self.d} {what}")
 
-    def contains(self, letters: Iterable[int], pattern: Pattern) -> int:
-        """The 1-based position of the letter that completes the pattern, or 0
-        when the letters do not contain it: the pattern's component alone is
-        walked from the empty word's id 1 and stops at the contained id 0 or
-        when the letters end."""
-        pi = self._pattern_index[pattern.letters]
-        columns = self._by_pattern[pi]
-        component = 1
-        for position, a in enumerate(letters, 1):
-            nxt = columns[a][component]
-            if nxt == _UNFILLED:
-                nxt = self._fill(self._columns[a], pi, component, a)
-            if nxt == _CONTAINED:
-                return position
-            component = nxt
-        return 0
+    def ends(self, letters: Sequence[int], indices: Optional[Iterable[int]] = None) -> Iterator[int]:
+        """For each pattern index, all of them by default and in pattern
+        order, the 1-based position of the letter that completes the pattern,
+        or 0 when the letters do not contain it: the pattern's component
+        alone is walked from the empty word's id 1 and stops at the contained
+        id 0 or when the letters end.  One call walks a whole word; the loop
+        is written out here once, without a call per pattern."""
+        by_pattern = self._by_pattern
+        for pi in range(len(by_pattern)) if indices is None else indices:
+            columns = by_pattern[pi]
+            component = 1
+            end = 0
+            for position, a in enumerate(letters, 1):
+                nxt = columns[a][component]
+                if nxt == _UNFILLED:
+                    nxt = self._fill(self._columns[a], pi, component, a)
+                if nxt == _CONTAINED:
+                    end = position
+                    break
+                component = nxt
+            yield end
+
+    def contains(self, letters: Sequence[int], pattern: Pattern) -> int:
+        """Where the letters complete the pattern (1-based), or 0: ends() for
+        the one pattern."""
+        (end,) = self.ends(letters, (self._pattern_index[pattern.letters],))
+        return end
 
     def closed_component(self, pi: int) -> list[list[int]]:
         """Pattern pi's component with every id reachable from the empty
@@ -275,17 +289,25 @@ def get_automaton(d: int, k: int) -> ContainmentAutomaton:
     return auto
 
 
-def _contains(d: int, k: int, letters: Iterable[int], pattern: Pattern) -> int:
-    """Where letters over 1..d complete the length-k pattern (1-based), or 0
-    when they do not contain it, walked on the shared (d, k) automaton.
+def _ends(d: int, k: int, letters: Sequence[int], pattern: Optional[Pattern] = None) -> Iterator[int]:
+    """ContainmentAutomaton.ends on the shared (d, k) automaton, for every
+    length-k pattern in order or for the one pattern given: where letters
+    over 1..d complete each (1-based), or 0 when they do not contain it.
 
     Over many queries one pattern's components can pass their cap, and the
     shared automaton then drops itself.  One walk alone stays far below the
     cap, since each step to a new component adds progress, at most k - 1 per
-    instance; so the walk is repeated once on a new shared automaton.
+    instance; so the walk resumes once, at the pattern that overran, on a new
+    shared automaton.  This is the one place a walk is retried.
     """
     auto = get_automaton(d, k)
+    indices: Sequence[int] = (
+        range(len(auto.patterns)) if pattern is None else (auto._pattern_index[pattern.letters],)
+    )
+    walked = 0
     try:
-        return auto.contains(letters, pattern)
+        for end in auto.ends(letters, indices):
+            yield end
+            walked += 1
     except BudgetExceededError:
-        return get_automaton(d, k).contains(letters, pattern)
+        yield from get_automaton(d, k).ends(letters, indices[walked:])

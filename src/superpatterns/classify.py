@@ -11,8 +11,11 @@ k.  Refinements, for a word w of length n:
 
 Queries on one word (is_superpattern, missing_patterns, classify) rank the
 word once and walk each pattern's component of the shared containment
-automaton.  classify reads strictness from the same walks: the word is
-strict when the last pattern completed is completed by its last letter.
+automaton.  missing_patterns and classify walk every pattern in one call,
+which yields where each pattern is completed; is_superpattern asks pattern
+by pattern and stops at the first one missing.  classify reads strictness
+from the same walk: the word is strict when the last pattern completed is
+completed by its last letter.
 
 The exhaustive routes run over the states of the shared containment
 automaton, not over words.  Counts come from a transfer-matrix DP: words that
@@ -50,7 +53,7 @@ from functools import cache, lru_cache
 from itertools import combinations, permutations, repeat
 from typing import Iterator, Optional
 
-from .automaton import BudgetExceededError, _contains, get_automaton
+from .automaton import BudgetExceededError, _ends, get_automaton
 from .patterns import (
     Pattern,
     Word,
@@ -151,8 +154,8 @@ class CountReport:
         )
 
 
-# Each query below ranks the word once and walks it per pattern; a ranked
-# word walks the same (w, k) automaton on every call.
+# Each query below ranks the word once; a ranked word walks the same (w, k)
+# automaton on every call.
 
 
 def is_superpattern(word: Word, k: int) -> bool:
@@ -164,36 +167,41 @@ def is_superpattern(word: Word, k: int) -> bool:
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
     """The canonical length-k patterns the word does not contain, in
     lexicographic order; empty exactly when the word is a superpattern."""
+    patterns = enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
-    return [p for p in enumerate_preferential_arrangements(k) if not contains_pattern(ranked, p)]
+    return [p for p, end in zip(patterns, _ends(ranked.alphabet_size, k, ranked.letters)) if not end]
 
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
+    enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
     # The word is strict when its last letter completes some pattern, that
-    # is, when the latest pattern to be completed is completed there.
+    # is, when the largest end of a pattern is the word's last position.
     last = 0
-    for p in enumerate_preferential_arrangements(k):
-        end = _contains(ranked.alphabet_size, k, ranked.letters, p)
+    for end in _ends(ranked.alphabet_size, k, ranked.letters):
         if not end:
             return ClassFlags(False, False, False, False)
-        last = max(last, end)
+        if end > last:
+            last = end
     letters = word.letters
     n = len(letters)
     minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
     strict = last == n
     minimum = False
-    if minimal and n <= _min_length_upper_bound(k):
+    if minimal and n <= _min_length_upper_bound(k, word.alphabet_size):
         # The word is a superpattern, so the search to length n resolves.
         minimum = min_superpattern_length(k, word.alphabet_size, n_max=n) == n
     return ClassFlags(True, minimal, strict, minimum)
 
 
-def _min_length_upper_bound(k: int) -> int:
+def _min_length_upper_bound(k: int, d: int) -> int:
     """Known upper bound on the least superpattern length over d >= k
-    letters: the bound for alphabet size k applies verbatim, since patterns
-    of length k never use more than k distinct values."""
+    letters.  The bound for alphabet size k applies to every larger d, since
+    patterns of length k never use more than k distinct values.  For k = 4
+    it falls from 12 to 11 once d >= 5: 42134254124 is a 4-superpattern."""
+    if k == 4 and d >= 5:
+        return 11
     return {1: 1, 2: 3}.get(k, k * k - 2 * k + 4)
 
 
@@ -231,7 +239,7 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
         raise SuperpatternNotFoundError(
             f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
         )
-    bound = _min_length_upper_bound(k)
+    bound = _min_length_upper_bound(k, d)
     n_max = bound if n_max is None else min(n_max, bound)
     width = min(d, n_max - k + 1)
     if width >= k:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .automaton import _contains
+from .automaton import _ends
 
 __all__ = [
     "Word",
@@ -217,7 +217,10 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     if k > len(word.letters):
         return False
     word = _ranked(word)
-    return _contains(word.alphabet_size, k, word.letters, pattern) > 0
+    # Unpacked rather than read with next(), which would leave the walk
+    # suspended, to be closed at twice the cost of running it out.
+    (end,) = _ends(word.alphabet_size, k, word.letters, pattern)
+    return end > 0
 
 
 def fubini(k: int) -> int:

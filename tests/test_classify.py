@@ -7,7 +7,7 @@ import sys
 import time
 import tracemalloc
 from importlib import import_module
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,7 @@ from superpatterns import (
     Word,
     classify,
     contains_pattern,
+    dense_rank,
     enumerate_preferential_arrangements,
     get_automaton,
     count_beta_bruteforce,
@@ -229,15 +230,31 @@ class TestClassify:
         assert flags.is_strict == (accepted and not auto.accepting[auto.scan(w.letters[:-1])])
 
     # derandomize: classify on a minimal 4-superpattern of at most 12 letters
-    # runs the (4, d) minimum-length search, which answers in seconds for
-    # d = 4 and overruns its state budget for d >= 5; the fixed example set
-    # draws no such word.
+    # over four, or 11 over more, runs the (4, d) minimum-length search,
+    # which answers in seconds for d = 4 and overruns its state budget for
+    # d >= 5; the fixed example set draws no such word.
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(words_and_k(), planted_superpatterns()))
     def test_strict_means_the_prefix_falls_short(self, word_k):
         w, k = word_k
         expected = is_superpattern(w, k) and not is_superpattern(w.prefix(len(w) - 1), k)
         assert classify(w, k).is_strict == expected
+
+    def test_a_query_walks_the_word_once(self, monkeypatch):
+        # All 75 patterns of a 12-letter word are walked in one walk on one
+        # automaton, with no call per pattern.  The word is not minimal, so
+        # classify runs no minimum-length search.
+        get, contains = automaton.get_automaton, automaton.ContainmentAutomaton.contains
+        lookups, calls = [], []
+        monkeypatch.setattr(automaton, "get_automaton", lambda d, k: lookups.append((d, k)) or get(d, k))
+        monkeypatch.setattr(
+            automaton.ContainmentAutomaton, "contains", lambda *args: calls.append(args) or contains(*args)
+        )
+        w = Word.parse("421342541244")
+        assert classify(w, 4) == ClassFlags(True, False, False, False)
+        assert lookups == [(5, 4)]
+        assert missing_patterns(w, 4) == []
+        assert lookups == [(5, 4)] * 2 and calls == []
 
     def test_witnesses_on_the_last_letter_need_not_make_it_strict(self):
         w = Word.parse("12321231")
@@ -370,8 +387,29 @@ class TestMinimumLength:
         assert len(witnesses) == MAX_PATTERN_LENGTH
         for k, text in enumerate(witnesses, 1):
             w = Word.parse(text)
-            assert (w.alphabet_size, len(w)) == (k, _min_length_upper_bound(k))
+            assert (w.alphabet_size, len(w)) == (k, _min_length_upper_bound(k, k))
             assert is_superpattern(w, k), text
+
+    def test_four_letter_patterns_need_a_letter_less_over_five_letters(self):
+        # The k = 4 bound falls from 12 to 11 once d >= 5, by this witness,
+        # checked three ways: on the automaton, by the dense ranks of all 330
+        # of its 4-letter subsequences, and by the backtracking search.
+        w = Word.parse("42134254124")
+        assert [_min_length_upper_bound(4, d) for d in (4, 5, 9)] == [12, len(w), len(w)]
+        assert w.alphabet_size == 5 and is_superpattern(w, 4)
+        patterns = enumerate_preferential_arrangements(4)
+        subsequences = list(combinations(w.letters, 4))
+        assert len(subsequences) == 330
+        assert {dense_rank(Word(s, 5)) for s in subsequences} == set(patterns)
+        assert all(find_embedding(w, p) is not None for p in patterns)
+
+    def test_a_twelve_letter_word_over_five_letters_is_not_minimum(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("12 letters are past the bound, so nothing is searched")
+
+        monkeypatch.setattr(classify_module, "min_superpattern_length", no_search)
+        flags = classify(Word.parse("123413214231", alphabet_size=5), 4)
+        assert flags == ClassFlags(True, True, True, False)
 
     def test_quaternary(self, monkeypatch):
         # The (4, 4) DP walks canonical words to length 12 in seconds.  Its
@@ -401,7 +439,7 @@ class TestMinimumLength:
 
         monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
         monkeypatch.setattr(_WordSpace, "completes", recorded_completes)
-        assert min_superpattern_length(k, k) == least == _min_length_upper_bound(k)
+        assert min_superpattern_length(k, k) == least == _min_length_upper_bound(k, k)
         assert asked and set(asked) == {(least - 1, True)}
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
@@ -649,8 +687,10 @@ class TestTransferMatrixCounts:
             # A component cap of 2 leaves no id for the first step of 1234, so
             # the query fails as well on the fresh automaton it retries on.
             ("_MAX_COMPONENTS", 2, lambda: contains_pattern(Word.parse("1234"), Pattern.parse("1234"))),
+            ("_MAX_COMPONENTS", 2, lambda: classify(Word.parse("1234"), 4)),
+            ("_MAX_COMPONENTS", 2, lambda: missing_patterns(Word.parse("1234"), 4)),
         ],
-        ids=["count", "min-length", "listing", "containment"],
+        ids=["count", "min-length", "listing", "containment", "classify", "missing"],
     )
     def test_no_overrun_automaton_stays_shared(self, monkeypatch, cap, value, overrun):
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
@@ -658,6 +698,31 @@ class TestTransferMatrixCounts:
         with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=4 exceeded {value} "):
             overrun()
         assert (4, 4) not in automaton_cache
+
+    @pytest.mark.parametrize("query", [classify, missing_patterns], ids=["classify", "missing"])
+    def test_a_walk_that_overruns_part_way_resumes_on_a_fresh_automaton(self, monkeypatch, query):
+        # Over five letters, so that classify runs no minimum-length search;
+        # the word ranks to 1..4 and walks the (4, 4) automaton.
+        word = Word.parse("123413214231", alphabet_size=5)
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        expected = query(word, 4)
+        # After 31241 the word takes pattern 26 to 16 component ids on the
+        # shared automaton and no earlier pattern past 15; alone it needs at
+        # most 13 for any pattern.  So under a cap of 15 its walk overruns
+        # at pattern 26 and resumes there on a new shared automaton.
+        monkeypatch.delitem(automaton_cache, (4, 4))
+        missing_patterns(Word.parse("31241"), 4)
+        shared = get_automaton(4, 4)
+        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 15)
+        ends, starts = automaton.ContainmentAutomaton.ends, []
+
+        def recorded(auto, letters, indices):
+            starts.append(indices[0])
+            return ends(auto, letters, indices)
+
+        monkeypatch.setattr(automaton.ContainmentAutomaton, "ends", recorded)
+        assert query(word, 4) == expected
+        assert starts == [0, 26] and get_automaton(4, 4) is not shared
 
     def test_counts_keep_one_level(self):
         strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace

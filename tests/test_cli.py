@@ -695,7 +695,9 @@ class TestCheckGolden:
     # for byte.  Cases cover k = 2..5, the empty word, 24-letter (4,4) words
     # and QUATERNARY_EXAMPLE, each in csv, json and plain.  The 12-letter
     # minimum (4,4) word, in csv, was captured once the minimum-length search
-    # could answer it.
+    # could answer it.  The same word over five letters, with --d 5, was
+    # captured once the k = 4 bound fell to 11 for d >= 5: it is not minimum,
+    # and no search runs to say so.
     CASES = json.loads((Path(__file__).parent / "golden" / "check.json").read_text())
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: " ".join(c["argv"][1:]))

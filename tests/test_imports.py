@@ -184,6 +184,16 @@ def test_only_the_word_space_reaches_the_automaton_in_classify():
     assert named == ["_WordSpace"]
 
 
+def test_only_the_automaton_retries_a_walk():
+    # Every query walks through automaton._ends, which resumes once on a new
+    # shared automaton after an overrun; classify names no `_contains` and
+    # catches no overrun to walk again itself.
+    tree = ast.parse((SOURCE / "classify.py").read_text())
+    assert "_contains" not in _identifiers_of(tree)
+    caught = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert caught == []
+
+
 def test_only_patterns_names_the_pattern_length_cap():
     # One cap on pattern length serves every route: the enumerator checks it
     # before it lists anything, and every automaton lists its patterns first.
