@@ -1,4 +1,5 @@
-"""The containment automaton's minimal DFA, for the simulator.
+"""The containment automaton's minimal DFA, for the word-space DP and the
+simulator.
 
 `close_and_minimise` never builds the full product automaton.  It closes
 each pattern's component of a fresh `ContainmentAutomaton(d, k)` on its own
@@ -11,9 +12,10 @@ accepts when both of its parts do; a trial ends there, so what the word does
 next does not matter, and it loops to itself on every letter.  The minimal
 DFA is unique up to renaming, so this is the DFA the full product would
 minimise to.  Every product is held to STATE_BUDGET states; the components
-are bounded by the automaton's own cap on a pattern's progress vectors.  The
-simulator reads the result once per (d, k) to build its byte table, and
-keeps only that.
+are bounded by the automaton's own cap on a pattern's progress vectors.
+Each (d, k) is built once per process and kept: the word-space DP of
+`classify` steps it over small alphabets, and the simulator builds its byte
+table from it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ STATE_BUDGET = 100_000
 # A DFA as (rows, start, accept): rows[s][a - 1] is the successor of state s
 # on letter a, and accept is the one accepting state, which loops to itself.
 Dfa = tuple[list[tuple[int, ...]], int, int]
+
+# The minimal DFA of each (d, k) built so far, as close_and_minimise returns it.
+_built: dict[tuple[int, int], tuple[list[tuple[int, ...]], int]] = {}
 
 
 def _refine(columns: list, block: list[int]) -> tuple[list[int], int]:
@@ -92,8 +97,8 @@ def _join(d: int, k: int, left: Dfa, right: Dfa) -> tuple[list[list[int]], list[
 
 
 def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
-    """The minimal DFA of the (d, k) automaton; needs k <= d, so that some
-    state accepts.
+    """The minimal DFA of the (d, k) automaton, built once per process and
+    shared; needs k <= d, so that some state accepts.
 
     Returns (rows, accept), the minimal DFA of "the prefix is a
     k-superpattern" over {1..d}: state 0 reads the empty word,
@@ -109,6 +114,9 @@ def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
     before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
+    built = _built.get((d, k))
+    if built is not None:
+        return built
     auto = ContainmentAutomaton(d, k)
     if k**d > STATE_BUDGET:
         raise BudgetExceededError(
@@ -125,4 +133,5 @@ def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
     for component in sorted(components, key=lambda c: len(c[0])):
         dfa = _minimal(*_join(d, k, dfa, component))
     rows, _, accept = dfa
-    return rows, accept
+    built = _built[d, k] = rows, accept
+    return built

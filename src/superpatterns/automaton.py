@@ -15,14 +15,15 @@ own id, so each pattern keeps one lazily filled column per letter, and a new
 transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
-lookup.  One word-space DP (`classify._WordSpace`) steps product states
-for the exhaustive scans, the listings and the minimum-length search alike,
-on one shared automaton per (d, k); the search asks of its last level only
-whether a letter completes a state (`completes`), which interns nothing.
-The simulator forms no product state: it makes a fresh automaton, closes
-each pattern's component alone (`closed_component`), and `_dfa` minimises
-and joins them into the minimal DFA, from which the simulator builds its
-byte table, keeping neither.
+lookup.  Past d**k = 64 pattern instances, the word-space DP
+(`classify._WordSpace`) steps product states for the exhaustive scans, the
+listings and the minimum-length search alike, on one shared automaton per
+(d, k); the search asks of its last level only whether a letter completes a
+state (`completes`), which interns nothing.  Up to that, the DP steps the
+minimal DFA, which forms no product state: `_dfa` makes a fresh automaton,
+closes each pattern's component alone (`closed_component`), and minimises
+and joins them, once per (d, k); the simulator builds its byte table from
+the same DFA.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances.  It

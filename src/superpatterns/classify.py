@@ -17,15 +17,17 @@ by pattern and stops at the first one missing.  classify reads strictness
 from the same walk: the word is strict when the last pattern completed is
 completed by its last letter.
 
-The exhaustive routes run over the states of the shared containment
-automaton, not over words.  Counts come from a transfer-matrix DP: words that
-reach the same state (with the same last or largest letter, when the letter
-rule needs it) share their future, so each length costs one pass over the
-states.  Listings come from one explicit-stack walker that enters a prefix only
-when the DP shows a word of the requested length can still finish below it,
-and yields words in lexicographic order.  It keeps the current prefix's
-letters in one shared list and stops at a split depth h, where each node's
-tails, the words' last n - h letters, are already built as tail blocks
+The exhaustive routes run over automaton states, not over words: those of the
+containment automaton's minimal DFA over small alphabets, shared with the
+simulator, and those of the shared lazy automaton past them (one rule,
+_automaton, picks from d and k).  Counts come from a transfer-matrix DP:
+words that reach the same state (with the same last or largest letter, when
+the letter rule needs it) share their future, so each length costs one pass
+over the states.  Listings come from one explicit-stack walker that enters a
+prefix only when the DP shows a word of the requested length can still finish
+below it, and yields words in lexicographic order.  It keeps the current
+prefix's letters in one shared list and stops at a split depth h, where each
+node's tails, the words' last n - h letters, are already built as tail blocks
 shared by every prefix that reaches the node: it yields them in bulk, the
 prefix joined to each tail, as Words built without re-checking letters that
 are the automaton's moves over 1..d.  The blocks rise from the finishing
@@ -36,12 +38,13 @@ one level of the DP, and the least superpattern length is the first length
 with a nonzero strict count.  That DP stops one short of the longest length
 searched, which is decided by whether some letter completes a node of the
 last level, without interning the states that letter leads to.  Counts,
-listings and that least length stop when the automaton refuses a state past
-its budget (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the
-words and letters it would print, which the walker's DP counts before the
-first word (WORD_BUDGET words by default).  The closed-form counts they are
-checked against live in count_formulas(), and the flanking-pairs check is
-one match of a compiled pattern over the word's bytes.
+listings and that least length stop when the DFA's build passes its budget
+(_dfa.STATE_BUDGET) or the lazy automaton refuses a state past its own
+(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
+letters it would print, which the walker's DP counts before the first word
+(WORD_BUDGET words by default).  The closed-form counts they are checked
+against live in count_formulas(), and the flanking-pairs check is one match
+of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, permutations, repeat
-from typing import Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
+from ._dfa import close_and_minimise
 from .automaton import BudgetExceededError, _ends, get_automaton
 from .patterns import (
     Pattern,
@@ -259,6 +263,40 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
 # it, or first-occurrence canonical form (each new letter is the next unused).
 _ANY, _NO_REPEAT, _CANONICAL = range(3)
 
+# The most pattern instances, d**k, at which the word space steps the minimal
+# DFA.  Up to (8, 2) and (4, 3) it closes in at most 0.03 s; (5, 3) takes
+# 0.3 s and 26 MB, (4, 4) 2 s, and (6, 3) is refused on its state budget only
+# after a second of closure.  Past it the lazy automaton interns only the
+# states the words reach.
+_DFA_INSTANCES = 64
+
+
+class _Automaton(NamedTuple):
+    """What the word-space DP reads of an automaton: the successor of a state
+    on a letter (1-based), whether each state accepts, indexed by state, and
+    whether a letter takes a state to acceptance."""
+
+    step: Callable[[int, int], int]
+    accepting: list[bool]
+    completes: Callable[[int, int], bool]
+
+
+def _automaton(d: int, k: int) -> _Automaton:
+    """The automaton the word space steps, for k <= d: the shared minimal DFA
+    (_dfa.close_and_minimise) when d**k is at most _DFA_INSTANCES, where it
+    closes quickly and its states are the fewest; otherwise the shared lazy
+    automaton, which interns only the states the words reach.  Decided from
+    (d, k) alone, before any closure work."""
+    if d**k <= _DFA_INSTANCES:
+        rows, accept = close_and_minimise(d, k)
+        return _Automaton(
+            lambda s, a: rows[s][a - 1],
+            [s == accept for s in range(len(rows))],
+            lambda s, a: rows[s][a - 1] == accept,
+        )
+    auto = get_automaton(d, k)
+    return _Automaton(auto.step, auto.accepting, auto.completes)
+
 
 class _WordSpace:
     """The words over {1..d} that extend a fixed prefix under one letter rule,
@@ -271,15 +309,25 @@ class _WordSpace:
     a transfer-matrix DP over the nodes, level by level (Stanley, EC1
     section 4.7), in O(n * nodes * d) steps instead of d^n.
 
-    Counts and listings alike raise BudgetExceededError when the shared
-    automaton refuses a state past its budget; it has then dropped itself
-    from the cache.
+    The states are those of the automaton _automaton picks from (d, k): the
+    minimal DFA over small alphabets (44 states for (3, 3), against 646 lazy
+    product states), else the lazy automaton.  It is made when the DP first
+    steps, so a space that needs no DP makes none.  Counts and listings alike
+    raise BudgetExceededError when the DFA's closure passes its budget
+    (_dfa.STATE_BUDGET), or when the shared lazy automaton refuses a state
+    past its own; it has then dropped itself from the cache.
     """
 
     def __init__(self, d: int, k: int, rule: int, prefix: tuple[int, ...] = ()):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
+        # No word over fewer than k letters contains the pattern 12...k, so
+        # for k > d the space holds no superpattern and needs no automaton;
+        # otherwise a pattern length past the cap is refused here.
+        if k <= d:
+            enumerate_preferential_arrangements(k)
         self.d = d
+        self.k = k
         self.prefix = prefix
         # The rule, stated once: the (letter, next tag) pairs allowed after a
         # tag, in letter order, and a refused listing's name by strict.
@@ -293,14 +341,20 @@ class _WordSpace:
         else:
             pairs = lambda tag: tuple((a, max(tag, a)) for a in letters[: tag + 1])
         self.pairs = cache(pairs)
-        # No word over fewer than k letters contains the pattern 12...k, so
-        # for k > d the space holds no superpattern and needs no automaton.
-        self.auto = get_automaton(d, k) if k <= d else None
         self._moves: dict[int, tuple[tuple[int, int], ...]] = {}
-        if self.auto is not None:
-            self.root = 0  # the empty word's node: state 0, tag 0
-            for a in prefix:
-                self.root = dict(self.moves(self.root))[a]
+
+    @cached_property
+    def auto(self) -> _Automaton:
+        """The automaton the DP steps, picked when the DP first steps."""
+        return _automaton(self.d, self.k)
+
+    @cached_property
+    def root(self) -> int:
+        """The prefix's node, walked from the empty word's: state 0, tag 0."""
+        node = 0
+        for a in self.prefix:
+            node = dict(self.moves(node))[a]
+        return node
 
     def moves(self, node: int) -> tuple[tuple[int, int], ...]:
         """The (letter, child node) pairs the rule allows out of a node, in
@@ -331,7 +385,7 @@ class _WordSpace:
         the current level is kept; a caller that needs earlier ones keeps them.
         """
         t0 = len(self.prefix)
-        if self.auto is None:
+        if self.k > self.d:
             yield from repeat(({}, 0), n - t0 + 1)
             return
         accepting = self.auto.accepting
@@ -403,7 +457,7 @@ class _WordSpace:
         t0 = len(self.prefix)
         # A k-superpattern holds k equal letters (for 1...1) and k distinct
         # ones (for 12...k), and the two share at most one letter.
-        if n <= t0 or self.auto is None or n < 2 * self.auto.k - 1:
+        if n <= t0 or self.k > self.d or n < 2 * self.k - 1:
             return
         cap = WORD_BUDGET if budget is None else budget
         letter_cap = cap * (cap.bit_length() + 1)
@@ -487,11 +541,11 @@ class _WordSpace:
 def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
     """Exact number of strict k-superpatterns of each length 1..n_max over {1..d}.
 
-    A forward transfer-matrix DP over the automaton's states: each level maps
-    every non-accepting state to the number of words of that length reaching
-    it, and a step into an accepting state adds to that length's strict count
-    (the last letter completed the final pattern).  It keeps one level, so its
-    size is the automaton's, bounded by the automaton's state budget.
+    A forward transfer-matrix DP over the word space's automaton states: each
+    level maps every non-accepting state to the number of words of that length
+    reaching it, and a step into an accepting state adds to that length's
+    strict count (the last letter completed the final pattern).  It keeps one
+    level, so its size is the automaton's, bounded by its state budget.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

@@ -6,12 +6,13 @@ length at which the accumulated prefix contains every length-k pattern.  For
 rational generating function returned by `waiting_time_gf`, whose Maclaurin
 coefficients are the PMF (`pmf_table`) and whose expansion at t = 1 gives the
 moments.  Two independent routes check it: the closed-form PMFs
-(`binary_pmf`, `ternary_pmf`) and exact counts of strict superpatterns by DP
-over the containment automaton's states (`brute_force_pmf`).  A seeded Monte
-Carlo simulator checks whole distributions; it draws random bytes in chunks,
-each byte standing by exact rejection for several letters, so every letter
-is exactly uniform.  It runs on the containment automaton's minimal DFA
-(`_dfa`), with one lookup per random byte in a (state, residue) table, every
+(`binary_pmf`, `ternary_pmf`) and exact counts of strict superpatterns by the
+word-space DP, which steps the containment automaton's minimal DFA for both
+alphabets (`brute_force_pmf`).  A seeded Monte Carlo simulator checks whole
+distributions; it draws random bytes in chunks, each byte standing by exact
+rejection for several letters, so every letter is exactly uniform.  It runs
+on the containment automaton's minimal DFA (`_dfa`, which the counting DP
+shares), with one lookup per random byte in a (state, residue) table, every
 row of which is built when the table is made, from the tables of shorter
 letter strings; alphabets of up to 255 letters fit in a byte.
 """
@@ -73,8 +74,7 @@ def ternary_pmf(n: int) -> Fraction:
 
 def brute_force_pmf(d: int, k: int, n: int) -> Fraction:
     """Oracle PMF value: the strict superpatterns of length n over d^n, counted
-    by the transfer-matrix DP over the containment automaton (independent of
-    the closed forms)."""
+    by the word-space transfer-matrix DP (independent of the closed forms)."""
     return Fraction(count_strict_superpatterns(d, k, n), d**n)
 
 
@@ -246,11 +246,11 @@ def simulate_tau(d: int, k: int, trials: int, seed: int) -> SimSummary:
     the letters left over when a block's trials are done are discarded.
 
     The stream runs through the containment automaton's minimal DFA
-    (`_dfa.close_and_minimise`), with one table lookup per random byte
-    (`_ByteTable`, kept per (d, k)).  For k = 1 every trial has length 1, so
-    nothing is drawn.  Raises BudgetExceededError for k >= 2 over more than
-    255 letters, and when building the DFA outgrows its state budget, as
-    (6,3) does.
+    (`_dfa.close_and_minimise`, built once per (d, k) and shared with the
+    counting DP), with one table lookup per random byte (`_ByteTable`, kept
+    per (d, k)).  For k = 1 every trial has length 1, so nothing is drawn.
+    Raises BudgetExceededError for k >= 2 over more than 255 letters, and
+    when building the DFA outgrows its state budget, as (6,3) does.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

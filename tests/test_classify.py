@@ -45,7 +45,7 @@ from superpatterns import (
     strict_counts_by_length,
     verify_quaternary_counterexample,
 )
-from superpatterns import automaton
+from superpatterns import _dfa, automaton
 from superpatterns._dfa import close_and_minimise
 from superpatterns.automaton import _cache as automaton_cache
 from superpatterns.classify import (
@@ -523,11 +523,19 @@ class TestStrictEnumeration:
             assert flags.is_strict
 
     def test_budget_enforced(self, monkeypatch):
-        # The (3, 3) automaton has 646 states.
-        monkeypatch.delitem(automaton_cache, (3, 3), raising=False)
-        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
-        with pytest.raises(BudgetExceededError, match="exceeded 600 states"):
+        # The (3, 3) count steps the minimal DFA, whose largest join holds
+        # 221 states; the (5, 3) count steps the lazy automaton, which
+        # reaches 3,766 states by length 5.
+        monkeypatch.setattr(_dfa, "_built", {})
+        monkeypatch.setattr(_dfa, "STATE_BUDGET", 200)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 200 states"):
             count_strict_superpatterns(3, 3, 15)
+        assert (3, 3) not in _dfa._built
+        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
+            count_strict_superpatterns(5, 3, 15)
+        assert (5, 3) not in automaton_cache
 
     def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
@@ -658,16 +666,26 @@ class TestTransferMatrixCounts:
         # most 8, and 4^(8-t) words share each strict prefix of length t.
         expected = sum(c * 4 ** (8 - t) for t, c in strict_counts_by_length(4, 3, 8).items())
         assert sum(1 for _ in iter_superpatterns(4, 3, 8)) == expected
-        monkeypatch.delitem(automaton_cache, (4, 3), raising=False)
-        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 2000)
+        # (4, 3) steps the minimal DFA, whose last join holds 2,645 states.
+        monkeypatch.setattr(_dfa, "_built", {})
+        monkeypatch.setattr(_dfa, "STATE_BUDGET", 2000)
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             strict_counts_by_length(4, 3, 8)
-        assert (4, 3) not in automaton_cache
+        assert (4, 3) not in _dfa._built
         # Listings are refused at the same budget, though their words are
         # far inside the word cap.
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             list(iter_superpatterns(4, 3, 8))
-        assert (4, 3) not in automaton_cache
+        assert (4, 3) not in _dfa._built
+        # (5, 3) steps the lazy automaton: 40,008 states by length 7.
+        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 2000)
+        with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
+            strict_counts_by_length(5, 3, 7)
+        assert (5, 3) not in automaton_cache
+        with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
+            list(iter_superpatterns(5, 3, 7))
+        assert (5, 3) not in automaton_cache
 
     def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch):
         # The (4, 4) states the listing's DP needs are not under the state
@@ -742,6 +760,7 @@ class TestTransferMatrixCounts:
             raise AssertionError("no automaton should be built")
 
         monkeypatch.setattr(classify_module, "get_automaton", no_automaton)
+        monkeypatch.setattr(classify_module, "close_and_minimise", no_automaton)
         assert strict_counts_by_length(2, 8, 30) == dict.fromkeys(range(1, 31), 0)
         assert list(iter_superpatterns(2, 20, 5)) == []
         assert list(iter_strict_superpatterns(1, 9, 4)) == []
@@ -751,6 +770,111 @@ class TestTransferMatrixCounts:
             list(iter_superpatterns(0, 3, 2))
         with pytest.raises(ValueError):
             strict_counts_by_length(2, 0, 3)
+
+
+def _outcome(run):
+    """What a call returns, or the type of the error it raises when nothing
+    is found or a budget is passed."""
+    try:
+        return run()
+    except (SuperpatternNotFoundError, BudgetExceededError) as e:
+        return type(e)
+
+
+# Word spaces by (d, k): each letter rule from the empty word, and for (3, 3)
+# also the alternating space the minimal listings read, from 1,2.
+SPACES = {
+    (2, 2, 24): [(_ANY, ())],
+    (3, 2, 16): [(_ANY, ())],
+    (4, 3, 9): [(_ANY, ())],
+    (3, 3, 14): [(_ANY, ()), (_NO_REPEAT, ()), (_NO_REPEAT, (1, 2)), (_CANONICAL, ())],
+}
+
+
+class TestBothAutomata:
+    """The word-space DP stepped over the minimal DFA gives the same counts,
+    ordered listings and least lengths as stepped over the lazy automaton.
+    Each test forces one route and then the other through the one rule's
+    bound, _DFA_INSTANCES."""
+
+    ROUTES = {"dfa": float("inf"), "lazy": 0}
+
+    def on_each(self, monkeypatch, run):
+        results = {}
+        for route, bound in self.ROUTES.items():
+            monkeypatch.setattr(classify_module, "_DFA_INSTANCES", bound)
+            results[route] = run()
+        return results
+
+    def test_each_route_steps_its_own_automaton(self, monkeypatch):
+        def stepped():
+            space = _WordSpace(3, 3, _ANY)
+            assert strict_counts_by_length(3, 3, 14)[14] == count_formulas(14).s_total
+            return space.auto.accepting
+
+        accepting = self.on_each(monkeypatch, stepped)
+        assert len(accepting["dfa"]) == len(close_and_minimise(3, 3)[0]) == 44
+        assert accepting["lazy"] is get_automaton(3, 3).accepting
+
+    def test_the_rule_picks_the_dfa_up_to_the_bound(self):
+        picked = {
+            (d, k): _WordSpace(d, k, _ANY).auto.accepting is not get_automaton(d, k).accepting
+            for d, k in [(1, 1), (64, 1), (65, 1), (2, 2), (8, 2), (9, 2), (3, 3), (4, 3), (5, 3), (4, 4)]
+        }
+        assert [dk for dk, dfa in picked.items() if dfa] == [(1, 1), (64, 1), (2, 2), (8, 2), (3, 3), (4, 3)]
+
+    @pytest.mark.parametrize("d,k,n_max", list(SPACES))
+    def test_counts_agree(self, monkeypatch, d, k, n_max):
+        # Per length: the words the level holds, and the hits.
+        def counts():
+            return [
+                [(sum(level.values()), hit) for level, hit in _WordSpace(d, k, rule, prefix).levels(n_max, strict)]
+                for rule, prefix in SPACES[d, k, n_max]
+                for strict in (False, True)
+            ]
+
+        counted = self.on_each(monkeypatch, counts)
+        assert counted["dfa"] == counted["lazy"]
+
+    @pytest.mark.parametrize("d,k,n_max", list(SPACES))
+    def test_ordered_listings_agree(self, monkeypatch, d, k, n_max):
+        # Listings of up to 10,000 words are compared word by word; longer
+        # ones must be refused on both routes.
+        def listings():
+            return [
+                _outcome(lambda: list(_WordSpace(d, k, rule, prefix).walk(n, strict, 10_000)))
+                for rule, prefix in SPACES[d, k, n_max]
+                for strict in (False, True)
+                for n in range(n_max + 1)
+            ]
+
+        listed = self.on_each(monkeypatch, listings)
+        assert listed["dfa"] == listed["lazy"]
+        assert sum(len(words) for words in listed["dfa"] if isinstance(words, list)) > 4_000
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_least_lengths_agree(self, monkeypatch, k):
+        def lengths():
+            return [
+                _outcome(lambda: min_superpattern_length(k, d, n_max))
+                for d in range(1, 6)
+                for n_max in (None, *range(9))
+            ]
+
+        found = self.on_each(monkeypatch, lengths)
+        assert found["dfa"] == found["lazy"]
+
+    def test_no_dp_makes_no_automaton(self, monkeypatch):
+        # The automaton is made when the DP first steps: a listing shorter
+        # than 2k - 1 letters runs none.
+        def no_automaton(d, k):
+            raise AssertionError("no automaton should be made")
+
+        monkeypatch.setattr(classify_module, "get_automaton", no_automaton)
+        monkeypatch.setattr(classify_module, "close_and_minimise", no_automaton)
+        assert list(iter_superpatterns(4, 3, 4)) == []
+        assert list(iter_strict_superpatterns(5, 3, 4)) == []
+        assert list(_minimal_listing(4, True, None)) == []
 
 
 class TestWordCap:

@@ -561,6 +561,7 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_state_budget_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(_dfa, "_built", {})
         monkeypatch.setattr(_dfa, "STATE_BUDGET", 1000)
         code, out, err = run(capsys, "simulate", "--d", "4", "--k", "4", "--trials", "10")
         assert code == 3

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau
+from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau, strict_counts_by_length
 from superpatterns import _dfa, waiting
 from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
@@ -138,6 +138,7 @@ def test_the_refusal_bound_is_below_the_closure(d, k):
 
 
 def test_small_budget_fails_fast(monkeypatch):
+    monkeypatch.setattr(_dfa, "_built", {})
     monkeypatch.setattr(_dfa, "STATE_BUDGET", 2000)
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
@@ -146,10 +147,12 @@ def test_small_budget_fails_fast(monkeypatch):
 
 
 def test_budget_overrun_leaves_no_cache_entry(monkeypatch):
+    monkeypatch.setattr(_dfa, "_built", {})
     monkeypatch.setattr(_dfa, "STATE_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
         simulate_tau(4, 4, 10, 0)
     assert (4, 4) not in _byte_tables
+    assert (4, 4) not in _dfa._built
 
 
 def test_table_is_built_once(monkeypatch):
@@ -161,6 +164,19 @@ def test_table_is_built_once(monkeypatch):
     assert waiting._byte_tables[(3, 3)] is table
     # The second call reuses the table, rows and all.
     assert all(a is b for a, b in zip(table.rows, rows))
+
+
+def test_the_word_space_and_the_simulator_share_one_dfa(monkeypatch):
+    # The counting DP builds the (3, 3) DFA; the simulator's byte table then
+    # reads the same one and closes no component again.
+    monkeypatch.setattr(_dfa, "_built", {})
+    monkeypatch.setattr(waiting, "_byte_tables", {})
+    assert strict_counts_by_length(3, 3, 9)[9] == 1_608
+    dfa = _dfa._built[(3, 3)]
+    monkeypatch.setattr(ContainmentAutomaton, "closed_component", no_closure)
+    simulate_tau(3, 3, 10, 0)
+    assert close_and_minimise(3, 3) is dfa and list(_dfa._built) == [(3, 3)]
+    assert waiting._byte_tables[(3, 3)].states == len(dfa[0])
 
 
 def _decoded(table: waiting._ByteTable, owners: dict[int, int], entry: int) -> tuple[int, tuple[int, ...]]:

@@ -172,16 +172,19 @@ def test_the_word_space_states_its_letter_rule_once():
     assert named == ["__init__"]
 
 
-def test_only_the_word_space_reaches_the_automaton_in_classify():
+def test_one_rule_picks_the_automaton_in_classify():
     # Counts, listings and the least superpattern length are all read off the
-    # word space's DP; a second search over the automaton's states stays out.
+    # word space's DP, which steps what _automaton picks: the minimal DFA or
+    # the lazy automaton.  No other definition reaches either, so a second
+    # search over automaton states, or a second route rule, stays out.
     tree = ast.parse((SOURCE / "classify.py").read_text())
     named = [
         node.name
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "get_automaton" in _identifiers_of(node)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and _identifiers_of(node) & {"get_automaton", "close_and_minimise"}
     ]
-    assert named == ["_WordSpace"]
+    assert named == ["_automaton"]
 
 
 def test_only_the_automaton_retries_a_walk():
