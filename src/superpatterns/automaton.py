@@ -18,12 +18,10 @@ interned and cached in turn, which makes a repeated step a single table
 lookup.  Past d**k = 64 pattern instances, the word-space DP
 (`classify._WordSpace`) steps product states for the exhaustive scans, the
 listings and the minimum-length search alike, on one shared automaton per
-(d, k); the search asks of its last level only whether a letter completes a
-state (`completes`), which interns nothing.  Up to that, the DP steps the
-minimal DFA, which forms no product state: `_dfa` makes a fresh automaton,
-closes each pattern's component alone (`closed_component`), and minimises
-and joins them, once per (d, k); the simulator builds its byte table from
-the same DFA.
+(d, k).  Up to that, the DP steps the minimal DFA, which forms no product
+state: `_dfa` makes a fresh automaton, closes each pattern's component alone
+(`closed_component`), and minimises and joins them, once per (d, k); the
+simulator builds its byte table from the same DFA.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances.  It
@@ -171,23 +169,6 @@ class ContainmentAutomaton:
         self.transitions[state][letter] = nxt
         return nxt
 
-    def completes(self, state: int, letter: int) -> bool:
-        """Whether the letter takes the state to acceptance, found without
-        interning the successor: each pattern the state still misses must be
-        completed by the letter."""
-        nxt = self.transitions[state][letter]
-        if nxt >= 0:
-            return self.accepting[nxt]
-        columns = self._columns[letter]
-        for pi, c in enumerate(self._unpack(self._state_keys[state])):
-            if c != _CONTAINED:
-                after = columns[pi][c]
-                if after == _UNFILLED:
-                    after = self._fill(columns, pi, c, letter)
-                if after != _CONTAINED:
-                    return False
-        return True
-
     def _fill(self, columns: list[list[int]], pi: int, component: int, letter: int) -> int:
         """Pattern pi's component after one letter, by stepping each instance;
         the result is stored in the letter's column."""
@@ -246,12 +227,6 @@ class ContainmentAutomaton:
                     break
                 component = nxt
             yield end
-
-    def contains(self, letters: Sequence[int], pattern: Pattern) -> int:
-        """Where the letters complete the pattern (1-based), or 0: ends() for
-        the one pattern."""
-        (end,) = self.ends(letters, (self._pattern_index[pattern.letters],))
-        return end
 
     def closed_component(self, pi: int) -> list[list[int]]:
         """Pattern pi's component with every id reachable from the empty

@@ -35,10 +35,10 @@ letters while the nodes at the next depth up hold fewer tails than prefixes
 reach them and the tail letters built stay within the words printed, so past
 the DP a listing costs time linear in the letters it prints.  A count keeps
 one level of the DP, and the least superpattern length is the first length
-with a nonzero strict count.  That DP stops one short of the longest length
-searched, which is decided by whether some letter completes a node of the
-last level, without interning the states that letter leads to.  Counts,
-listings and that least length stop when the DFA's build passes its budget
+with a nonzero strict count.  The known bound is the length of a
+superpattern, so a search to the bound stops the DP one length short and
+answers the bound when no shorter length has a hit.  Counts, listings and
+that least length stop when the DFA's build passes its budget
 (_dfa.STATE_BUDGET) or the lazy automaton refuses a state past its own
 (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
 letters it would print, which the walker's DP counts before the first word
@@ -203,7 +203,10 @@ def _min_length_upper_bound(k: int, d: int) -> int:
     """Known upper bound on the least superpattern length over d >= k
     letters.  The bound for alphabet size k applies to every larger d, since
     patterns of length k never use more than k distinct values.  For k = 4
-    it falls from 12 to 11 once d >= 5: 42134254124 is a 4-superpattern."""
+    it falls from 12 to 11 once d >= 5: 42134254124 is a 4-superpattern.
+    min_superpattern_length answers the bound without searching its length,
+    so each value is the length of a superpattern, and the tests hold a
+    witness for each."""
     if k == 4 and d >= 5:
         return 11
     return {1: 1, 2: 3}.get(k, k * k - 2 * k + 4)
@@ -223,18 +226,18 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
     Read off the strict counting DP of the listings: the least superpattern
-    length is the first length with a nonzero strict count.  The DP runs to
-    n_max - 1 only; whether some letter completes a node of that last level
-    decides n_max, tested without interning the states the letters lead to,
-    so the search never interns a state of length n_max.  No word over fewer
-    than k letters holds 12...k, so k > d is refused with no search, and the
-    search stops at the known bound.  A superpattern of length at most n_max
-    holds k equal letters, so it uses at most n_max - k + 1 distinct ones,
-    and dense ranking keeps it a superpattern: the DP runs over that many
-    letters, on canonical words where _relabelling_keeps_status.  Raises
-    SuperpatternNotFoundError when nothing is found up to n_max,
-    BudgetExceededError when the automaton passes its state budget, and
-    ValueError, first, for k past MAX_PATTERN_LENGTH.
+    length is the first length with a nonzero strict count.  No word over
+    fewer than k letters holds 12...k, so k > d is refused with no search.
+    The known bound is the length of a superpattern, so at the bound (n_max
+    None or past it) the DP runs to bound - 1 only and the bound is the
+    answer when no shorter length has a hit; below it the DP runs to n_max.
+    A superpattern of length at most n holds k equal letters, so it uses at
+    most n - k + 1 distinct ones, and dense ranking keeps it a superpattern:
+    the DP runs over that many letters, for n the last length searched, on
+    canonical words where _relabelling_keeps_status.  Raises
+    SuperpatternNotFoundError when nothing is found up to an n_max below the
+    bound, BudgetExceededError when the automaton passes its state budget,
+    and ValueError, first, for k past MAX_PATTERN_LENGTH.
     """
     enumerate_preferential_arrangements(k)
     if d < 1:
@@ -244,16 +247,16 @@ def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
             f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
         )
     bound = _min_length_upper_bound(k, d)
-    n_max = bound if n_max is None else min(n_max, bound)
-    width = min(d, n_max - k + 1)
+    at_bound = n_max is None or n_max >= bound
+    last = bound - 1 if at_bound else n_max
+    width = min(d, last - k + 1)
     if width >= k:
         rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
-        space = _WordSpace(width, k, rule)
-        for n, (level, hit) in enumerate(space.levels(n_max - 1, strict=True)):
+        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(last, strict=True)):
             if hit:
                 return n
-        if any(map(space.completes, level)):
-            return n_max
+    if at_bound:
+        return bound
     raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
@@ -273,12 +276,10 @@ _DFA_INSTANCES = 64
 
 class _Automaton(NamedTuple):
     """What the word-space DP reads of an automaton: the successor of a state
-    on a letter (1-based), whether each state accepts, indexed by state, and
-    whether a letter takes a state to acceptance."""
+    on a letter (1-based), and whether each state accepts, indexed by state."""
 
     step: Callable[[int, int], int]
     accepting: list[bool]
-    completes: Callable[[int, int], bool]
 
 
 def _automaton(d: int, k: int) -> _Automaton:
@@ -289,13 +290,9 @@ def _automaton(d: int, k: int) -> _Automaton:
     (d, k) alone, before any closure work."""
     if d**k <= _DFA_INSTANCES:
         rows, accept = close_and_minimise(d, k)
-        return _Automaton(
-            lambda s, a: rows[s][a - 1],
-            [s == accept for s in range(len(rows))],
-            lambda s, a: rows[s][a - 1] == accept,
-        )
+        return _Automaton(lambda s, a: rows[s][a - 1], [s == accept for s in range(len(rows))])
     auto = get_automaton(d, k)
-    return _Automaton(auto.step, auto.accepting, auto.completes)
+    return _Automaton(auto.step, auto.accepting)
 
 
 class _WordSpace:
@@ -366,12 +363,6 @@ class _WordSpace:
             step = self.auto.step
             out = self._moves[node] = tuple((a, step(state, a) * w + b) for a, b in self.pairs(tag))
         return out
-
-    def completes(self, node: int) -> bool:
-        """Whether some letter the rule allows out of the node completes a
-        superpattern, tested without interning the states it leads to."""
-        state, tag = divmod(node, self.d + 1)
-        return any(self.auto.completes(state, a) for a, _b in self.pairs(tag))
 
     def levels(self, n: int, strict: bool) -> Iterator[tuple[dict[int, int], int]]:
         """Forward DP from the prefix length t0 to length n: yields, for

@@ -160,7 +160,9 @@ def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
     # backtracking oracle, or 0 when the whole word does not hold it.
     word = Word(tuple(letters), 4)
     shortest = (t for t in range(1, len(letters) + 1) if find_embedding(word.prefix(t), pattern) is not None)
-    assert get_automaton(4, len(pattern)).contains(letters, pattern) == next(shortest, 0)
+    auto = get_automaton(4, len(pattern))
+    (end,) = auto.ends(letters, (auto.patterns.index(pattern),))
+    assert end == next(shortest, 0)
 
 
 def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):

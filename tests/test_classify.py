@@ -244,17 +244,19 @@ class TestClassify:
         # All 75 patterns of a 12-letter word are walked in one walk on one
         # automaton, with no call per pattern.  The word is not minimal, so
         # classify runs no minimum-length search.
-        get, contains = automaton.get_automaton, automaton.ContainmentAutomaton.contains
+        get, ends = automaton.get_automaton, automaton.ContainmentAutomaton.ends
         lookups, calls = [], []
         monkeypatch.setattr(automaton, "get_automaton", lambda d, k: lookups.append((d, k)) or get(d, k))
         monkeypatch.setattr(
-            automaton.ContainmentAutomaton, "contains", lambda *args: calls.append(args) or contains(*args)
+            automaton.ContainmentAutomaton,
+            "ends",
+            lambda auto, letters, indices=None: calls.append(list(indices)) or ends(auto, letters, indices),
         )
         w = Word.parse("421342541244")
         assert classify(w, 4) == ClassFlags(True, False, False, False)
         assert lookups == [(5, 4)]
         assert missing_patterns(w, 4) == []
-        assert lookups == [(5, 4)] * 2 and calls == []
+        assert lookups == [(5, 4)] * 2 and calls == [list(range(75))] * 2
 
     def test_witnesses_on_the_last_letter_need_not_make_it_strict(self):
         w = Word.parse("12321231")
@@ -336,8 +338,8 @@ class TestMinimumLength:
         assert min_superpattern_length(1, 3) == 1
 
     def test_state_budget_is_checked_per_state(self, monkeypatch):
-        # The (4, 4) search needs about 194,000 states; it must stop as soon
-        # as it would hold more states than the budget, not at the end of a depth.
+        # The (4, 4) search interns 106,996 states; it must stop as soon as
+        # it would hold more states than the budget, not at the end of a depth.
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
         auto = get_automaton(4, 4)
@@ -352,12 +354,15 @@ class TestMinimumLength:
             min_superpattern_length(4, 4)
         assert (4, 4) not in automaton_cache
 
-    def test_searches_no_more_letters_than_the_length_bound(self):
-        # A superpattern of length <= 7 holds three equal letters, so it uses
-        # at most 5 distinct ones and the search runs on the (5, 3)
-        # automaton; pattern 122 alone overflows the component ids of the
+    def test_searches_no_more_letters_than_the_length_bound(self, monkeypatch):
+        # Only lengths below the bound 7 are searched, and a superpattern of
+        # length <= 6 holds three equal letters, so it uses at most 4
+        # distinct ones: the search runs on the (4, 3) DFA and makes no lazy
+        # automaton.  Pattern 122 alone overflows the component ids of the
         # (9, 3) one.
+        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
         assert min_superpattern_length(3, 20) == 7
+        assert (5, 3) not in automaton_cache
         assert min_superpattern_length(3, 9, n_max=7) == 7
         assert (20, 3) not in automaton_cache and (9, 3) not in automaton_cache
 
@@ -381,8 +386,9 @@ class TestMinimumLength:
             assert outcomes[0] == outcomes[1], n_max
 
     def test_every_pattern_length_has_a_superpattern_at_the_bound(self):
-        # The search stops at _min_length_upper_bound, so for each k it must
-        # be the length of some k-superpattern over k letters.
+        # The search answers _min_length_upper_bound without stepping that
+        # length, so for each k it must be the length of some k-superpattern
+        # over k letters.
         witnesses = ["1", "121", "1213121", "123413214231", "3154231453241352413"]
         assert len(witnesses) == MAX_PATTERN_LENGTH
         for k, text in enumerate(witnesses, 1):
@@ -412,42 +418,55 @@ class TestMinimumLength:
         assert flags == ClassFlags(True, True, True, False)
 
     def test_quaternary(self, monkeypatch):
-        # The (4, 4) DP walks canonical words to length 12 in seconds.  Its
-        # last level is only tested for a completing letter, not interned:
-        # interning it took the automaton from 106,996 to 194,102 states.
+        # The (4, 4) DP walks canonical words to length 11 in seconds.  The
+        # bound 12 is the length of the witness 123413214231, so no word of
+        # 12 letters is stepped: interning that level took the automaton
+        # from 106,996 to 194,102 states.
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         assert min_superpattern_length(4, 4) == 12
         assert get_automaton(4, 4).state_count < 110_000
         assert classify(Word.parse("123413214231"), 4).is_minimum
 
-    @pytest.mark.parametrize("k,least", [(3, 7), (4, 12)])
-    def test_only_the_last_level_is_asked_for_a_completing_letter(self, monkeypatch, k, least):
-        # Shorter lengths are read off the strict counts, so completes sees
-        # only nodes of the level at depth n_max - 1, here least - 1.
-        levels, completes = _WordSpace.levels, _WordSpace.completes
-        yielded: list[dict[int, int]] = []
-        asked: list[tuple[int, bool]] = []
+    def test_nothing_is_stepped_past_the_last_length_searched(self, monkeypatch):
+        # The bound is the length of a known superpattern, so the DP runs to
+        # bound - 1 and the automaton is asked nothing once that level is
+        # built.
+        levels, pick = _WordSpace.levels, classify_module._automaton
+        reached: list[tuple[int, int]] = []
+        asked = [0]
 
         def recorded_levels(space, n, strict):
-            for level, hit in levels(space, n, strict):
-                yielded.append(level)
+            for t, (level, hit) in enumerate(levels(space, n, strict), start=len(space.prefix)):
+                reached.append((t, asked[0]))
                 yield level, hit
 
-        def recorded_completes(space, node):
-            asked.append((len(yielded) - 1, node in yielded[-1]))
-            return completes(space, node)
+        def recorded(f):
+            def ask(*args):
+                asked[0] += 1
+                return f(*args)
+
+            return ask
+
+        def recorded_automaton(d, k):
+            auto = pick(d, k)
+            return type(auto)(*(recorded(f) if callable(f) else f for f in auto))
 
         monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
-        monkeypatch.setattr(_WordSpace, "completes", recorded_completes)
-        assert min_superpattern_length(k, k) == least == _min_length_upper_bound(k, k)
-        assert asked and set(asked) == {(least - 1, True)}
+        monkeypatch.setattr(classify_module, "_automaton", recorded_automaton)
+        for k in (3, 4):
+            reached.clear()
+            asked[0] = 0
+            bound = _min_length_upper_bound(k, k)
+            assert min_superpattern_length(k, k) == bound
+            assert [t for t, _asked in reached] == list(range(bound))
+            assert reached[-1][1] == asked[0] > 0
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
-        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
         with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
-            min_superpattern_length(3, 5)
-        assert (5, 3) not in automaton_cache
+            min_superpattern_length(4, 4)
+        assert (4, 4) not in automaton_cache
 
 
 class TestAlternatingEnumeration:
