@@ -427,7 +427,8 @@ class TestMinimumLength:
         assert get_automaton(4, 4).state_count < 110_000
         assert classify(Word.parse("123413214231"), 4).is_minimum
 
-    def test_nothing_is_stepped_past_the_last_length_searched(self, monkeypatch):
+    @pytest.mark.parametrize("k,bound", [(3, 7), (4, 12)])
+    def test_nothing_is_stepped_past_the_last_length_searched(self, monkeypatch, k, bound):
         # The bound is the length of a known superpattern, so the DP runs to
         # bound - 1 and the automaton is asked nothing once that level is
         # built.
@@ -453,13 +454,10 @@ class TestMinimumLength:
 
         monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
         monkeypatch.setattr(classify_module, "_automaton", recorded_automaton)
-        for k in (3, 4):
-            reached.clear()
-            asked[0] = 0
-            bound = _min_length_upper_bound(k, k)
-            assert min_superpattern_length(k, k) == bound
-            assert [t for t, _asked in reached] == list(range(bound))
-            assert reached[-1][1] == asked[0] > 0
+        assert _min_length_upper_bound(k, k) == bound
+        assert min_superpattern_length(k, k) == bound
+        assert [t for t, _asked in reached] == list(range(bound))
+        assert reached[-1][1] == asked[0] > 0
 
     def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
