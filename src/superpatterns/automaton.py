@@ -19,24 +19,25 @@ lookup.  Past d**k = 64 pattern instances, the word-space DP
 (`classify._WordSpace`) steps product states for the exhaustive scans, the
 listings and the minimum-length search alike, on one shared automaton per
 (d, k).  Up to that, the DP steps the minimal DFA, which forms no product
-state: `_dfa` makes a fresh automaton, closes each pattern's component alone
-(`closed_component`), and minimises and joins them, once per (d, k); the
-simulator builds its byte table from the same DFA.
+state: `_dfa` closes each pattern's component of the same shared automaton
+alone (`closed_component`), and minimises and joins them, once per (d, k);
+the simulator builds its byte table from the same DFA.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances.  It
 refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
 _MAX_COMPONENTS, each read when used, and a shared automaton that overruns
-either removes itself from the cache before it raises.
+either removes itself from the cache before it raises.  get_automaton alone
+makes automata, and it replaces the shared one before handing it out once a
+single walk could pass the component cap, so no walk overruns.
 
 A containment query walks each pattern's component alone through the same
 columns, without forming product states, so it interns no state; it
 reports where each pattern was completed.  One call (`ends`) walks a whole
 word over every pattern, for `classify.missing_patterns` and
 `classify.classify`, or over one, for `patterns.contains_pattern`; `_ends`
-runs it on the shared automaton and is the one place a walk that overruns
-is retried.  The test suite checks the verdicts against a backtracking
-search and a brute-force scan of subsequences.
+runs it on the shared automaton.  The test suite checks the verdicts against
+a backtracking search and a brute-force scan of subsequences.
 """
 
 from __future__ import annotations
@@ -116,6 +117,11 @@ class ContainmentAutomaton:
             start = bytes(len(self._instances[-1]))
             self._components.append([None, start])
             self._component_ids.append({start: 1})
+        # Each new id along one walk raises some instance's progress, at most
+        # k - 1 times per instance, so one walk adds at most this many ids to
+        # any pattern; _top is the largest id interned for any pattern.
+        self._walk_ids = (k - 1) * max(map(len, self._instances))
+        self._top = 1
         # columns[a][p][c]: component id of pattern p after letter a from
         # component c, or _UNFILLED.  Slot 0 is unused, as in the rows below.
         self._columns: list[list[list[int]]] = [
@@ -191,6 +197,7 @@ class ContainmentAutomaton:
             if nxt == _MAX_COMPONENTS:
                 self._overrun(f"exceeded {_MAX_COMPONENTS} progress vectors for pattern {self.patterns[pi]}")
             ids[vector] = nxt
+            self._top = max(self._top, nxt)
             self._components[pi].append(vector)
             for other in self._columns:
                 other[pi].append(_UNFILLED)
@@ -257,10 +264,13 @@ _cache: dict[tuple[int, int], ContainmentAutomaton] = {}
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:
-    """Shared automaton for (d, k); built once and reused across operations."""
+    """Shared automaton for (d, k); built once and reused across operations,
+    and built anew when one more walk could pass _MAX_COMPONENTS ids on some
+    pattern.  A fresh automaton always has room: 1 + _walk_ids is at most
+    32,641, at d = 256, k = 2, for any (d, k) under MAX_INSTANCES."""
     key = (d, k)
     auto = _cache.get(key)
-    if auto is None:
+    if auto is None or auto._top + auto._walk_ids >= _MAX_COMPONENTS:
         auto = _cache[key] = ContainmentAutomaton(d, k)
     return auto
 
@@ -269,21 +279,6 @@ def _ends(d: int, k: int, letters: Sequence[int], pattern: Optional[Pattern] = N
     """ContainmentAutomaton.ends on the shared (d, k) automaton, for every
     length-k pattern in order or for the one pattern given: where letters
     over 1..d complete each (1-based), or 0 when they do not contain it.
-
-    Over many queries one pattern's components can pass their cap, and the
-    shared automaton then drops itself.  One walk alone stays far below the
-    cap, since each step to a new component adds progress, at most k - 1 per
-    instance; so the walk resumes once, at the pattern that overran, on a new
-    shared automaton.  This is the one place a walk is retried.
-    """
+    get_automaton hands out an automaton with room for the whole walk."""
     auto = get_automaton(d, k)
-    indices: Sequence[int] = (
-        range(len(auto.patterns)) if pattern is None else (auto._pattern_index[pattern.letters],)
-    )
-    walked = 0
-    try:
-        for end in auto.ends(letters, indices):
-            yield end
-            walked += 1
-    except BudgetExceededError:
-        yield from get_automaton(d, k).ends(letters, indices[walked:])
+    return auto.ends(letters, None if pattern is None else (auto._pattern_index[pattern.letters],))

@@ -566,12 +566,13 @@ def iter_superpatterns(
     would miss classes, so there canonical=True raises ValueError.  Bounded
     as in _WordSpace.walk.
     """
+    # The space refuses bad (d, k) and a pattern length past the cap first.
+    space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
     if canonical and not _relabelling_keeps_status(d, k):
         raise ValueError(
             f"a listing up to isomorphism at d={d}, k={k} would miss classes, since relabelling letters"
             " changes which words are superpatterns; it is answered only for k = 1, k > d or d = k <= 4"
         )
-    space = _WordSpace(d, k, _CANONICAL if canonical else _ANY)
     return space.walk(n, False, budget)
 
 

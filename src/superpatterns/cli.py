@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
@@ -51,8 +50,6 @@ from .waiting import (
     simulate_tau,
     waiting_time_gf,
 )
-
-BUDGET_ENV_VAR = "SUPERPATTERN_BUDGET"
 
 EXIT_OK = 0
 EXIT_NOT_SUPERPATTERN = 1
@@ -99,18 +96,6 @@ def _csv_word(word: str) -> str:
     return f'"{word}"' if "," in word else word
 
 
-def _budget(args: argparse.Namespace) -> Optional[int]:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if not env:
-        return None
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"${BUDGET_ENV_VAR}: {exc}") from None
-
-
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
     try:
@@ -153,8 +138,8 @@ def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
         sub.add_argument(
             "--budget",
             type=_positive_int,
-            help=f"most words B a listing may print, with at most B * (B.bit_length() + 1) letters"
-            f" (default B = 2^24; ${BUDGET_ENV_VAR} overrides)",
+            help="most words B a listing may print, with at most B * (B.bit_length() + 1) letters"
+            " (default B = 2^24)",
         )
 
 
@@ -207,14 +192,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     if args.filter != "all" and (args.d, args.k) != (3, 3):
         raise ValueError(f"--filter {args.filter} is defined only for --d 3 --k 3")
     full = args.scope == "full"
     if args.filter == "all":
-        words = iter_superpatterns(args.d, args.k, args.n, canonical=not full, budget=budget)
+        words = iter_superpatterns(args.d, args.k, args.n, canonical=not full, budget=args.budget)
     else:
-        words = _minimal_listing(args.n, args.filter == "strict-minimal", budget, () if full else (1, 2))
+        words = _minimal_listing(args.n, args.filter == "strict-minimal", args.budget, () if full else (1, 2))
     # The walker refuses before its first word, so a refused listing, whose
     # first word is formed before anything is opened, writes nothing.
     first = list(islice(words, 1))
@@ -441,12 +425,11 @@ def _counterexample_checks() -> list[tuple[str, bool]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = _budget(args)
     checks: list[tuple[str, bool]] = []
     if args.suite in ("structure", "all"):
         if args.n < 7:
             raise ValueError("the structure suite needs --n of at least 7")
-        checks += _structure_checks(args.n, budget)
+        checks += _structure_checks(args.n, args.budget)
     if args.suite in ("oeis", "all"):
         checks += _oeis_checks()
     if args.suite in ("counterexample", "all"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -21,6 +22,7 @@ from superpatterns import (
 )
 from superpatterns import automaton
 from superpatterns.cli import main
+from superpatterns.patterns import MAX_PATTERN_LENGTH
 
 from conftest import PerInstanceAutomaton, all_words, find_embedding, first_acceptance_time
 
@@ -70,6 +72,20 @@ def test_component_overflow_is_a_budget_error(monkeypatch):
     monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 4)
     with pytest.raises(BudgetExceededError, match="exceeded 4 progress vectors"):
         expand_breadth_first(ContainmentAutomaton(3, 3), 10**9)
+
+
+def test_a_fresh_automaton_has_room_for_any_walk():
+    # get_automaton replaces the shared automaton once its largest component
+    # id plus what one walk may add reaches the cap, and a fresh one starts
+    # at id 1; a walk adds at most k - 1 ids per instance of its pattern,
+    # and a pattern with m ranks has C(d, m) instances.
+    room = {
+        (d, k): 1 + (k - 1) * max(math.comb(d, m) for m in range(1, k + 1))
+        for k in range(1, MAX_PATTERN_LENGTH + 1)
+        for d in range(1, math.floor(automaton.MAX_INSTANCES ** (1 / k)) + 2)
+        if d**k <= automaton.MAX_INSTANCES
+    }
+    assert max(room.values()) == room[256, 2] == 32_641 < automaton._MAX_COMPONENTS
 
 
 @pytest.mark.parametrize("d,k", [(10, 5), (17, 4), (300, 2)])

@@ -242,21 +242,24 @@ class TestClassify:
 
     def test_a_query_walks_the_word_once(self, monkeypatch):
         # All 75 patterns of a 12-letter word are walked in one walk on one
-        # automaton, with no call per pattern.  The word is not minimal, so
-        # classify runs no minimum-length search.
+        # automaton, with no call per pattern (indices None walks them all).
+        # The word is not minimal, so classify runs no minimum-length search.
         get, ends = automaton.get_automaton, automaton.ContainmentAutomaton.ends
         lookups, calls = [], []
         monkeypatch.setattr(automaton, "get_automaton", lambda d, k: lookups.append((d, k)) or get(d, k))
         monkeypatch.setattr(
             automaton.ContainmentAutomaton,
             "ends",
-            lambda auto, letters, indices=None: calls.append(list(indices)) or ends(auto, letters, indices),
+            lambda auto, letters, indices=None: calls.append(
+                range(len(auto.patterns)) if indices is None else list(indices)
+            )
+            or ends(auto, letters, indices),
         )
         w = Word.parse("421342541244")
         assert classify(w, 4) == ClassFlags(True, False, False, False)
         assert lookups == [(5, 4)]
         assert missing_patterns(w, 4) == []
-        assert lookups == [(5, 4)] * 2 and calls == [list(range(75))] * 2
+        assert lookups == [(5, 4)] * 2 and calls == [range(75)] * 2
 
     def test_witnesses_on_the_last_letter_need_not_make_it_strict(self):
         w = Word.parse("12321231")
@@ -720,7 +723,7 @@ class TestTransferMatrixCounts:
             ("SEARCH_STATE_BUDGET", 1000, lambda: min_superpattern_length(4, 4)),
             ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 10))),
             # A component cap of 2 leaves no id for the first step of 1234, so
-            # the query fails as well on the fresh automaton it retries on.
+            # the walk fails even on the fresh automaton it is handed.
             ("_MAX_COMPONENTS", 2, lambda: contains_pattern(Word.parse("1234"), Pattern.parse("1234"))),
             ("_MAX_COMPONENTS", 2, lambda: classify(Word.parse("1234"), 4)),
             ("_MAX_COMPONENTS", 2, lambda: missing_patterns(Word.parse("1234"), 4)),
@@ -735,29 +738,30 @@ class TestTransferMatrixCounts:
         assert (4, 4) not in automaton_cache
 
     @pytest.mark.parametrize("query", [classify, missing_patterns], ids=["classify", "missing"])
-    def test_a_walk_that_overruns_part_way_resumes_on_a_fresh_automaton(self, monkeypatch, query):
+    def test_a_walk_that_could_overrun_gets_a_fresh_automaton(self, monkeypatch, query):
         # Over five letters, so that classify runs no minimum-length search;
         # the word ranks to 1..4 and walks the (4, 4) automaton.
         word = Word.parse("123413214231", alphabet_size=5)
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         expected = query(word, 4)
         # After 31241 the word takes pattern 26 to 16 component ids on the
-        # shared automaton and no earlier pattern past 15; alone it needs at
-        # most 13 for any pattern.  So under a cap of 15 its walk overruns
-        # at pattern 26 and resumes there on a new shared automaton.
+        # shared automaton, past a cap of 15; alone it needs at most 13 for
+        # any pattern.  One walk may add 3 * 6 ids to a (4, 4) pattern, so
+        # under that cap the query is handed a new shared automaton and
+        # walks once, with no overrun.
         monkeypatch.delitem(automaton_cache, (4, 4))
         missing_patterns(Word.parse("31241"), 4)
         shared = get_automaton(4, 4)
         monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 15)
-        ends, starts = automaton.ContainmentAutomaton.ends, []
+        ends, walked = automaton.ContainmentAutomaton.ends, []
 
-        def recorded(auto, letters, indices):
-            starts.append(indices[0])
+        def recorded(auto, letters, indices=None):
+            walked.append(auto)
             return ends(auto, letters, indices)
 
         monkeypatch.setattr(automaton.ContainmentAutomaton, "ends", recorded)
         assert query(word, 4) == expected
-        assert starts == [0, 26] and get_automaton(4, 4) is not shared
+        assert walked == [automaton_cache[4, 4]] and walked[0] is not shared
 
     def test_counts_keep_one_level(self):
         strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace

@@ -265,21 +265,6 @@ class TestEnumerate:
         assert exc.value.code == 2
         assert "--budget: must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_env_budget_below_one_exits_two(self, capsys, monkeypatch, budget):
-        monkeypatch.setenv("SUPERPATTERN_BUDGET", budget)
-        code, out, err = run(capsys, "enumerate", "--n", "7")
-        assert (code, out) == (2, "")
-        assert "SUPERPATTERN_BUDGET: must be at least 1" in err
-
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUPERPATTERN_BUDGET", "16")
-        code, _, err = run(capsys, "enumerate", "--n", "8", "--filter", "minimal")
-        assert code == 3
-        monkeypatch.setenv("SUPERPATTERN_BUDGET", "1000000")
-        code, out, _ = run(capsys, "enumerate", "--n", "8", "--filter", "minimal", "--format", "json")
-        assert code == 0
-
 
 class TestCounts:
     def test_csv_header_and_first_row(self, capsys):
@@ -623,8 +608,12 @@ class TestPatternLengthCap:
             # checked first, decides the exit code.
             ["enumerate", "--d", "9", "--k", "9", "--n", "17", "--filter", "all", "--scope", "full"],
             ["simulate", "--d", "9", "--k", "6", "--trials", "1"],
+            # Up to isomorphism, the listing checks the cap before it asks
+            # whether relabelling keeps superpattern status.
+            ["enumerate", "--d", "7", "--k", "6", "--n", "17", "--filter", "all"],
+            ["enumerate", "--d", "9", "--k", "9", "--n", "17", "--filter", "all"],
         ],
-        ids=["enumerate", "simulate", "enumerate-9,9", "simulate-9,6"],
+        ids=["enumerate", "simulate", "enumerate-9,9", "simulate-9,6", "upto-iso-7,6", "upto-iso-9,9"],
     )
     def test_k_six_exits_two_at_once(self, capsys, argv):
         start = time.process_time()
@@ -632,6 +621,13 @@ class TestPatternLengthCap:
         assert time.process_time() - start < 0.5
         assert (code, out) == (2, "")
         assert f"k={argv[argv.index('--k') + 1]} is over the cap of 5" in err
+
+    @pytest.mark.parametrize("scope", ["upto-iso", "full"])
+    def test_k_zero_is_refused_as_such(self, capsys, scope):
+        argv = ["enumerate", "--d", "2", "--k", "0", "--n", "3", "--filter", "all", "--scope", scope]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "need d >= 1 and k >= 1" in err
 
 
 class TestVerify:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
 from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau, strict_counts_by_length
-from superpatterns import _dfa, waiting
+from superpatterns import _dfa, automaton, waiting
 from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
@@ -97,6 +98,23 @@ def test_no_two_minimised_states_are_equivalent(d, k):
     assert _minimise(list(zip(*rows)), accepting)[1] == len(rows)
 
 
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 1), (3, 1)])
+def test_walks_on_the_shared_automaton_leave_the_dfa_as_built_cold(monkeypatch, d, k):
+    # The DFA closes the components of the automaton the queries walk, whose
+    # ids the walks have numbered in their own order; the joins renumber the
+    # states breadth-first, so the rows come out the same.
+    monkeypatch.setattr(_dfa, "_built", {})
+    monkeypatch.setattr(automaton, "_cache", {})
+    cold = close_and_minimise(d, k)
+    monkeypatch.setattr(_dfa, "_built", {})
+    monkeypatch.setattr(automaton, "_cache", {})
+    rng = random.Random(d * 10 + k)
+    for _ in range(200):
+        list(automaton._ends(d, k, [rng.randint(1, d) for _ in range(rng.randint(1, 3 * d * k))]))
+    warm = automaton._cache[d, k]
+    assert close_and_minimise(d, k) == cold and automaton._cache[d, k] is warm
+
+
 def test_closure_visits_no_state_past_acceptance():
     auto = close_lazily(3, 3)
     assert auto.accepting.count(True) == 1
@@ -108,7 +126,7 @@ def no_closure(d, k):
 
 
 def test_k_above_d_is_refused_before_closure(monkeypatch):
-    monkeypatch.setattr(_dfa, "ContainmentAutomaton", no_closure)
+    monkeypatch.setattr(_dfa, "get_automaton", no_closure)
     with pytest.raises(ValueError, match="d=3, k=4"):
         close_and_minimise(3, 4)
 

@@ -134,7 +134,7 @@ def test_the_dfa_names_no_automaton_cap():
 
 def test_only_classify_names_the_word_cap():
     # The listings' default word cap lives in classify alone: the CLI passes
-    # --budget or $SUPERPATTERN_BUDGET through and holds no default of its own.
+    # --budget through and holds no default of its own.
     named = [path.name for path in sorted(SOURCE.glob("*.py")) if "WORD_BUDGET" in _identifiers(path)]
     assert named == ["classify.py"]
     budget_options = _option_calls("--budget")
@@ -187,14 +187,38 @@ def test_one_rule_picks_the_automaton_in_classify():
     assert named == ["_automaton"]
 
 
-def test_only_the_automaton_retries_a_walk():
-    # Every query walks through automaton._ends, which resumes once on a new
-    # shared automaton after an overrun; classify names no `_contains` and
-    # catches no overrun to walk again itself.
-    tree = ast.parse((SOURCE / "classify.py").read_text())
-    assert "_contains" not in _identifiers_of(tree)
-    caught = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
-    assert caught == []
+def _functions_where(found) -> list[str]:
+    """The function definitions in the package source, as file:name, with
+    some node below them for which found(node) holds."""
+    return [
+        f"{path.name}:{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and any(map(found, ast.walk(node)))
+    ]
+
+
+def test_only_get_automaton_makes_an_automaton():
+    # One shared automaton per (d, k): _dfa closes the components of the one
+    # the queries walk, and get_automaton alone decides when to replace it.
+    def makes(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and "ContainmentAutomaton" in _identifiers_of(node.func)
+
+    assert _functions_where(makes) == ["automaton.py:get_automaton"]
+
+
+def test_only_the_cli_catches_an_overrun():
+    # get_automaton hands out an automaton with room for a whole walk, so no
+    # walk is retried: an overrun reaches the CLI, which exits 3.  A handler
+    # of any base class of the overrun, or a bare one, would catch it too.
+    overrun = {"BudgetExceededError", "RuntimeError", "Exception", "BaseException"}
+
+    def catches(node: ast.AST) -> bool:
+        if not isinstance(node, ast.ExceptHandler):
+            return False
+        return node.type is None or bool(_identifiers_of(node.type) & overrun)
+
+    assert _functions_where(catches) == ["cli.py:main"]
 
 
 def test_only_patterns_names_the_pattern_length_cap():
