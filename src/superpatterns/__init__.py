@@ -14,7 +14,6 @@ from .classify import (
     BudgetExceededError,
     ClassFlags,
     CountReport,
-    SuperpatternNotFoundError,
     classify,
     count_beta_bruteforce,
     count_formulas,
@@ -67,7 +66,6 @@ __all__ = [
     "ContainmentAutomaton",
     "get_automaton",
     "BudgetExceededError",
-    "SuperpatternNotFoundError",
     "ClassFlags",
     "CountReport",
     "COUNT_REPORT_HEADER",

@@ -69,7 +69,6 @@ from .patterns import (
 
 __all__ = [
     "BudgetExceededError",
-    "SuperpatternNotFoundError",
     "ClassFlags",
     "CountReport",
     "COUNT_REPORT_HEADER",
@@ -92,10 +91,6 @@ __all__ = [
     "QUATERNARY_EXAMPLE",
     "verify_quaternary_counterexample",
 ]
-
-
-class SuperpatternNotFoundError(RuntimeError):
-    """No superpattern exists within the searched length range."""
 
 
 # The most words a listing may print (and so its letters, see _WordSpace.walk)
@@ -194,8 +189,7 @@ def classify(word: Word, k: int) -> ClassFlags:
     strict = last == n
     minimum = False
     if minimal and n <= _min_length_upper_bound(k, word.alphabet_size):
-        # The word is a superpattern, so the search to length n resolves.
-        minimum = min_superpattern_length(k, word.alphabet_size, n_max=n) == n
+        minimum = min_superpattern_length(k, word.alphabet_size) == n
     return ClassFlags(True, minimal, strict, minimum)
 
 
@@ -222,42 +216,34 @@ def _relabelling_keeps_status(d: int, k: int) -> bool:
     return k == 1 or k > d or k == d <= 4
 
 
-def min_superpattern_length(k: int, d: int, n_max: Optional[int] = None) -> int:
+def min_superpattern_length(k: int, d: int) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
     Read off the strict counting DP of the listings: the least superpattern
-    length is the first length with a nonzero strict count.  No word over
-    fewer than k letters holds 12...k, so k > d is refused with no search.
-    The known bound is the length of a superpattern, so at the bound (n_max
-    None or past it) the DP runs to bound - 1 only and the bound is the
-    answer when no shorter length has a hit; below it the DP runs to n_max.
-    A superpattern of length at most n holds k equal letters, so it uses at
-    most n - k + 1 distinct ones, and dense ranking keeps it a superpattern:
-    the DP runs over that many letters, for n the last length searched, on
-    canonical words where _relabelling_keeps_status.  Raises
-    SuperpatternNotFoundError when nothing is found up to an n_max below the
-    bound, BudgetExceededError when the automaton passes its state budget,
-    and ValueError, first, for k past MAX_PATTERN_LENGTH.
+    length is the first length with a nonzero strict count.  The known bound
+    is the length of a superpattern, so the DP runs to bound - 1 only and the
+    bound is the answer when no shorter length has a hit.  A superpattern of
+    length at most bound - 1 holds k equal letters, so it uses at most
+    bound - k distinct ones, and dense ranking keeps it a superpattern: the
+    DP runs over that many letters, on canonical words where
+    _relabelling_keeps_status.  Raises ValueError, first, for k past
+    MAX_PATTERN_LENGTH, then for d < 1, and for k > d, since no word over
+    fewer than k letters holds 12...k; BudgetExceededError when the
+    automaton passes its state budget.
     """
     enumerate_preferential_arrangements(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if k > d:
-        raise SuperpatternNotFoundError(
-            f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns"
-        )
+        raise ValueError(f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns")
     bound = _min_length_upper_bound(k, d)
-    at_bound = n_max is None or n_max >= bound
-    last = bound - 1 if at_bound else n_max
-    width = min(d, last - k + 1)
+    width = min(d, bound - k)
     if width >= k:
         rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
-        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(last, strict=True)):
+        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(bound - 1, strict=True)):
             if hit:
                 return n
-    if at_bound:
-        return bound
-    raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
+    return bound
 
 
 # --- exhaustive scans: transfer-matrix DP over the automaton -----------------

@@ -25,6 +25,8 @@ __all__ = [
 MINIMAL_SEQUENCE = "A024012"
 STRICT_MINIMAL_SEQUENCE = "A008865"
 
+CHECKED_LENGTHS = range(7, 16)  # n = 7..15; the counting formulas hold from 7
+
 _FILES = {
     MINIMAL_SEQUENCE: "b024012.txt",
     STRICT_MINIMAL_SEQUENCE: "b008865.txt",
@@ -71,10 +73,11 @@ class SequenceCheck:
         return self.computed == self.reference
 
 
-def check_reference_sequences(n_from: int = 7, n_to: int = 15) -> list[SequenceCheck]:
-    """Compare the closed-form counts against both stored sequences."""
+def check_reference_sequences() -> list[SequenceCheck]:
+    """Compare the closed-form counts against both stored sequences at each
+    length in CHECKED_LENGTHS."""
     out: list[SequenceCheck] = []
-    for n in range(n_from, n_to + 1):
+    for n in CHECKED_LENGTHS:
         report = count_formulas(n)
         out.append(
             SequenceCheck(MINIMAL_SEQUENCE, n, report.gamma_total, minimal_count_reference(n))

@@ -211,7 +211,7 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     """
     k = len(pattern.letters)
     if k > MAX_PATTERN_LENGTH:
-        raise ValueError(f"pattern length must be at most {MAX_PATTERN_LENGTH}, got {k}")
+        enumerate_preferential_arrangements(k)  # raises, with the cap's one message
     if k == 0:
         return True
     if k > len(word.letters):

@@ -13,7 +13,6 @@ from superpatterns import (
     Pattern,
     RationalFunction,
     SimSummary,
-    SuperpatternNotFoundError,
     Word,
     enumerate_preferential_arrangements,
     get_automaton,
@@ -386,19 +385,18 @@ def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:
     return counts
 
 
-def min_length_bfs(k: int, d: int, n_max: Optional[int] = None) -> int:
+def min_length_bfs(k: int, d: int) -> int:
     """Oracle for min_superpattern_length: breadth-first reachability over
-    the raw automaton states of min(d, n_max) letters.  The first depth at
-    which an accepting state appears is the least superpattern length, and a
-    full closure without acceptance over all d letters proves none exists."""
+    the raw automaton states of min(d, n_max) letters, for n_max the known
+    bound k^2 - 2k + 4 (1 and 3 for k = 1 and 2).  The first depth at which
+    an accepting state appears is the least superpattern length."""
     enumerate_preferential_arrangements(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
-    if n_max is None:
-        if k > d:
-            raise SuperpatternNotFoundError(f"no superpattern over d={d} for k={k}")
-        n_max = 1 if k == 1 else 3 if k == 2 else k * k - 2 * k + 4
-    width = max(1, min(d, n_max))
+    if k > d:
+        raise ValueError(f"no superpattern over d={d} for k={k}")
+    n_max = 1 if k == 1 else 3 if k == 2 else k * k - 2 * k + 4
+    width = min(d, n_max)
     auto = get_automaton(width, k)
     frontier = [0]
     seen = {0}
@@ -413,11 +411,7 @@ def min_length_bfs(k: int, d: int, n_max: Optional[int] = None) -> int:
                     seen.add(t)
                     next_frontier.append(t)
         frontier = next_frontier
-        if not frontier:
-            break
-    if not frontier and width == d:
-        raise SuperpatternNotFoundError(f"no superpattern over d={d} for k={k}")
-    raise SuperpatternNotFoundError(f"no k={k} superpattern of length <= {n_max} over d={d}")
+    raise AssertionError(f"no k={k} superpattern of length <= {n_max} over d={d}")
 
 
 def strict_count_upto_iso_by_terms(n: int) -> int:

@@ -141,7 +141,7 @@ def test_criterion_08_structure_of_strict_superpatterns():
 
 def test_criterion_09_oeis_reference_sequences():
     with _Criterion(9, "counts match the stored A024012 / A008865 terms, n=7..15"):
-        checks = check_reference_sequences(7, 15)
+        checks = check_reference_sequences()
         assert len(checks) == 18
         for c in checks:
             assert c.ok, (c.label, c.n, c.computed, c.reference)

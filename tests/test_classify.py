@@ -20,7 +20,6 @@ from superpatterns import (
     ClassFlags,
     CountReport,
     Pattern,
-    SuperpatternNotFoundError,
     Word,
     classify,
     contains_pattern,
@@ -320,20 +319,18 @@ class TestMinimumLength:
     def test_ternary(self):
         assert min_superpattern_length(3, 3) == 7
 
-    def test_not_found_below_seven(self):
-        with pytest.raises(SuperpatternNotFoundError):
-            min_superpattern_length(3, 3, n_max=6)
-
     def test_impossible_when_alphabet_smaller_than_k(self):
-        with pytest.raises(SuperpatternNotFoundError):
-            min_superpattern_length(3, 2, n_max=30)
+        for k, d in [(2, 1), (3, 2), (5, 4)]:
+            with pytest.raises(ValueError, match=f"over a {d}-letter alphabet can contain all length-{k}"):
+                min_superpattern_length(k, d)
 
     def test_impossible_without_a_ceiling_needs_no_search(self, monkeypatch):
         def no_search(d, k):
             raise AssertionError("no automaton should be built")
 
         monkeypatch.setattr(classify_module, "get_automaton", no_search)
-        with pytest.raises(SuperpatternNotFoundError):
+        monkeypatch.setattr(classify_module, "close_and_minimise", no_search)
+        with pytest.raises(ValueError):
             min_superpattern_length(3, 2)
 
     def test_single_letter(self):
@@ -366,27 +363,32 @@ class TestMinimumLength:
         monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
         assert min_superpattern_length(3, 20) == 7
         assert (5, 3) not in automaton_cache
-        assert min_superpattern_length(3, 9, n_max=7) == 7
+        assert min_superpattern_length(3, 9) == 7
         assert (20, 3) not in automaton_cache and (9, 3) not in automaton_cache
 
-    def test_a_closed_search_over_fewer_letters_bounds_only_the_length(self):
-        with pytest.raises(SuperpatternNotFoundError, match="length <= 2 over d=9"):
-            min_superpattern_length(3, 9, n_max=2)
-
     @pytest.mark.parametrize(
-        "k,d,n_maxes",
-        [(k, d, (None, *range(9))) for k in (1, 2, 3) for d in range(1, 6)]
-        + [(4, d, range(9)) for d in range(1, 5)],
+        "k,d", [(k, d) for k in (1, 2, 3) for d in range(1, 6)] + [(4, d) for d in range(1, 4)]
     )
-    def test_agrees_with_the_breadth_first_search(self, k, d, n_maxes):
-        for n_max in n_maxes:
-            outcomes = []
-            for search in (min_superpattern_length, min_length_bfs):
-                try:
-                    outcomes.append(search(k, d, n_max))
-                except (SuperpatternNotFoundError, BudgetExceededError) as e:
-                    outcomes.append(type(e))
-            assert outcomes[0] == outcomes[1], n_max
+    def test_agrees_with_the_breadth_first_search(self, k, d):
+        assert _outcome(lambda: min_superpattern_length(k, d)) == _outcome(lambda: min_length_bfs(k, d))
+
+    @pytest.mark.parametrize("k,d,least", [(2, 2, 3), (2, 3, 3), (3, 3, 7), (3, 4, 7)])
+    def test_a_loose_bound_is_cut_short_by_the_dp(self, monkeypatch, k, d, least):
+        # Every known bound is tight, so the DP to bound - 1 never hits.  With
+        # the bound two past the least length, the answer must be the first
+        # length at which the DP hits.
+        levels = _WordSpace.levels
+        hits: list[int] = []
+
+        def recorded_levels(space, n, strict):
+            for level, hit in levels(space, n, strict):
+                hits.append(hit)
+                yield level, hit
+
+        monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
+        monkeypatch.setattr(classify_module, "_min_length_upper_bound", lambda k, d: least + 2)
+        assert min_superpattern_length(k, d) == least
+        assert len(hits) == least + 1 and hits[-1] > 0 and not any(hits[:-1])
 
     def test_every_pattern_length_has_a_superpattern_at_the_bound(self):
         # The search answers _min_length_upper_bound without stepping that
@@ -794,11 +796,11 @@ class TestTransferMatrixCounts:
 
 
 def _outcome(run):
-    """What a call returns, or the type of the error it raises when nothing
-    is found or a budget is passed."""
+    """What a call returns, or the type of the error it raises when it
+    refuses its input or a budget is passed."""
     try:
         return run()
-    except (SuperpatternNotFoundError, BudgetExceededError) as e:
+    except (ValueError, BudgetExceededError) as e:
         return type(e)
 
 
@@ -876,11 +878,7 @@ class TestBothAutomata:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_least_lengths_agree(self, monkeypatch, k):
         def lengths():
-            return [
-                _outcome(lambda: min_superpattern_length(k, d, n_max))
-                for d in range(1, 6)
-                for n_max in (None, *range(9))
-            ]
+            return [_outcome(lambda: min_superpattern_length(k, d)) for d in range(1, 6)]
 
         found = self.on_each(monkeypatch, lengths)
         assert found["dfa"] == found["lazy"]
