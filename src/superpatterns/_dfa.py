@@ -20,7 +20,7 @@ table from it.
 
 from __future__ import annotations
 
-from .automaton import BudgetExceededError, get_automaton
+from .automaton import BudgetExceededError, _capped_patterns, get_automaton
 
 # Most states of any product a join builds.  The largest products are 25,889
 # states for (5,3), whose full product has 73,886, and 53,260 for (4,4);
@@ -105,24 +105,25 @@ def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
     ``rows[s][a - 1]`` is the successor of state s on letter a, and
     ``accept`` is the one accepting state, which is absorbing.
 
-    The shared automaton is fetched first, so its own refusals (pattern
-    length, then instances) come first.  Raises BudgetExceededError once a
-    product holds more than STATE_BUDGET states, or a component more
-    progress vectors than the automaton allows, and before any closure work
-    when it must: the pattern 1...1 alone tells apart every count 0..k-1 of
-    each letter, so its minimised component, and every product it joins, has
-    k^d states before acceptance."""
+    The automaton's own refusals (pattern length, then instances) come
+    first, and no automaton is built for a refused (d, k).  Raises
+    BudgetExceededError once a product holds more than STATE_BUDGET states,
+    or a component more progress vectors than the automaton allows, and
+    before any closure work when it must: the pattern 1...1 alone tells
+    apart every count 0..k-1 of each letter, so its minimised component, and
+    every product it joins, has k^d states before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
     built = _built.get((d, k))
     if built is not None:
         return built
-    auto = get_automaton(d, k)
+    _capped_patterns(d, k)
     if k**d > STATE_BUDGET:
         raise BudgetExceededError(
             f"closing the automaton for k={k}, d={d} needs at least k^d = {k**d} states,"
             f" over the budget of {STATE_BUDGET}"
         )
+    auto = get_automaton(d, k)
     components = []
     for pi in range(len(auto.patterns)):
         columns = auto.closed_component(pi)

@@ -24,7 +24,8 @@ alone (`closed_component`), and minimises and joins them, once per (d, k);
 the simulator builds its byte table from the same DFA.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
-pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances.  It
+pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
+in `_capped_patterns`, which `_dfa` runs before it makes any automaton.  It
 refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
 _MAX_COMPONENTS, each read when used, and a shared automaton that overruns
 either removes itself from the cache before it raises.  get_automaton alone
@@ -90,16 +91,7 @@ class ContainmentAutomaton:
     def __init__(self, d: int, k: int):
         if d < 1 or k < 1:
             raise ValueError("need d >= 1 and k >= 1")
-        # Imported here: the patterns module answers containment through
-        # this one, so it imports this module first.
-        from .patterns import enumerate_preferential_arrangements
-
-        self.patterns: tuple[Pattern, ...] = tuple(enumerate_preferential_arrangements(k))
-        if d**k > MAX_INSTANCES:
-            raise BudgetExceededError(
-                f"the automaton for k={k}, d={d} would track d**k pattern instances,"
-                f" over the cap of {MAX_INSTANCES}"
-            )
+        self.patterns = _capped_patterns(d, k)
         self.d = d
         self.k = k
         self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
@@ -261,6 +253,23 @@ class ContainmentAutomaton:
 
 
 _cache: dict[tuple[int, int], ContainmentAutomaton] = {}
+
+
+def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
+    """The canonical length-k patterns, after the automaton's two refusals
+    in their order: ValueError for k past MAX_PATTERN_LENGTH, from listing
+    the patterns, then BudgetExceededError for d**k past MAX_INSTANCES."""
+    # Imported here: the patterns module answers containment through this
+    # one, so it imports this module first.
+    from .patterns import enumerate_preferential_arrangements
+
+    patterns = tuple(enumerate_preferential_arrangements(k))
+    if d**k > MAX_INSTANCES:
+        raise BudgetExceededError(
+            f"the automaton for k={k}, d={d} would track d**k pattern instances,"
+            f" over the cap of {MAX_INSTANCES}"
+        )
+    return patterns
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:

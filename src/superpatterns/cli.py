@@ -4,7 +4,11 @@ Every subcommand is a thin wrapper over one library operation and produces
 deterministic output: the same invocation (including seed) writes byte-iden-
 tical files.  Output formats are csv (default), json, and plain; plain is for
 reading, not parsing.  Tables and listings are written line by line as they
-are formed, so their memory does not grow with their length.
+are formed, so their memory does not grow with their length.  The exact
+values of pmf and gf are reduced (numerator, denominator) pairs of base-10
+integers, decimal.Decimal under a context that cannot round, each pair
+formed by the series recurrence as its row is written: such an integer
+turns into text in linear time, where a big int takes quadratic time.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
 error, 3 enumeration budget exceeded, 4 verification failure.
@@ -17,9 +21,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from decimal import Decimal, localcontext
-from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oeis
@@ -42,10 +45,10 @@ from .classify import (
     _strict_count_upto_iso,
 )
 from .patterns import Pattern, Word, contains_pattern
-from .series import moments_from_gf
+from .series import Polynomial, RationalFunction, moments_from_gf, reduce_pair
 from .waiting import (
+    _supported_gf,
     coupon_expectations,
-    pmf_table,
     simulate_tau,
     waiting_time_gf,
 )
@@ -57,12 +60,37 @@ EXIT_BUDGET = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def format_decimal(value: Fraction, digits: int) -> str:
-    """Exact decimal rendering of a rational, rounded to `digits` significant
-    digits; display only, never fed back into computation."""
+# Decimal integer arithmetic that never rounds: an operation that would raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
+
+
+def format_decimal(value: tuple, digits: int) -> str:
+    """Exact decimal rendering of a rational, a (numerator, denominator) pair
+    of ints or Decimal integers, rounded to `digits` significant digits;
+    display only, never fed back into computation."""
+    numerator, denominator = value
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        return str(Decimal(numerator) / Decimal(denominator))
+
+
+def _fraction_text(value: tuple) -> str:
+    """A reduced pair as str(Fraction) writes it: the numerator alone when
+    the denominator is 1."""
+    numerator, denominator = value
+    return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
+
+
+def _decimal_rows(*functions: RationalFunction) -> Iterator[tuple[tuple, ...]]:
+    """The functions' Maclaurin coefficients, n = 0, 1, ..., one tuple of
+    reduced Decimal pairs per n: each row formed under _EXACT and handed out
+    under the caller's own context."""
+    rows = zip(*(f.expand(Decimal) for f in functions))
+    while True:
+        with localcontext(_EXACT):
+            row = next(rows)
+        yield row
 
 
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
@@ -79,14 +107,11 @@ def _json(value: object) -> list[str]:
     return [json.dumps(value, indent=2) + "\n"]
 
 
-def _csv(header: str, rows: Iterable[str], trailer: Optional[str] = None) -> Iterator[str]:
-    """A CSV table line by line: the header, each row as it is formed, and
-    the trailer."""
+def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
+    """A CSV table line by line: the header, then each row as it is formed."""
     yield header + "\n"
     for row in rows:
         yield row + "\n"
-    if trailer is not None:
-        yield trailer + "\n"
 
 
 def _csv_word(word: str) -> str:
@@ -271,43 +296,66 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 
 def cmd_pmf(args: argparse.Namespace) -> int:
-    waiting_time_gf(args.d)  # refuses an unsolved alphabet; _require_printable needs d >= 2
-    _require_printable(args.d, args.n)
-    digits = args.digits
-    # Also in brute mode, so that an n below the support is refused the same way.
-    probabilities = pmf_table(args.d, args.n)
-    lengths = range(1, args.n + 1)
-    brute = None
+    d, n_max = args.d, args.n
+    # Refuses an unsolved alphabet, which _require_printable (needing d >= 2)
+    # must not see, then an n below the support, also in brute mode.
+    gf = _supported_gf(d, n_max)
+    _require_printable(d, n_max)
     if args.mode != "exact":
-        counts = strict_counts_by_length(args.d, args.d, args.n)
-        brute = [Fraction(counts[n], args.d**n) for n in lengths]
+        brute = _brute_pmf(d, strict_counts_by_length(d, d, n_max))
     if args.mode == "brute":
-        probabilities = brute
-    cumulative = list(accumulate(probabilities))
-    tail = 1 - cumulative[-1]
-    checks = brute if args.mode == "both" else repeat(None)
-    rows = zip(lengths, probabilities, cumulative, checks)
-    if args.format == "json":
-        json_rows = [
-            {"n": n, "probability": str(p), "cumulative": str(cum)}
-            | ({} if b is None else {"brute_force": str(b), "match": p == b})
-            for n, p, cum, b in rows
-        ]
-        pieces = _json({"d": args.d, "k": args.d, "n_max": args.n, "rows": json_rows, "tail": str(tail)})
+        rows = zip(brute, repeat(None))
     else:
-        csv_rows = (
-            f"{n},{p},{format_decimal(p, digits)},{cum}" + ("" if b is None else f",{b},{p == b}")
-            for n, p, cum, b in rows
-        )
-        header = "n,probability_exact,probability_decimal,cumulative_exact"
-        if args.mode == "both":
-            header += ",brute_exact,match"
-            tail_row = f"tail,{tail},{format_decimal(tail, digits)},1,,"
-        else:
-            tail_row = f"tail,{tail},{format_decimal(tail, digits)},1"
-        pieces = _csv(header, csv_rows, trailer=tail_row)
+        cumulative = RationalFunction(gf.numerator, gf.denominator * Polynomial([1, -1]))
+        exact = islice(_decimal_rows(gf, cumulative), 1, n_max + 1)
+        rows = zip(exact, (p for p, _ in brute) if args.mode == "both" else repeat(None))
+    if args.format == "json":
+        pieces = _pmf_json(d, n_max, rows)
+    else:
+        pieces = _pmf_csv(rows, args.digits, args.mode == "both")
     _emit(pieces, args.out)
     return EXIT_OK
+
+
+def _brute_pmf(d: int, counts: dict[int, int]) -> Iterator[tuple[tuple, tuple]]:
+    """(P(tau = n), P(tau <= n)) for n = 1.. as reduced int pairs, from the
+    strict counts by length: count_n / d^n and its running sum."""
+    running, scale = 0, 1
+    for count in counts.values():
+        running = running * d + count
+        scale *= d
+        yield reduce_pair(count, scale, d), reduce_pair(running, scale, d)
+
+
+def _tail(cumulative: tuple) -> tuple:
+    """1 - cumulative, reduced as the pair is."""
+    numerator, denominator = cumulative
+    with localcontext(_EXACT):
+        return denominator - numerator, denominator
+
+
+def _pmf_csv(rows: Iterable, digits: int, both: bool) -> Iterator[str]:
+    """The pmf table line by line, each row as it is formed, and the tail
+    row from the last."""
+    yield "n,probability_exact,probability_decimal,cumulative_exact" + (",brute_exact,match\n" if both else "\n")
+    for n, ((p, cumulative), b) in enumerate(rows, 1):
+        yield f"{n},{_fraction_text(p)},{format_decimal(p, digits)},{_fraction_text(cumulative)}" + (
+            "\n" if b is None else f",{_fraction_text(b)},{p == b}\n"
+        )
+    tail = _tail(cumulative)
+    yield f"tail,{_fraction_text(tail)},{format_decimal(tail, digits)},1" + (",,\n" if both else "\n")
+
+
+def _pmf_json(d: int, n_max: int, rows: Iterable) -> Iterator[str]:
+    """The bytes json.dumps({"d", "k", "n_max", "rows", "tail"}, indent=2)
+    gives, each row as it is formed."""
+    yield f'{{\n  "d": {d},\n  "k": {d},\n  "n_max": {n_max},\n  "rows": ['
+    for n, ((p, cumulative), b) in enumerate(rows, 1):
+        row = {"n": n, "probability": _fraction_text(p), "cumulative": _fraction_text(cumulative)}
+        if b is not None:
+            row |= {"brute_force": _fraction_text(b), "match": p == b}
+        yield ("\n    " if n == 1 else ",\n    ") + json.dumps(row, indent=2).replace("\n", "\n    ")
+    yield f'\n  ],\n  "tail": {json.dumps(_fraction_text(_tail(cumulative)))}\n}}\n'
 
 
 # --- moments --------------------------------------------------------------------
@@ -315,30 +363,30 @@ def cmd_pmf(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     mean, variance = moments_from_gf(waiting_time_gf(args.d))
-    digits = args.digits
+    mean_decimal, variance_decimal = (format_decimal(v.as_integer_ratio(), args.digits) for v in (mean, variance))
     if args.format == "json":
         pieces = _json(
             {
                 "d": args.d,
                 "k": args.d,
                 "mean": str(mean),
-                "mean_decimal": format_decimal(mean, digits),
+                "mean_decimal": mean_decimal,
                 "variance": str(variance),
-                "variance_decimal": format_decimal(variance, digits),
+                "variance_decimal": variance_decimal,
             }
         )
     elif args.format == "csv":
         pieces = _csv(
             "quantity,exact,decimal",
             [
-                f"mean,{mean},{format_decimal(mean, digits)}",
-                f"variance,{variance},{format_decimal(variance, digits)}",
+                f"mean,{mean},{mean_decimal}",
+                f"variance,{variance},{variance_decimal}",
             ],
         )
     else:
         pieces = [
-            f"mean     = {mean} = {format_decimal(mean, digits)}\n",
-            f"variance = {variance} = {format_decimal(variance, digits)}\n",
+            f"mean     = {mean} = {mean_decimal}\n",
+            f"variance = {variance} = {variance_decimal}\n",
         ]
     _emit(pieces, args.out)
     return EXIT_OK
@@ -352,11 +400,16 @@ def cmd_gf(args: argparse.Namespace) -> int:
         raise ValueError("--n must be at least 0")
     gf = waiting_time_gf(args.d)  # first, as in cmd_pmf
     _require_printable(args.d, args.n)
-    coeffs = gf.series_coefficients(args.n)
+    coefficients = enumerate(islice(_decimal_rows(gf), args.n + 1))
     if args.format == "json":
-        pieces = _json({"d": args.d, "coefficients": {n: str(c) for n, c in enumerate(coeffs)}})
+        # The bytes json.dumps({"d": d, "coefficients": {n: c}}, indent=2) gives.
+        pieces = chain(
+            [f'{{\n  "d": {args.d},\n  "coefficients": {{'],
+            (f'{"," if n else ""}\n    "{n}": {json.dumps(_fraction_text(c))}' for n, (c,) in coefficients),
+            ["\n  }\n}\n"],
+        )
     else:
-        pieces = _csv("n,coefficient", (f"{n},{c}" for n, c in enumerate(coeffs)))
+        pieces = _csv("n,coefficient", (f"{n},{_fraction_text(c)}" for n, (c,) in coefficients))
     _emit(pieces, args.out)
     return EXIT_OK
 
@@ -464,7 +517,7 @@ def cmd_coupons(args: argparse.Namespace) -> int:
     single, all_words = coupon_expectations(d, args.k)
     if limit and max(*single.as_integer_ratio(), *all_words.as_integer_ratio()) >= 10**limit:
         raise too_long
-    digits = args.digits
+    single_decimal, all_decimal = (format_decimal(v.as_integer_ratio(), args.digits) for v in (single, all_words))
     if args.format == "json":
         pieces = _json(
             {
@@ -478,14 +531,14 @@ def cmd_coupons(args: argparse.Namespace) -> int:
         pieces = _csv(
             "quantity,exact,decimal",
             [
-                f"single_collection,{single},{format_decimal(single, digits)}",
-                f"all_words,{all_words},{format_decimal(all_words, digits)}",
+                f"single_collection,{single},{single_decimal}",
+                f"all_words,{all_words},{all_decimal}",
             ],
         )
     else:
         pieces = [
-            f"single coupon collection: {single} = {format_decimal(single, digits)}\n",
-            f"all length-{args.k} words:  {all_words} = {format_decimal(all_words, digits)}\n",
+            f"single coupon collection: {single} = {single_decimal}\n",
+            f"all length-{args.k} words:  {all_words} = {all_decimal}\n",
         ]
     _emit(pieces, args.out)
     return EXIT_OK

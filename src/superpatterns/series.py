@@ -1,10 +1,11 @@
 """Exact univariate polynomials, rational functions, and series expansion.
 
-Everything is computed over arbitrary-precision rationals
-(fractions.Fraction), so probability generating functions can be expanded
-and evaluated with no rounding anywhere.  Maclaurin expansion runs the
-denominator's linear recurrence on plain integers, scaled so that no term
-needs a division, and builds one Fraction per coefficient.  The same
+Polynomials and evaluation work over fractions.Fraction, so probability
+generating functions are expanded and evaluated with no rounding anywhere.
+Maclaurin expansion is one recurrence (`RationalFunction.expand`) on scaled
+integers, Python ints or Decimal integers under a context that cannot round,
+yielding each coefficient as a reduced (numerator, denominator) pair;
+`series_coefficients` builds Fractions from the int pairs.  The same
 expansion gives the moments: taken at t = 1 instead of 0, its coefficients
 are the factorial moments.  Floating point is for display only and never
 feeds back into these routines.
@@ -13,15 +14,17 @@ feeds back into these routines.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
-from typing import Sequence, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 __all__ = ["Polynomial", "RationalFunction", "moments_from_gf"]
 
 Scalar = Union[int, Fraction]
+Integer = TypeVar("Integer")
 
 
 # Trial divisors tried when choosing the recurrence's scale stay below this,
@@ -58,6 +61,40 @@ def _scale_base(denominators: Sequence[int]) -> int:
             rest //= p
         g *= p ** max(-(-_valuation(den, p) // j) for j, den in enumerate(denominators, 1))
     return g * rest
+
+
+def reduce_pair(numerator: Integer, denominator: Integer, base: int) -> tuple[Integer, Integer]:
+    """numerator / denominator in lowest terms, given that every prime
+    factor of their gcd divides base: divides both by gcd(numerator % base,
+    denominator % base, base) until it is 1, so no gcd of two big numbers is
+    taken.  Zero is (0, 1), never -0."""
+    if not numerator:
+        kind = type(denominator)
+        return kind(0), kind(1)
+    while True:
+        common = math.gcd(int(numerator % base), int(denominator % base), base)
+        if common == 1:
+            return numerator, denominator
+        numerator //= common
+        denominator //= common
+
+
+def _recurrence(
+    weights: list[int], sources: list[int], m: int, g: int, integer: Callable[[int], Integer]
+) -> Iterator[tuple[Integer, Integer]]:
+    """The pairs (C_n, m g^n) of `RationalFunction.expand`, reduced, for
+    n = 0, 1, ..., keeping only the window of the last len(weights) terms."""
+    weights = [integer(w) for w in weights]
+    zero = integer(0)
+    # C_n for n < 0 is zero, so the window starts full of zeros.
+    window = deque([zero] * len(weights), maxlen=len(weights))
+    sources = map(integer, sources)
+    scale, step, base = integer(m), integer(g), m * g
+    while True:
+        term = next(sources, zero) - sum(map(mul, weights, window))
+        window.append(term)
+        yield reduce_pair(term, scale, base)
+        scale *= step
 
 
 class Polynomial:
@@ -135,40 +172,38 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.numerator(x) / den
 
-    def series_coefficients(self, order: int) -> list[Fraction]:
-        """Maclaurin coefficients c_0..c_order, exactly.
+    def expand(self, integer: Callable[[int], Integer] = int) -> Iterator[tuple[Integer, Integer]]:
+        """The Maclaurin coefficients c_0, c_1, ... without end, each a
+        reduced (numerator, denominator) pair of `integer`s.
 
-        Needs denominator(0) != 0.  With a, b the numerator and denominator
-        coefficients, r_j = b_j / b_0 and s_n = a_n / b_0, the coefficients
-        obey c_n = s_n - sum_{j>=1} r_j c_{n-j}.  The recurrence runs on the
-        integers C_n = c_n m g^n, where g makes every R_j = r_j g^j an integer
-        and m is the least that makes every S_n = s_n g^n m one:
-        C_n = S_n - sum_j R_j C_{n-j}.  Each c_n = C_n / (m g^n) then costs
-        one reduction.
+        Needs denominator(0) != 0, and checks it at once.  With a, b the
+        numerator and denominator coefficients, r_j = b_j / b_0 and
+        s_n = a_n / b_0, the coefficients obey c_n = s_n - sum_{j>=1} r_j c_{n-j}.
+        The recurrence runs on the integers C_n = c_n m g^n, where g makes
+        every R_j = r_j g^j an integer and m is the least that makes every
+        S_n = s_n g^n m one: C_n = S_n - sum_j R_j C_{n-j}, over the last D
+        terms alone, D the denominator's degree.  Every prime that c_n =
+        C_n / (m g^n) can cancel divides m g, so `reduce_pair` reduces it.
+
+        `integer` converts Python ints.  Decimal needs a context that cannot
+        round current while each pair is formed, and only then: a context
+        belongs to the thread, not to the suspended expansion.
         """
         b = self.denominator.coefficients
         if b[0] == 0:
             raise ValueError("series expansion needs a nonzero constant term in the denominator")
         ratios = [c / b[0] for c in b[1:]]
         g = _scale_base([r.denominator for r in ratios])
-        # R_D .. R_1, so that a window C_{n-k} .. C_{n-1} pairs with its weights.
+        # R_D .. R_1, so that a window C_{n-D} .. C_{n-1} pairs with its weights.
         weights = [(r * g**j).numerator for j, r in reversed(list(enumerate(ratios, 1)))]
-        count = max(order + 1, 0)
-        sources = [a / b[0] * g**n for n, a in enumerate(self.numerator.coefficients[:count])]
+        sources = [a / b[0] * g**n for n, a in enumerate(self.numerator.coefficients)]
         m = math.lcm(*(s.denominator for s in sources))
-        scaled = [(s * m).numerator for s in sources]
-        scaled += [0] * (count - len(scaled))
-        depth = len(weights)
-        terms: list[int] = []
-        for n, acc in enumerate(scaled):
-            k = min(n, depth)
-            terms.append(acc - sum(map(mul, weights[depth - k :], terms[n - k :])))
-        out: list[Fraction] = []
-        scale = m
-        for term in terms:
-            out.append(Fraction(term, scale))
-            scale *= g
-        return out
+        return _recurrence(weights, [(s * m).numerator for s in sources], m, g, integer)
+
+    def series_coefficients(self, order: int) -> list[Fraction]:
+        """Maclaurin coefficients c_0..c_order, exactly, as Fractions of the
+        int pairs `expand` yields."""
+        return [Fraction(a, b) for a, b in islice(self.expand(), max(order + 1, 0))]
 
     def __eq__(self, other: object) -> bool:
         # Equality as functions: cross-multiplied equality of the raw pairs.

@@ -292,11 +292,16 @@ def pmf_table(d: int, n_max: int) -> list[Fraction]:
     starts at the lowest power of t in the generating function's numerator,
     the least superpattern length, and is infinite, so the mass past n_max
     is 1 less the sum of the list."""
+    return _supported_gf(d, n_max).series_coefficients(n_max)[1:]
+
+
+def _supported_gf(d: int, n_max: int) -> RationalFunction:
+    """waiting_time_gf(d), once n_max reaches the start of its support."""
     gf = waiting_time_gf(d)
     start = next(n for n, c in enumerate(gf.numerator.coefficients) if c)
     if n_max < start:
         raise ValueError(f"n_max must reach the least superpattern length {start}")
-    return gf.series_coefficients(n_max)[1:]
+    return gf
 
 
 def coupon_expectations(d: int, k: int) -> tuple[Fraction, Fraction]:

@@ -10,13 +10,15 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, ternary_pmf
+from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, pmf_table, ternary_pmf
+from superpatterns import waiting_time_gf
 from superpatterns.classify import COUNT_REPORT_HEADER, _minimal_listing, count_formulas
 from superpatterns.cli import main
 
@@ -401,6 +403,86 @@ class TestPmf:
             main([*command, "--digits", digits])
         assert exc.value.code == 2
         assert "--digits: must be at least 1" in capsys.readouterr().err
+
+
+def fraction_decimal(value: Fraction, digits: int) -> str:
+    """The decimal column as the Fraction route wrote it."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(value.numerator) / Decimal(value.denominator))
+
+
+def pmf_by_fractions(d: int, n_max: int, fmt: str, digits: int) -> str:
+    """pmf's exact-mode output from the list of Fractions pmf_table gives,
+    its running sums and its tail."""
+    probabilities = pmf_table(d, n_max)
+    cumulative = list(accumulate(probabilities))
+    tail = 1 - cumulative[-1]
+    rows = list(zip(range(1, n_max + 1), probabilities, cumulative))
+    if fmt == "json":
+        table = [{"n": n, "probability": str(p), "cumulative": str(c)} for n, p, c in rows]
+        return json.dumps({"d": d, "k": d, "n_max": n_max, "rows": table, "tail": str(tail)}, indent=2) + "\n"
+    lines = ["n,probability_exact,probability_decimal,cumulative_exact"]
+    lines += [f"{n},{p},{fraction_decimal(p, digits)},{c}" for n, p, c in rows]
+    lines.append(f"tail,{tail},{fraction_decimal(tail, digits)},1")
+    return "\n".join(lines) + "\n"
+
+
+def gf_by_fractions(d: int, order: int, fmt: str) -> str:
+    coefficients = waiting_time_gf(d).series_coefficients(order)
+    if fmt == "json":
+        return json.dumps({"d": d, "coefficients": {n: str(c) for n, c in enumerate(coefficients)}}, indent=2) + "\n"
+    return "".join(["n,coefficient\n", *(f"{n},{c}\n" for n, c in enumerate(coefficients))])
+
+
+class TestDecimalRows:
+    # pmf and gf form their rows from Decimal pairs; the Fraction route they
+    # replaced is the oracle, byte for byte, at the lengths the benchmark runs.
+    @pytest.mark.parametrize(
+        "d,n_max,fmt,digits",
+        [
+            (2, 3000, "csv", 12),
+            (2, 3000, "json", 12),
+            (3, 600, "csv", 12),
+            (3, 600, "json", 12),
+            (2, 3000, "csv", 5),
+            (3, 600, "csv", 5),
+            (2, 3000, "csv", 30),
+            (3, 600, "csv", 30),
+        ],
+    )
+    def test_pmf_matches_the_fraction_route(self, capsys, d, n_max, fmt, digits):
+        argv = ["pmf", "--d", str(d), "--n", str(n_max), "--format", fmt, "--digits", str(digits)]
+        assert run(capsys, *argv) == (0, pmf_by_fractions(d, n_max, fmt, digits), "")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_gf_matches_the_fraction_route(self, capsys, fmt):
+        assert run(capsys, "gf", "--d", "3", "--n", "3000", "--format", fmt) == (0, gf_by_fractions(3, 3000, fmt), "")
+
+    def test_a_suspended_expansion_leaves_the_callers_context(self):
+        rows = cli._decimal_rows(waiting_time_gf(3))
+        assert next(rows) == ((0, 1),)
+        assert getcontext().prec == 28
+        assert Decimal(1) / Decimal(3) == Decimal("0." + "3" * 28)
+        rows.close()
+
+    def test_the_tail_is_exact(self, capsys):
+        code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "600")
+        assert code == 0
+        label, tail, *_ = out.splitlines()[-1].split(",")
+        assert label == "tail"
+        assert Fraction(tail) == 1 - sum(pmf_table(3, 600))
+
+    def test_both_mode_compares_past_the_default_precision(self, capsys):
+        # 3^80 has 39 digits, so a comparison at 28 digits could not tell
+        # neighbouring values apart.
+        assert len(str(3**80)) == 39 > getcontext().prec
+        code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "80", "--mode", "both")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        assert len(rows) == 80
+        assert all(row[5] == "True" and row[1] == row[4] for row in rows)
+        assert Fraction(rows[-1][1]) == ternary_pmf(80)
 
 
 class TestMomentsAndGf:

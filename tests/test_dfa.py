@@ -134,12 +134,15 @@ def test_k_above_d_is_refused_before_closure(monkeypatch):
 @pytest.mark.parametrize("d", [17, 200])
 def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
     # Pattern 11 alone needs 2^d states before acceptance, over the budget.
-    # The automaton itself is made first (40,000 instances at d = 200).
+    # The refusal comes before any automaton is made, so none is left in the
+    # shared cache (one of 40,000 instances at d = 200).
     monkeypatch.setattr(ContainmentAutomaton, "closed_component", no_closure)
+    monkeypatch.setattr(automaton, "_cache", {})
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match=f"k=2, d={d} needs at least k\\^d = {2**d} states"):
         simulate_tau(d, 2, 5, 0)
     assert time.process_time() - start < 0.5
+    assert (d, 2) not in automaton._cache
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (6, 2), (3, 3), (4, 3), (2, 1)])

@@ -59,8 +59,9 @@ PERFBENCH = SOURCE.parents[1] / "perfbench"
 
 # Exported because they define the terms the docs use (dense ranking,
 # first-occurrence canonical form), though the program itself never calls
-# them; and the package version.
-KEEP = {"dense_rank", "relabel_canonical", "__version__"}
+# them; the exact PMF as Fractions, for library callers, which the pmf
+# command prints from Decimal pairs instead; and the package version.
+KEEP = {"dense_rank", "relabel_canonical", "pmf_table", "__version__"}
 
 
 def _references(path: Path) -> set[str]:

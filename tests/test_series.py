@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpatterns import Polynomial, RationalFunction, moments_from_gf, waiting_time_gf
-from superpatterns.series import _scale_base
+from superpatterns.cli import _EXACT
+from superpatterns.series import _scale_base, reduce_pair
 
 from conftest import series_by_long_division
 
@@ -127,6 +131,25 @@ class TestSeriesExpansion:
         # b0 may be negative; the numerator's degree often exceeds the order.
         f = RationalFunction(Polynomial(numerator), Polynomial([b0, *rest]))
         assert f.series_coefficients(order) == series_by_long_division(f, order)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(_coefficients, max_size=12),
+        _nonzero,
+        st.lists(_coefficients, max_size=5),
+        st.integers(0, 12),
+    )
+    def test_pairs_are_reduced_in_either_integer_type(self, numerator, b0, rest, order):
+        f = RationalFunction(Polynomial(numerator), Polynomial([b0, *rest]))
+        pairs = list(islice(f.expand(), order + 1))
+        assert all(b > 0 and math.gcd(a, b) == 1 for a, b in pairs)
+        with localcontext(_EXACT):
+            assert list(islice(f.expand(Decimal), order + 1)) == pairs
+
+    def test_zero_reduces_to_zero_over_one(self):
+        for zero in (0, Decimal(0), Decimal("-0")):
+            a, b = reduce_pair(zero, zero + 27, 3)
+            assert (str(a), str(b)) == ("0", "1")
 
     @pytest.mark.parametrize("d, g", [(2, 2), (3, 3)])
     def test_paper_gfs_scale_by_their_alphabet(self, d, g):
