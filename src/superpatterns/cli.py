@@ -6,9 +6,10 @@ tical files.  Output formats are csv (default), json, and plain; plain is for
 reading, not parsing.  Tables and listings are written line by line as they
 are formed, so their memory does not grow with their length.  The exact
 values of pmf and gf are reduced (numerator, denominator) pairs of base-10
-integers, decimal.Decimal under a context that cannot round, each pair
-formed by the series recurrence as its row is written: such an integer
-turns into text in linear time, where a big int takes quadratic time.
+integers, decimal.Decimal under a context that cannot round, formed by the
+series recurrence as each row is written, a cumulative as 1 less a pair of
+the tail series: such integers turn into text in linear time, big ints in
+quadratic time.  Decimal columns round in a context the command makes.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
 error, 3 enumeration budget exceeded, 4 verification failure.
@@ -45,7 +46,7 @@ from .classify import (
     _strict_count_upto_iso,
 )
 from .patterns import Pattern, Word, contains_pattern
-from .series import Polynomial, RationalFunction, moments_from_gf, reduce_pair
+from .series import RationalFunction, _recurrence, _tail_series, moments_from_gf
 from .waiting import (
     _supported_gf,
     coupon_expectations,
@@ -65,14 +66,9 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
 
 
-def format_decimal(value: tuple, digits: int) -> str:
-    """Exact decimal rendering of a rational, a (numerator, denominator) pair
-    of ints or Decimal integers, rounded to `digits` significant digits;
-    display only, never fed back into computation."""
-    numerator, denominator = value
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(numerator) / Decimal(denominator))
+def format_decimal(value: tuple, context: Context) -> str:
+    """A reduced pair written as a decimal by `context` alone, for display only."""
+    return context.to_sci_string(context.divide(*value))
 
 
 def _fraction_text(value: tuple) -> str:
@@ -302,60 +298,46 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     gf = _supported_gf(d, n_max)
     _require_printable(d, n_max)
     if args.mode != "exact":
-        brute = _brute_pmf(d, strict_counts_by_length(d, d, n_max))
+        # count_n / d^n and P(tau > n) = C_n / d^n, C_n = d C_{n-1} - count_n, C_0 = 1.
+        counts = list(strict_counts_by_length(d, d, n_max).values())
+        tails = _recurrence([-d], [1, *(-c for c in counts)], 1, d, int)
+        brute = islice(zip(_recurrence([], [0, *counts], 1, d, int), tails), 1, n_max + 1)
     if args.mode == "brute":
         rows = zip(brute, repeat(None))
     else:
-        cumulative = RationalFunction(gf.numerator, gf.denominator * Polynomial([1, -1]))
-        exact = islice(_decimal_rows(gf, cumulative), 1, n_max + 1)
+        exact = islice(_decimal_rows(gf, _tail_series(gf)), 1, n_max + 1)
         rows = zip(exact, (p for p, _ in brute) if args.mode == "both" else repeat(None))
+    # A cumulative is 1 less its row's tail pair, in lowest terms as that is.
+    rows = ((p, (_EXACT.subtract(den, num), den), (num, den), b) for (p, (num, den)), b in rows)
     if args.format == "json":
         pieces = _pmf_json(d, n_max, rows)
     else:
-        pieces = _pmf_csv(rows, args.digits, args.mode == "both")
+        pieces = _pmf_csv(rows, Context(prec=args.digits), args.mode == "both")
     _emit(pieces, args.out)
     return EXIT_OK
 
 
-def _brute_pmf(d: int, counts: dict[int, int]) -> Iterator[tuple[tuple, tuple]]:
-    """(P(tau = n), P(tau <= n)) for n = 1.. as reduced int pairs, from the
-    strict counts by length: count_n / d^n and its running sum."""
-    running, scale = 0, 1
-    for count in counts.values():
-        running = running * d + count
-        scale *= d
-        yield reduce_pair(count, scale, d), reduce_pair(running, scale, d)
-
-
-def _tail(cumulative: tuple) -> tuple:
-    """1 - cumulative, reduced as the pair is."""
-    numerator, denominator = cumulative
-    with localcontext(_EXACT):
-        return denominator - numerator, denominator
-
-
-def _pmf_csv(rows: Iterable, digits: int, both: bool) -> Iterator[str]:
+def _pmf_csv(rows: Iterable, context: Context, both: bool) -> Iterator[str]:
     """The pmf table line by line, each row as it is formed, and the tail
     row from the last."""
     yield "n,probability_exact,probability_decimal,cumulative_exact" + (",brute_exact,match\n" if both else "\n")
-    for n, ((p, cumulative), b) in enumerate(rows, 1):
-        yield f"{n},{_fraction_text(p)},{format_decimal(p, digits)},{_fraction_text(cumulative)}" + (
+    for n, (p, cumulative, tail, b) in enumerate(rows, 1):
+        yield f"{n},{_fraction_text(p)},{format_decimal(p, context)},{_fraction_text(cumulative)}" + (
             "\n" if b is None else f",{_fraction_text(b)},{p == b}\n"
         )
-    tail = _tail(cumulative)
-    yield f"tail,{_fraction_text(tail)},{format_decimal(tail, digits)},1" + (",,\n" if both else "\n")
+    yield f"tail,{_fraction_text(tail)},{format_decimal(tail, context)},1" + (",,\n" if both else "\n")
 
 
 def _pmf_json(d: int, n_max: int, rows: Iterable) -> Iterator[str]:
     """The bytes json.dumps({"d", "k", "n_max", "rows", "tail"}, indent=2)
     gives, each row as it is formed."""
     yield f'{{\n  "d": {d},\n  "k": {d},\n  "n_max": {n_max},\n  "rows": ['
-    for n, ((p, cumulative), b) in enumerate(rows, 1):
+    for n, (p, cumulative, tail, b) in enumerate(rows, 1):
         row = {"n": n, "probability": _fraction_text(p), "cumulative": _fraction_text(cumulative)}
         if b is not None:
             row |= {"brute_force": _fraction_text(b), "match": p == b}
         yield ("\n    " if n == 1 else ",\n    ") + json.dumps(row, indent=2).replace("\n", "\n    ")
-    yield f'\n  ],\n  "tail": {json.dumps(_fraction_text(_tail(cumulative)))}\n}}\n'
+    yield f'\n  ],\n  "tail": {json.dumps(_fraction_text(tail))}\n}}\n'
 
 
 # --- moments --------------------------------------------------------------------
@@ -363,7 +345,8 @@ def _pmf_json(d: int, n_max: int, rows: Iterable) -> Iterator[str]:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     mean, variance = moments_from_gf(waiting_time_gf(args.d))
-    mean_decimal, variance_decimal = (format_decimal(v.as_integer_ratio(), args.digits) for v in (mean, variance))
+    context = Context(prec=args.digits)
+    mean_decimal, variance_decimal = (format_decimal(v.as_integer_ratio(), context) for v in (mean, variance))
     if args.format == "json":
         pieces = _json(
             {
@@ -517,7 +500,8 @@ def cmd_coupons(args: argparse.Namespace) -> int:
     single, all_words = coupon_expectations(d, args.k)
     if limit and max(*single.as_integer_ratio(), *all_words.as_integer_ratio()) >= 10**limit:
         raise too_long
-    single_decimal, all_decimal = (format_decimal(v.as_integer_ratio(), args.digits) for v in (single, all_words))
+    context = Context(prec=args.digits)
+    single_decimal, all_decimal = (format_decimal(v.as_integer_ratio(), context) for v in (single, all_words))
     if args.format == "json":
         pieces = _json(
             {

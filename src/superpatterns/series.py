@@ -4,11 +4,11 @@ Polynomials and evaluation work over fractions.Fraction, so probability
 generating functions are expanded and evaluated with no rounding anywhere.
 Maclaurin expansion is one recurrence (`RationalFunction.expand`) on scaled
 integers, Python ints or Decimal integers under a context that cannot round,
-yielding each coefficient as a reduced (numerator, denominator) pair;
-`series_coefficients` builds Fractions from the int pairs.  The same
-expansion gives the moments: taken at t = 1 instead of 0, its coefficients
-are the factorial moments.  Floating point is for display only and never
-feeds back into these routines.
+yielding each coefficient as a pair reduced at a constant number of big-number
+operations; `series_coefficients` builds Fractions from the int pairs.  The
+tail series sum_n P(tau > n) t^n (`_tail_series`) shares a distribution's
+denominator; taken at t = 1 it gives the moments.  Floating point is for
+display only and never feeds back into these routines.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
@@ -63,38 +63,44 @@ def _scale_base(denominators: Sequence[int]) -> int:
     return g * rest
 
 
-def reduce_pair(numerator: Integer, denominator: Integer, base: int) -> tuple[Integer, Integer]:
-    """numerator / denominator in lowest terms, given that every prime
-    factor of their gcd divides base: divides both by gcd(numerator % base,
-    denominator % base, base) until it is 1, so no gcd of two big numbers is
-    taken.  Zero is (0, 1), never -0."""
+def reduce_pair(numerator: Integer, denominator: Integer, modulus: int, residue: int) -> tuple[Integer, Integer]:
+    """numerator / denominator in lowest terms (zero is (0, 1), never -0),
+    given that every prime factor of their gcd divides modulus and residue =
+    denominator % modulus.  Dividing both by common = gcd(numerator % modulus,
+    residue, modulus) leaves lowest terms unless some prime's whole power in
+    modulus divides both; only then, seen as common^2 not dividing modulus,
+    do more rounds follow, on both remainders."""
     if not numerator:
-        kind = type(denominator)
-        return kind(0), kind(1)
-    while True:
-        common = math.gcd(int(numerator % base), int(denominator % base), base)
-        if common == 1:
-            return numerator, denominator
+        return type(denominator)(0), type(denominator)(1)
+    common = math.gcd(int(numerator % modulus), residue, modulus)
+    while common > 1:
         numerator //= common
         denominator //= common
+        if not modulus % (common * common):
+            break
+        common = math.gcd(int(numerator % modulus), int(denominator % modulus), modulus)
+    return numerator, denominator
 
 
 def _recurrence(
     weights: list[int], sources: list[int], m: int, g: int, integer: Callable[[int], Integer]
 ) -> Iterator[tuple[Integer, Integer]]:
     """The pairs (C_n, m g^n) of `RationalFunction.expand`, reduced, for
-    n = 0, 1, ..., keeping only the window of the last len(weights) terms."""
+    n = 0, 1, ..., keeping only the window of the last len(weights) terms
+    and the scale's residue modulo a power of m g below 2^64, where one is."""
     weights = [integer(w) for w in weights]
     zero = integer(0)
     # C_n for n < 0 is zero, so the window starts full of zeros.
     window = deque([zero] * len(weights), maxlen=len(weights))
     sources = map(integer, sources)
-    scale, step, base = integer(m), integer(g), m * g
+    scale, step, modulus = integer(m), integer(g), (m * g) ** max(1, 64 // (m * g).bit_length())
+    residue = m % modulus
     while True:
         term = next(sources, zero) - sum(map(mul, weights, window))
         window.append(term)
-        yield reduce_pair(term, scale, base)
+        yield reduce_pair(term, scale, modulus, residue)
         scale *= step
+        residue = residue * g % modulus
 
 
 class Polynomial:
@@ -183,7 +189,8 @@ class RationalFunction:
         every R_j = r_j g^j an integer and m is the least that makes every
         S_n = s_n g^n m one: C_n = S_n - sum_j R_j C_{n-j}, over the last D
         terms alone, D the denominator's degree.  Every prime that c_n =
-        C_n / (m g^n) can cancel divides m g, so `reduce_pair` reduces it.
+        C_n / (m g^n) can cancel divides m g: `reduce_pair` cancels it
+        against m g^n's residue modulo a fixed power of m g.
 
         `integer` converts Python ints.  Decimal needs a context that cannot
         round current while each pair is formed, and only then: a context
@@ -215,23 +222,31 @@ class RationalFunction:
         return f"RationalFunction({self.numerator!r}, {self.denominator!r})"
 
 
+def _tail_series(f: RationalFunction) -> RationalFunction:
+    """The tail series sum_n P(tau > n) t^n = ((D - N) / (1 - t)) / D of the
+    probability generating function f = N / D, unless f(1) != 1.  D - N
+    vanishes at 1, so the numerator is the prefix sums of D - N's coefficients.
+    For P(tau = n) = 2^-n, generated by t / (2 - t), P(tau > n) = 2^-n too:
+
+    >>> _tail_series(RationalFunction(Polynomial([0, 1]), Polynomial([2, -1]))).series_coefficients(3)
+    [Fraction(1, 1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    """
+    if (total := f.evaluate(1)) != 1:
+        raise ValueError(f"not a probability generating function: f(1) = {total}")
+    difference = zip_longest(f.denominator.coefficients, f.numerator.coefficients, fillvalue=0)
+    return RationalFunction(Polynomial(list(accumulate(d - n for d, n in difference))), f.denominator)
+
+
 def moments_from_gf(f: RationalFunction) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of the distribution with probability generating
-    function f.
-
-    The expansion f(1 + s) = sum_i E[C(tau, i)] s^i (Flajolet and Sedgewick,
-    Analytic Combinatorics, ch. III) puts the mean at c_1 and the variance at
-    2 c_2 + c_1 - c_1^2.  Shifting a polynomial sum_i a_i t^i to t = 1 + s
-    gives the coefficient sum_i a_i C(i, j) at s^j; three of them suffice.
-
-    Rejects f unless f(1) = 1 exactly.
-    """
-    total = f.evaluate(1)
-    if total != 1:
-        raise ValueError(f"not a probability generating function: f(1) = {total}")
+    function f, unless f(1) != 1.  Its tail series T has T(1) = E[tau] and
+    T'(1) = sum_n n P(tau > n) = E[C(tau, 2)], so T(1 + s) = c_0 + c_1 s + ...
+    puts the mean at c_0 and the variance at 2 c_1 + c_0 - c_0^2; sum_i a_i t^i
+    shifted to t = 1 + s has sum_i a_i C(i, j) at s^j."""
+    tail = _tail_series(f)
     shifted = (
-        Polynomial([sum(a * math.comb(i, j) for i, a in enumerate(p.coefficients)) for j in range(3)])
-        for p in (f.numerator, f.denominator)
+        Polynomial([sum(a * math.comb(i, j) for i, a in enumerate(p.coefficients)) for j in range(2)])
+        for p in (tail.numerator, tail.denominator)
     )
-    _, mean, second = RationalFunction(*shifted).series_coefficients(2)
+    mean, second = RationalFunction(*shifted).series_coefficients(1)
     return mean, 2 * second + mean - mean * mean

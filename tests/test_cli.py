@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict
-from decimal import Decimal, getcontext, localcontext
+from decimal import ROUND_DOWN, Decimal, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -483,6 +483,34 @@ class TestDecimalRows:
         assert len(rows) == 80
         assert all(row[5] == "True" and row[1] == row[4] for row in rows)
         assert Fraction(rows[-1][1]) == ternary_pmf(80)
+
+
+class TestCallerContext:
+    # Every decimal digit and exact pair comes from a context the command
+    # makes, so a caller's own context changes no byte: not its rounding,
+    # its exponent letter, or traps that would stop an inexact step.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", "--d", "3", "--n", "200"],
+            ["pmf", "--d", "2", "--n", "200", "--format", "json"],
+            ["pmf", "--d", "3", "--n", "40", "--mode", "brute"],
+            ["pmf", "--d", "3", "--n", "40", "--mode", "brute", "--format", "json"],
+            ["pmf", "--d", "3", "--n", "40", "--mode", "both", "--digits", "30"],
+            ["gf", "--d", "3", "--n", "200"],
+            ["moments", "--d", "3", "--digits", "3"],
+            ["coupons", "--d", "7", "--digits", "3", "--format", "plain"],
+        ],
+        ids=" ".join,
+    )
+    def test_the_callers_context_changes_no_byte(self, capsys, argv):
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        with localcontext() as ctx:
+            ctx.rounding = ROUND_DOWN
+            ctx.capitals = 0
+            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+            assert run(capsys, *argv) == expected
 
 
 class TestMomentsAndGf:

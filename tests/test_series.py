@@ -5,15 +5,15 @@ import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superpatterns import Polynomial, RationalFunction, moments_from_gf, waiting_time_gf
+from superpatterns import Polynomial, RationalFunction, moments_from_gf, pmf_table, waiting_time_gf
 from superpatterns.cli import _EXACT
-from superpatterns.series import _scale_base, reduce_pair
+from superpatterns.series import _scale_base, _tail_series, reduce_pair
 
 from conftest import series_by_long_division
 
@@ -148,7 +148,7 @@ class TestSeriesExpansion:
 
     def test_zero_reduces_to_zero_over_one(self):
         for zero in (0, Decimal(0), Decimal("-0")):
-            a, b = reduce_pair(zero, zero + 27, 3)
+            a, b = reduce_pair(zero, zero + 27, 3, 0)
             assert (str(a), str(b)) == ("0", "1")
 
     @pytest.mark.parametrize("d, g", [(2, 2), (3, 3)])
@@ -175,6 +175,63 @@ class TestSeriesExpansion:
         f = RationalFunction(Polynomial([1, 2, 3]), Polynomial([1, -1]))
         assert f.series_coefficients(-1) == []
         assert f.series_coefficients(-3) == []
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """The argument tuples of every math.gcd call from here on."""
+    calls, real = [], math.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    return calls
+
+
+class TestReduction:
+    @pytest.mark.parametrize("c", [1, -5, 7**30], ids=["1", "-5", "7^30"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_terms_past_the_modulus_power_take_the_fallback_round(self, gcd_calls, base, c):
+        # c base^200 / (base - t)^2 = sum_n c base^200 (n + 1) / base^(n + 2) t^n:
+        # numerator and denominator share far more than the modulus's power.
+        f = RationalFunction(Polynomial([c * base**200]), Polynomial([base, -1]) ** 2)
+        expected = [Fraction(c * base**200 * (n + 1), base ** (n + 2)) for n in range(400)]
+        expected = [(x.numerator, x.denominator) for x in expected]
+        pairs, decimal_pairs = f.expand(), f.expand(Decimal)
+        del gcd_calls[:]
+        assert list(islice(pairs, 400)) == expected
+        assert len(gcd_calls) > 400
+        with localcontext(_EXACT):
+            assert list(islice(decimal_pairs, 400)) == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_the_paper_gfs_take_one_gcd_per_pair(self, gcd_calls, d):
+        pairs = waiting_time_gf(d).expand()
+        del gcd_calls[:]
+        pairs = list(islice(pairs, 3001))
+        assert len(gcd_calls) <= len(pairs)
+        assert all(math.gcd(a, b) == 1 for a, b in pairs)
+
+
+class TestTailSeries:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_coefficients_are_the_mass_left(self, d):
+        f = waiting_time_gf(d)
+        tail = _tail_series(f)
+        assert tail.denominator == f.denominator
+        assert tail.series_coefficients(300) == [1, *(1 - s for s in accumulate(pmf_table(d, 300)))]
+
+    def test_binary_tail(self):
+        tail = _tail_series(waiting_time_gf(2)).series_coefficients(300)
+        assert tail[1:] == [Fraction(n, 2 ** (n - 1)) for n in range(1, 301)]
+
+    def test_refuses_anything_but_a_probability_generating_function(self):
+        with pytest.raises(ValueError, match=r"not a probability generating function: f\(1\) = 1/2"):
+            _tail_series(RationalFunction(Polynomial([0, 1]), Polynomial([3, -1])))
+        with pytest.raises(ValueError, match=r"f\(1\) = 2"):
+            _tail_series(RationalFunction(Polynomial([2]), Polynomial([1])))
 
 
 def _finite_factor(weights):
