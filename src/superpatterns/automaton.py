@@ -242,11 +242,6 @@ class ContainmentAutomaton:
             component += 1
         return columns[1:]
 
-    def missing_pattern_indices(self, state: int) -> list[int]:
-        """Indices into ``patterns`` of the patterns not yet contained."""
-        ids = self._unpack(self._state_keys[state])
-        return [pi for pi, c in enumerate(ids) if c != _CONTAINED]
-
     def scan(self, letters: Iterable[int]) -> int:
         """State after reading a whole letter sequence from the empty word."""
         return reduce(self.step, letters, 0)

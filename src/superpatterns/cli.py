@@ -5,11 +5,11 @@ deterministic output: the same invocation (including seed) writes byte-iden-
 tical files.  Output formats are csv (default), json, and plain; plain is for
 reading, not parsing.  Tables and listings are written line by line as they
 are formed, so their memory does not grow with their length.  The exact
-values of pmf and gf are reduced (numerator, denominator) pairs of base-10
-integers, decimal.Decimal under a context that cannot round, formed by the
-series recurrence as each row is written, a cumulative as 1 less a pair of
-the tail series: such integers turn into text in linear time, big ints in
-quadratic time.  Decimal columns round in a context the command makes.
+values of pmf and gf are the reduced Decimal pairs the series recurrence
+yields as each row is written, a cumulative as 1 less a pair of the tail
+series; only pmf's brute and both modes start from Python-int counts, and
+only they are refused past the interpreter's limit on converting integers
+to text.  Decimal columns round in a context the command makes.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
 error, 3 enumeration budget exceeded, 4 verification failure.
@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from decimal import Context
 from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -46,7 +46,7 @@ from .classify import (
     _strict_count_upto_iso,
 )
 from .patterns import Pattern, Word, contains_pattern
-from .series import RationalFunction, _recurrence, _tail_series, moments_from_gf
+from .series import _EXACT, _recurrence, _tail_series, moments_from_gf
 from .waiting import (
     _supported_gf,
     coupon_expectations,
@@ -61,11 +61,6 @@ EXIT_BUDGET = 3
 EXIT_VERIFY_FAILED = 4
 
 
-# Decimal integer arithmetic that never rounds: an operation that would raises.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
-
-
 def format_decimal(value: tuple, context: Context) -> str:
     """A reduced pair written as a decimal by `context` alone, for display only."""
     return context.to_sci_string(context.divide(*value))
@@ -76,17 +71,6 @@ def _fraction_text(value: tuple) -> str:
     the denominator is 1."""
     numerator, denominator = value
     return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
-
-
-def _decimal_rows(*functions: RationalFunction) -> Iterator[tuple[tuple, ...]]:
-    """The functions' Maclaurin coefficients, n = 0, 1, ..., one tuple of
-    reduced Decimal pairs per n: each row formed under _EXACT and handed out
-    under the caller's own context."""
-    rows = zip(*(f.expand(Decimal) for f in functions))
-    while True:
-        with localcontext(_EXACT):
-            row = next(rows)
-        yield row
 
 
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
@@ -128,12 +112,15 @@ def _positive_int(text: str) -> int:
 
 
 def _require_printable(d: int, n: int) -> None:
-    """Refuse, before any work, a length n whose exact values could exceed
-    the interpreter's limit on converting integers to text.
+    """Refuse, before any work, a length n whose brute-force values could
+    exceed the interpreter's limit on converting integers to text.
 
-    Every value pmf and gf print for lengths up to n is a probability whose
+    Every value pmf prints for lengths up to n is a probability whose
     denominator divides d^(n-1), since the strict counts at k = d are
-    multiples of d; so the values print whenever d^(n-1) does.
+    multiples of d; so the values print whenever d^(n-1) does.  Brute and
+    both modes form theirs from the DP's Python-int counts, whose conversion
+    (to text or to Decimal) takes quadratic time, which is what the limit
+    bounds; the exact series never holds a Python int that large.
     """
     limit = sys.get_int_max_str_digits()
     if not limit:
@@ -296,16 +283,16 @@ def cmd_pmf(args: argparse.Namespace) -> int:
     # Refuses an unsolved alphabet, which _require_printable (needing d >= 2)
     # must not see, then an n below the support, also in brute mode.
     gf = _supported_gf(d, n_max)
-    _require_printable(d, n_max)
     if args.mode != "exact":
+        _require_printable(d, n_max)
         # count_n / d^n and P(tau > n) = C_n / d^n, C_n = d C_{n-1} - count_n, C_0 = 1.
         counts = list(strict_counts_by_length(d, d, n_max).values())
-        tails = _recurrence([-d], [1, *(-c for c in counts)], 1, d, int)
-        brute = islice(zip(_recurrence([], [0, *counts], 1, d, int), tails), 1, n_max + 1)
+        tails = _recurrence([-d], [1, *(-c for c in counts)], 1, d)
+        brute = islice(zip(_recurrence([], [0, *counts], 1, d), tails), 1, n_max + 1)
     if args.mode == "brute":
         rows = zip(brute, repeat(None))
     else:
-        exact = islice(_decimal_rows(gf, _tail_series(gf)), 1, n_max + 1)
+        exact = islice(zip(gf.expand(), _tail_series(gf).expand()), 1, n_max + 1)
         rows = zip(exact, (p for p, _ in brute) if args.mode == "both" else repeat(None))
     # A cumulative is 1 less its row's tail pair, in lowest terms as that is.
     rows = ((p, (_EXACT.subtract(den, num), den), (num, den), b) for (p, (num, den)), b in rows)
@@ -381,18 +368,16 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_gf(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be at least 0")
-    gf = waiting_time_gf(args.d)  # first, as in cmd_pmf
-    _require_printable(args.d, args.n)
-    coefficients = enumerate(islice(_decimal_rows(gf), args.n + 1))
+    coefficients = enumerate(islice(waiting_time_gf(args.d).expand(), args.n + 1))
     if args.format == "json":
         # The bytes json.dumps({"d": d, "coefficients": {n: c}}, indent=2) gives.
         pieces = chain(
             [f'{{\n  "d": {args.d},\n  "coefficients": {{'],
-            (f'{"," if n else ""}\n    "{n}": {json.dumps(_fraction_text(c))}' for n, (c,) in coefficients),
+            (f'{"," if n else ""}\n    "{n}": {json.dumps(_fraction_text(c))}' for n, c in coefficients),
             ["\n  }\n}\n"],
         )
     else:
-        pieces = _csv("n,coefficient", (f"{n},{_fraction_text(c)}" for n, (c,) in coefficients))
+        pieces = _csv("n,coefficient", (f"{n},{_fraction_text(c)}" for n, c in coefficients))
     _emit(pieces, args.out)
     return EXIT_OK
 

@@ -3,9 +3,11 @@
 Polynomials and evaluation work over fractions.Fraction, so probability
 generating functions are expanded and evaluated with no rounding anywhere.
 Maclaurin expansion is one recurrence (`RationalFunction.expand`) on scaled
-integers, Python ints or Decimal integers under a context that cannot round,
-yielding each coefficient as a pair reduced at a constant number of big-number
-operations; `series_coefficients` builds Fractions from the int pairs.  The
+Decimal integers, each term formed under this module's own context that
+cannot round (`_EXACT`) and handed out under the caller's, yielding each
+coefficient as a pair reduced at a constant number of big-number operations.
+Such integers turn into text in linear time, Python ints in quadratic time;
+`series_coefficients` builds Fractions from the pairs' ints.  The
 tail series sum_n P(tau > n) t^n (`_tail_series`) shares a distribution's
 denominator; taken at t = 1 it gives the moments.  Floating point is for
 display only and never feeds back into these routines.
@@ -15,16 +17,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "moments_from_gf"]
 
 Scalar = Union[int, Fraction]
-Integer = TypeVar("Integer")
+
+# Decimal integer arithmetic that never rounds: an operation that would raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_EXACT.traps[Inexact] = _EXACT.traps[Rounded] = True
 
 
 # Trial divisors tried when choosing the recurrence's scale stay below this,
@@ -63,15 +69,16 @@ def _scale_base(denominators: Sequence[int]) -> int:
     return g * rest
 
 
-def reduce_pair(numerator: Integer, denominator: Integer, modulus: int, residue: int) -> tuple[Integer, Integer]:
+def reduce_pair(numerator: Decimal, denominator: Decimal, modulus: int, residue: int) -> tuple[Decimal, Decimal]:
     """numerator / denominator in lowest terms (zero is (0, 1), never -0),
     given that every prime factor of their gcd divides modulus and residue =
     denominator % modulus.  Dividing both by common = gcd(numerator % modulus,
     residue, modulus) leaves lowest terms unless some prime's whole power in
     modulus divides both; only then, seen as common^2 not dividing modulus,
-    do more rounds follow, on both remainders."""
+    do more rounds follow, on both remainders.  Needs a context that cannot
+    round."""
     if not numerator:
-        return type(denominator)(0), type(denominator)(1)
+        return Decimal(0), Decimal(1)
     common = math.gcd(int(numerator % modulus), residue, modulus)
     while common > 1:
         numerator //= common
@@ -82,24 +89,25 @@ def reduce_pair(numerator: Integer, denominator: Integer, modulus: int, residue:
     return numerator, denominator
 
 
-def _recurrence(
-    weights: list[int], sources: list[int], m: int, g: int, integer: Callable[[int], Integer]
-) -> Iterator[tuple[Integer, Integer]]:
+def _recurrence(weights: list[int], sources: list[int], m: int, g: int) -> Iterator[tuple[Decimal, Decimal]]:
     """The pairs (C_n, m g^n) of `RationalFunction.expand`, reduced, for
     n = 0, 1, ..., keeping only the window of the last len(weights) terms
-    and the scale's residue modulo a power of m g below 2^64, where one is."""
-    weights = [integer(w) for w in weights]
-    zero = integer(0)
+    and the scale's residue modulo a power of m g below 2^64, where one is.
+    Each pair is formed under _EXACT and yielded under the caller's context:
+    a context belongs to the thread, not to the suspended generator."""
+    weights = list(map(Decimal, weights))
     # C_n for n < 0 is zero, so the window starts full of zeros.
-    window = deque([zero] * len(weights), maxlen=len(weights))
-    sources = map(integer, sources)
-    scale, step, modulus = integer(m), integer(g), (m * g) ** max(1, 64 // (m * g).bit_length())
+    window = deque([Decimal(0)] * len(weights), maxlen=len(weights))
+    sources = map(Decimal, sources)
+    scale, step, modulus = Decimal(m), Decimal(g), (m * g) ** max(1, 64 // (m * g).bit_length())
     residue = m % modulus
     while True:
-        term = next(sources, zero) - sum(map(mul, weights, window))
-        window.append(term)
-        yield reduce_pair(term, scale, modulus, residue)
-        scale *= step
+        with localcontext(_EXACT):
+            term = next(sources, 0) - sum(map(mul, weights, window))
+            window.append(term)
+            pair = reduce_pair(term, scale, modulus, residue)
+            scale *= step
+        yield pair
         residue = residue * g % modulus
 
 
@@ -178,9 +186,9 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {x}")
         return self.numerator(x) / den
 
-    def expand(self, integer: Callable[[int], Integer] = int) -> Iterator[tuple[Integer, Integer]]:
+    def expand(self) -> Iterator[tuple[Decimal, Decimal]]:
         """The Maclaurin coefficients c_0, c_1, ... without end, each a
-        reduced (numerator, denominator) pair of `integer`s.
+        reduced (numerator, denominator) pair of Decimal integers.
 
         Needs denominator(0) != 0, and checks it at once.  With a, b the
         numerator and denominator coefficients, r_j = b_j / b_0 and
@@ -192,9 +200,8 @@ class RationalFunction:
         C_n / (m g^n) can cancel divides m g: `reduce_pair` cancels it
         against m g^n's residue modulo a fixed power of m g.
 
-        `integer` converts Python ints.  Decimal needs a context that cannot
-        round current while each pair is formed, and only then: a context
-        belongs to the thread, not to the suspended expansion.
+        Each pair is formed under _EXACT, whatever the caller's context, so
+        the same pairs come out under any context.
         """
         b = self.denominator.coefficients
         if b[0] == 0:
@@ -205,12 +212,12 @@ class RationalFunction:
         weights = [(r * g**j).numerator for j, r in reversed(list(enumerate(ratios, 1)))]
         sources = [a / b[0] * g**n for n, a in enumerate(self.numerator.coefficients)]
         m = math.lcm(*(s.denominator for s in sources))
-        return _recurrence(weights, [(s * m).numerator for s in sources], m, g, integer)
+        return _recurrence(weights, [(s * m).numerator for s in sources], m, g)
 
     def series_coefficients(self, order: int) -> list[Fraction]:
         """Maclaurin coefficients c_0..c_order, exactly, as Fractions of the
-        int pairs `expand` yields."""
-        return [Fraction(a, b) for a, b in islice(self.expand(), max(order + 1, 0))]
+        pairs `expand` yields."""
+        return [Fraction(int(a), int(b)) for a, b in islice(self.expand(), max(order + 1, 0))]
 
     def __eq__(self, other: object) -> bool:
         # Equality as functions: cross-multiplied equality of the raw pairs.

@@ -361,10 +361,6 @@ class PerInstanceAutomaton:
         self.transitions[state][letter] = nxt
         return nxt
 
-    def missing_pattern_indices(self, state: int) -> list[int]:
-        mask = self._state_keys[state][0]
-        return [pi for pi in range(len(self.patterns)) if not (mask >> pi) & 1]
-
 
 def dfs_strict_counts(d: int, k: int, n_max: int) -> dict[int, int]:
     """Oracle for strict_counts_by_length: a depth-first search over every word

@@ -459,13 +459,6 @@ class TestDecimalRows:
     def test_gf_matches_the_fraction_route(self, capsys, fmt):
         assert run(capsys, "gf", "--d", "3", "--n", "3000", "--format", fmt) == (0, gf_by_fractions(3, 3000, fmt), "")
 
-    def test_a_suspended_expansion_leaves_the_callers_context(self):
-        rows = cli._decimal_rows(waiting_time_gf(3))
-        assert next(rows) == ((0, 1),)
-        assert getcontext().prec == 28
-        assert Decimal(1) / Decimal(3) == Decimal("0." + "3" * 28)
-        rows.close()
-
     def test_the_tail_is_exact(self, capsys):
         code, out, _ = run(capsys, "pmf", "--d", "3", "--n", "600")
         assert code == 0
@@ -567,16 +560,29 @@ def default_int_digits():
 @pytest.mark.usefixtures("default_int_digits")
 class TestIntegerTextLimit:
     @pytest.mark.parametrize(
-        "argv,top",
+        "argv",
         [
-            (["gf", "--d", "3", "--n", "9200"], 9013),
-            (["pmf", "--d", "3", "--n", "9200"], 9013),
-            (["pmf", "--d", "2", "--n", "14400"], 14285),
+            ["pmf", "--d", "2", "--n", "2200"],
+            ["pmf", "--d", "2", "--n", "2200", "--format", "json"],
+            ["gf", "--d", "3", "--n", "2200"],
         ],
+        ids=" ".join,
     )
-    def test_unprintable_length_is_refused_at_once(self, capsys, argv, top):
+    def test_exact_tables_print_past_the_limit(self, capsys, argv):
+        # Exact pmf and gf print Decimal integers, which the limit does not
+        # cover, so a limit their values pass changes no byte.
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        sys.set_int_max_str_digits(640)  # the fixture restores the default
+        assert run(capsys, *argv) == expected
+
+    @pytest.mark.parametrize("mode", ["brute", "both"])
+    @pytest.mark.parametrize("limit,d,n,top", [(4300, 3, 9014, 9013), (640, 2, 2200, 2127)])
+    def test_unprintable_brute_length_is_refused_at_once(self, capsys, mode, limit, d, n, top):
+        # Brute and both modes convert the DP's Python-int counts.
+        sys.set_int_max_str_digits(limit)
         start = time.process_time()
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "pmf", "--mode", mode, "--d", str(d), "--n", str(n))
         assert time.process_time() - start < 0.5
         assert (code, out) == (2, "")
         assert f"is over {top}" in err

@@ -126,6 +126,13 @@ def test_only_the_automaton_names_its_budget_and_cache():
     assert {name: found for name, found in named.items() if found} == {}
 
 
+def test_only_the_series_names_the_exact_context():
+    # The recurrence forms its Decimal terms under a context of its own, so no
+    # other module makes one that cannot round or switches contexts for it.
+    named = [path.name for path in sorted(SOURCE.glob("*.py")) if _identifiers(path) & {"localcontext", "MAX_PREC"}]
+    assert named == ["series.py"]
+
+
 def test_the_dfa_names_no_automaton_cap():
     # The automaton refuses past its own caps when _dfa makes it, so _dfa
     # needs none of them to order its refusals.

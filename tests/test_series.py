@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from decimal import Decimal, localcontext
+from decimal import ROUND_DOWN, Decimal, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 from itertools import accumulate, islice
 
@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpatterns import Polynomial, RationalFunction, moments_from_gf, pmf_table, waiting_time_gf
-from superpatterns.cli import _EXACT
-from superpatterns.series import _scale_base, _tail_series, reduce_pair
+from superpatterns.series import _EXACT, _scale_base, _tail_series, reduce_pair
 
 from conftest import series_by_long_division
 
@@ -139,15 +138,35 @@ class TestSeriesExpansion:
         st.lists(_coefficients, max_size=5),
         st.integers(0, 12),
     )
-    def test_pairs_are_reduced_in_either_integer_type(self, numerator, b0, rest, order):
+    def test_pairs_are_reduced_decimal_integers(self, numerator, b0, rest, order):
         f = RationalFunction(Polynomial(numerator), Polynomial([b0, *rest]))
         pairs = list(islice(f.expand(), order + 1))
-        assert all(b > 0 and math.gcd(a, b) == 1 for a, b in pairs)
+        assert all(type(x) is Decimal and x == int(x) for pair in pairs for x in pair)
+        assert all(b > 0 and math.gcd(int(a), int(b)) == 1 for a, b in pairs)
+
+    def test_the_callers_context_changes_no_pair(self):
+        # The recurrence forms each pair under its own context, so one that
+        # would round, or trap a rounding, changes nothing, and is still the
+        # caller's while the expansion is suspended.
+        expected = [(c.numerator, c.denominator) for c in waiting_time_gf(3).series_coefficients(3000)]
+        with localcontext() as ctx:
+            ctx.prec, ctx.rounding = 5, ROUND_DOWN
+            ctx.traps[Inexact] = ctx.traps[Rounded] = True
+            pairs = waiting_time_gf(3).expand()
+            assert next(pairs) == (0, 1)
+            assert getcontext() is ctx
+            assert (ctx.prec, ctx.rounding, ctx.traps[Inexact], ctx.traps[Rounded]) == (5, ROUND_DOWN, True, True)
+            assert [(0, 1), *islice(pairs, 3000)] == expected
+            assert getcontext() is ctx and ctx.prec == 5
+
+    def test_the_exact_context_never_rounds(self):
         with localcontext(_EXACT):
-            assert list(islice(f.expand(Decimal), order + 1)) == pairs
+            assert int(Decimal(3) ** 20000) == 3**20000
+            with pytest.raises(Inexact):
+                Decimal("2.5").to_integral_exact()
 
     def test_zero_reduces_to_zero_over_one(self):
-        for zero in (0, Decimal(0), Decimal("-0")):
+        for zero in (Decimal(0), Decimal("-0")):
             a, b = reduce_pair(zero, zero + 27, 3, 0)
             assert (str(a), str(b)) == ("0", "1")
 
@@ -199,12 +218,10 @@ class TestReduction:
         f = RationalFunction(Polynomial([c * base**200]), Polynomial([base, -1]) ** 2)
         expected = [Fraction(c * base**200 * (n + 1), base ** (n + 2)) for n in range(400)]
         expected = [(x.numerator, x.denominator) for x in expected]
-        pairs, decimal_pairs = f.expand(), f.expand(Decimal)
+        pairs = f.expand()
         del gcd_calls[:]
         assert list(islice(pairs, 400)) == expected
         assert len(gcd_calls) > 400
-        with localcontext(_EXACT):
-            assert list(islice(decimal_pairs, 400)) == expected
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_the_paper_gfs_take_one_gcd_per_pair(self, gcd_calls, d):
@@ -212,7 +229,7 @@ class TestReduction:
         del gcd_calls[:]
         pairs = list(islice(pairs, 3001))
         assert len(gcd_calls) <= len(pairs)
-        assert all(math.gcd(a, b) == 1 for a, b in pairs)
+        assert all(b > 0 and math.gcd(int(a), int(b)) == 1 for a, b in pairs)
 
 
 class TestTailSeries:
