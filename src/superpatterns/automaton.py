@@ -16,12 +16,12 @@ transition costs one lookup per pattern; the per-instance step runs only the
 first time a (component, letter) pair is met.  States and transitions are
 interned and cached in turn, which makes a repeated step a single table
 lookup.  Past d**k = 64 pattern instances, the word-space DP
-(`classify._WordSpace`) steps product states for the exhaustive scans, the
-listings and the minimum-length search alike, on one shared automaton per
-(d, k).  Up to that, the DP steps the minimal DFA, which forms no product
-state: `_dfa` closes each pattern's component of the same shared automaton
-alone (`closed_component`), and minimises and joins them, once per (d, k);
-the simulator builds its byte table from the same DFA.
+(`classify._WordSpace`) steps product states for the exhaustive scans and
+the listings alike, on one shared automaton per (d, k).  Up to that, the DP
+steps the minimal DFA, which forms no product state: `_dfa` closes each
+pattern's component of the same shared automaton alone
+(`closed_component`), and minimises and joins them, once per (d, k); the
+simulator builds its byte table from the same DFA.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
@@ -59,8 +59,8 @@ __all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
 MAX_INSTANCES = 2**16
 
 # Most states an automaton may intern; read when a state is interned.
-# Counts, listings and the minimum-length search all stop here: (7, 3) words
-# of length 7 and the (4, 5) minimum need more.
+# Counts and listings both stop here: (7, 3) words of length 7 and (4, 4)
+# words of length 12 need more.
 SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.

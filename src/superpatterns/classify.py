@@ -15,7 +15,10 @@ automaton.  missing_patterns and classify walk every pattern in one call,
 which yields where each pattern is completed; is_superpattern asks pattern
 by pattern and stops at the first one missing.  classify reads strictness
 from the same walk: the word is strict when the last pattern completed is
-completed by its last letter.
+completed by its last letter.  It reads minimality against one table of
+bounds on the least superpattern length (_least_length_bounds), whose
+proven entries min_superpattern_length returns without a search; the tests
+prove each by the strict counting DP below.
 
 The exhaustive routes run over automaton states, not over words: those of the
 containment automaton's minimal DFA over small alphabets, shared with the
@@ -33,18 +36,15 @@ prefix joined to each tail, as Words built without re-checking letters that
 are the automaton's moves over 1..d.  The blocks rise from the finishing
 letters while the nodes at the next depth up hold fewer tails than prefixes
 reach them and the tail letters built stay within the words printed, so past
-the DP a listing costs time linear in the letters it prints.  A count keeps
-one level of the DP, and the least superpattern length is the first length
-with a nonzero strict count.  The known bound is the length of a
-superpattern, so a search to the bound stops the DP one length short and
-answers the bound when no shorter length has a hit.  Counts, listings and
-that least length stop when the DFA's build passes its budget
-(_dfa.STATE_BUDGET) or the lazy automaton refuses a state past its own
-(automaton.SEARCH_STATE_BUDGET); a listing is also bounded by the words and
-letters it would print, which the walker's DP counts before the first word
-(WORD_BUDGET words by default).  The closed-form counts they are checked
-against live in count_formulas(), and the flanking-pairs check is one match
-of a compiled pattern over the word's bytes.
+the DP a listing costs time linear in the letters it prints, and one
+shorter than the least length's lower bound ends before any DP.  A count
+keeps one level of the DP.  Counts and listings stop when the DFA's build
+passes its budget (_dfa.STATE_BUDGET) or the lazy automaton refuses a state
+past its own (automaton.SEARCH_STATE_BUDGET); a listing is also bounded by
+the words and letters it would print, which the walker's DP counts before
+the first word (WORD_BUDGET words by default).  The closed-form counts they
+are checked against live in count_formulas(), and the flanking-pairs check
+is one match of a compiled pattern over the word's bytes.
 """
 
 from __future__ import annotations
@@ -188,22 +188,24 @@ def classify(word: Word, k: int) -> ClassFlags:
     minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
     strict = last == n
     minimum = False
-    if minimal and n <= _min_length_upper_bound(k, word.alphabet_size):
+    if minimal and n <= _least_length_bounds(k, word.alphabet_size)[1]:
         minimum = min_superpattern_length(k, word.alphabet_size) == n
     return ClassFlags(True, minimal, strict, minimum)
 
 
-def _min_length_upper_bound(k: int, d: int) -> int:
-    """Known upper bound on the least superpattern length over d >= k
-    letters.  The bound for alphabet size k applies to every larger d, since
-    patterns of length k never use more than k distinct values.  For k = 4
-    it falls from 12 to 11 once d >= 5: 42134254124 is a 4-superpattern.
-    min_superpattern_length answers the bound without searching its length,
-    so each value is the length of a superpattern, and the tests hold a
-    witness for each."""
+def _least_length_bounds(k: int, d: int) -> tuple[int, int]:
+    """Bounds (lower, upper) on L(k, d), the least length of a k-superpattern
+    over d >= k letters, for k <= MAX_PATTERN_LENGTH.  Each upper bound is
+    the length of a superpattern the tests hold, and it holds for every
+    larger d, since patterns of length k never use more than k distinct
+    values; for k = 4 it falls from 12 to 11 once d >= 5 (42134254124).
+    Where the two are equal the tests prove it by the strict counting DP:
+    no shorter word is a superpattern.  Elsewhere the lower bound is 2k - 1,
+    since a k-superpattern holds k equal letters (for 1...1) and k distinct
+    ones (for 12...k), and the two share at most one letter."""
     if k == 4 and d >= 5:
-        return 11
-    return {1: 1, 2: 3}.get(k, k * k - 2 * k + 4)
+        return 7, 11
+    return {1: (1, 1), 2: (3, 3), 3: (7, 7), 4: (12, 12), 5: (9, 19)}[k]
 
 
 def _relabelling_keeps_status(d: int, k: int) -> bool:
@@ -219,31 +221,25 @@ def _relabelling_keeps_status(d: int, k: int) -> bool:
 def min_superpattern_length(k: int, d: int) -> int:
     """Least n such that some word of length n over {1..d} is a k-superpattern.
 
-    Read off the strict counting DP of the listings: the least superpattern
-    length is the first length with a nonzero strict count.  The known bound
-    is the length of a superpattern, so the DP runs to bound - 1 only and the
-    bound is the answer when no shorter length has a hit.  A superpattern of
-    length at most bound - 1 holds k equal letters, so it uses at most
-    bound - k distinct ones, and dense ranking keeps it a superpattern: the
-    DP runs over that many letters, on canonical words where
-    _relabelling_keeps_status.  Raises ValueError, first, for k past
-    MAX_PATTERN_LENGTH, then for d < 1, and for k > d, since no word over
-    fewer than k letters holds 12...k; BudgetExceededError when the
-    automaton passes its state budget.
+    Read from the proven entries of one table (_least_length_bounds): 1, 3
+    and 7 for k = 1, 2 and 3 over any d >= k, and L(4, 4) = 12.  Raises
+    ValueError, first, for k past MAX_PATTERN_LENGTH, then for d < 1, and
+    for k > d, since no word over fewer than k letters holds 12...k;
+    BudgetExceededError, at once, where the least length is not proven, as
+    for k = 4 over five or more letters and for k = 5.
     """
     enumerate_preferential_arrangements(k)
     if d < 1:
         raise ValueError("alphabet size must be at least 1")
     if k > d:
         raise ValueError(f"no superpattern over a {d}-letter alphabet can contain all length-{k} patterns")
-    bound = _min_length_upper_bound(k, d)
-    width = min(d, bound - k)
-    if width >= k:
-        rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
-        for n, (_level, hit) in enumerate(_WordSpace(width, k, rule).levels(bound - 1, strict=True)):
-            if hit:
-                return n
-    return bound
+    lower, upper = _least_length_bounds(k, d)
+    if lower < upper:
+        raise BudgetExceededError(
+            f"the least superpattern length for k={k} over {d} letters is not proven:"
+            f" it lies between {lower} and {upper}"
+        )
+    return upper
 
 
 # --- exhaustive scans: transfer-matrix DP over the automaton -----------------
@@ -415,8 +411,8 @@ class _WordSpace:
         Both passes share one list of per-depth levels: the backward pass
         overwrites each forward level with the nodes it keeps, and a level
         equal to its neighbour is stored once, so a d = 1 walk holds one.
-        A k-superpattern has at least 2k - 1 letters, so a shorter listing
-        returns before any DP.
+        A listing shorter than the least superpattern length's lower bound
+        (_least_length_bounds) returns before any DP.
 
         Before the first word, their count (each node at depth n - 1 times its
         finishing letters) meets the budget B (WORD_BUDGET by default): past B
@@ -432,9 +428,7 @@ class _WordSpace:
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
         t0 = len(self.prefix)
-        # A k-superpattern holds k equal letters (for 1...1) and k distinct
-        # ones (for 12...k), and the two share at most one letter.
-        if n <= t0 or self.k > self.d or n < 2 * self.k - 1:
+        if n <= t0 or self.k > self.d or n < _least_length_bounds(self.k, self.d)[0]:
             return
         cap = WORD_BUDGET if budget is None else budget
         letter_cap = cap * (cap.bit_length() + 1)
@@ -735,10 +729,11 @@ def verify_quaternary_counterexample() -> bool:
     length-4 patterns over {1,2,3,4}, yet none of its C(15,12) = 455
     length-12 subsequences is a superpattern.
 
-    The least 4-superpattern over four letters has L(4,4) = 12 letters
-    (min_superpattern_length(4, 4)), so a 12-letter one is minimum: it has
-    no two equal adjacent letters, since deleting one of them would leave an
-    11-letter superpattern.  So strictness does not force an embedded
+    The least 4-superpattern over four letters has L(4,4) = 12 letters, a
+    proven entry of the least-length table that min_superpattern_length(4, 4)
+    reads, so a 12-letter one is minimum: it has no two equal adjacent
+    letters, since deleting one of them would leave an 11-letter
+    superpattern.  So strictness does not force an embedded
     minimum superpattern once the alphabet grows past three letters.
     """
     w = QUATERNARY_EXAMPLE

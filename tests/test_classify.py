@@ -53,8 +53,9 @@ from superpatterns.classify import (
     _NO_REPEAT,
     _WordSpace,
     _ends_with_minimum,
-    _min_length_upper_bound,
+    _least_length_bounds,
     _minimal_listing,
+    _relabelling_keeps_status,
 )
 from superpatterns.patterns import MAX_PATTERN_LENGTH
 
@@ -337,68 +338,20 @@ class TestMinimumLength:
         assert min_superpattern_length(1, 1) == 1
         assert min_superpattern_length(1, 3) == 1
 
-    def test_state_budget_is_checked_per_state(self, monkeypatch):
-        # The (4, 4) search interns 106,996 states; it must stop as soon as
-        # it would hold more states than the budget, not at the end of a depth.
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
-        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
-        auto = get_automaton(4, 4)
-        with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 1000 states"):
-            min_superpattern_length(4, 4)
-        assert auto.state_count == 1000
-
-    def test_budget_overrun_drops_the_half_built_automaton(self, monkeypatch):
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
-        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 1000)
-        with pytest.raises(BudgetExceededError):
-            min_superpattern_length(4, 4)
-        assert (4, 4) not in automaton_cache
-
-    def test_searches_no_more_letters_than_the_length_bound(self, monkeypatch):
-        # Only lengths below the bound 7 are searched, and a superpattern of
-        # length <= 6 holds three equal letters, so it uses at most 4
-        # distinct ones: the search runs on the (4, 3) DFA and makes no lazy
-        # automaton.  Pattern 122 alone overflows the component ids of the
-        # (9, 3) one.
-        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
-        assert min_superpattern_length(3, 20) == 7
-        assert (5, 3) not in automaton_cache
-        assert min_superpattern_length(3, 9) == 7
-        assert (20, 3) not in automaton_cache and (9, 3) not in automaton_cache
-
     @pytest.mark.parametrize(
         "k,d", [(k, d) for k in (1, 2, 3) for d in range(1, 6)] + [(4, d) for d in range(1, 4)]
     )
     def test_agrees_with_the_breadth_first_search(self, k, d):
         assert _outcome(lambda: min_superpattern_length(k, d)) == _outcome(lambda: min_length_bfs(k, d))
 
-    @pytest.mark.parametrize("k,d,least", [(2, 2, 3), (2, 3, 3), (3, 3, 7), (3, 4, 7)])
-    def test_a_loose_bound_is_cut_short_by_the_dp(self, monkeypatch, k, d, least):
-        # Every known bound is tight, so the DP to bound - 1 never hits.  With
-        # the bound two past the least length, the answer must be the first
-        # length at which the DP hits.
-        levels = _WordSpace.levels
-        hits: list[int] = []
-
-        def recorded_levels(space, n, strict):
-            for level, hit in levels(space, n, strict):
-                hits.append(hit)
-                yield level, hit
-
-        monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
-        monkeypatch.setattr(classify_module, "_min_length_upper_bound", lambda k, d: least + 2)
-        assert min_superpattern_length(k, d) == least
-        assert len(hits) == least + 1 and hits[-1] > 0 and not any(hits[:-1])
-
     def test_every_pattern_length_has_a_superpattern_at_the_bound(self):
-        # The search answers _min_length_upper_bound without stepping that
-        # length, so for each k it must be the length of some k-superpattern
-        # over k letters.
+        # Each upper bound of the least-length table must be the length of
+        # some k-superpattern over k letters.
         witnesses = ["1", "121", "1213121", "123413214231", "3154231453241352413"]
         assert len(witnesses) == MAX_PATTERN_LENGTH
         for k, text in enumerate(witnesses, 1):
             w = Word.parse(text)
-            assert (w.alphabet_size, len(w)) == (k, _min_length_upper_bound(k, k))
+            assert (w.alphabet_size, len(w)) == (k, _least_length_bounds(k, k)[1])
             assert is_superpattern(w, k), text
 
     def test_four_letter_patterns_need_a_letter_less_over_five_letters(self):
@@ -406,7 +359,7 @@ class TestMinimumLength:
         # checked three ways: on the automaton, by the dense ranks of all 330
         # of its 4-letter subsequences, and by the backtracking search.
         w = Word.parse("42134254124")
-        assert [_min_length_upper_bound(4, d) for d in (4, 5, 9)] == [12, len(w), len(w)]
+        assert [_least_length_bounds(4, d)[1] for d in (4, 5, 9)] == [12, len(w), len(w)]
         assert w.alphabet_size == 5 and is_superpattern(w, 4)
         patterns = enumerate_preferential_arrangements(4)
         subsequences = list(combinations(w.letters, 4))
@@ -422,54 +375,62 @@ class TestMinimumLength:
         flags = classify(Word.parse("123413214231", alphabet_size=5), 4)
         assert flags == ClassFlags(True, True, True, False)
 
-    def test_quaternary(self, monkeypatch):
-        # The (4, 4) DP walks canonical words to length 11 in seconds.  The
-        # bound 12 is the length of the witness 123413214231, so no word of
-        # 12 letters is stepped: interning that level took the automaton
-        # from 106,996 to 194,102 states.
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+    def test_quaternary(self):
         assert min_superpattern_length(4, 4) == 12
-        assert get_automaton(4, 4).state_count < 110_000
         assert classify(Word.parse("123413214231"), 4).is_minimum
 
-    @pytest.mark.parametrize("k,bound", [(3, 7), (4, 12)])
-    def test_nothing_is_stepped_past_the_last_length_searched(self, monkeypatch, k, bound):
-        # The bound is the length of a known superpattern, so the DP runs to
-        # bound - 1 and the automaton is asked nothing once that level is
-        # built.
-        levels, pick = _WordSpace.levels, classify_module._automaton
-        reached: list[tuple[int, int]] = []
-        asked = [0]
+    def test_answered_without_a_search(self, monkeypatch):
+        # Proven entries are read from the table and the others refused at
+        # once; classify and listings shorter than the least length make no
+        # automaton for the DP and run none.
+        def no_search(*args):
+            raise AssertionError("no search should run")
 
-        def recorded_levels(space, n, strict):
-            for t, (level, hit) in enumerate(levels(space, n, strict), start=len(space.prefix)):
-                reached.append((t, asked[0]))
-                yield level, hit
+        monkeypatch.setattr(classify_module, "_automaton", no_search)
+        monkeypatch.setattr(_WordSpace, "levels", no_search)
+        lengths = [min_superpattern_length(k, d) for k, d in [(1, 3), (2, 5), (3, 3), (3, 20), (4, 4)]]
+        assert lengths == [1, 3, 7, 7, 12]
+        for k, d, lower, upper in [(4, 5, 7, 11), (4, 9, 7, 11), (5, 5, 9, 19)]:
+            with pytest.raises(BudgetExceededError) as exc:
+                min_superpattern_length(k, d)
+            assert str(exc.value) == (
+                f"the least superpattern length for k={k} over {d} letters is not proven:"
+                f" it lies between {lower} and {upper}"
+            )
+        # The pattern length is refused first, then the alphabet, then k > d.
+        for (k, d), message in [
+            ((6, 0), "pattern length k=6 is over the cap"),
+            ((3, 0), "alphabet size must be at least 1"),
+            ((3, 2), "over a 2-letter alphabet"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                min_superpattern_length(k, d)
+        assert classify(Word.parse("123413214231"), 4).is_minimum
+        for n in range(7, 12):
+            assert list(iter_superpatterns(4, 4, n)) == [], n
 
-        def recorded(f):
-            def ask(*args):
-                asked[0] += 1
-                return f(*args)
-
-            return ask
-
-        def recorded_automaton(d, k):
-            auto = pick(d, k)
-            return type(auto)(*(recorded(f) if callable(f) else f for f in auto))
-
-        monkeypatch.setattr(_WordSpace, "levels", recorded_levels)
-        monkeypatch.setattr(classify_module, "_automaton", recorded_automaton)
-        assert _min_length_upper_bound(k, k) == bound
-        assert min_superpattern_length(k, k) == bound
-        assert [t for t, _asked in reached] == list(range(bound))
-        assert reached[-1][1] == asked[0] > 0
-
-    def test_component_overflow_drops_the_half_built_automaton(self, monkeypatch):
+    def test_no_four_letter_word_below_twelve_letters_is_a_superpattern(self, monkeypatch):
+        # The proof of L(4, 4) = 12 walks canonical words to length 11 in
+        # seconds.  No word of 12 letters is stepped: interning that level
+        # took the automaton from 106,996 to 194,102 states.
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
-        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
-        with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
-            min_superpattern_length(4, 4)
-        assert (4, 4) not in automaton_cache
+        assert _hits_below_least_length(4, 4) == [0] * 12
+        assert get_automaton(4, 4).state_count < 110_000
+
+
+def _hits_below_least_length(k: int, d: int) -> list[int]:
+    """The proof of a proven entry L of the least-length table, with the
+    witness of L letters: the strict counting DP's hits at each length below
+    L, which must all be 0.  A superpattern of at most L - 1 letters holds k
+    equal letters, so it uses at most L - k distinct ones, and dense ranking
+    keeps it a superpattern.  So the DP runs over min(d, L - k) letters, and
+    over k where that leaves fewer than k, on canonical words where
+    _relabelling_keeps_status."""
+    lower, upper = _least_length_bounds(k, d)
+    assert lower == upper
+    width = min(d, max(k, upper - k))
+    rule = _CANONICAL if _relabelling_keeps_status(width, k) else _ANY
+    return [hit for _level, hit in _WordSpace(width, k, rule).levels(upper - 1, strict=True)]
 
 
 class TestAlternatingEnumeration:
@@ -715,22 +676,21 @@ class TestTransferMatrixCounts:
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
         with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 5000 states"):
-            next(iter_superpatterns(4, 4, 10))
+            next(iter_superpatterns(4, 4, 12))
         assert (4, 4) not in automaton_cache
 
     @pytest.mark.parametrize(
         "cap,value,overrun",
         [
             ("SEARCH_STATE_BUDGET", 1000, lambda: strict_counts_by_length(4, 4, 12)),
-            ("SEARCH_STATE_BUDGET", 1000, lambda: min_superpattern_length(4, 4)),
-            ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 10))),
+            ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 12))),
             # A component cap of 2 leaves no id for the first step of 1234, so
             # the walk fails even on the fresh automaton it is handed.
             ("_MAX_COMPONENTS", 2, lambda: contains_pattern(Word.parse("1234"), Pattern.parse("1234"))),
             ("_MAX_COMPONENTS", 2, lambda: classify(Word.parse("1234"), 4)),
             ("_MAX_COMPONENTS", 2, lambda: missing_patterns(Word.parse("1234"), 4)),
         ],
-        ids=["count", "min-length", "listing", "containment", "classify", "missing"],
+        ids=["count", "listing", "containment", "classify", "missing"],
     )
     def test_no_overrun_automaton_stays_shared(self, monkeypatch, cap, value, overrun):
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
@@ -816,9 +776,9 @@ SPACES = {
 
 class TestBothAutomata:
     """The word-space DP stepped over the minimal DFA gives the same counts,
-    ordered listings and least lengths as stepped over the lazy automaton.
-    Each test forces one route and then the other through the one rule's
-    bound, _DFA_INSTANCES."""
+    ordered listings and least-length proofs as stepped over the lazy
+    automaton.  Each test forces one route and then the other through the
+    one rule's bound, _DFA_INSTANCES."""
 
     ROUTES = {"dfa": float("inf"), "lazy": 0}
 
@@ -875,17 +835,14 @@ class TestBothAutomata:
         assert listed["dfa"] == listed["lazy"]
         assert sum(len(words) for words in listed["dfa"] if isinstance(words, list)) > 4_000
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_least_lengths_agree(self, monkeypatch, k):
-        def lengths():
-            return [_outcome(lambda: min_superpattern_length(k, d)) for d in range(1, 6)]
-
-        found = self.on_each(monkeypatch, lengths)
-        assert found["dfa"] == found["lazy"]
+    @pytest.mark.parametrize("k,d", [(k, d) for k in (1, 2, 3) for d in (*range(k, 7), 20)])
+    def test_no_word_below_the_least_length_is_a_superpattern(self, monkeypatch, k, d):
+        hits = self.on_each(monkeypatch, lambda: _hits_below_least_length(k, d))
+        assert hits["dfa"] == hits["lazy"] == [0] * min_superpattern_length(k, d)
 
     def test_no_dp_makes_no_automaton(self, monkeypatch):
         # The automaton is made when the DP first steps: a listing shorter
-        # than 2k - 1 letters runs none.
+        # than the least superpattern length runs none.
         def no_automaton(d, k):
             raise AssertionError("no automaton should be made")
 

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from decimal import ROUND_DOWN, Decimal, Inexact, Rounded, getcontext, localcont
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -29,10 +31,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_in_child(*argv):
-    """main(argv) in a fresh interpreter: its exit code and peak RSS in MB.
-    The child reads its peak from VmHWM: ru_maxrss would keep the test
-    process's peak across the exec."""
+class Child(NamedTuple):
+    code: int
+    peak_mb: float
+    cpu_s: float
+    out: str
+    err: str
+
+
+def run_in_child(*argv) -> Child:
+    """main(argv) in a fresh interpreter: its exit code, peak RSS in MB, CPU
+    seconds (interpreter start included), standard output and standard
+    error.  The child reads its peak from VmHWM: ru_maxrss would keep the
+    test process's peak across the exec.  Its CPU time is the growth of
+    RUSAGE_CHILDREN over the run."""
     script = (
         "import sys\n"
         "from superpatterns.cli import main\n"
@@ -42,11 +54,19 @@ def run_in_child(*argv):
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cpu_s() -> float:
+        usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+        return usage.ru_utime + usage.ru_stime
+
+    start = cpu_s()
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, check=True
     )
-    code, peak_kb = map(int, proc.stdout.split())
-    return code, peak_kb / 1024
+    cpu = cpu_s() - start
+    *lines, last = proc.stdout.splitlines(keepends=True)
+    code, peak_kb = map(int, last.split())
+    return Child(code, peak_kb / 1024, cpu, "".join(lines), proc.stderr)
 
 
 class TestCheck:
@@ -80,6 +100,42 @@ class TestCheck:
         assert len(row) == len(header) == 8
         assert Word.parse(row[0]) == Word.parse("1,2,1,10")
         assert row[1:4] == ["2", "10", "True"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    @pytest.mark.parametrize(
+        "argv,code,out,err",
+        [
+            (
+                ["check", "123413214231", "--k", "4", "--format", "plain"],
+                0,
+                "word 123413214231 (alphabet 1..4, k=4)\n  superpattern: True\n  minimal:      True\n"
+                "  strict:       True\n  minimum:      True\n",
+                "",
+            ),
+            (
+                ["check", "42134254124", "--k", "4"],
+                3,
+                "",
+                "budget exceeded: the least superpattern length for k=4 over 5 letters is not proven:"
+                " it lies between 7 and 11\n",
+            ),
+            (
+                ["enumerate", "--d", "4", "--k", "4", "--n", "11", "--filter", "all", "--scope", "full"],
+                0,
+                "word\n# count: 0\n",
+                "",
+            ),
+        ],
+        ids=["minimum", "unproven", "below-least-length"],
+    )
+    def test_least_lengths_are_read_not_searched(self, argv, code, out, err):
+        # When the least length was searched, the first took about 2 s of
+        # CPU and 87 MB, and the second passed the state budget after 8.5 s
+        # and 314 MB (2 vCPU, Python 3.11); the listing took 7.75 s to exit 3.
+        child = run_in_child(*argv)
+        assert (child.code, child.out, child.err) == (code, out, err)
+        assert child.cpu_s < 1.0
+        assert child.peak_mb < 40
 
     def test_minimum_superpattern_over_a_wide_alphabet(self, capsys):
         start = time.process_time()
@@ -180,9 +236,9 @@ class TestEnumerate:
         # own.
         path = tmp_path / "listing"
         argv = ["enumerate", "--d", "2", "--k", "2", "--n", "18", "--filter", "all", "--scope", "full"]
-        code, peak_mb = run_in_child(*argv, "--format", fmt, "--out", str(path))
-        assert code == 0
-        assert peak_mb < 35
+        child = run_in_child(*argv, "--format", fmt, "--out", str(path))
+        assert child.code == 0
+        assert child.peak_mb < 35
         last = "222222222222222212"
         if fmt == "json":
             tail = [f'    "{last}"', "  ],", '  "count": 262108', "}"]
@@ -207,7 +263,7 @@ class TestEnumerate:
         # budget, so the listing stops there, before it counts its words.
         monkeypatch.setattr(automaton, "_cache", {})
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
-        argv = ["enumerate", "--n", "10", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
+        argv = ["enumerate", "--n", "12", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "budget exceeded: the automaton for k=4, d=4 exceeded 5000 states\n"
@@ -301,9 +357,9 @@ class TestCounts:
         # own.
         path = tmp_path / "counts"
         argv = ["counts", "--n-from", "7", "--n-to", "6000", "--format", fmt, "--out", str(path)]
-        code, peak_mb = run_in_child(*argv)
-        assert code == 0
-        assert peak_mb < 35
+        child = run_in_child(*argv)
+        assert child.code == 0
+        assert child.peak_mb < 35
         assert path.read_text().splitlines()[-2 if fmt == "json" else -1].startswith(
             "  }" if fmt == "json" else "6000,"
         )

@@ -4,6 +4,8 @@ itself, and neither the package nor the tests import a name they never use."""
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -82,6 +84,22 @@ def _references(path: Path) -> set[str]:
 
     visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
     return found
+
+
+def test_every_traced_name_is_a_library_attribute():
+    # The benchmark's traced round wraps each (module, path) of TRACED and
+    # exits 1 when one is gone.  Loading tracing.py installs nothing.
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, path, _options in tracing.TRACED:
+        owner = importlib.import_module(f"superpatterns.{module_name}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{path}")
+    assert tracing.TRACED and missing == []
 
 
 def test_every_export_has_a_caller_outside_the_tests():
@@ -181,10 +199,10 @@ def test_the_word_space_states_its_letter_rule_once():
 
 
 def test_one_rule_picks_the_automaton_in_classify():
-    # Counts, listings and the least superpattern length are all read off the
-    # word space's DP, which steps what _automaton picks: the minimal DFA or
-    # the lazy automaton.  No other definition reaches either, so a second
-    # search over automaton states, or a second route rule, stays out.
+    # Counts and listings are both read off the word space's DP, which steps
+    # what _automaton picks: the minimal DFA or the lazy automaton.  No other
+    # definition reaches either, so a second search over automaton states,
+    # or a second route rule, stays out.
     tree = ast.parse((SOURCE / "classify.py").read_text())
     named = [
         node.name
