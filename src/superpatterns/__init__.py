@@ -9,7 +9,6 @@ a seeded Monte Carlo simulator.  See the README for the matching CLI.
 
 from .automaton import ContainmentAutomaton, get_automaton
 from .classify import (
-    COUNT_REPORT_HEADER,
     QUATERNARY_EXAMPLE,
     BudgetExceededError,
     ClassFlags,
@@ -68,7 +67,6 @@ __all__ = [
     "BudgetExceededError",
     "ClassFlags",
     "CountReport",
-    "COUNT_REPORT_HEADER",
     "is_superpattern",
     "missing_patterns",
     "classify",

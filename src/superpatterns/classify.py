@@ -53,7 +53,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import chain, combinations, permutations, repeat
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._dfa import close_and_minimise
@@ -71,7 +71,6 @@ __all__ = [
     "BudgetExceededError",
     "ClassFlags",
     "CountReport",
-    "COUNT_REPORT_HEADER",
     "is_superpattern",
     "missing_patterns",
     "classify",
@@ -114,9 +113,6 @@ class ClassFlags:
             raise ValueError("minimal/strict imply superpattern")
 
 
-COUNT_REPORT_HEADER = "n,gamma_total,s_mu,s_a,s_total,beta_a,beta_b,beta_total"
-
-
 @dataclass(frozen=True, slots=True)
 class CountReport:
     """Closed-form counts for ternary superpatterns of one length n >= 7.
@@ -145,12 +141,6 @@ class CountReport:
             raise ValueError("s_total must equal 6 * s_a")
         if self.n >= 7 and self.gamma_total != 2 ** (self.n - 2) - self.beta_total:
             raise ValueError("gamma_total must equal 2^(n-2) - beta_total")
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.gamma_total},{self.s_mu},{self.s_a},"
-            f"{self.s_total},{self.beta_a},{self.beta_b},{self.beta_total}"
-        )
 
 
 # Each query below ranks the word once; a ranked word walks the same (w, k)
@@ -509,19 +499,30 @@ class _WordSpace:
                     push((v, t, (a,)))
 
 
-def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
-    """Exact number of strict k-superpatterns of each length 1..n_max over {1..d}.
+def _strict_counts(d: int, k: int, n_max: int) -> Iterator[int]:
+    """The number of strict k-superpatterns over {1..d} of each length
+    1..n_max, one length at a time.
 
     A forward transfer-matrix DP over the word space's automaton states: each
     level maps every non-accepting state to the number of words of that length
     reaching it, and a step into an accepting state adds to that length's
     strict count (the last letter completed the final pattern).  It keeps one
-    level, so its size is the automaton's, bounded by its state budget.
+    level, so its size is the automaton's, bounded by its state budget.  The
+    first length is counted before this returns, so a minimal DFA is made, or
+    refused, before a caller writes anything; the lazy automaton may still
+    refuse a state at a later length.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    levels = _WordSpace(d, k, _ANY).levels(n_max, strict=True)
-    return {n: hit for n, (_level, hit) in enumerate(levels) if n}
+    hits = (hit for _level, hit in _WordSpace(d, k, _ANY).levels(n_max, strict=True))
+    next(hits)  # the empty word
+    return chain([next(hits)], hits)
+
+
+def strict_counts_by_length(d: int, k: int, n_max: int) -> dict[int, int]:
+    """Exact number of strict k-superpatterns of each length 1..n_max over
+    {1..d}, by the DP of _strict_counts."""
+    return dict(enumerate(_strict_counts(d, k, n_max), 1))
 
 
 def count_strict_superpatterns(d: int, k: int, n: int) -> int:

@@ -7,9 +7,10 @@ reading, not parsing.  Tables and listings are written line by line as they
 are formed, so their memory does not grow with their length.  The exact
 values of pmf and gf are the reduced Decimal pairs the series recurrence
 yields as each row is written, a cumulative as 1 less a pair of the tail
-series; only pmf's brute and both modes start from Python-int counts, and
-only they are refused past the interpreter's limit on converting integers
-to text.  Decimal columns round in a context the command makes.
+series; pmf's brute and both modes feed the same recurrence from the
+strict counting DP, one length at a time, so no pmf or gf value meets the
+interpreter's limit on converting integers to text.  Decimal columns round
+in a context the command makes.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
 error, 3 enumeration budget exceeded, 4 verification failure.
@@ -21,16 +22,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from decimal import Context
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, tee
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import oeis
 from .classify import (
-    COUNT_REPORT_HEADER,
     QUATERNARY_EXAMPLE,
     BudgetExceededError,
+    CountReport,
     classify,
     count_formulas,
     ends_with_minimum_superpattern,
@@ -40,10 +42,9 @@ from .classify import (
     iter_strict_superpatterns,
     iter_superpatterns,
     missing_patterns,
-    strict_counts_by_length,
     verify_quaternary_counterexample,
     _minimal_listing,
-    _strict_count_upto_iso,
+    _strict_counts,
 )
 from .patterns import Pattern, Word, contains_pattern
 from .series import _EXACT, _recurrence, _tail_series, moments_from_gf
@@ -109,33 +110,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _require_printable(d: int, n: int) -> None:
-    """Refuse, before any work, a length n whose brute-force values could
-    exceed the interpreter's limit on converting integers to text.
-
-    Every value pmf prints for lengths up to n is a probability whose
-    denominator divides d^(n-1), since the strict counts at k = d are
-    multiples of d; so the values print whenever d^(n-1) does.  Brute and
-    both modes form theirs from the DP's Python-int counts, whose conversion
-    (to text or to Decimal) takes quadratic time, which is what the limit
-    bounds; the exact series never holds a Python int that large.
-    """
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    ceiling = 10**limit
-    top = int(limit / math.log10(d)) + 1  # within one of the largest printable n
-    while d ** (top - 1) >= ceiling:
-        top -= 1
-    while d**top < ceiling:
-        top += 1
-    if n > top:
-        raise ValueError(
-            f"--n {n} is over {top}: past it the exact values, over denominators up to"
-            f" {d}^(n-1), can pass the {limit}-digit limit on converting integers to text"
-        )
 
 
 def _add_common(sub: argparse.ArgumentParser, *, budget: bool = False) -> None:
@@ -251,7 +225,7 @@ def _require_printable_counts(n: int) -> None:
         return
     # N + 4 = n + 2.  The limit is at least 640 digits, so N is far above 9
     # wherever the bound decides; the extra bit covers the logarithm's rounding.
-    if n + 2 > limit * math.log2(10) + 1 or 6 * _strict_count_upto_iso(n) >= 10**limit:
+    if n + 2 > limit * math.log2(10) + 1 or count_formulas(n).s_total >= 10**limit:
         raise ValueError(
             f"--n-to {n}: s_total passes the {limit}-digit limit on converting integers to text"
         )
@@ -270,7 +244,10 @@ def cmd_counts(args: argparse.Namespace) -> int:
         rows = ("  " + json.dumps(asdict(r), indent=2).replace("\n", "\n  ") for r in reports)
         pieces = chain(["[\n", next(rows)], (",\n" + row for row in rows), ["\n]\n"])
     else:
-        pieces = _csv(COUNT_REPORT_HEADER, (r.csv_row() for r in reports))
+        # attrgetter, not astuple, whose deep copies doubled the command's time.
+        names = [field.name for field in fields(CountReport)]
+        row = attrgetter(*names)
+        pieces = _csv(",".join(names), (",".join(map(str, row(r))) for r in reports))
     _emit(pieces, args.out)
     return EXIT_OK
 
@@ -280,15 +257,15 @@ def cmd_counts(args: argparse.Namespace) -> int:
 
 def cmd_pmf(args: argparse.Namespace) -> int:
     d, n_max = args.d, args.n
-    # Refuses an unsolved alphabet, which _require_printable (needing d >= 2)
-    # must not see, then an n below the support, also in brute mode.
+    # Refuses an unsolved alphabet, then an n below the support, also in
+    # brute mode.
     gf = _supported_gf(d, n_max)
     if args.mode != "exact":
-        _require_printable(d, n_max)
-        # count_n / d^n and P(tau > n) = C_n / d^n, C_n = d C_{n-1} - count_n, C_0 = 1.
-        counts = list(strict_counts_by_length(d, d, n_max).values())
-        tails = _recurrence([-d], [1, *(-c for c in counts)], 1, d)
-        brute = islice(zip(_recurrence([], [0, *counts], 1, d), tails), 1, n_max + 1)
+        # count_n / d^n and P(tau > n) = C_n / d^n, C_n = d C_{n-1} - count_n, C_0 = 1,
+        # both fed by one DP a length at a time; it makes the DFA before any output.
+        counts, negated = tee(_strict_counts(d, d, n_max))
+        tails = _recurrence([-d], chain([1], (-c for c in negated)), 1, d)
+        brute = islice(zip(_recurrence([], chain([0], counts), 1, d), tails), 1, n_max + 1)
     if args.mode == "brute":
         rows = zip(brute, repeat(None))
     else:

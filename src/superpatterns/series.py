@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = ["Polynomial", "RationalFunction", "moments_from_gf"]
 
@@ -89,10 +89,11 @@ def reduce_pair(numerator: Decimal, denominator: Decimal, modulus: int, residue:
     return numerator, denominator
 
 
-def _recurrence(weights: list[int], sources: list[int], m: int, g: int) -> Iterator[tuple[Decimal, Decimal]]:
+def _recurrence(weights: list[int], sources: Iterable[int], m: int, g: int) -> Iterator[tuple[Decimal, Decimal]]:
     """The pairs (C_n, m g^n) of `RationalFunction.expand`, reduced, for
     n = 0, 1, ..., keeping only the window of the last len(weights) terms
     and the scale's residue modulo a power of m g below 2^64, where one is.
+    Each source S_n is read as its term is formed, and is 0 past the last.
     Each pair is formed under _EXACT and yielded under the caller's context:
     a context belongs to the thread, not to the suspended generator."""
     weights = list(map(Decimal, weights))

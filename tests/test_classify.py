@@ -1111,9 +1111,6 @@ class TestCountFormulas:
         with pytest.raises(ValueError):
             CountReport(7, 7, 7, 7, 41, 14, 11, 25)
 
-    def test_csv_row(self):
-        assert count_formulas(7).csv_row() == "7,7,7,7,42,14,11,25"
-
     def test_s_a_equals_the_binomial_sum(self):
         for n in [*range(7, 301), 2000]:
             assert count_formulas(n).s_a == strict_count_upto_iso_by_terms(n), n

@@ -21,7 +21,7 @@ import pytest
 
 from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, pmf_table, ternary_pmf
 from superpatterns import waiting_time_gf
-from superpatterns.classify import COUNT_REPORT_HEADER, _minimal_listing, count_formulas
+from superpatterns.classify import _minimal_listing, count_formulas
 from superpatterns.cli import main
 
 
@@ -346,7 +346,9 @@ class TestCounts:
         if fmt == "json":
             whole = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
         else:
-            whole = "\n".join([COUNT_REPORT_HEADER, *(r.csv_row() for r in reports)]) + "\n"
+            header = "n,gamma_total,s_mu,s_a,s_total,beta_a,beta_b,beta_total"
+            rows = (",".join(str(getattr(r, name)) for name in header.split(",")) for r in reports)
+            whole = "\n".join([header, *rows]) + "\n"
         assert (code, out) == (0, whole)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -440,16 +442,39 @@ class TestPmf:
     @pytest.mark.parametrize("mode", ["brute", "both"])
     def test_brute_column_is_one_dp(self, capsys, monkeypatch, mode):
         calls = []
-        real = cli.strict_counts_by_length
+        real = cli._strict_counts
 
         def counted(d, k, n_max):
             calls.append(n_max)
             return real(d, k, n_max)
 
-        monkeypatch.setattr(cli, "strict_counts_by_length", counted)
+        monkeypatch.setattr(cli, "_strict_counts", counted)
         code, _, _ = run(capsys, "pmf", "--d", "3", "--n", "12", "--mode", mode)
         assert code == 0
         assert calls == [12]
+
+    @pytest.mark.parametrize("mode", ["brute", "both"])
+    def test_a_refused_brute_run_writes_no_file(self, tmp_path, monkeypatch, mode):
+        # The DP makes the DFA before its first count, so a refused DFA
+        # stops the run before the output file is opened.
+        monkeypatch.setattr(_dfa, "_built", {})
+        monkeypatch.setattr(_dfa, "STATE_BUDGET", 5)
+        path = tmp_path / "pmf.csv"
+        assert main(["pmf", "--d", "3", "--n", "12", "--mode", mode, "--out", str(path)]) == 3
+        assert not path.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_both_mode_memory_matches_exact_mode(self, tmp_path):
+        # Holding every strict count peaked 4.4 MB over exact mode here; the
+        # DP's counts feed both columns one length at a time.
+        path = tmp_path / "pmf"
+        peaks = []
+        for mode in ("exact", "both"):
+            child = run_in_child("pmf", "--d", "3", "--n", "6000", "--mode", mode, "--out", str(path))
+            assert child.code == 0
+            peaks.append(child.peak_mb)
+        exact, both = peaks
+        assert both - exact < 1
 
 
     @pytest.mark.parametrize("command", [["pmf", "--n", "8"], ["moments"], ["coupons"]])
@@ -621,33 +646,22 @@ class TestIntegerTextLimit:
             ["pmf", "--d", "2", "--n", "2200"],
             ["pmf", "--d", "2", "--n", "2200", "--format", "json"],
             ["gf", "--d", "3", "--n", "2200"],
+            *(
+                ["pmf", "--mode", mode, "--d", "2", "--n", "2200", "--format", fmt]
+                for mode in ("brute", "both")
+                for fmt in ("csv", "json")
+            ),
         ],
         ids=" ".join,
     )
     def test_exact_tables_print_past_the_limit(self, capsys, argv):
-        # Exact pmf and gf print Decimal integers, which the limit does not
-        # cover, so a limit their values pass changes no byte.
+        # pmf and gf print Decimal integers, which the limit does not cover,
+        # so a limit their values pass changes no byte; brute and both modes
+        # read the DP's counts into the recurrence as Decimal integers too.
         expected = run(capsys, *argv)
         assert expected[0] == 0
         sys.set_int_max_str_digits(640)  # the fixture restores the default
         assert run(capsys, *argv) == expected
-
-    @pytest.mark.parametrize("mode", ["brute", "both"])
-    @pytest.mark.parametrize("limit,d,n,top", [(4300, 3, 9014, 9013), (640, 2, 2200, 2127)])
-    def test_unprintable_brute_length_is_refused_at_once(self, capsys, mode, limit, d, n, top):
-        # Brute and both modes convert the DP's Python-int counts.
-        sys.set_int_max_str_digits(limit)
-        start = time.process_time()
-        code, out, err = run(capsys, "pmf", "--mode", mode, "--d", str(d), "--n", str(n))
-        assert time.process_time() - start < 0.5
-        assert (code, out) == (2, "")
-        assert f"is over {top}" in err
-
-    @pytest.mark.parametrize("d,top", [(2, 14285), (3, 9013)])
-    def test_the_largest_printable_length(self, d, top):
-        cli._require_printable(d, top)
-        with pytest.raises(ValueError, match=f"is over {top}"):
-            cli._require_printable(d, top + 1)
 
     def test_counts_at_the_edge_of_the_limit(self, capsys):
         code, out, _ = run(capsys, "counts", "--n-from", "14258", "--n-to", "14258")

@@ -102,6 +102,35 @@ def test_every_traced_name_is_a_library_attribute():
     assert tracing.TRACED and missing == []
 
 
+# What the benchmark's modules call the library; a traced round reads these
+# names and the automaton's attributes below untraced, and exits 1 on any raise.
+BENCHMARK_OWNERS = {
+    "sp": "superpatterns",
+    "workloads.sp": "superpatterns",
+    "superpatterns.cli": "superpatterns.cli",
+    "superpatterns.oeis": "superpatterns.oeis",
+}
+# Read by the probes, the check workload's verification and the simulate
+# workload's counts.
+AUTOMATON_READS = ("step", "scan", "transitions", "accepting", "state_count", "d")
+
+
+def test_every_library_name_the_benchmark_reads_resolves():
+    from superpatterns import ContainmentAutomaton
+
+    reads = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and (module := BENCHMARK_OWNERS.get(ast.unparse(node.value))):
+                reads.append((f"{path.name}:{node.lineno}", module, node.attr))
+    missing = [
+        f"{at} {module}.{name}" for at, module, name in reads if not hasattr(importlib.import_module(module), name)
+    ]
+    auto = ContainmentAutomaton(3, 3)
+    missing += [f"ContainmentAutomaton.{name}" for name in AUTOMATON_READS if not hasattr(auto, name)]
+    assert reads and missing == []
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     import superpatterns
 
