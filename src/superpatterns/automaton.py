@@ -65,6 +65,8 @@ SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.
 _MAX_COMPONENTS = 2**16
+# Interned component ids are 1 and up, so a column entry at or below
+# _CONTAINED is one of these two; ends() tests that once per letter.
 _CONTAINED = 0
 _UNFILLED = -1
 
@@ -211,7 +213,9 @@ class ContainmentAutomaton:
         or 0 when the letters do not contain it: the pattern's component
         alone is walked from the empty word's id 1 and stops at the contained
         id 0 or when the letters end.  One call walks a whole word; the loop
-        is written out here once, without a call per pattern."""
+        is written out here once, without a call per pattern.  A letter
+        whose entry is an interned id costs one comparison: only an entry
+        at or below _CONTAINED is filled or ends the walk."""
         by_pattern = self._by_pattern
         for pi in range(len(by_pattern)) if indices is None else indices:
             columns = by_pattern[pi]
@@ -219,11 +223,12 @@ class ContainmentAutomaton:
             end = 0
             for position, a in enumerate(letters, 1):
                 nxt = columns[a][component]
-                if nxt == _UNFILLED:
-                    nxt = self._fill(self._columns[a], pi, component, a)
-                if nxt == _CONTAINED:
-                    end = position
-                    break
+                if nxt <= _CONTAINED:
+                    if nxt == _UNFILLED:
+                        nxt = self._fill(self._columns[a], pi, component, a)
+                    if nxt == _CONTAINED:
+                        end = position
+                        break
                 component = nxt
             yield end
 

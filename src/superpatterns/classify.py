@@ -54,6 +54,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, permutations, repeat
+from operator import eq
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._dfa import close_and_minimise
@@ -113,6 +114,11 @@ class ClassFlags:
             raise ValueError("minimal/strict imply superpattern")
 
 
+# What classify returns for every word that is not a superpattern; the
+# record is frozen, so one can be shared.
+_NOT_SUPERPATTERN = ClassFlags(False, False, False, False)
+
+
 @dataclass(frozen=True, slots=True)
 class CountReport:
     """Closed-form counts for ternary superpatterns of one length n >= 7.
@@ -170,12 +176,12 @@ def classify(word: Word, k: int) -> ClassFlags:
     last = 0
     for end in _ends(ranked.alphabet_size, k, ranked.letters):
         if not end:
-            return ClassFlags(False, False, False, False)
+            return _NOT_SUPERPATTERN
         if end > last:
             last = end
     letters = word.letters
     n = len(letters)
-    minimal = all(letters[i] != letters[i + 1] for i in range(n - 1))
+    minimal = not any(map(eq, letters, letters[1:]))
     strict = last == n
     minimum = False
     if minimal and n <= _least_length_bounds(k, word.alphabet_size)[1]:
@@ -731,15 +737,21 @@ def verify_quaternary_counterexample() -> bool:
     length-12 subsequences is a superpattern.
 
     The least 4-superpattern over four letters has L(4,4) = 12 letters, a
-    proven entry of the least-length table that min_superpattern_length(4, 4)
-    reads, so a 12-letter one is minimum: it has no two equal adjacent
-    letters, since deleting one of them would leave an 11-letter
-    superpattern.  So strictness does not force an embedded
-    minimum superpattern once the alphabet grows past three letters.
+    proven entry of the least-length table (_least_length_bounds) that
+    min_superpattern_length(4, 4) reads, so a 12-letter one is minimum.  A
+    minimum one has no two equal adjacent letters, since deleting one of
+    them would leave an 11-letter superpattern.  So only the distinct
+    subsequences without such a pair are tested, in the order they first
+    occur: 102 of the 455 for this word.  Strictness thus does not force an
+    embedded minimum superpattern once the alphabet grows past three
+    letters.
     """
     w = QUATERNARY_EXAMPLE
     if not is_superpattern(w, 4):
         return False
     if is_superpattern(w.prefix(len(w) - 1), 4):
         return False
-    return not any(is_superpattern(Word(letters, 4), 4) for letters in combinations(w.letters, 12))
+    candidates = dict.fromkeys(
+        letters for letters in combinations(w.letters, 12) if not any(map(eq, letters, letters[1:]))
+    )
+    return not any(is_superpattern(Word(letters, 4), 4) for letters in candidates)

@@ -16,6 +16,7 @@ from superpatterns import (
     Word,
     enumerate_preferential_arrangements,
     get_automaton,
+    is_superpattern,
     minimum_superpatterns_ternary,
     relabel_canonical,
 )
@@ -198,6 +199,16 @@ def ends_with_minimum_by_subsets(word: Word) -> bool:
         relabel_canonical(Word((*sub, last), word.alphabet_size)).letters in seven
         for sub in combinations(body, 6)
     )
+
+
+def quaternary_claim_by_all_subsequences(word: Word) -> bool:
+    """Oracle for verify_quaternary_counterexample: the word is a strict
+    4-superpattern and none of its length-12 subsequences, every one of the
+    C(n, 12) index choices, is a superpattern.  Rests on no bound on the
+    least superpattern length."""
+    if not is_superpattern(word, 4) or is_superpattern(word.prefix(len(word) - 1), 4):
+        return False
+    return not any(is_superpattern(Word(sub, word.alphabet_size), 4) for sub in combinations(word.letters, 12))
 
 
 def series_by_long_division(f: RationalFunction, order: int) -> list[Fraction]:

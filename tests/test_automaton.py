@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -174,6 +175,25 @@ def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
     auto = get_automaton(4, len(pattern))
     (end,) = auto.ends(letters, (auto.patterns.index(pattern),))
     assert end == next(shortest, 0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=10))
+def test_a_cold_walk_fills_columns_mid_word(letters):
+    # A fresh automaton for every word, so each walk meets unfilled column
+    # entries partway through the word and fills them as it goes.
+    word = Word(tuple(letters), 4)
+    auto = ContainmentAutomaton(4, 4)
+    n = len(letters)
+
+    def shortest(pattern) -> int:
+        # A longer prefix holds whatever a shorter one does, so the shortest
+        # prefix holding the pattern, by the backtracking oracle, is found by
+        # bisection; 0 when the whole word does not hold it.
+        t = bisect_left(range(1, n + 1), True, key=lambda t: find_embedding(word.prefix(t), pattern) is not None)
+        return t + 1 if t < n else 0
+
+    assert list(auto.ends(letters)) == [shortest(p) for p in auto.patterns]
 
 
 def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):

@@ -68,6 +68,7 @@ from conftest import (
     flanking_pairs_by_scanning,
     isomorphism_orbit,
     min_length_bfs,
+    quaternary_claim_by_all_subsequences,
     strict_count_upto_iso_by_terms,
 )
 
@@ -1225,7 +1226,10 @@ class TestQuaternaryCounterexample:
         assert QUATERNARY_EXAMPLE.alphabet_size == 4
 
     def test_verifies(self):
+        # The library tests only the subsequences with no two equal adjacent
+        # letters, by L(4,4) = 12; the oracle tests all 455 and needs no bound.
         assert verify_quaternary_counterexample()
+        assert quaternary_claim_by_all_subsequences(QUATERNARY_EXAMPLE)
 
     def test_a_word_that_embeds_a_minimum_superpattern_is_refused(self, monkeypatch):
         # A strict 15-letter 4-superpattern that embeds the minimum one
@@ -1234,6 +1238,7 @@ class TestQuaternaryCounterexample:
         assert is_superpattern(word, 4) and not is_superpattern(word.prefix(14), 4)
         monkeypatch.setattr(classify_module, "QUATERNARY_EXAMPLE", word)
         assert not verify_quaternary_counterexample()
+        assert not quaternary_claim_by_all_subsequences(word)
 
     def test_word_is_strict_for_k4(self):
         assert is_superpattern(QUATERNARY_EXAMPLE, 4)

@@ -6,6 +6,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,6 +103,39 @@ def test_every_traced_name_is_a_library_attribute():
         if not callable(owner):
             missing.append(f"{module_name}.{path}")
     assert tracing.TRACED and missing == []
+
+
+# The layer metrics of the check workload's traced pass.
+CHECK_LAYERS = {
+    "classify.classify_us",
+    "classify.missing_us",
+    "classify.min_length_s",
+    "classify.quaternary_s",
+    "patterns.contains_us",
+    "patterns.hit_ratio",
+}
+
+
+def test_a_traced_check_pass_reports_every_layer(tmp_path):
+    # The traced round exits 1 when a pass raises.  The check workload's
+    # layers divide by the calls to patterns.contains_pattern, so a pass that
+    # never calls it raises there.  The pass runs on a copy of the benchmark
+    # and the source, so the spans it writes stay out of the checkout.
+    root = SOURCE.parents[1]
+    for name in ("perfbench", "src"):
+        shutil.copytree(root / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    worker = tmp_path / "perfbench" / "worker.py"
+    run = subprocess.run(
+        [sys.executable, str(worker), "--workload", "check", "--seed", "1", "--mode", "traced"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["failed"] == 0, result["failures"]
+    assert CHECK_LAYERS <= set(result["layers"])
+    assert result["counts"]["patterns.contains_calls"] > 0
 
 
 # What the benchmark's modules call the library; a traced round reads these
