@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from itertools import chain, combinations, permutations, repeat
 from operator import eq
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._dfa import close_and_minimise
+from ._value import _Value
 from .automaton import BudgetExceededError, _ends, get_automaton
 from .patterns import (
     Pattern,
@@ -98,20 +98,24 @@ __all__ = [
 WORD_BUDGET = 2**24
 
 
-@dataclass(frozen=True, slots=True)
-class ClassFlags:
+class ClassFlags(_Value):
     """Classification record for one word at one pattern length."""
 
+    __slots__ = __match_args__ = ("is_superpattern", "is_minimal", "is_strict", "is_minimum")
     is_superpattern: bool
     is_minimal: bool
     is_strict: bool
     is_minimum: bool
 
-    def __post_init__(self) -> None:
-        if self.is_minimum and not (self.is_minimal and self.is_strict):
+    def __init__(self, is_superpattern: bool, is_minimal: bool, is_strict: bool, is_minimum: bool) -> None:
+        if is_minimum and not (is_minimal and is_strict):
             raise ValueError("minimum implies minimal and strict")
-        if (self.is_minimal or self.is_strict) and not self.is_superpattern:
+        if (is_minimal or is_strict) and not is_superpattern:
             raise ValueError("minimal/strict imply superpattern")
+        object.__setattr__(self, "is_superpattern", is_superpattern)
+        object.__setattr__(self, "is_minimal", is_minimal)
+        object.__setattr__(self, "is_strict", is_strict)
+        object.__setattr__(self, "is_minimum", is_minimum)
 
 
 # What classify returns for every word that is not a superpattern; the
@@ -119,8 +123,7 @@ class ClassFlags:
 _NOT_SUPERPATTERN = ClassFlags(False, False, False, False)
 
 
-@dataclass(frozen=True, slots=True)
-class CountReport:
+class CountReport(_Value):
     """Closed-form counts for ternary superpatterns of one length n >= 7.
 
     gamma_total -- minimal superpatterns up to letter isomorphism
@@ -131,6 +134,7 @@ class CountReport:
                    split by whether their third letter repeats the first
     """
 
+    __slots__ = __match_args__ = ("n", "gamma_total", "s_mu", "s_a", "s_total", "beta_a", "beta_b", "beta_total")
     n: int
     gamma_total: int
     s_mu: int
@@ -140,13 +144,16 @@ class CountReport:
     beta_b: int
     beta_total: int
 
-    def __post_init__(self) -> None:
-        if self.beta_total != self.beta_a + self.beta_b:
+    def __init__(
+        self, n: int, gamma_total: int, s_mu: int, s_a: int, s_total: int, beta_a: int, beta_b: int, beta_total: int
+    ) -> None:
+        if beta_total != beta_a + beta_b:
             raise ValueError("beta_total must equal beta_a + beta_b")
-        if self.s_total != 6 * self.s_a:
+        if s_total != 6 * s_a:
             raise ValueError("s_total must equal 6 * s_a")
-        if self.n >= 7 and self.gamma_total != 2 ** (self.n - 2) - self.beta_total:
+        if n >= 7 and gamma_total != 2 ** (n - 2) - beta_total:
             raise ValueError("gamma_total must equal 2^(n-2) - beta_total")
+        self._fill(n, gamma_total, s_mu, s_a, s_total, beta_a, beta_b, beta_total)
 
 
 # Each query below ranks the word once; a ranked word walks the same (w, k)

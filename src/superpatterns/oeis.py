@@ -8,10 +8,10 @@ A008865 shifted by 4 (m^2 - 2 at m = n-4).  The b-files under data/ are plain
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+from ._value import _Value
 from .classify import count_formulas
 
 __all__ = [
@@ -61,12 +61,15 @@ def strict_minimal_count_reference(n: int) -> int:
     return load_bfile(STRICT_MINIMAL_SEQUENCE)[n - 4]
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
+class SequenceCheck(_Value):
+    __slots__ = __match_args__ = ("label", "n", "computed", "reference")
     label: str
     n: int
     computed: int
     reference: int
+
+    def __init__(self, label: str, n: int, computed: int, reference: int) -> None:
+        self._fill(label, n, computed, reference)
 
     @property
     def ok(self) -> bool:

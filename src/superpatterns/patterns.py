@@ -20,11 +20,11 @@ its patterns before it walks anything, so each refuses a longer k at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Sequence
 
+from ._value import _Value
 from .automaton import _ends
 
 __all__ = [
@@ -72,8 +72,7 @@ def _letters_to_text(letters: Sequence[int], alphabet_size: int) -> str:
     return ",".join(map(str, letters))
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class Word(_Value):
     """A word over the alphabet {1, ..., alphabet_size}.
 
     >>> Word.parse("5371473").letters
@@ -82,15 +81,18 @@ class Word:
     '121'
     """
 
+    __slots__ = __match_args__ = ("letters", "alphabet_size")
     letters: tuple[int, ...]
     alphabet_size: int
 
-    def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
+    def __init__(self, letters: tuple[int, ...], alphabet_size: int) -> None:
+        if alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
-        for v in self.letters:
-            if not 1 <= v <= self.alphabet_size:
-                raise ValueError(f"letter {v} outside alphabet 1..{self.alphabet_size}")
+        for v in letters:
+            if not 1 <= v <= alphabet_size:
+                raise ValueError(f"letter {v} outside alphabet 1..{alphabet_size}")
+        _set_letters(self, letters)
+        _set_alphabet_size(self, alphabet_size)
 
     @classmethod
     def parse(cls, text: str, alphabet_size: Optional[int] = None) -> "Word":
@@ -116,7 +118,7 @@ _set_alphabet_size = Word.alphabet_size.__set__
 
 
 def _unchecked_word(letters: tuple[int, ...], alphabet_size: int) -> Word:
-    """A Word built without __post_init__'s checks, at about half the cost.
+    """A Word built without __init__'s letter checks, at about half the cost.
 
     Only for letters already known to lie in 1..alphabet_size: the listing
     walker's, whose letters are its automaton's moves over 1..d.  Writing
@@ -129,8 +131,7 @@ def _unchecked_word(letters: tuple[int, ...], alphabet_size: int) -> Word:
     return word
 
 
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(_Value):
     """A dense-rank canonical word: its letters are exactly {1, ..., m}.
 
     Construction rejects non-canonical sequences, so every Pattern in
@@ -144,15 +145,17 @@ class Pattern:
     ValueError: '131' is not dense-rank canonical
     """
 
+    __slots__ = __match_args__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        used = set(self.letters)
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        used = set(letters)
         if used and used != set(range(1, max(used) + 1)):
             # The text parse() reads back: digits, or commas past 9 (and for
             # a negative letter, which has no digit).
-            text = _letters_to_text(self.letters, max(used) if min(used) >= 0 else 10)
+            text = _letters_to_text(letters, max(used) if min(used) >= 0 else 10)
             raise ValueError(f"{text!r} is not dense-rank canonical")
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":

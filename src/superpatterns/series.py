@@ -24,6 +24,8 @@ from itertools import accumulate, islice, repeat, zip_longest
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
+from ._value import _Value
+
 __all__ = ["Polynomial", "RationalFunction", "moments_from_gf"]
 
 Scalar = Union[int, Fraction]
@@ -112,7 +114,7 @@ def _recurrence(weights: list[int], sources: Iterable[int], m: int, g: int) -> I
         residue = residue * g % modulus
 
 
-class Polynomial:
+class Polynomial(_Value):
     """Polynomial with Fraction coefficients, constant term first.
 
     Trailing zero coefficients are trimmed on construction, so equal
@@ -126,9 +128,6 @@ class Polynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def monomial(cls, degree: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -166,7 +165,7 @@ class Polynomial:
         return f"Polynomial({list(self.coefficients)!r})"
 
 
-class RationalFunction:
+class RationalFunction(_Value):
     """A ratio of polynomials.  No common-factor cancellation is attempted;
     evaluation and series expansion work directly on the given pair."""
 
@@ -177,9 +176,6 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator polynomial")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalFunction is immutable")
 
     def evaluate(self, x: Scalar) -> Fraction:
         den = self.denominator(x)

@@ -22,11 +22,11 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
 from ._dfa import close_and_minimise
+from ._value import _Value
 from .automaton import MAX_INSTANCES, BudgetExceededError
 from .classify import count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
@@ -78,11 +78,11 @@ def brute_force_pmf(d: int, k: int, n: int) -> Fraction:
     return Fraction(count_strict_superpatterns(d, k, n), d**n)
 
 
-@dataclass(frozen=True)
-class SimSummary:
+class SimSummary(_Value):
     """Result of a seeded simulation run; identical inputs reproduce it bit
     for bit."""
 
+    __slots__ = __match_args__ = ("d", "k", "trials", "seed", "sample_mean", "sample_variance", "histogram")
     d: int
     k: int
     trials: int
@@ -90,6 +90,18 @@ class SimSummary:
     sample_mean: float
     sample_variance: float
     histogram: dict[int, int]
+
+    def __init__(
+        self,
+        d: int,
+        k: int,
+        trials: int,
+        seed: int,
+        sample_mean: float,
+        sample_variance: float,
+        histogram: dict[int, int],
+    ) -> None:
+        self._fill(d, k, trials, seed, sample_mean, sample_variance, histogram)
 
 
 _MASK64 = (1 << 64) - 1

@@ -10,7 +10,6 @@ import shlex
 import subprocess
 import sys
 import time
-from dataclasses import asdict
 from decimal import ROUND_DOWN, Decimal, Inexact, Rounded, getcontext, localcontext
 from fractions import Fraction
 from itertools import accumulate
@@ -21,7 +20,7 @@ import pytest
 
 from superpatterns import Word, _dfa, automaton, binary_pmf, cli, is_superpattern, pmf_table, ternary_pmf
 from superpatterns import waiting_time_gf
-from superpatterns.classify import _minimal_listing, count_formulas
+from superpatterns.classify import CountReport, _minimal_listing, count_formulas
 from superpatterns.cli import main
 
 
@@ -344,7 +343,8 @@ class TestCounts:
         code, out, _ = run(capsys, "counts", "--n-from", "7", "--n-to", "300", "--format", fmt)
         reports = [count_formulas(n) for n in range(7, 301)]
         if fmt == "json":
-            whole = json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+            names = CountReport.__match_args__
+            whole = json.dumps([{name: getattr(r, name) for name in names} for r in reports], indent=2) + "\n"
         else:
             header = "n,gamma_total,s_mu,s_a,s_total,beta_a,beta_b,beta_total"
             rows = (",".join(str(getattr(r, name)) for name in header.split(",")) for r in reports)

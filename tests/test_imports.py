@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -58,6 +59,21 @@ def test_imports_are_standard_library_or_package_and_all_used():
         unused += _import_problems(path)[1]
     assert outside == [], "imports from outside the standard library"
     assert unused == [], "imported names never used"
+
+
+def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
+    # Every CLI call starts a process that imports the package; the value
+    # types share one slotted base, so no import pays for these two modules
+    # and the ten others dataclasses loads.
+    script = (
+        "import sys\n"
+        "import superpatterns, superpatterns.cli, superpatterns.oeis\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "[]\n"
 
 
 PERFBENCH = SOURCE.parents[1] / "perfbench"

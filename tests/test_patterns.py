@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -11,7 +13,12 @@ from hypothesis import strategies as st
 
 from superpatterns import (
     BudgetExceededError,
+    ClassFlags,
+    CountReport,
     Pattern,
+    Polynomial,
+    RationalFunction,
+    SimSummary,
     Word,
     automaton,
     contains_pattern,
@@ -20,6 +27,7 @@ from superpatterns import (
     fubini,
     relabel_canonical,
 )
+from superpatterns.oeis import SequenceCheck
 
 from conftest import all_words, contains_pattern_bruteforce, find_embedding
 
@@ -381,3 +389,96 @@ class TestLetterPermutation:
             for images in permutations((1, 2, 3)):
                 image = Word(tuple(images[v - 1] for v in w.letters), 3)
                 assert full(image) == full(w)
+
+
+# The package's eight immutable value types, each made twice from equal
+# fields, with the repr the frozen dataclasses (and the two series classes)
+# gave.  Polynomial, RationalFunction and a SimSummary, whose histogram is a
+# dict, are unhashable.
+VALUES = {
+    "Word": (lambda: Word((1, 2, 1), 2), "Word(letters=(1, 2, 1), alphabet_size=2)", True),
+    "Pattern": (lambda: Pattern((1, 2, 1)), "Pattern(letters=(1, 2, 1))", True),
+    "ClassFlags": (
+        lambda: ClassFlags(True, False, True, False),
+        "ClassFlags(is_superpattern=True, is_minimal=False, is_strict=True, is_minimum=False)",
+        True,
+    ),
+    "CountReport": (
+        lambda: CountReport(7, 7, 7, 7, 42, 14, 11, 25),
+        "CountReport(n=7, gamma_total=7, s_mu=7, s_a=7, s_total=42, beta_a=14, beta_b=11, beta_total=25)",
+        True,
+    ),
+    "SequenceCheck": (
+        lambda: SequenceCheck("A024012", 7, 7, 7),
+        "SequenceCheck(label='A024012', n=7, computed=7, reference=7)",
+        True,
+    ),
+    "SimSummary": (
+        lambda: SimSummary(2, 2, 3, 5, 4.5, 0.25, {4: 1, 5: 2}),
+        "SimSummary(d=2, k=2, trials=3, seed=5, sample_mean=4.5, sample_variance=0.25, histogram={4: 1, 5: 2})",
+        False,
+    ),
+    "Polynomial": (lambda: Polynomial([1, 2]), "Polynomial([Fraction(1, 1), Fraction(2, 1)])", False),
+    "RationalFunction": (
+        lambda: RationalFunction(Polynomial([1]), Polynomial([1, -1])),
+        "RationalFunction(Polynomial([Fraction(1, 1)]), Polynomial([Fraction(1, 1), Fraction(-1, 1)]))",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+class TestValueContract:
+    def test_equal_fields_give_equal_values(self, name):
+        make, _, hashable = VALUES[name]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert a != object()
+        if hashable:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(a)
+
+    def test_repr_is_the_dataclass_form(self, name):
+        make, shown, _ = VALUES[name]
+        assert repr(make()) == shown
+
+    def test_fields_refuse_assignment_and_deletion(self, name):
+        value = VALUES[name][0]()
+        for field in type(value).__slots__:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+
+    def test_pickle_and_copy_round_trip(self, name):
+        value = VALUES[name][0]()
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(twin) is type(value) and twin == value
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Word((1, 2), 0), ValueError, "alphabet_size must be at least 1"),
+        (lambda: Word((1, 3), 2), ValueError, "letter 3 outside alphabet 1..2"),
+        (lambda: Word(letters=(0,), alphabet_size=2), ValueError, "letter 0 outside alphabet 1..2"),
+        (lambda: Pattern((1, 3, 1)), ValueError, "'131' is not dense-rank canonical"),
+        (lambda: Pattern(letters=(13, 1)), ValueError, "'13,1' is not dense-rank canonical"),
+        (lambda: Pattern((-1,)), ValueError, "'-1' is not dense-rank canonical"),
+        (lambda: ClassFlags(True, False, True, True), ValueError, "minimum implies minimal and strict"),
+        (lambda: ClassFlags(False, True, False, False), ValueError, "minimal/strict imply superpattern"),
+        # Each CountReport below breaks the check its message names and every later one.
+        (lambda: CountReport(7, 9, 7, 7, 41, 14, 11, 24), ValueError, "beta_total must equal beta_a + beta_b"),
+        (lambda: CountReport(7, 8, 7, 7, 41, 14, 11, 25), ValueError, "s_total must equal 6 * s_a"),
+        (lambda: CountReport(7, 8, 7, 7, 42, 14, 11, 25), ValueError, "gamma_total must equal 2^(n-2) - beta_total"),
+        (lambda: RationalFunction(Polynomial([1]), Polynomial([0])), ZeroDivisionError, "zero denominator polynomial"),
+    ],
+)
+def test_each_value_check_keeps_its_message(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
