@@ -1,44 +1,28 @@
 """Incremental superpattern detection compiled to a lazy DFA.
 
-Deciding "is this prefix a superpattern for length-k patterns?" letter by
-letter only needs, per canonical pattern, the greedy matching progress of each
-of its concrete instantiations (a pattern with m distinct ranks instantiates
-as C(d, m) words over the alphabet, one per strictly increasing choice of
-values for the ranks; over all patterns that is d**k instances).  Greedy
-progress is optimal for single-word subsequence matching, so this state is
-exact.
-
-The state is a product of one component per pattern: the progress vector of
-that pattern's instances, interned per pattern as a small id, with one fixed
-id for "contained".  A component's successor on a letter depends only on its
-own id, so each pattern keeps one lazily filled column per letter, and a new
-transition costs one lookup per pattern; the per-instance step runs only the
-first time a (component, letter) pair is met.  States and transitions are
-interned and cached in turn, which makes a repeated step a single table
-lookup.  Past d**k = 64 pattern instances, the word-space DP
-(`classify._WordSpace`) steps product states for the exhaustive scans and
-the listings alike, on one shared automaton per (d, k).  Up to that, the DP
-steps the minimal DFA, which forms no product state: `_dfa` closes each
-pattern's component of the same shared automaton alone
-(`closed_component`), and minimises and joins them, once per (d, k); the
-simulator builds its byte table from the same DFA.
+Whether a prefix is a k-superpattern depends only on the greedy progress of
+each pattern's instances: a pattern with m ranks instantiates as C(d, m)
+words, one per increasing choice of values for its ranks, d**k over all
+patterns, and greedy progress is exact for subsequence matching.  A state is
+one component per pattern, the progress vector of its instances interned as
+a small id, with id 0 for "contained".  A component's successor on a letter
+depends on its id alone, so each pattern keeps one lazily filled column per
+letter, and states and transitions are interned in turn, which makes a
+repeated step one table lookup.  Past d**k = 64 instances the word-space DP
+(`classify._WordSpace`) steps these product states, on one shared automaton
+per (d, k); up to it, the DP steps the minimal DFA that `_dfa` joins from
+each pattern's component closed alone (`closed_component`), which the
+simulator's byte table is built from too.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
-in `_capped_patterns`, which `_dfa` runs before it makes any automaton.  It
-refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
-_MAX_COMPONENTS, each read when used, and a shared automaton that overruns
-either removes itself from the cache before it raises.  get_automaton alone
-makes automata, and it replaces the shared one before handing it out once a
-single walk could pass the component cap, so no walk overruns.
-
-A containment query walks each pattern's component alone through the same
-columns, without forming product states, so it interns no state; it
-reports where each pattern was completed.  One call (`ends`) walks a whole
-word over every pattern, for `classify.missing_patterns` and
-`classify.classify`, or over one, for `patterns.contains_pattern`; `_ends`
-runs it on the shared automaton.  The test suite checks the verdicts against
-a backtracking search and a brute-force scan of subsequences.
+in `_capped_patterns`, which `_dfa` and the containment matchers of
+`patterns` run before they build anything.  It refuses to intern a state
+past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS, each read
+when used, and a shared automaton that overruns either removes itself from
+the cache before it raises.  get_automaton alone makes automata.  Queries on
+one word go to `patterns`' bit-parallel matchers instead, which intern
+nothing.
 """
 
 from __future__ import annotations
@@ -47,7 +31,7 @@ from functools import reduce
 from itertools import combinations
 from operator import getitem
 from struct import Struct, error as StructError
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
     from .patterns import Pattern
@@ -65,8 +49,7 @@ SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.
 _MAX_COMPONENTS = 2**16
-# Interned component ids are 1 and up, so a column entry at or below
-# _CONTAINED is one of these two; ends() tests that once per letter.
+# Column entries that are no interned id, which are 1 and up.
 _CONTAINED = 0
 _UNFILLED = -1
 
@@ -83,11 +66,10 @@ class ContainmentAutomaton:
     ``transitions[s][a]`` is the successor of state s on letter a, or -1 when
     not built yet (call step() to build it).  A state's key packs one
     component id per pattern; component id 0 means the pattern is contained,
-    and the state accepts when every component is 0.  ends() walks a word
-    through each pattern's component alone and forms no state.  Raises
-    ValueError for k past MAX_PATTERN_LENGTH, first; BudgetExceededError
-    when d**k exceeds MAX_INSTANCES, and when a step would intern a state
-    past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
+    and the state accepts when every component is 0.  Raises ValueError for
+    k past MAX_PATTERN_LENGTH, first; BudgetExceededError when d**k exceeds
+    MAX_INSTANCES, and when a step would intern a state past
+    SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
     """
 
     def __init__(self, d: int, k: int):
@@ -96,7 +78,6 @@ class ContainmentAutomaton:
         self.patterns = _capped_patterns(d, k)
         self.d = d
         self.k = k
-        self._pattern_index = {p.letters: pi for pi, p in enumerate(self.patterns)}
         # Per pattern: its instances, and its interned progress vectors (one
         # byte per instance) by component id.  Id 0 is "contained" and has no
         # vector of its own; id 1 is the empty word's.
@@ -111,18 +92,11 @@ class ContainmentAutomaton:
             start = bytes(len(self._instances[-1]))
             self._components.append([None, start])
             self._component_ids.append({start: 1})
-        # Each new id along one walk raises some instance's progress, at most
-        # k - 1 times per instance, so one walk adds at most this many ids to
-        # any pattern; _top is the largest id interned for any pattern.
-        self._walk_ids = (k - 1) * max(map(len, self._instances))
-        self._top = 1
         # columns[a][p][c]: component id of pattern p after letter a from
         # component c, or _UNFILLED.  Slot 0 is unused, as in the rows below.
         self._columns: list[list[list[int]]] = [
             [[_CONTAINED, _UNFILLED] for _ in self.patterns] for _ in range(d + 1)
         ]
-        # The same lists by pattern: _by_pattern[p][a] is columns[a][p].
-        self._by_pattern = [[column[pi] for column in self._columns] for pi in range(len(self.patterns))]
         packing = Struct(f"{len(self.patterns)}H")
         self._pack, self._unpack = packing.pack, packing.unpack
         start = self._pack(*[1] * len(self.patterns))
@@ -191,7 +165,6 @@ class ContainmentAutomaton:
             if nxt == _MAX_COMPONENTS:
                 self._overrun(f"exceeded {_MAX_COMPONENTS} progress vectors for pattern {self.patterns[pi]}")
             ids[vector] = nxt
-            self._top = max(self._top, nxt)
             self._components[pi].append(vector)
             for other in self._columns:
                 other[pi].append(_UNFILLED)
@@ -200,45 +173,18 @@ class ContainmentAutomaton:
 
     def _overrun(self, what: str) -> None:
         """Raise BudgetExceededError, first dropping this automaton from the
-        shared cache if it is the shared one, rather than keep it half built
-        for the life of the process."""
+        shared cache if it is the shared one, rather than keep it half built."""
         key = (self.d, self.k)
         if _cache.get(key) is self:
             del _cache[key]
         raise BudgetExceededError(f"the automaton for k={self.k}, d={self.d} {what}")
 
-    def ends(self, letters: Sequence[int], indices: Optional[Iterable[int]] = None) -> Iterator[int]:
-        """For each pattern index, all of them by default and in pattern
-        order, the 1-based position of the letter that completes the pattern,
-        or 0 when the letters do not contain it: the pattern's component
-        alone is walked from the empty word's id 1 and stops at the contained
-        id 0 or when the letters end.  One call walks a whole word; the loop
-        is written out here once, without a call per pattern.  A letter
-        whose entry is an interned id costs one comparison: only an entry
-        at or below _CONTAINED is filled or ends the walk."""
-        by_pattern = self._by_pattern
-        for pi in range(len(by_pattern)) if indices is None else indices:
-            columns = by_pattern[pi]
-            component = 1
-            end = 0
-            for position, a in enumerate(letters, 1):
-                nxt = columns[a][component]
-                if nxt <= _CONTAINED:
-                    if nxt == _UNFILLED:
-                        nxt = self._fill(self._columns[a], pi, component, a)
-                    if nxt == _CONTAINED:
-                        end = position
-                        break
-                component = nxt
-            yield end
-
     def closed_component(self, pi: int) -> list[list[int]]:
         """Pattern pi's component with every id reachable from the empty
-        word's id 1 filled in, as one column per letter: ``columns[a -
-        1][c]`` is the id after letter a from id c, and the contained id 0
-        loops to itself.  The columns are the automaton's own (read-only by
-        convention).  Forms no state."""
-        columns = self._by_pattern[pi]
+        word's id 1 filled in, as one column per letter, the automaton's own
+        (read-only): ``columns[a - 1][c]`` is the id after letter a from id
+        c, and the contained id 0 loops to itself.  Forms no state."""
+        columns = [column[pi] for column in self._columns]
         component = 1
         while component < len(self._components[pi]):
             for a in range(1, self.d + 1):
@@ -259,8 +205,7 @@ def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
     """The canonical length-k patterns, after the automaton's two refusals
     in their order: ValueError for k past MAX_PATTERN_LENGTH, from listing
     the patterns, then BudgetExceededError for d**k past MAX_INSTANCES."""
-    # Imported here: the patterns module answers containment through this
-    # one, so it imports this module first.
+    # Imported here: the patterns module imports this one first.
     from .patterns import enumerate_preferential_arrangements
 
     patterns = tuple(enumerate_preferential_arrangements(k))
@@ -273,21 +218,8 @@ def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:
-    """Shared automaton for (d, k); built once and reused across operations,
-    and built anew when one more walk could pass _MAX_COMPONENTS ids on some
-    pattern.  A fresh automaton always has room: 1 + _walk_ids is at most
-    32,641, at d = 256, k = 2, for any (d, k) under MAX_INSTANCES."""
-    key = (d, k)
-    auto = _cache.get(key)
-    if auto is None or auto._top + auto._walk_ids >= _MAX_COMPONENTS:
-        auto = _cache[key] = ContainmentAutomaton(d, k)
+    """Shared automaton for (d, k); built once and reused across operations."""
+    auto = _cache.get((d, k))
+    if auto is None:
+        auto = _cache[d, k] = ContainmentAutomaton(d, k)
     return auto
-
-
-def _ends(d: int, k: int, letters: Sequence[int], pattern: Optional[Pattern] = None) -> Iterator[int]:
-    """ContainmentAutomaton.ends on the shared (d, k) automaton, for every
-    length-k pattern in order or for the one pattern given: where letters
-    over 1..d complete each (1-based), or 0 when they do not contain it.
-    get_automaton hands out an automaton with room for the whole walk."""
-    auto = get_automaton(d, k)
-    return auto.ends(letters, None if pattern is None else (auto._pattern_index[pattern.letters],))

@@ -10,15 +10,14 @@ k.  Refinements, for a word w of length n:
                 its (k, alphabet) combination.
 
 Queries on one word (is_superpattern, missing_patterns, classify) rank the
-word once and walk each pattern's component of the shared containment
-automaton.  missing_patterns and classify walk every pattern in one call,
-which yields where each pattern is completed; is_superpattern asks pattern
-by pattern and stops at the first one missing.  classify reads strictness
-from the same walk: the word is strict when the last pattern completed is
-completed by its last letter.  It reads minimality against one table of
-bounds on the least superpattern length (_least_length_bounds), whose
-proven entries min_superpattern_length returns without a search; the tests
-prove each by the strict counting DP below.
+word once and read it through the bit-parallel matchers of `patterns`:
+missing_patterns and classify through the one of every pattern, which
+interns nothing, and is_superpattern pattern by pattern, stopping at the
+first one missing.  classify reads all but the last letter first: the word
+is strict when that prefix is not a superpattern.  It reads minimality
+against one table of bounds on the least superpattern length
+(_least_length_bounds), whose proven entries min_superpattern_length returns
+without a search; the tests prove each by the strict counting DP below.
 
 The exhaustive routes run over automaton states, not over words: those of the
 containment automaton's minimal DFA over small alphabets, shared with the
@@ -58,10 +57,11 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from ._dfa import close_and_minimise
 from ._value import _Value
-from .automaton import BudgetExceededError, _ends, get_automaton
+from .automaton import BudgetExceededError, get_automaton
 from .patterns import (
     Pattern,
     Word,
+    _matcher,
     _ranked,
     _unchecked_word,
     contains_pattern,
@@ -156,10 +156,6 @@ class CountReport(_Value):
         self._fill(n, gamma_total, s_mu, s_a, s_total, beta_a, beta_b, beta_total)
 
 
-# Each query below ranks the word once; a ranked word walks the same (w, k)
-# automaton on every call.
-
-
 def is_superpattern(word: Word, k: int) -> bool:
     """Whether the word contains every canonical pattern of length k."""
     ranked = _ranked(word)
@@ -171,25 +167,24 @@ def missing_patterns(word: Word, k: int) -> list[Pattern]:
     lexicographic order; empty exactly when the word is a superpattern."""
     patterns = enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
-    return [p for p, end in zip(patterns, _ends(ranked.alphabet_size, k, ranked.letters)) if not end]
+    matcher = _matcher(ranked.alphabet_size, k)
+    missing = matcher.missing(matcher.run(ranked.letters))
+    return [p for p, guard in zip(patterns, matcher.places) if missing >> guard & 1]
 
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
     enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
-    # The word is strict when its last letter completes some pattern, that
-    # is, when the largest end of a pattern is the word's last position.
-    last = 0
-    for end in _ends(ranked.alphabet_size, k, ranked.letters):
-        if not end:
-            return _NOT_SUPERPATTERN
-        if end > last:
-            last = end
+    matcher = _matcher(ranked.alphabet_size, k)
+    # Strict: a superpattern whose prefix one letter shorter is not one.
+    state = matcher.run(ranked.letters[:-1])
+    strict = matcher.missing(state) != 0
+    if strict and matcher.missing(matcher.run(ranked.letters[-1:], state)):
+        return _NOT_SUPERPATTERN
     letters = word.letters
     n = len(letters)
     minimal = not any(map(eq, letters, letters[1:]))
-    strict = last == n
     minimum = False
     if minimal and n <= _least_length_bounds(k, word.alphabet_size)[1]:
         minimum = min_superpattern_length(k, word.alphabet_size) == n

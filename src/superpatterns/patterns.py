@@ -9,23 +9,26 @@ called preferential arrangements, and the number of them of length k is the
 k-th ordered Bell number.
 
 A word contains a pattern when some subsequence of the word is
-order-isomorphic to it.  contains_pattern decides it on the containment
-automaton (`automaton`), walking the pattern's own component alone.
+order-isomorphic to it.  The containment queries (contains_pattern here,
+missing_patterns and classify in `classify`) read the word, ranked to its w
+distinct letters, once through a bit-parallel matcher (`_Matcher`) that
+steps every pattern instance over 1..w in one integer, kept per (w, k) and
+per (w, pattern).
 
-MAX_PATTERN_LENGTH (5) is the one cap on pattern length: the enumerator and
-contains_pattern check it first, and every automaton, query and search lists
-its patterns before it walks anything, so each refuses a longer k at once.
+MAX_PATTERN_LENGTH (5) is the one cap on pattern length: the enumerator
+checks it first, and every matcher, automaton and search lists its patterns
+first, so each refuses a longer k at once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import product
-from typing import Optional, Sequence
+from itertools import accumulate, combinations, product
+from typing import Iterable, Optional, Sequence
 
 from ._value import _Value
-from .automaton import _ends
+from .automaton import _capped_patterns
 
 __all__ = [
     "Word",
@@ -85,7 +88,8 @@ class Word(_Value):
     letters: tuple[int, ...]
     alphabet_size: int
 
-    def __init__(self, letters: tuple[int, ...], alphabet_size: int) -> None:
+    def __init__(self, letters: Iterable[int], alphabet_size: int) -> None:
+        letters = tuple(letters)
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
         for v in letters:
@@ -148,7 +152,8 @@ class Pattern(_Value):
     __slots__ = __match_args__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, letters: tuple[int, ...]) -> None:
+    def __init__(self, letters: Iterable[int]) -> None:
+        letters = tuple(letters)
         used = set(letters)
         if used and used != set(range(1, max(used) + 1)):
             # The text parse() reads back: digits, or commas past 9 (and for
@@ -198,14 +203,12 @@ def _ranked(word: Word) -> Word:
 def contains_pattern(word: Word, pattern: Pattern) -> bool:
     """Whether some subsequence of the word is order-isomorphic to the pattern.
 
-    The word, dense-ranked to its w distinct letters, walks the pattern's
-    component of the shared (w, k) automaton until it reads "contained" or
-    ends.  A word already over exactly 1..alphabet_size walks as it is, so a
-    caller asking many patterns ranks it once, with _ranked.  The empty
-    pattern is in every word, and the empty word contains no other.  Raises
-    ValueError for a pattern longer than MAX_PATTERN_LENGTH, before any
-    automaton is built, and BudgetExceededError when w**k passes the
-    automaton's MAX_INSTANCES.
+    The word, dense-ranked to its w distinct letters, is read once through
+    the matcher of the pattern's instances over 1..w; a caller asking many
+    patterns ranks it once, with _ranked.  The empty pattern is in every
+    word, and the empty word contains no other.  Raises ValueError for a
+    pattern longer than MAX_PATTERN_LENGTH, before any matcher is built, and
+    BudgetExceededError when w**k passes the automaton's MAX_INSTANCES.
 
     >>> contains_pattern(Word.parse("5371473"), Pattern.parse("231"))
     True
@@ -213,17 +216,87 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     False
     """
     k = len(pattern.letters)
-    if k > MAX_PATTERN_LENGTH:
-        enumerate_preferential_arrangements(k)  # raises, with the cap's one message
     if k == 0:
         return True
-    if k > len(word.letters):
-        return False
     word = _ranked(word)
-    # Unpacked rather than read with next(), which would leave the walk
-    # suspended, to be closed at twice the cost of running it out.
-    (end,) = _ends(word.alphabet_size, k, word.letters, pattern)
-    return end > 0
+    matcher = _matcher(word.alphabet_size, k, pattern.letters)
+    return not matcher.missing(matcher.run(word.letters))
+
+
+class _Matcher:
+    """Shift-And matching (Baeza-Yates and Gonnet, CACM 35(10), 1992) of
+    every instance of some length-k patterns over the letters 1..w at once.
+
+    An instance maps a pattern's m ranks in order onto m of the w letters;
+    its greedy progress 0..k is one bit, at level * width + place.  In each
+    level a pattern's instances fill one field of whole bytes, topped by a
+    guard bit.  masks[a] moves the instances whose next letter is a up one
+    level.  The start state `low` sets level 0 but the guards; its padding
+    bits never move.  Adding `low` to level k carries into a field's guard
+    once an instance there is completed.  For k = 1 all letters share the
+    one mask of a one-letter alphabet.
+    """
+
+    __slots__ = ("masks", "width", "top", "low", "guards", "places", "bits")
+
+    def __init__(self, w: int, k: int, patterns: Sequence[tuple[int, ...]]) -> None:
+        letters = 1 if k == 1 else w
+        # flags[m, r][a]: a field flagging the m-subsets with letter a + 1 at rank r.
+        flags: dict[tuple[int, int], list[bytearray]] = {}
+        for m in {max(p) for p in patterns}:
+            subsets = list(combinations(range(letters), m))
+            size = len(subsets) // 8 + 1  # the guard's bit included
+            for r, column in enumerate(list(zip(*subsets)) or [()] * m, 1):
+                rows = flags[m, r] = [bytearray(size) for _ in range(letters)]
+                for i, a in enumerate(column):
+                    rows[a][i >> 3] |= 1 << (i & 7)
+        # Each level is the patterns' fields in order.
+        sizes = [len(flags[max(p), 1][0]) for p in patterns]
+        self.width = 8 * sum(sizes)
+        self.top = k * self.width
+        self.low = int.from_bytes(b"".join(b"\xff" * (n - 1) + b"\x7f" for n in sizes), "little")
+        self.guards = int.from_bytes(b"".join(bytes(n - 1) + b"\x80" for n in sizes), "little")
+        self.places = [8 * end - 1 for end in accumulate(sizes)]
+        columns = [flags[max(p), p[j]] for j in range(k) for p in patterns]
+        masks = [int.from_bytes(b"".join(rows[a] for rows in columns), "little") for a in range(letters)]
+        self.masks = [0, *masks] if k > 1 else [0] + masks * w
+        self.bits = letters * self.top + 64 * len(self.masks)  # the list's pointers too
+
+    def run(self, letters: Iterable[int], state: Optional[int] = None) -> int:
+        """The state after reading the letters, from the start or from state."""
+        masks, width = self.masks, self.width
+        s = self.low if state is None else state
+        for a in letters:
+            moved = s & masks[a]
+            s = s ^ moved | moved << width
+        return s
+
+    def missing(self, state: int) -> int:
+        """The guards of the patterns the state has not completed."""
+        return ((state >> self.top) + self.low & self.guards) ^ self.guards
+
+
+# Most mask bits the kept matchers hold: 8 MiB, past the largest matcher,
+# (256, 2)'s 33,583,168 bits.  They are kept oldest first, by (w, k) for
+# every length-k pattern and by (w, pattern letters) for one.
+_MATCHER_BITS = 2**26
+_matchers: dict[tuple[int, object], _Matcher] = {}
+
+
+def _matcher(w: int, k: int, pattern: Optional[tuple[int, ...]] = None) -> _Matcher:
+    """The matcher over 1..w for every length-k pattern, in lexicographic
+    order, or for the one pattern given, built after the automaton's
+    refusals (_capped_patterns); the oldest kept make room for it."""
+    key = (w, k if pattern is None else pattern)
+    matcher = _matchers.get(key)
+    if matcher is None:
+        patterns = _capped_patterns(w, k)
+        matcher = _Matcher(w, k, [p.letters for p in patterns] if pattern is None else [pattern])
+        held = sum(kept.bits for kept in _matchers.values())
+        while _matchers and held + matcher.bits > _MATCHER_BITS:
+            held -= _matchers.pop(next(iter(_matchers))).bits
+        _matchers[key] = matcher
+    return matcher
 
 
 def fubini(k: int) -> int:

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import math
 import random
 import time
-from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from superpatterns import (
 )
 from superpatterns import automaton
 from superpatterns.cli import main
-from superpatterns.patterns import MAX_PATTERN_LENGTH
+from superpatterns.patterns import _matcher
 
 from conftest import PerInstanceAutomaton, all_words, find_embedding, first_acceptance_time
 
@@ -70,20 +68,6 @@ def test_component_overflow_is_a_budget_error(monkeypatch):
     monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 4)
     with pytest.raises(BudgetExceededError, match="exceeded 4 progress vectors"):
         expand_breadth_first(ContainmentAutomaton(3, 3), 10**9)
-
-
-def test_a_fresh_automaton_has_room_for_any_walk():
-    # get_automaton replaces the shared automaton once its largest component
-    # id plus what one walk may add reaches the cap, and a fresh one starts
-    # at id 1; a walk adds at most k - 1 ids per instance of its pattern,
-    # and a pattern with m ranks has C(d, m) instances.
-    room = {
-        (d, k): 1 + (k - 1) * max(math.comb(d, m) for m in range(1, k + 1))
-        for k in range(1, MAX_PATTERN_LENGTH + 1)
-        for d in range(1, math.floor(automaton.MAX_INSTANCES ** (1 / k)) + 2)
-        if d**k <= automaton.MAX_INSTANCES
-    }
-    assert max(room.values()) == room[256, 2] == 32_641 < automaton._MAX_COMPONENTS
 
 
 @pytest.mark.parametrize("d,k", [(10, 5), (17, 4), (300, 2)])
@@ -167,33 +151,15 @@ def test_missing_patterns_agree():
     st.lists(st.integers(1, 4), max_size=12),
     st.integers(1, 4).flatmap(lambda k: st.sampled_from(enumerate_preferential_arrangements(k))),
 )
-def test_contains_reports_where_the_pattern_is_completed(letters, pattern):
-    # The length of the shortest prefix holding the pattern, by the
-    # backtracking oracle, or 0 when the whole word does not hold it.
+def test_the_matcher_reports_each_prefix_letter_by_letter(letters, pattern):
+    # Each state, carried on one letter at a time, tells whether the prefix
+    # read so far holds the pattern, as the backtracking oracle does.
     word = Word(tuple(letters), 4)
-    shortest = (t for t in range(1, len(letters) + 1) if find_embedding(word.prefix(t), pattern) is not None)
-    auto = get_automaton(4, len(pattern))
-    (end,) = auto.ends(letters, (auto.patterns.index(pattern),))
-    assert end == next(shortest, 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(1, 4), max_size=10))
-def test_a_cold_walk_fills_columns_mid_word(letters):
-    # A fresh automaton for every word, so each walk meets unfilled column
-    # entries partway through the word and fills them as it goes.
-    word = Word(tuple(letters), 4)
-    auto = ContainmentAutomaton(4, 4)
-    n = len(letters)
-
-    def shortest(pattern) -> int:
-        # A longer prefix holds whatever a shorter one does, so the shortest
-        # prefix holding the pattern, by the backtracking oracle, is found by
-        # bisection; 0 when the whole word does not hold it.
-        t = bisect_left(range(1, n + 1), True, key=lambda t: find_embedding(word.prefix(t), pattern) is not None)
-        return t + 1 if t < n else 0
-
-    assert list(auto.ends(letters)) == [shortest(p) for p in auto.patterns]
+    matcher = _matcher(4, len(pattern), pattern.letters)
+    state = matcher.run(())
+    for t, a in enumerate(letters, 1):
+        state = matcher.run((a,), state)
+        assert (not matcher.missing(state)) == (find_embedding(word.prefix(t), pattern) is not None)
 
 
 def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):

@@ -74,6 +74,7 @@ from conftest import (
 
 # The classify module itself; the package's `classify` name is the function.
 classify_module = import_module("superpatterns.classify")
+patterns_module = import_module("superpatterns.patterns")
 
 THE_SEVEN = {
     "1213121", "1213212", "1231213", "1231231", "1231321", "1232123", "1232132",
@@ -241,26 +242,28 @@ class TestClassify:
         expected = is_superpattern(w, k) and not is_superpattern(w.prefix(len(w) - 1), k)
         assert classify(w, k).is_strict == expected
 
-    def test_a_query_walks_the_word_once(self, monkeypatch):
-        # All 75 patterns of a 12-letter word are walked in one walk on one
-        # automaton, with no call per pattern (indices None walks them all).
-        # The word is not minimal, so classify runs no minimum-length search.
-        get, ends = automaton.get_automaton, automaton.ContainmentAutomaton.ends
-        lookups, calls = [], []
-        monkeypatch.setattr(automaton, "get_automaton", lambda d, k: lookups.append((d, k)) or get(d, k))
+    def test_a_query_reads_the_word_once_through_one_matcher(self, monkeypatch):
+        # All 75 patterns of a 12-letter word are read through the one (5, 4)
+        # matcher: classify reads all but the last letter, a superpattern
+        # already, so it needs no more, and missing_patterns reads the word
+        # whole.  The word is not minimal, so classify runs no minimum-length
+        # search; a strict word has its last letter read from the prefix's
+        # state.
+        monkeypatch.setattr(patterns_module, "_matchers", {})
+        run, reads = patterns_module._Matcher.run, []
         monkeypatch.setattr(
-            automaton.ContainmentAutomaton,
-            "ends",
-            lambda auto, letters, indices=None: calls.append(
-                range(len(auto.patterns)) if indices is None else list(indices)
-            )
-            or ends(auto, letters, indices),
+            patterns_module._Matcher,
+            "run",
+            lambda matcher, letters, state=None: reads.append((len(matcher.places), len(letters)))
+            or run(matcher, letters, state),
         )
         w = Word.parse("421342541244")
         assert classify(w, 4) == ClassFlags(True, False, False, False)
-        assert lookups == [(5, 4)]
         assert missing_patterns(w, 4) == []
-        assert lookups == [(5, 4)] * 2 and calls == [range(75)] * 2
+        assert reads == [(75, 11), (75, 12)]
+        assert classify(Word.parse("123413214231", alphabet_size=5), 4).is_strict
+        assert reads[2:] == [(75, 11), (75, 1)]
+        assert list(patterns_module._matchers) == [(5, 4), (4, 4)]
 
     def test_witnesses_on_the_last_letter_need_not_make_it_strict(self):
         w = Word.parse("12321231")
@@ -685,13 +688,8 @@ class TestTransferMatrixCounts:
         [
             ("SEARCH_STATE_BUDGET", 1000, lambda: strict_counts_by_length(4, 4, 12)),
             ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 12))),
-            # A component cap of 2 leaves no id for the first step of 1234, so
-            # the walk fails even on the fresh automaton it is handed.
-            ("_MAX_COMPONENTS", 2, lambda: contains_pattern(Word.parse("1234"), Pattern.parse("1234"))),
-            ("_MAX_COMPONENTS", 2, lambda: classify(Word.parse("1234"), 4)),
-            ("_MAX_COMPONENTS", 2, lambda: missing_patterns(Word.parse("1234"), 4)),
         ],
-        ids=["count", "listing", "containment", "classify", "missing"],
+        ids=["count", "listing"],
     )
     def test_no_overrun_automaton_stays_shared(self, monkeypatch, cap, value, overrun):
         monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
@@ -699,32 +697,6 @@ class TestTransferMatrixCounts:
         with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=4 exceeded {value} "):
             overrun()
         assert (4, 4) not in automaton_cache
-
-    @pytest.mark.parametrize("query", [classify, missing_patterns], ids=["classify", "missing"])
-    def test_a_walk_that_could_overrun_gets_a_fresh_automaton(self, monkeypatch, query):
-        # Over five letters, so that classify runs no minimum-length search;
-        # the word ranks to 1..4 and walks the (4, 4) automaton.
-        word = Word.parse("123413214231", alphabet_size=5)
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
-        expected = query(word, 4)
-        # After 31241 the word takes pattern 26 to 16 component ids on the
-        # shared automaton, past a cap of 15; alone it needs at most 13 for
-        # any pattern.  One walk may add 3 * 6 ids to a (4, 4) pattern, so
-        # under that cap the query is handed a new shared automaton and
-        # walks once, with no overrun.
-        monkeypatch.delitem(automaton_cache, (4, 4))
-        missing_patterns(Word.parse("31241"), 4)
-        shared = get_automaton(4, 4)
-        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 15)
-        ends, walked = automaton.ContainmentAutomaton.ends, []
-
-        def recorded(auto, letters, indices=None):
-            walked.append(auto)
-            return ends(auto, letters, indices)
-
-        monkeypatch.setattr(automaton.ContainmentAutomaton, "ends", recorded)
-        assert query(word, 4) == expected
-        assert walked == [automaton_cache[4, 4]] and walked[0] is not shared
 
     def test_counts_keep_one_level(self):
         strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace
@@ -952,6 +924,65 @@ class TestWordCap:
         start = time.process_time()
         assert list(iter_strict_superpatterns(d, 1, 3 * 10**7)) == []
         assert time.process_time() - start < 0.5
+
+
+# The most distinct letters a word may have for the queries at k = 3, 4
+# and 5: w**k stays within the automaton's MAX_INSTANCES.
+WIDEST = {3: 40, 4: 16, 5: 9}
+
+
+@st.composite
+def words_at_the_edges(draw):
+    """A k in 1..5 and a word whose distinct letters, drawn from 1..w + 3,
+    number w: none, 1 to k + 1, or for k >= 3 the most the queries take or
+    one more."""
+    k = draw(st.integers(1, 5))
+    w = draw(st.sampled_from([0, draw(st.integers(1, k + 1)), *(WIDEST[k] + e for e in (0, 1) if k in WIDEST)]))
+    values = draw(st.lists(st.integers(1, w + 3), min_size=w, max_size=w, unique=True))
+    repeats = draw(st.lists(st.sampled_from(values), max_size=8)) if values else []
+    return Word(tuple(draw(st.permutations(values + repeats))), w + 3), k
+
+
+class TestQueriesAgainstBacktracking:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(words_at_the_edges())
+    def test_the_four_queries_agree_with_backtracking(self, word_k):
+        word, k = word_k
+        patterns = enumerate_preferential_arrangements(k)
+        assert contains_pattern(word, Pattern(()))
+        if len(set(word.letters)) ** k > automaton.MAX_INSTANCES:
+            for query in (classify, missing_patterns, is_superpattern, lambda w, k: contains_pattern(w, patterns[-1])):
+                with pytest.raises(BudgetExceededError, match="pattern instances"):
+                    query(word, k)
+            return
+        missing = [p for p in patterns if find_embedding(word, p) is None]
+        assert [p for p in patterns if not contains_pattern(word, p)] == missing
+        assert missing_patterns(word, k) == missing
+        assert is_superpattern(word, k) == (not missing)
+        assert classify(word, k) == classify_by_backtracking(word, k)
+
+    def test_the_queries_leave_a_fresh_automaton_cache_empty(self, monkeypatch):
+        monkeypatch.setattr(automaton, "_cache", {})
+        w = Word.parse("4213425412441")
+        for k in range(1, 5):
+            classify(w, k), missing_patterns(w, k), is_superpattern(w, k)
+            [contains_pattern(w, p) for p in enumerate_preferential_arrangements(k)]
+        assert automaton._cache == {}
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_wide_missing_pattern_queries_stay_small(self):
+        # 2,000 words of 25 letters over ten letters at k = 4 peaked at 218 MB
+        # when each query kept what it had stepped in the shared automaton.
+        script = (
+            "import random\n"
+            "from superpatterns import Word, missing_patterns\n"
+            "rng = random.Random(4)\n"
+            "for _ in range(2000):\n"
+            "    missing_patterns(Word(tuple(rng.choices(range(1, 11), k=25)), 10), 4)\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        )
+        assert int(_run_fresh(script)) / 1024 < 40
 
 
 def _run_fresh(script: str) -> str:

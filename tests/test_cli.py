@@ -144,7 +144,7 @@ class TestCheck:
         assert json.loads(out)["is_minimum"] is True
 
     def test_distinct_letters_up_to_the_instance_cap(self, capsys, monkeypatch):
-        # The (w, 3) automaton tracks w**3 pattern instances, at most 2**16:
+        # The (w, 3) matcher tracks w**3 pattern instances, at most 2**16:
         # a word with 40 distinct letters is answered and one with 41 exits 3.
         monkeypatch.setattr(automaton, "_cache", {})
         forty = ",".join(map(str, range(1, 41)))

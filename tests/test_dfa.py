@@ -99,19 +99,19 @@ def test_no_two_minimised_states_are_equivalent(d, k):
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 1), (3, 1)])
-def test_walks_on_the_shared_automaton_leave_the_dfa_as_built_cold(monkeypatch, d, k):
-    # The DFA closes the components of the automaton the queries walk, whose
-    # ids the walks have numbered in their own order; the joins renumber the
-    # states breadth-first, so the rows come out the same.
+def test_scans_on_the_shared_automaton_leave_the_dfa_as_built_cold(monkeypatch, d, k):
+    # The DFA closes the components of the shared automaton, whose ids the
+    # scans have numbered in their own order; the joins renumber the states
+    # breadth-first, so the rows come out the same.
     monkeypatch.setattr(_dfa, "_built", {})
     monkeypatch.setattr(automaton, "_cache", {})
     cold = close_and_minimise(d, k)
     monkeypatch.setattr(_dfa, "_built", {})
     monkeypatch.setattr(automaton, "_cache", {})
     rng = random.Random(d * 10 + k)
+    warm = automaton.get_automaton(d, k)
     for _ in range(200):
-        list(automaton._ends(d, k, [rng.randint(1, d) for _ in range(rng.randint(1, 3 * d * k))]))
-    warm = automaton._cache[d, k]
+        warm.scan([rng.randint(1, d) for _ in range(rng.randint(1, 3 * d * k))])
     assert close_and_minimise(d, k) == cold and automaton._cache[d, k] is warm
 
 

@@ -306,8 +306,8 @@ def _functions_where(found) -> list[str]:
 
 
 def test_only_get_automaton_makes_an_automaton():
-    # One shared automaton per (d, k): _dfa closes the components of the one
-    # the queries walk, and get_automaton alone decides when to replace it.
+    # One shared automaton per (d, k): the word-space DP steps it, and _dfa
+    # closes its components.
     def makes(node: ast.AST) -> bool:
         return isinstance(node, ast.Call) and "ContainmentAutomaton" in _identifiers_of(node.func)
 
@@ -315,9 +315,9 @@ def test_only_get_automaton_makes_an_automaton():
 
 
 def test_only_the_cli_catches_an_overrun():
-    # get_automaton hands out an automaton with room for a whole walk, so no
-    # walk is retried: an overrun reaches the CLI, which exits 3.  A handler
-    # of any base class of the overrun, or a bare one, would catch it too.
+    # No search or query is retried after an overrun: it reaches the CLI,
+    # which exits 3.  A handler of any base class of the overrun, or a bare
+    # one, would catch it too.
     overrun = {"BudgetExceededError", "RuntimeError", "Exception", "BaseException"}
 
     def catches(node: ast.AST) -> bool:

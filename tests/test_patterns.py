@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import random
 import time
@@ -25,9 +26,12 @@ from superpatterns import (
     dense_rank,
     enumerate_preferential_arrangements,
     fubini,
+    missing_patterns,
     relabel_canonical,
 )
+from superpatterns import patterns
 from superpatterns.oeis import SequenceCheck
+from superpatterns.patterns import MAX_PATTERN_LENGTH
 
 from conftest import all_words, contains_pattern_bruteforce, find_embedding
 
@@ -80,6 +84,16 @@ class TestWordParsing:
         # The listings build their words unchecked; Word(...) itself does not.
         with pytest.raises(ValueError):
             Word(letters, alphabet_size)
+
+    def test_letters_are_stored_as_a_tuple(self):
+        # A list passed in is copied, so the word neither changes with it
+        # nor fails to hash.
+        letters = [1, 2, 1]
+        w, p = Word(letters, 2), Pattern(letters)
+        letters.append(2)
+        assert type(w.letters) is type(p.letters) is tuple
+        assert w == Word((1, 2, 1), 2) and hash(w) == hash(Word((1, 2, 1), 2))
+        assert p == Pattern((1, 2, 1)) and hash(p) == hash(Pattern((1, 2, 1)))
 
     def test_empty_word(self):
         w = Word.parse("")
@@ -187,18 +201,18 @@ class TestContainment:
         for k in range(1, 6):
             assert not any(contains_pattern(empty, p) for p in enumerate_preferential_arrangements(k))
 
-    def test_pattern_over_the_cap_refused_before_any_automaton(self, monkeypatch):
-        def no_automaton(d, k):
-            raise AssertionError(f"built the ({d}, {k}) automaton")
+    def test_pattern_over_the_cap_refused_before_any_matcher(self, monkeypatch):
+        def no_matcher(w, k, patterns):
+            raise AssertionError(f"built a ({w}, {k}) matcher")
 
-        monkeypatch.setattr(automaton, "get_automaton", no_automaton)
+        monkeypatch.setattr(patterns, "_Matcher", no_matcher)
         for text in ("1", "12345678", "1" * 20):
             with pytest.raises(ValueError, match="pattern length k=6 is over the cap of 5"):
                 contains_pattern(Word.parse(text), Pattern.parse("123456"))
 
     @pytest.mark.parametrize("k,widest", [(3, 40), (4, 16), (5, 9)])
     def test_words_too_wide_for_the_instance_cap_refused(self, monkeypatch, k, widest):
-        # The (w, k) automaton tracks w**k instances, at most MAX_INSTANCES;
+        # The (w, k) matcher tracks w**k instances, at most MAX_INSTANCES;
         # the widest word it takes is answered, one letter more is refused.
         monkeypatch.setattr(automaton, "_cache", {})
         assert widest**k <= automaton.MAX_INSTANCES < (widest + 1) ** k
@@ -210,16 +224,36 @@ class TestContainment:
         with pytest.raises(BudgetExceededError):
             contains_pattern(wider, ones)
 
-    def test_a_full_component_table_is_replaced_not_refused(self, monkeypatch):
-        # Queries on one shared automaton add components; one word's walk
-        # adds at most 2 * 4 + 1 for pattern 123 over four letters.
-        monkeypatch.setattr(automaton, "_cache", {})
-        monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 12)
-        p = Pattern.parse("123")
-        first = automaton.get_automaton(4, 3)
-        for w in all_words(4, 6):
-            assert contains_pattern(w, p) == (find_embedding(w, p) is not None), w
-        assert automaton.get_automaton(4, 3) is not first
+    def test_the_matcher_cache_drops_the_oldest_past_its_bit_budget(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_matchers", {})
+        every = [p.letters for p in enumerate_preferential_arrangements(3)]
+        sizes = {w: patterns._Matcher(w, 3, every).bits for w in (20, 21, 22)}
+        monkeypatch.setattr(patterns, "_MATCHER_BITS", sizes[21] + sizes[22])
+        for w in (20, 21, 22):
+            assert missing_patterns(Word(tuple(range(1, w + 1)), w), 3)
+        assert list(patterns._matchers) == [(21, 3), (22, 3)]
+        assert sum(m.bits for m in patterns._matchers.values()) <= patterns._MATCHER_BITS
+
+    def test_the_largest_matcher_fits_the_cache_budget(self, monkeypatch):
+        # Bits per matcher: w letters times k levels of fields of whole bytes,
+        # one field per pattern holding its C(w, m) instances and a guard
+        # bit, and 64 per entry of the mask list.  (256, 2) is the largest;
+        # for k = 1 every letter shares one mask of one byte.
+        def bits(w, k):
+            fields = sum(math.comb(w, max(p.letters)) // 8 + 1 for p in enumerate_preferential_arrangements(k))
+            return w * k * 8 * fields + 64 * (w + 1)
+
+        largest = max(
+            (bits(w, k), w, k)
+            for k in range(2, MAX_PATTERN_LENGTH + 1)
+            for w in range(1, 257)
+            if w**k <= automaton.MAX_INSTANCES
+        )
+        monkeypatch.setattr(patterns, "_matchers", {})
+        assert largest == (33_583_168, 256, 2) == (patterns._matcher(256, 2).bits, 256, 2)
+        widest = automaton.MAX_INSTANCES
+        assert patterns._Matcher(widest, 1, [(1,)]).bits == 8 + 64 * (widest + 1) < largest[0]
+        assert largest[0] < patterns._MATCHER_BITS
 
     def test_invariant_under_value_order_preserving_injection(self):
         rng = random.Random(3)
