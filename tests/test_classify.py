@@ -961,12 +961,21 @@ class TestQueriesAgainstBacktracking:
         assert is_superpattern(word, k) == (not missing)
         assert classify(word, k) == classify_by_backtracking(word, k)
 
-    def test_the_queries_leave_a_fresh_automaton_cache_empty(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            classify,
+            missing_patterns,
+            is_superpattern,
+            lambda w, k: [contains_pattern(w, p) for p in enumerate_preferential_arrangements(k)],
+        ],
+        ids=["classify", "missing", "superpattern", "containment"],
+    )
+    def test_the_queries_leave_a_fresh_automaton_cache_empty(self, monkeypatch, query):
         monkeypatch.setattr(automaton, "_cache", {})
         w = Word.parse("4213425412441")
         for k in range(1, 5):
-            classify(w, k), missing_patterns(w, k), is_superpattern(w, k)
-            [contains_pattern(w, p) for p in enumerate_preferential_arrangements(k)]
+            query(w, k)
         assert automaton._cache == {}
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
