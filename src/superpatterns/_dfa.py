@@ -11,11 +11,13 @@ start states, and is minimised again before the next.  A product state
 accepts when both of its parts do; a trial ends there, so what the word does
 next does not matter, and it loops to itself on every letter.  The minimal
 DFA is unique up to renaming, so this is the DFA the full product would
-minimise to.  Every product is held to STATE_BUDGET states; the components
-are bounded by the automaton's own cap on a pattern's progress vectors.
-Each (d, k) is built once per process and kept: the word-space DP of
-`classify` steps it over small alphabets, and the simulator builds its byte
-table from it.
+minimise to.  A component's states are the interned states of its
+pattern's bit-parallel matcher (`patterns._Matcher`), so this module steps
+no pattern instance itself.  Every product is held to STATE_BUDGET states;
+the components are bounded by the automaton's own cap on a pattern's
+progress vectors, its matcher states.  Each (d, k) is built once per
+process and kept: the word-space DP of `classify` steps it over small
+alphabets, and the simulator builds its byte table from it.
 """
 
 from __future__ import annotations

@@ -3,16 +3,19 @@
 Whether a prefix is a k-superpattern depends only on the greedy progress of
 each pattern's instances: a pattern with m ranks instantiates as C(d, m)
 words, one per increasing choice of values for its ranks, d**k over all
-patterns, and greedy progress is exact for subsequence matching.  A state is
-one component per pattern, the progress vector of its instances interned as
-a small id, with id 0 for "contained".  A component's successor on a letter
-depends on its id alone, so each pattern keeps one lazily filled column per
-letter, and states and transitions are interned in turn, which makes a
-repeated step one table lookup.  Past d**k = 64 instances the word-space DP
-(`classify._WordSpace`) steps these product states, on one shared automaton
-per (d, k); up to it, the DP steps the minimal DFA that `_dfa` joins from
-each pattern's component closed alone (`closed_component`), which the
-simulator's byte table is built from too.
+patterns, and greedy progress is exact for subsequence matching.  Each
+pattern's instances are stepped by its one-pattern bit-parallel matcher
+(`patterns._Matcher`), the one engine that reads pattern instances.  A state
+is one component per pattern, its matcher's state interned as a small id,
+with id 0 for "contained".  A component's successor on a letter depends on
+its id alone, so each pattern keeps one lazily filled column per letter,
+and states and transitions are interned in turn, which makes a repeated
+step one table lookup.  The matchers' masks are built once per automaton,
+about 4 MiB at the largest, (256, 2).  Past d**k = 64 instances the
+word-space DP (`classify._WordSpace`) steps these product states, on one
+shared automaton per (d, k); up to it, the DP steps the minimal DFA that
+`_dfa` joins from each pattern's component closed alone
+(`closed_component`), which the simulator's byte table is built from too.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
@@ -21,14 +24,13 @@ in `_capped_patterns`, which `_dfa` and the containment matchers of
 past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS, each read
 when used, and a shared automaton that overruns either removes itself from
 the cache before it raises.  get_automaton alone makes automata.  Queries on
-one word go to `patterns`' bit-parallel matchers instead, which intern
-nothing.
+one word run the matchers of `patterns` over the whole word instead, and
+intern nothing.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
 from operator import getitem
 from struct import Struct, error as StructError
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -78,20 +80,15 @@ class ContainmentAutomaton:
         self.patterns = _capped_patterns(d, k)
         self.d = d
         self.k = k
-        # Per pattern: its instances, and its interned progress vectors (one
-        # byte per instance) by component id.  Id 0 is "contained" and has no
-        # vector of its own; id 1 is the empty word's.
-        self._instances: list[list[tuple[int, ...]]] = []
-        self._components: list[list[Optional[bytes]]] = []
-        self._component_ids: list[dict[bytes, int]] = []
-        for p in self.patterns:
-            ranks = p.letters
-            self._instances.append(
-                [tuple(values[r - 1] for r in ranks) for values in combinations(range(1, d + 1), p.rank_count())]
-            )
-            start = bytes(len(self._instances[-1]))
-            self._components.append([None, start])
-            self._component_ids.append({start: 1})
+        # Imported here: the patterns module imports this one first.
+        from .patterns import _Matcher
+
+        # Per pattern: its one-pattern matcher, and the matcher states it has
+        # interned, by component id.  Id 0 is "contained" and has no state of
+        # its own; id 1 is the empty word's, the matcher's start.
+        self._matchers = [_Matcher(d, k, [p.letters]) for p in self.patterns]
+        self._components: list[list[Optional[int]]] = [[None, m.low] for m in self._matchers]
+        self._component_ids: list[dict[int, int]] = [{m.low: 1} for m in self._matchers]
         # columns[a][p][c]: component id of pattern p after letter a from
         # component c, or _UNFILLED.  Slot 0 is unused, as in the rows below.
         self._columns: list[list[list[int]]] = [
@@ -144,28 +141,23 @@ class ContainmentAutomaton:
         return nxt
 
     def _fill(self, columns: list[list[int]], pi: int, component: int, letter: int) -> int:
-        """Pattern pi's component after one letter, by stepping each instance;
-        the result is stored in the letter's column."""
-        k = self.k
-        progress = bytearray(self._components[pi][component])
-        for idx, inst in enumerate(self._instances[pi]):
-            pr = progress[idx]
-            if inst[pr] == letter:
-                if pr + 1 == k:
-                    # Progress of sibling instances is irrelevant once the
-                    # pattern is contained, so all such vectors are one id.
-                    columns[pi][component] = _CONTAINED
-                    return _CONTAINED
-                progress[idx] = pr + 1
-        vector = bytes(progress)
+        """Pattern pi's component after one letter, by one step of its
+        matcher; the result is stored in the letter's column."""
+        matcher = self._matchers[pi]
+        progress = matcher.run((letter,), self._components[pi][component])
+        if not matcher.missing(progress):
+            # Progress of sibling instances is irrelevant once the pattern
+            # is contained, so all such states are one id.
+            columns[pi][component] = _CONTAINED
+            return _CONTAINED
         ids = self._component_ids[pi]
-        nxt = ids.get(vector)
+        nxt = ids.get(progress)
         if nxt is None:
             nxt = len(self._components[pi])
             if nxt == _MAX_COMPONENTS:
                 self._overrun(f"exceeded {_MAX_COMPONENTS} progress vectors for pattern {self.patterns[pi]}")
-            ids[vector] = nxt
-            self._components[pi].append(vector)
+            ids[progress] = nxt
+            self._components[pi].append(progress)
             for other in self._columns:
                 other[pi].append(_UNFILLED)
         columns[pi][component] = nxt

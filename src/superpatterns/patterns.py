@@ -55,7 +55,7 @@ def _letters_from_text(text: str) -> tuple[int, ...]:
     elif text == "":
         letters = ()
     else:
-        if not text.isdigit():
+        if not (text.isascii() and text.isdigit()):
             raise ValueError(f"malformed word {text!r}: expected digits or comma-separated integers")
         letters = tuple(int(ch) for ch in text)
     if any(v < 1 for v in letters):

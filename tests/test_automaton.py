@@ -53,6 +53,14 @@ def expand_breadth_first(auto, max_states: int) -> None:
         (4, 3, None),
         (5, 2, None),
         (4, 4, 20_000),
+        # A pattern's matcher field spans several bytes: 36 instances of 12
+        # at (9,2), 20 of 123 at (6,3), 10 of 112 at (5,4), 780 of 12 at
+        # (40,2); and all 40 letters of (40,1) share one mask.
+        (9, 2, None),
+        (6, 3, 5_000),
+        (5, 4, 5_000),
+        (40, 2, 2_000),
+        (40, 1, None),
     ],
 )
 def test_component_states_match_the_per_instance_oracle(d, k, max_states):

@@ -314,6 +314,23 @@ def test_only_get_automaton_makes_an_automaton():
     assert _functions_where(makes) == ["automaton.py:get_automaton"]
 
 
+def test_one_matcher_lists_pattern_instances():
+    # Every pattern instance is stepped by patterns._Matcher: queries run it
+    # on a word, the automaton interns its states, and _dfa joins the
+    # automaton's components.  Only the matcher's builder lists instances.
+    def lists(node: ast.AST) -> bool:
+        named = isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        return named and "combinations" in _identifiers_of(node)
+
+    engines = {"automaton.py", "_dfa.py", "patterns.py"}
+    listing = [name for name in _functions_where(lists) if name.partition(":")[0] in engines]
+    assert listing == ["patterns.py:__init__"]
+    tree = ast.parse((SOURCE / "patterns.py").read_text())
+    matcher = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Matcher")
+    methods = [node for node in matcher.body if isinstance(node, ast.FunctionDef)]
+    assert [node.name for node in methods if any(map(lists, ast.walk(node)))] == ["__init__"]
+
+
 def test_only_the_cli_catches_an_overrun():
     # No search or query is retried after an overrun: it reaches the CLI,
     # which exits 3.  A handler of any base class of the overrun, or a bare

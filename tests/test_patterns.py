@@ -66,9 +66,11 @@ class TestWordParsing:
         w = Word.parse("121", alphabet_size=3)
         assert w.alphabet_size == 3
 
-    @pytest.mark.parametrize("bad", ["12x", "0", "1 2", "1,0"])
+    @pytest.mark.parametrize("bad", ["12x", "0", "1 2", "1,0", "\uff11\uff12\uff11", "12\u00b2"])
     def test_malformed_words_rejected(self, bad):
-        with pytest.raises(ValueError):
+        # Only ASCII digits are letters: fullwidth digits and superscripts,
+        # which str.isdigit() also accepts, are malformed.
+        with pytest.raises(ValueError, match="malformed word"):
             Word.parse(bad)
 
     def test_letter_outside_alphabet_rejected(self):
