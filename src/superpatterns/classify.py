@@ -518,11 +518,15 @@ def _strict_counts(d: int, k: int, n_max: int) -> Iterator[int]:
     level, so its size is the automaton's, bounded by its state budget.  The
     first length is counted before this returns, so a minimal DFA is made, or
     refused, before a caller writes anything; the lazy automaton may still
-    refuse a state at a later length.
+    refuse a state at a later length.  Below the least length of a
+    superpattern (_least_length_bounds) every count is 0, and none is made.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    hits = (hit for _level, hit in _WordSpace(d, k, _ANY).levels(n_max, strict=True))
+    space = _WordSpace(d, k, _ANY)
+    if k <= d and n_max < _least_length_bounds(k, d)[0]:
+        return repeat(0, n_max)
+    hits = (hit for _level, hit in space.levels(n_max, strict=True))
     next(hits)  # the empty word
     return chain([next(hits)], hits)
 

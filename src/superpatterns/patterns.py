@@ -46,12 +46,12 @@ MAX_PATTERN_LENGTH = 5
 
 def _letters_from_text(text: str) -> tuple[int, ...]:
     if "," in text:
-        try:
-            letters = tuple(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(
-                f"malformed word {text!r}: expected comma-separated integers"
-            ) from None
+        # A part is ASCII digits after at most one "-", which is refused
+        # below; the rest of what int() reads ("+1", " 1", "1_0") is not.
+        parts = text.split(",")
+        if not all(part.isascii() and part.removeprefix("-").isdigit() for part in parts):
+            raise ValueError(f"malformed word {text!r}: expected comma-separated integers")
+        letters = tuple(map(int, parts))
     elif text == "":
         letters = ()
     else:

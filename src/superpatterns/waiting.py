@@ -12,9 +12,11 @@ alphabets (`brute_force_pmf`).  A seeded Monte Carlo simulator checks whole
 distributions; it draws random bytes in chunks, each byte standing by exact
 rejection for several letters, so every letter is exactly uniform.  It runs
 on the containment automaton's minimal DFA (`_dfa`, which the counting DP
-shares), with one lookup per random byte in a (state, residue) table, every
-row of which is built when the table is made, from the tables of shorter
-letter strings; alphabets of up to 255 letters fit in a byte.
+shares), with two lookups per random byte: one in a (state, residue) table,
+every row of which is built when the table is made, from the tables of
+shorter letter strings, and one in a table of elapsed-letter codes, which
+names the trial lengths a byte finishes.  Alphabets of up to 255 letters fit
+in a byte.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ import random
 from array import array
 from collections import Counter
 from fractions import Fraction
-from operator import sub
 
 from ._dfa import close_and_minimise
 from ._value import _Value
 from .automaton import MAX_INSTANCES, BudgetExceededError
-from .classify import count_formulas, count_strict_superpatterns
+from .classify import _least_length_bounds, count_formulas, count_strict_superpatterns
 from .series import Polynomial, RationalFunction
 
 __all__ = [
@@ -143,8 +144,15 @@ def _letters_per_byte(d: int) -> int:
     return j
 
 
+def _elapsed_cap(d: int, k: int) -> int:
+    """The most letters a trial reads on the byte table's counting codes:
+    four times the least waiting time, past which few trials run."""
+    return 4 * _least_length_bounds(k, d)[0]
+
+
 class _ByteTable:
-    """The minimal DFA lifted from letters to random bytes.
+    """The minimal DFA lifted from letters to random bytes, and the codes
+    that count the trial lengths it reads.
 
     A byte that stands for the letters a_1..a_j (see `_letters_per_byte`)
     takes a state through j steps; each time the accepting state is reached a
@@ -156,8 +164,9 @@ class _ByteTable:
     than one only when j exceeds the least waiting time, as for k = 2 and
     d <= 4.  A variant's row is its end state's row, the same array object,
     so variants cost no table memory and the next byte reads on from the
-    variant as from its end state.  For (3,3) every id is below 256, a cached
-    small int.
+    variant as from its end state.  The variants, fewer than d^j <= 256,
+    come from state 0's tables below, so the states decide whether the ids
+    fit the 16-bit rows.
 
     Every row is built at construction, in one pass over letter-string
     lengths L = 1..j: a state's length-L table, indexed by the last L letters
@@ -166,6 +175,17 @@ class _ByteTable:
     to, or of state 0 with a finish at that letter when it accepts.  The
     length-j tables are the rows.  The letters per byte are worked out
     before the closure, so an alphabet too wide for a byte fails at once.
+
+    In the code table, steps[x][e] is the code after a byte that leads from
+    code e to id x.  A code e up to cap + j says the running trial has read
+    e letters; a state id takes e <= cap (`_elapsed_cap`, at least j - 1)
+    to e + j, and past cap every byte leads to `spill`, on which `run`
+    counts letters itself.  A variant takes e <= cap to a finish code, past
+    spill, that names the trial lengths the byte completes (`finished`:
+    e + the first offset, then the gaps between offsets) and the letters of
+    the next trial it has read (`elapsed`); every row reads it as that
+    count.  Ids with the same offsets share one row, a list, the faster to
+    index.
     """
 
     def __init__(self, d: int, k: int):
@@ -175,6 +195,7 @@ class _ByteTable:
         self.rejected = bytes(range(256 // width * width, 256))
         self.residues = bytes(b % width for b in range(256))
         n = self.states = len(rows)
+        ids = "H" if n + 255 < 1 << 16 else "i"
         # The finish offsets by id (none for a state), and each variant's end
         # state by id - n.
         offsets: list[tuple[int, ...]] = [()] * n
@@ -192,55 +213,105 @@ class _ByteTable:
             return variants[key]
 
         # State s's length-0 table: no letters lead anywhere but s.
-        tables = [array("i", [s]) for s in range(n)]
+        tables = [array(ids, [s]) for s in range(n)]
         for length in range(1, j + 1):
-            restart = array("i", [finish_before(j - length + 1, e) for e in tables[0]])
+            restart = array(ids, [finish_before(j - length + 1, e) for e in tables[0]])
             built = []
             for ends in rows:
-                out = array("i", [0]) * d**length
+                out = array(ids, [0]) * d**length
                 for a, end in enumerate(ends):
                     out[a::d] = restart if end == accept else tables[end]
                 built.append(out)
             tables = built
         self.rows = tables + [tables[end] for end in ends_of]
         self.offsets = offsets
-        # The common case, read first: the one offset, or 0 for none or several.
-        self.single = [o[0] if len(o) == 1 else 0 for o in offsets]
+
+        cap = self.cap = max(_elapsed_cap(d, k), j - 1)
+        spill = self.spill = cap + j + 1
+        self.most = max(map(len, offsets))
+        # Each finish code by (lengths, elapsed), numbered from spill + 1.
+        codes: dict[tuple[tuple[int, ...], int], int] = {}
+
+        def after(o: tuple[int, ...], e: int) -> int:
+            """The code after a byte with finish offsets o, from code e <= cap."""
+            if not o:
+                return e + j
+            key = (e + o[0], *(b - a for a, b in zip(o, o[1:]))), j - o[-1]
+            return codes.setdefault(key, spill + 1 + len(codes))
+
+        counting = {o: [after(o, e) for e in range(cap + 1)] for o in dict.fromkeys(offsets)}
+        self.finished = [()] * (spill + 1) + [lengths for lengths, _ in codes]
+        self.elapsed = [*range(spill + 1), *(e for _, e in codes)]
+        shared = {o: row + [spill] * (j + 1) + [row[e] for _, e in codes] for o, row in counting.items()}
+        self.steps = [shared[o] for o in offsets]
 
     def run(self, rng: random.Random, trials: int, lengths: Counter) -> None:
         """Count into `lengths` the lengths of the next `trials` trials, read
         from `rng.randbytes` chunks with the rejected bytes dropped and the
-        rest mapped to their residues.  Letter o of kept byte i is letter
-        i * j + o of its chunk, so finish positions need no per-byte counter,
-        and a trial's length is the difference of two finish positions
-        (`last`, the previous one, is counted from the start of the current
-        chunk)."""
-        rows, offsets, single = self.rows, self.offsets, self.single
-        n, j = self.states, self.letters_per_byte
+        rest mapped to their residues.
+
+        Whole chunks are read with two lookups a byte, finish codes tallied
+        in `hits`, while the block cannot end inside the chunk: a byte
+        finishes at most `most` trials, and `hits` is recounted only when
+        that bound reaches `trials`.  The last trials, and a trial past cap,
+        are counted in `t`, byte by byte: from code 0, a byte's code names
+        the lengths it finishes, less the letters read before it."""
+        rows, steps, finished, elapsed = self.rows, self.steps, self.finished, self.elapsed
+        j, cap, spill, most = self.letters_per_byte, self.cap, self.spill, self.most
         residues, rejected = self.residues, self.rejected
-        state = last = 0
+        hits = [0] * len(finished)
+        # t: the letters of a trial past cap; late: the trials such trials
+        # finished; room: the trials left, less all that the chunks since the
+        # last recount could have finished.
+        x = e = t = late = 0
+        room = trials
         while True:
             chunk = rng.randbytes(_CHUNK_BYTES).translate(residues, rejected)
-            ends: list[int] = []
-            append = ends.append
-            for i, b in enumerate(chunk):
-                state = rows[state][b]
-                if state >= n:
-                    o = single[state]
-                    if o:
-                        append(i * j + o)
-                        continue
-                    at = i * j
-                    for o in offsets[state]:
-                        append(at + o)
-            if ends:
-                del ends[trials:]
-                lengths.update(map(sub, ends, [last, *ends[:-1]]))
-                trials -= len(ends)
-                if not trials:
-                    return
-                last = ends[-1]
-            last -= len(chunk) * j
+            reach = len(chunk) * most
+            if room < reach:
+                room = trials - late - sum(h * len(f) for h, f in zip(hits, finished))
+                if room < reach:
+                    break
+            room -= reach
+            for b in chunk:
+                x = rows[x][b]
+                e = steps[x][e]
+                if e > cap:
+                    if e > spill:
+                        hits[e] += 1
+                    elif e < spill:
+                        t = e
+                    elif (c := steps[x][0]) > spill:
+                        f = finished[c]
+                        lengths[t + f[0]] += 1
+                        lengths.update(f[1:])
+                        late += len(f)
+                        e = elapsed[c]
+                    else:
+                        t += j
+        for h, f in zip(hits, finished):
+            if h:
+                for n in f:
+                    lengths[n] += h
+        if not room:
+            return
+        if e != spill:
+            t = elapsed[e]
+        while True:
+            for b in chunk:
+                x = rows[x][b]
+                c = steps[x][0]
+                if c > spill:
+                    f = finished[c]
+                    for n in (t + f[0], *f[1:]):
+                        lengths[n] += 1
+                        room -= 1
+                        if not room:
+                            return
+                    t = elapsed[c]
+                else:
+                    t += j
+            chunk = rng.randbytes(_CHUNK_BYTES).translate(residues, rejected)
 
 
 _byte_tables: dict[tuple[int, int], _ByteTable] = {}

@@ -727,6 +727,37 @@ class TestTransferMatrixCounts:
         with pytest.raises(ValueError):
             strict_counts_by_length(2, 0, 3)
 
+    def test_counts_below_the_least_length_need_no_automaton(self, monkeypatch):
+        def no_automaton(d, k):
+            raise AssertionError("no automaton should be built")
+
+        monkeypatch.setattr(classify_module, "get_automaton", no_automaton)
+        monkeypatch.setattr(classify_module, "close_and_minimise", no_automaton)
+        assert strict_counts_by_length(3, 3, 6) == dict.fromkeys(range(1, 7), 0)
+        assert strict_counts_by_length(256, 2, 2) == {1: 0, 2: 0}
+        assert count_strict_superpatterns(4, 4, 11) == count_strict_superpatterns(9, 5, 8) == 0
+        # From the least length on, the automaton is made before the first
+        # count, when the counts are asked for and not when they are read.
+        with pytest.raises(AssertionError, match="no automaton"):
+            classify_module._strict_counts(3, 3, 7)
+        with pytest.raises(ValueError):
+            strict_counts_by_length(7, 6, 3)  # a pattern length past the cap
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_short_wide_counts_stay_small(self):
+        # Counting the pairs over 256 letters to length 2 peaked at 904 MB
+        # when the lazy automaton interned every state of length 2.
+        script = (
+            "from superpatterns import automaton, strict_counts_by_length\n"
+            "counts = strict_counts_by_length(256, 2, 2)\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(sum(counts.values()), len(automaton._cache), peak)\n"
+        )
+        total, cached, peak_kb = map(int, _run_fresh(script).split())
+        assert (total, cached) == (0, 0)
+        assert peak_kb / 1024 < 40
+
 
 def _outcome(run):
     """What a call returns, or the type of the error it raises when it

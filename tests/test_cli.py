@@ -86,6 +86,13 @@ class TestCheck:
         assert code == 2
         assert "malformed" in err
 
+    @pytest.mark.parametrize("word", ["\uff11,\uff12,\uff11", "+1,2", "1_0,2"])
+    def test_comma_form_takes_ascii_digits_only(self, capsys, word):
+        # int() reads each of these parts; a word's letters are plain digits.
+        code, out, err = run(capsys, "check", word, "--k", "2")
+        assert (code, out) == (2, "")
+        assert "malformed word" in err
+
     def test_plain_format(self, capsys):
         code, out, _ = run(capsys, "check", "111221", "--k", "2", "--format", "plain")
         assert code == 0

@@ -244,6 +244,38 @@ def test_every_row_entry_matches_the_letter_by_letter_oracle(d, k, several):
     assert several_seen == several
 
 
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (4, 2), (10, 2), (3, 3), (4, 3)])
+def test_every_elapsed_code_matches_the_letter_by_letter_oracle(d, k):
+    # steps[x][e] for each id x a byte reaches, read against the letters of
+    # one byte that reaches it: the trial lengths it finishes and the next
+    # code, which every byte after reads as its count of letters.
+    table = waiting._ByteTable(d, k)
+    rows, accept = close_and_minimise(d, k)
+    letters = letters_of_bytes(d)
+    j, cap, spill, steps = table.letters_per_byte, table.cap, table.spill, table.steps
+    reached = {}
+    for state in range(len(rows)):
+        for b, unit in enumerate(letters):
+            if state != accept and unit:
+                reached.setdefault(table.rows[state][table.residues[b]], (state, b))
+    for x, (state, b) in reached.items():
+        _, finishes = byte_entry_by_letters(rows, accept, letters, state, b)
+        for e in range(cap + 1):
+            code = steps[x][e]
+            if finishes:
+                gaps = tuple(q - p for p, q in zip(finishes, finishes[1:]))
+                assert table.finished[code] == (e + finishes[0], *gaps)
+                assert table.elapsed[code] == j - finishes[-1]
+                assert all(row[code] == row[j - finishes[-1]] for row in steps)
+            else:
+                assert (code, table.finished[code], table.elapsed[code]) == (e + j, (), e + j)
+    # Past cap, every byte leads to the spill code, which `run` counts for.
+    assert all(set(row[cap + 1 : spill + 1]) == {spill} for row in steps)
+    assert all(len(row) == len(table.finished) == len(table.elapsed) for row in steps)
+    # Ids with the same finish offsets share one row.
+    assert len({id(row) for row in steps}) == len(set(table.offsets))
+
+
 @pytest.mark.parametrize("d,k", [*((d, 2) for d in range(2, 10)), (3, 3), (4, 3)])
 def test_variants_share_their_end_state_rows(d, k):
     # A variant's row is a state's row object, so variants add no table
@@ -253,6 +285,9 @@ def test_variants_share_their_end_state_rows(d, k):
     assert len(state_rows) == table.states
     assert {id(row) for row in table.rows} == state_rows
     assert all(table.offsets[v] for v in range(table.states, len(table.rows)))
+    # Fewer than 256 variants, so the ids fit the 16-bit rows.
+    assert len(table.rows) - table.states < 256
+    assert {row.typecode for row in table.rows} == {"H"}
     if (d, k) == (3, 3):
         # Every id is a cached small int.
         assert len(table.rows) <= 256

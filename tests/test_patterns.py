@@ -66,11 +66,21 @@ class TestWordParsing:
         w = Word.parse("121", alphabet_size=3)
         assert w.alphabet_size == 3
 
-    @pytest.mark.parametrize("bad", ["12x", "0", "1 2", "1,0", "\uff11\uff12\uff11", "12\u00b2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["12x", "0", "1 2", "1,0", "\uff11\uff12\uff11", "12\u00b2", "\uff11,\uff12,\uff11", " 1,2", "+1,2", "1_0,2",
+         "1,,2", "--1,2"],
+    )
     def test_malformed_words_rejected(self, bad):
-        # Only ASCII digits are letters: fullwidth digits and superscripts,
-        # which str.isdigit() also accepts, are malformed.
+        # Only ASCII digits are letters, in either form: fullwidth digits and
+        # superscripts, which str.isdigit() also accepts, are malformed, and
+        # so are the signs, spaces and underscores int() reads.
         with pytest.raises(ValueError, match="malformed word"):
+            Word.parse(bad)
+
+    @pytest.mark.parametrize("bad", ["-1,2", "1,-2"])
+    def test_negative_comma_letters_are_named_as_such(self, bad):
+        with pytest.raises(ValueError, match="letters must be positive"):
             Word.parse(bad)
 
     def test_letter_outside_alphabet_rejected(self):

@@ -23,7 +23,8 @@ from superpatterns import (
     ternary_pmf,
     waiting_time_gf,
 )
-from superpatterns.waiting import _ByteTable, _letters_per_byte
+from superpatterns import waiting
+from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _ByteTable, _letters_per_byte
 
 from conftest import all_words, first_acceptance_time, simulate_tau_per_letter, tau_online
 
@@ -232,6 +233,28 @@ class TestSimulation:
         ],
     )
     def test_matches_the_per_letter_oracle(self, d, k, trials):
+        for seed in (0, 31):
+            assert simulate_tau(d, k, trials, seed) == simulate_tau_per_letter(d, k, trials, seed)
+
+
+class TestElapsedCodes:
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3)])
+    def test_blocks_that_end_in_the_exact_stop_pass(self, d, k):
+        # A block's last trials, under one chunk's worth of finishes, are read
+        # letter by letter: (2, 2) finishes up to three trials in a byte.
+        most = _ByteTable(d, k).most
+        assert most == {2: 3, 3: 1}[d]
+        edge = _CHUNK_BYTES * most
+        for trials in (1, 2, 3, 511, edge - 1, edge + 1, _TRIALS_PER_BLOCK, _TRIALS_PER_BLOCK + 1):
+            assert simulate_tau(d, k, trials, 8) == simulate_tau_per_letter(d, k, trials, 8), trials
+
+    @pytest.mark.parametrize("d,k,trials", [(2, 2, 5000), (3, 3, 5000), (4, 3, 2000), (10, 2, 3000)])
+    def test_trials_past_the_least_cap_match_the_oracle(self, monkeypatch, d, k, trials):
+        # At the least cap, j - 1, a trial that reads a whole byte with no
+        # finish runs past it, on the code that run counts letters for.
+        monkeypatch.setattr(waiting, "_elapsed_cap", lambda d, k: 0)
+        monkeypatch.setattr(waiting, "_byte_tables", {})
+        assert _ByteTable(d, k).cap == _letters_per_byte(d) - 1
         for seed in (0, 31):
             assert simulate_tau(d, k, trials, seed) == simulate_tau_per_letter(d, k, trials, seed)
 
