@@ -1,10 +1,10 @@
 """The containment automaton's minimal DFA, for the word-space DP and the
 simulator.
 
-`close_and_minimise` never builds the full product automaton.  It closes
-each pattern's component of the shared automaton (`get_automaton`) on its own
-and merges its equivalent states by Moore refinement (Hopcroft 1971 is the
-faster variant of the same partition).  It then joins the minimised
+`close_and_minimise` never builds the full product automaton.  It makes an
+automaton of its own (`get_automaton`), closes each pattern's component of
+it alone and merges its equivalent states by Moore refinement (Hopcroft 1971
+is the faster variant of the same partition).  It then joins the minimised
 components one at a time, smallest first: each join closes the product of
 the DFA so far and one component by breadth-first search from the pair of
 start states, and is minimised again before the next.  A product state
@@ -16,8 +16,9 @@ pattern's bit-parallel matcher (`patterns._Matcher`), so this module steps
 no pattern instance itself.  Every product is held to STATE_BUDGET states;
 the components are bounded by the automaton's own cap on a pattern's
 progress vectors, its matcher states.  Each (d, k) is built once per
-process and kept: the word-space DP of `classify` steps it over small
-alphabets, and the simulator builds its byte table from it.
+process and only its DFA is kept, not the automaton it was closed from: the
+word-space DP of `classify` steps it over small alphabets, and the simulator
+builds its byte table from it.
 """
 
 from __future__ import annotations

@@ -12,20 +12,19 @@ its id alone, so each pattern keeps one lazily filled column per letter,
 and states and transitions are interned in turn, which makes a repeated
 step one table lookup.  The matchers' masks are built once per automaton,
 about 4 MiB at the largest, (256, 2).  Past d**k = 64 instances the
-word-space DP (`classify._WordSpace`) steps these product states, on one
-shared automaton per (d, k); up to it, the DP steps the minimal DFA that
-`_dfa` joins from each pattern's component closed alone
-(`closed_component`), which the simulator's byte table is built from too.
+word-space DP (`classify._WordSpace`) steps these product states; up to it,
+the DP steps the minimal DFA that `_dfa` joins from each pattern's component
+closed alone (`closed_component`), which the simulator's byte table is built
+from too.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
 in `_capped_patterns`, which `_dfa` and the containment matchers of
 `patterns` run before they build anything.  It refuses to intern a state
 past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS, each read
-when used, and a shared automaton that overruns either removes itself from
-the cache before it raises.  get_automaton alone makes automata.  Queries on
-one word run the matchers of `patterns` over the whole word instead, and
-intern nothing.
+when used.  get_automaton alone makes automata, a new one on each call that
+its caller owns and no module keeps.  Queries on one word run the matchers
+of `patterns` over the whole word instead, and intern nothing.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ _UNFILLED = -1
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration would visit more words/states than the configured cap."""
+    """An enumeration would visit more words or states than its cap allows."""
 
 
 class ContainmentAutomaton:
@@ -132,7 +131,9 @@ class ContainmentAutomaton:
         if nxt is None:
             nxt = len(self._state_keys)
             if nxt >= SEARCH_STATE_BUDGET:
-                self._overrun(f"exceeded {SEARCH_STATE_BUDGET} states")
+                raise BudgetExceededError(
+                    f"the automaton for k={self.k}, d={self.d} exceeded {SEARCH_STATE_BUDGET} states"
+                )
             self._state_ids[new_key] = nxt
             self._state_keys.append(new_key)
             self.transitions.append([-1] * (self.d + 1))
@@ -155,21 +156,16 @@ class ContainmentAutomaton:
         if nxt is None:
             nxt = len(self._components[pi])
             if nxt == _MAX_COMPONENTS:
-                self._overrun(f"exceeded {_MAX_COMPONENTS} progress vectors for pattern {self.patterns[pi]}")
+                raise BudgetExceededError(
+                    f"the automaton for k={self.k}, d={self.d} exceeded {_MAX_COMPONENTS}"
+                    f" progress vectors for pattern {self.patterns[pi]}"
+                )
             ids[progress] = nxt
             self._components[pi].append(progress)
             for other in self._columns:
                 other[pi].append(_UNFILLED)
         columns[pi][component] = nxt
         return nxt
-
-    def _overrun(self, what: str) -> None:
-        """Raise BudgetExceededError, first dropping this automaton from the
-        shared cache if it is the shared one, rather than keep it half built."""
-        key = (self.d, self.k)
-        if _cache.get(key) is self:
-            del _cache[key]
-        raise BudgetExceededError(f"the automaton for k={self.k}, d={self.d} {what}")
 
     def closed_component(self, pi: int) -> list[list[int]]:
         """Pattern pi's component with every id reachable from the empty
@@ -190,9 +186,6 @@ class ContainmentAutomaton:
         return reduce(self.step, letters, 0)
 
 
-_cache: dict[tuple[int, int], ContainmentAutomaton] = {}
-
-
 def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
     """The canonical length-k patterns, after the automaton's two refusals
     in their order: ValueError for k past MAX_PATTERN_LENGTH, from listing
@@ -210,8 +203,5 @@ def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:
-    """Shared automaton for (d, k); built once and reused across operations."""
-    auto = _cache.get((d, k))
-    if auto is None:
-        auto = _cache[d, k] = ContainmentAutomaton(d, k)
-    return auto
+    """A new automaton for (d, k), owned by its caller."""
+    return ContainmentAutomaton(d, k)

@@ -21,8 +21,8 @@ without a search; the tests prove each by the strict counting DP below.
 
 The exhaustive routes run over automaton states, not over words: those of the
 containment automaton's minimal DFA over small alphabets, shared with the
-simulator, and those of the shared lazy automaton past them (one rule,
-_automaton, picks from d and k).  Counts come from a transfer-matrix DP:
+simulator, and those of a word space's own lazy automaton past them (one
+rule, _automaton, picks from d and k).  Counts come from a transfer-matrix DP:
 words that reach the same state (with the same last or largest letter, when
 the letter rule needs it) share their future, so each length costs one pass
 over the states.  Listings come from one explicit-stack walker that enters a
@@ -265,7 +265,7 @@ class _Automaton(NamedTuple):
 def _automaton(d: int, k: int) -> _Automaton:
     """The automaton the word space steps, for k <= d: the shared minimal DFA
     (_dfa.close_and_minimise) when d**k is at most _DFA_INSTANCES, where it
-    closes quickly and its states are the fewest; otherwise the shared lazy
+    closes quickly and its states are the fewest; otherwise a new lazy
     automaton, which interns only the states the words reach.  Decided from
     (d, k) alone, before any closure work."""
     if d**k <= _DFA_INSTANCES:
@@ -289,10 +289,10 @@ class _WordSpace:
     The states are those of the automaton _automaton picks from (d, k): the
     minimal DFA over small alphabets (44 states for (3, 3), against 646 lazy
     product states), else the lazy automaton.  It is made when the DP first
-    steps, so a space that needs no DP makes none.  Counts and listings alike
-    raise BudgetExceededError when the DFA's closure passes its budget
-    (_dfa.STATE_BUDGET), or when the shared lazy automaton refuses a state
-    past its own; it has then dropped itself from the cache.
+    steps, so a space that needs no DP makes none, and a lazy one lives as
+    long as the space.  Counts and listings alike raise BudgetExceededError
+    when the DFA's closure passes its budget (_dfa.STATE_BUDGET), or when the
+    lazy automaton refuses a state past its own.
     """
 
     def __init__(self, d: int, k: int, rule: int, prefix: tuple[int, ...] = ()):

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
+
+import pytest
 
 from superpatterns import (
     ContainmentAutomaton,
@@ -21,6 +25,29 @@ from superpatterns import (
     relabel_canonical,
 )
 from superpatterns.waiting import _CHUNK_BYTES, _TRIALS_PER_BLOCK, _block_seed
+
+
+@pytest.fixture
+def automata(monkeypatch) -> list[weakref.ref]:
+    """Weak references to every ContainmentAutomaton made while the test
+    runs.  ContainmentAutomaton.__init__ is wrapped, since `_dfa` and
+    `classify` hold get_automaton by name."""
+    made: list[weakref.ref] = []
+    init = ContainmentAutomaton.__init__
+
+    def recorded(self, d: int, k: int) -> None:
+        init(self, d, k)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ContainmentAutomaton, "__init__", recorded)
+    return made
+
+
+def alive(automata: list[weakref.ref]) -> list[ContainmentAutomaton]:
+    """The recorded automata that something still holds after a full
+    garbage collection."""
+    gc.collect()
+    return [auto for auto in (ref() for ref in automata) if auto is not None]
 
 
 def all_words(d: int, n: int) -> Iterator[Word]:
@@ -163,7 +190,7 @@ def find_embedding(word: Word, pattern: Pattern) -> Optional[tuple[int, ...]]:
 
 def first_acceptance_time(auto: ContainmentAutomaton, letters: Iterable[int]) -> Optional[int]:
     """The 1-based length of the first prefix the automaton accepts, or None:
-    the waiting time of a letter stream, read off the shared automaton."""
+    the waiting time of a letter stream, read off the automaton."""
     state = 0
     for t, a in enumerate(letters, 1):
         state = auto.step(state, a)
@@ -280,7 +307,7 @@ def byte_entry_by_letters(
 
 def simulate_tau_per_letter(d: int, k: int, trials: int, seed: int) -> SimSummary:
     """Oracle for simulate_tau: the same blocks, seeds and letter stream, read
-    one letter at a time through the shared lazy automaton, with no byte
+    one letter at a time through a lazy automaton of its own, with no byte
     table and no minimisation."""
     auto = get_automaton(d, k)
     letters = letters_of_bytes(d)

@@ -11,6 +11,7 @@ from superpatterns import (
     BudgetExceededError,
     ContainmentAutomaton,
     Word,
+    count_strict_superpatterns,
     enumerate_preferential_arrangements,
     get_automaton,
     is_superpattern,
@@ -19,11 +20,12 @@ from superpatterns import (
     simulate_tau,
     strict_counts_by_length,
 )
-from superpatterns import automaton
+from superpatterns import _dfa, automaton
+from superpatterns._dfa import close_and_minimise
 from superpatterns.cli import main
 from superpatterns.patterns import _matcher
 
-from conftest import PerInstanceAutomaton, all_words, find_embedding, first_acceptance_time
+from conftest import PerInstanceAutomaton, alive, all_words, find_embedding, first_acceptance_time
 
 
 def expand_breadth_first(auto, max_states: int) -> None:
@@ -171,7 +173,6 @@ def test_the_matcher_reports_each_prefix_letter_by_letter(letters, pattern):
 
 
 def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
-    shared = get_automaton(3, 3)
     auto = ContainmentAutomaton(3, 3)
     # The budget is read when a state is interned, so a lower one set after
     # the automaton was made still binds it.
@@ -179,8 +180,26 @@ def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
     with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 100 states"):
         expand_breadth_first(auto, 10**9)
     assert auto.state_count == 100
-    # An automaton outside the cache leaves the shared one in place.
-    assert get_automaton(3, 3) is shared
+
+
+def test_no_automaton_outlives_its_call(monkeypatch, automata):
+    # Each call makes its own automaton and nothing keeps it: the DFA's
+    # closure keeps only the DFA, and a word space holds its lazy automaton
+    # only while it lives, whether or not the automaton was refused.
+    monkeypatch.setattr(_dfa, "_built", {})
+    calls = [
+        lambda: close_and_minimise(4, 3),
+        lambda: strict_counts_by_length(9, 2, 6),
+        lambda: list(iter_superpatterns(5, 3, 7)),
+    ]
+    for call in calls:
+        made = len(automata)
+        call()
+        assert len(automata) == made + 1 and alive(automata) == []
+    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
+    with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
+        count_strict_superpatterns(5, 3, 15)
+    assert len(automata) == 4 and alive(automata) == []
 
 
 def test_first_superpattern_time():
@@ -201,7 +220,3 @@ def test_states_are_shared_and_bounded():
         auto.scan(w.letters)
     assert auto.state_count >= before
     assert auto.state_count < 5000
-
-
-def test_shared_instance_reuse():
-    assert get_automaton(2, 2) is get_automaton(2, 2)

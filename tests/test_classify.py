@@ -46,7 +46,6 @@ from superpatterns import (
 )
 from superpatterns import _dfa, automaton
 from superpatterns._dfa import close_and_minimise
-from superpatterns.automaton import _cache as automaton_cache
 from superpatterns.classify import (
     _ANY,
     _CANONICAL,
@@ -60,6 +59,7 @@ from superpatterns.classify import (
 from superpatterns.patterns import MAX_PATTERN_LENGTH
 
 from conftest import (
+    alive,
     all_words,
     contains_pattern_bruteforce,
     dfs_strict_counts,
@@ -413,13 +413,14 @@ class TestMinimumLength:
         for n in range(7, 12):
             assert list(iter_superpatterns(4, 4, n)) == [], n
 
-    def test_no_four_letter_word_below_twelve_letters_is_a_superpattern(self, monkeypatch):
+    def test_no_four_letter_word_below_twelve_letters_is_a_superpattern(self, monkeypatch, automata):
         # The proof of L(4, 4) = 12 walks canonical words to length 11 in
-        # seconds.  No word of 12 letters is stepped: interning that level
-        # took the automaton from 106,996 to 194,102 states.
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+        # seconds, on the one lazy automaton it makes.  No word of 12
+        # letters is stepped: interning that level took the automaton from
+        # 106,996 to 194,102 states, past this budget.
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 110_000)
         assert _hits_below_least_length(4, 4) == [0] * 12
-        assert get_automaton(4, 4).state_count < 110_000
+        assert len(automata) == 1
 
 
 def _hits_below_least_length(k: int, d: int) -> list[int]:
@@ -509,7 +510,7 @@ class TestStrictEnumeration:
             flags = classify(w, 3)
             assert flags.is_strict
 
-    def test_budget_enforced(self, monkeypatch):
+    def test_budget_enforced(self, monkeypatch, automata):
         # The (3, 3) count steps the minimal DFA, whose largest join holds
         # 221 states; the (5, 3) count steps the lazy automaton, which
         # reaches 3,766 states by length 5.
@@ -518,18 +519,17 @@ class TestStrictEnumeration:
         with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 200 states"):
             count_strict_superpatterns(3, 3, 15)
         assert (3, 3) not in _dfa._built
-        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
         with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
             count_strict_superpatterns(5, 3, 15)
-        assert (5, 3) not in automaton_cache
+        # The DFA's closure and the count each made one, and neither is held.
+        assert len(automata) == 2 and alive(automata) == []
 
-    def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch):
-        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
+    def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch, automata):
         monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
         with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
             list(iter_strict_superpatterns(5, 3, 7))
-        assert (5, 3) not in automaton_cache
+        assert len(automata) == 1 and alive(automata) == []
 
     def test_full_and_canonical_superpattern_listings(self):
         canonical = list(iter_superpatterns(3, 3, 7, canonical=True))
@@ -648,7 +648,7 @@ class TestTransferMatrixCounts:
         assert count_strict_minimal_upto_iso(40) == f.s_mu
         assert count_beta_bruteforce(40) == (f.beta_a, f.beta_b)
 
-    def test_counts_are_bounded_by_automaton_states(self, monkeypatch):
+    def test_counts_are_bounded_by_automaton_states(self, monkeypatch, automata):
         # A word of length 8 is a superpattern when its waiting time t is at
         # most 8, and 4^(8-t) words share each strict prefix of length t.
         expected = sum(c * 4 ** (8 - t) for t, c in strict_counts_by_length(4, 3, 8).items())
@@ -665,23 +665,21 @@ class TestTransferMatrixCounts:
             list(iter_superpatterns(4, 3, 8))
         assert (4, 3) not in _dfa._built
         # (5, 3) steps the lazy automaton: 40,008 states by length 7.
-        monkeypatch.delitem(automaton_cache, (5, 3), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 2000)
+        made = len(automata)
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             strict_counts_by_length(5, 3, 7)
-        assert (5, 3) not in automaton_cache
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             list(iter_superpatterns(5, 3, 7))
-        assert (5, 3) not in automaton_cache
+        assert len(automata) == made + 2 and alive(automata) == []
 
-    def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch):
+    def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch, automata):
         # The (4, 4) states the listing's DP needs are not under the state
         # budget, so the listing stops before it counts its words.
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
         with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 5000 states"):
             next(iter_superpatterns(4, 4, 12))
-        assert (4, 4) not in automaton_cache
+        assert len(automata) == 1 and alive(automata) == []
 
     @pytest.mark.parametrize(
         "cap,value,overrun",
@@ -691,12 +689,11 @@ class TestTransferMatrixCounts:
         ],
         ids=["count", "listing"],
     )
-    def test_no_overrun_automaton_stays_shared(self, monkeypatch, cap, value, overrun):
-        monkeypatch.delitem(automaton_cache, (4, 4), raising=False)
+    def test_no_overrun_automaton_outlives_the_call(self, monkeypatch, automata, cap, value, overrun):
         monkeypatch.setattr(automaton, cap, value)
         with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=4 exceeded {value} "):
             overrun()
-        assert (4, 4) not in automaton_cache
+        assert len(automata) == 1 and alive(automata) == []
 
     def test_counts_keep_one_level(self):
         strict_counts_by_length(3, 3, 7)  # builds the automaton outside the trace
@@ -748,14 +745,17 @@ class TestTransferMatrixCounts:
         # Counting the pairs over 256 letters to length 2 peaked at 904 MB
         # when the lazy automaton interned every state of length 2.
         script = (
-            "from superpatterns import automaton, strict_counts_by_length\n"
+            "import gc\n"
+            "from superpatterns import ContainmentAutomaton, strict_counts_by_length\n"
             "counts = strict_counts_by_length(256, 2, 2)\n"
             "status = open('/proc/self/status').read().splitlines()\n"
             "peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
-            "print(sum(counts.values()), len(automaton._cache), peak)\n"
+            "gc.collect()\n"
+            "held = sum(isinstance(o, ContainmentAutomaton) for o in gc.get_objects())\n"
+            "print(sum(counts.values()), held, peak)\n"
         )
-        total, cached, peak_kb = map(int, _run_fresh(script).split())
-        assert (total, cached) == (0, 0)
+        total, held, peak_kb = map(int, _run_fresh(script).split())
+        assert (total, held) == (0, 0)
         assert peak_kb / 1024 < 40
 
 
@@ -793,19 +793,28 @@ class TestBothAutomata:
             results[route] = run()
         return results
 
-    def test_each_route_steps_its_own_automaton(self, monkeypatch):
+    def test_each_route_steps_its_own_automaton(self, monkeypatch, automata):
+        # The counts' automaton is gone by the time the space's is read, so
+        # only a lazy space holds one.
         def stepped():
             space = _WordSpace(3, 3, _ANY)
             assert strict_counts_by_length(3, 3, 14)[14] == count_formulas(14).s_total
-            return space.auto.accepting
+            return space.auto.accepting, [auto.accepting for auto in alive(automata)]
 
-        accepting = self.on_each(monkeypatch, stepped)
-        assert len(accepting["dfa"]) == len(close_and_minimise(3, 3)[0]) == 44
-        assert accepting["lazy"] is get_automaton(3, 3).accepting
+        routes = self.on_each(monkeypatch, stepped)
+        accepting, held = routes["dfa"]
+        assert len(accepting) == len(close_and_minimise(3, 3)[0]) == 44 and held == []
+        accepting, held = routes["lazy"]
+        assert len(held) == 1 and held[0] is accepting
 
-    def test_the_rule_picks_the_dfa_up_to_the_bound(self):
+    def test_the_rule_picks_the_dfa_up_to_the_bound(self, automata):
+        # A lazy space steps an automaton it holds; the DFA route holds none.
+        def steps_a_lazy_automaton(d: int, k: int) -> bool:
+            auto = _WordSpace(d, k, _ANY).auto
+            return any(lazy.accepting is auto.accepting for lazy in alive(automata))
+
         picked = {
-            (d, k): _WordSpace(d, k, _ANY).auto.accepting is not get_automaton(d, k).accepting
+            (d, k): not steps_a_lazy_automaton(d, k)
             for d, k in [(1, 1), (64, 1), (65, 1), (2, 2), (8, 2), (9, 2), (3, 3), (4, 3), (5, 3), (4, 4)]
         }
         assert [dk for dk, dfa in picked.items() if dfa] == [(1, 1), (64, 1), (2, 2), (8, 2), (3, 3), (4, 3)]
@@ -1002,12 +1011,11 @@ class TestQueriesAgainstBacktracking:
         ],
         ids=["classify", "missing", "superpattern", "containment"],
     )
-    def test_the_queries_leave_a_fresh_automaton_cache_empty(self, monkeypatch, query):
-        monkeypatch.setattr(automaton, "_cache", {})
+    def test_the_queries_make_no_automaton(self, automata, query):
         w = Word.parse("4213425412441")
         for k in range(1, 5):
             query(w, k)
-        assert automaton._cache == {}
+        assert automata == []
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_wide_missing_pattern_queries_stay_small(self):

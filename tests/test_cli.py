@@ -23,6 +23,8 @@ from superpatterns import waiting_time_gf
 from superpatterns.classify import CountReport, _minimal_listing, count_formulas
 from superpatterns.cli import main
 
+from conftest import alive
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -150,10 +152,9 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["is_minimum"] is True
 
-    def test_distinct_letters_up_to_the_instance_cap(self, capsys, monkeypatch):
+    def test_distinct_letters_up_to_the_instance_cap(self, capsys):
         # The (w, 3) matcher tracks w**3 pattern instances, at most 2**16:
         # a word with 40 distinct letters is answered and one with 41 exits 3.
-        monkeypatch.setattr(automaton, "_cache", {})
         forty = ",".join(map(str, range(1, 41)))
         code, out, err = run(capsys, "check", forty, "--k", "3")
         assert (code, err) == (1, "")
@@ -264,16 +265,15 @@ class TestEnumerate:
         assert time.process_time() - start < 1.0
         assert (code, out) == (0, "word\n" + "1" * 60000 + "\n# count: 1\n")
 
-    def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch):
+    def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch, automata):
         # The (4, 4) states the listing's DP needs pass the automaton's
         # budget, so the listing stops there, before it counts its words.
-        monkeypatch.setattr(automaton, "_cache", {})
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
         argv = ["enumerate", "--n", "12", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "budget exceeded: the automaton for k=4, d=4 exceeded 5000 states\n"
-        assert (4, 4) not in automaton._cache
+        assert len(automata) == 1 and alive(automata) == []
 
     # Up to n = 4,100 the strict-minimal count (n-4)^2 - 2 stays under 2^24
     # words; its letters pass the letter cap from n = 762 on.

@@ -1,12 +1,11 @@
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
 
 from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau, strict_counts_by_length
-from superpatterns import _dfa, automaton, waiting
+from superpatterns import _dfa, waiting
 from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
@@ -98,23 +97,6 @@ def test_no_two_minimised_states_are_equivalent(d, k):
     assert _minimise(list(zip(*rows)), accepting)[1] == len(rows)
 
 
-@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 1), (3, 1)])
-def test_scans_on_the_shared_automaton_leave_the_dfa_as_built_cold(monkeypatch, d, k):
-    # The DFA closes the components of the shared automaton, whose ids the
-    # scans have numbered in their own order; the joins renumber the states
-    # breadth-first, so the rows come out the same.
-    monkeypatch.setattr(_dfa, "_built", {})
-    monkeypatch.setattr(automaton, "_cache", {})
-    cold = close_and_minimise(d, k)
-    monkeypatch.setattr(_dfa, "_built", {})
-    monkeypatch.setattr(automaton, "_cache", {})
-    rng = random.Random(d * 10 + k)
-    warm = automaton.get_automaton(d, k)
-    for _ in range(200):
-        warm.scan([rng.randint(1, d) for _ in range(rng.randint(1, 3 * d * k))])
-    assert close_and_minimise(d, k) == cold and automaton._cache[d, k] is warm
-
-
 def test_closure_visits_no_state_past_acceptance():
     auto = close_lazily(3, 3)
     assert auto.accepting.count(True) == 1
@@ -132,17 +114,16 @@ def test_k_above_d_is_refused_before_closure(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [17, 200])
-def test_wide_alphabets_are_refused_before_closure(monkeypatch, d):
+def test_wide_alphabets_are_refused_before_closure(monkeypatch, automata, d):
     # Pattern 11 alone needs 2^d states before acceptance, over the budget.
-    # The refusal comes before any automaton is made, so none is left in the
-    # shared cache (one of 40,000 instances at d = 200).
+    # The refusal comes before any automaton is made (one of 40,000
+    # instances at d = 200).
     monkeypatch.setattr(ContainmentAutomaton, "closed_component", no_closure)
-    monkeypatch.setattr(automaton, "_cache", {})
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match=f"k=2, d={d} needs at least k\\^d = {2**d} states"):
         simulate_tau(d, 2, 5, 0)
     assert time.process_time() - start < 0.5
-    assert (d, 2) not in automaton._cache
+    assert automata == []
 
 
 @pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (6, 2), (3, 3), (4, 3), (2, 1)])

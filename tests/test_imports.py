@@ -192,9 +192,8 @@ def test_every_export_has_a_caller_outside_the_tests():
     assert [name for name in superpatterns.__all__ if name not in called] == []
 
 
-# The containment automaton alone decides how many states it may hold and
-# drops itself from the shared cache when it overruns.
-AUTOMATON_ONLY = {"_cache", "SEARCH_STATE_BUDGET"}
+# The containment automaton alone decides how many states it may hold.
+AUTOMATON_ONLY = {"SEARCH_STATE_BUDGET"}
 
 
 def _identifiers(path: Path) -> set[str]:
@@ -216,7 +215,7 @@ def _identifiers_of(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_only_the_automaton_names_its_budget_and_cache():
+def test_only_the_automaton_names_its_budget():
     named = {
         path.name: sorted(_identifiers(path) & AUTOMATON_ONLY)
         for path in sorted(SOURCE.glob("*.py"))

@@ -223,10 +223,9 @@ class TestContainment:
                 contains_pattern(Word.parse(text), Pattern.parse("123456"))
 
     @pytest.mark.parametrize("k,widest", [(3, 40), (4, 16), (5, 9)])
-    def test_words_too_wide_for_the_instance_cap_refused(self, monkeypatch, k, widest):
+    def test_words_too_wide_for_the_instance_cap_refused(self, k, widest):
         # The (w, k) matcher tracks w**k instances, at most MAX_INSTANCES;
         # the widest word it takes is answered, one letter more is refused.
-        monkeypatch.setattr(automaton, "_cache", {})
         assert widest**k <= automaton.MAX_INSTANCES < (widest + 1) ** k
         ones = Pattern((1,) * k)
         word = Word(tuple(range(1, widest + 1)), widest + 3)
