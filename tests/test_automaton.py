@@ -182,24 +182,28 @@ def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
     assert auto.state_count == 100
 
 
-def test_no_automaton_outlives_its_call(monkeypatch, automata):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: close_and_minimise(4, 3),
+        lambda: strict_counts_by_length(9, 2, 6),
+        lambda: list(iter_superpatterns(5, 3, 7)),
+        None,
+    ],
+    ids=["dfa", "counts", "listing", "refused"],
+)
+def test_no_automaton_outlives_its_call(monkeypatch, automata, call):
     # Each call makes its own automaton and nothing keeps it: the DFA's
     # closure keeps only the DFA, and a word space holds its lazy automaton
     # only while it lives, whether or not the automaton was refused.
     monkeypatch.setattr(_dfa, "_built", {})
-    calls = [
-        lambda: close_and_minimise(4, 3),
-        lambda: strict_counts_by_length(9, 2, 6),
-        lambda: list(iter_superpatterns(5, 3, 7)),
-    ]
-    for call in calls:
-        made = len(automata)
+    if call is None:
+        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
+            count_strict_superpatterns(5, 3, 15)
+    else:
         call()
-        assert len(automata) == made + 1 and alive(automata) == []
-    monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
-    with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
-        count_strict_superpatterns(5, 3, 15)
-    assert len(automata) == 4 and alive(automata) == []
+    assert len(automata) == 1 and alive(automata) == []
 
 
 def test_first_superpattern_time():
@@ -220,3 +224,10 @@ def test_states_are_shared_and_bounded():
         auto.scan(w.letters)
     assert auto.state_count >= before
     assert auto.state_count < 5000
+
+
+def test_each_call_makes_a_new_automaton(automata):
+    first, second = get_automaton(2, 2), get_automaton(2, 2)
+    first.scan([1, 2, 2, 1])
+    assert first is not second and second.state_count == 1
+    assert len(automata) == 2

@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
 from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau, strict_counts_by_length
-from superpatterns import _dfa, waiting
+from superpatterns import _dfa, automaton, waiting
 from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
-from conftest import all_words, byte_entry_by_letters, close_lazily, first_acceptance_time, letters_of_bytes
+from conftest import alive, all_words, byte_entry_by_letters, close_lazily, first_acceptance_time, letters_of_bytes
 
 
 def dfa_acceptance_time(rows: list[tuple[int, ...]], accept: int, letters) -> int | None:
@@ -95,6 +96,24 @@ def test_no_two_minimised_states_are_equivalent(d, k):
     rows, accept = close_and_minimise(d, k)
     accepting = [s == accept for s in range(len(rows))]
     assert _minimise(list(zip(*rows)), accepting)[1] == len(rows)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3), (2, 1), (3, 1)])
+def test_scans_on_another_automaton_leave_the_dfa_as_built_cold(monkeypatch, automata, d, k):
+    # The DFA closes the components of an automaton of its own, so a warm
+    # automaton for the same (d, k), whose ids the scans have numbered in
+    # their own order, is neither read nor stepped, and the rows come out
+    # the same.
+    monkeypatch.setattr(_dfa, "_built", {})
+    cold = close_and_minimise(d, k)
+    monkeypatch.setattr(_dfa, "_built", {})
+    rng = random.Random(d * 10 + k)
+    warm = automaton.get_automaton(d, k)
+    for _ in range(200):
+        warm.scan([rng.randint(1, d) for _ in range(rng.randint(1, 3 * d * k))])
+    states = warm.state_count
+    assert close_and_minimise(d, k) == cold and warm.state_count == states
+    assert len(automata) == 3 and alive(automata) == [warm]
 
 
 def test_closure_visits_no_state_past_acceptance():
