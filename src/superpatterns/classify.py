@@ -13,11 +13,15 @@ Queries on one word (is_superpattern, missing_patterns, classify) rank the
 word once and read it through the bit-parallel matchers of `patterns`:
 missing_patterns and classify through the one of every pattern, which
 interns nothing, and is_superpattern pattern by pattern, stopping at the
-first one missing.  classify reads all but the last letter first: the word
-is strict when that prefix is not a superpattern.  It reads minimality
-against one table of bounds on the least superpattern length
-(_least_length_bounds), whose proven entries min_superpattern_length returns
-without a search; the tests prove each by the strict counting DP below.
+first one missing.  missing_patterns picks the patterns missing by their
+guard bytes in the final state.  classify reads all but the last letter
+first: the word is strict when that prefix is not a superpattern.  It
+reads minimality against one table of bounds on the least superpattern
+length (_least_length_bounds), whose proven entries min_superpattern_length
+returns without a search; the tests prove each by the strict counting DP
+below.  The quaternary check walks its word's 12-letter candidates as one
+trie of subsequences through the matcher of every pattern, one letter per
+edge.
 
 The exhaustive routes run over automaton states, not over words: those of the
 containment automaton's minimal DFA over small alphabets, shared with the
@@ -51,7 +55,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cache, cached_property, lru_cache
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from operator import eq
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -164,12 +168,17 @@ def is_superpattern(word: Word, k: int) -> bool:
 
 def missing_patterns(word: Word, k: int) -> list[Pattern]:
     """The canonical length-k patterns the word does not contain, in
-    lexicographic order; empty exactly when the word is a superpattern."""
+    lexicographic order; empty exactly when the word is a superpattern.
+    Otherwise the missing guards are read as bytes once, and the patterns
+    whose guard byte is set are picked from them."""
     patterns = enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
     matcher = _matcher(ranked.alphabet_size, k)
     missing = matcher.missing(matcher.run(ranked.letters))
-    return [p for p, guard in zip(patterns, matcher.places) if missing >> guard & 1]
+    if not missing:
+        return []
+    guards = missing.to_bytes(matcher.width // 8, "little")
+    return list(compress(patterns, map(guards.__getitem__, matcher.places)))
 
 
 def classify(word: Word, k: int) -> ClassFlags:
@@ -747,17 +756,30 @@ def verify_quaternary_counterexample() -> bool:
     min_superpattern_length(4, 4) reads, so a 12-letter one is minimum.  A
     minimum one has no two equal adjacent letters, since deleting one of
     them would leave an 11-letter superpattern.  So only the distinct
-    subsequences without such a pair are tested, in the order they first
-    occur: 102 of the 455 for this word.  Strictness thus does not force an
-    embedded minimum superpattern once the alphabet grows past three
-    letters.
+    subsequences without such a pair are tested: 102 of the 455 for this
+    word.  They are walked as one trie, each letter taken at its first
+    occurrence left (so each subsequence is reached once) while enough
+    letters remain, and each trie edge steps the matcher of all 75 patterns
+    one letter.  Strictness thus does not force an embedded minimum
+    superpattern once the alphabet grows past three letters.
     """
     w = QUATERNARY_EXAMPLE
-    if not is_superpattern(w, 4):
+    if not is_superpattern(w, 4) or is_superpattern(w.prefix(len(w) - 1), 4):
         return False
-    if is_superpattern(w.prefix(len(w) - 1), 4):
-        return False
-    candidates = dict.fromkeys(
-        letters for letters in combinations(w.letters, 12) if not any(map(eq, letters, letters[1:]))
-    )
-    return not any(is_superpattern(Word(letters, 4), 4) for letters in candidates)
+    letters, n = w.letters, len(w)
+    # firsts[i]: each distinct letter of letters[i:] at its first index there.
+    firsts: list[dict[int, int]] = [{}] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        firsts[i] = {**firsts[i + 1], letters[i]: i}
+    matcher = _matcher(4, 4)
+    stack = [(0, 0, 0, matcher.low)]  # (next index, depth, last letter, state)
+    while stack:
+        i, depth, last, state = stack.pop()
+        if depth == 12:
+            if not matcher.missing(state):
+                return False
+            continue
+        for a, j in firsts[i].items():
+            if a != last and j <= n + depth - 12:
+                stack.append((j + 1, depth + 1, a, matcher.run((a,), state)))
+    return True

@@ -234,7 +234,9 @@ class _Matcher:
     level.  The start state `low` sets level 0 but the guards; its padding
     bits never move.  Adding `low` to level k carries into a field's guard
     once an instance there is completed.  For k = 1 all letters share the
-    one mask of a one-letter alphabet.
+    one mask of a one-letter alphabet.  places holds the index of each
+    pattern's guard byte, its field's top byte, in a missing() value written
+    as width // 8 little-endian bytes.
     """
 
     __slots__ = ("masks", "width", "top", "low", "guards", "places", "bits")
@@ -256,7 +258,7 @@ class _Matcher:
         self.top = k * self.width
         self.low = int.from_bytes(b"".join(b"\xff" * (n - 1) + b"\x7f" for n in sizes), "little")
         self.guards = int.from_bytes(b"".join(bytes(n - 1) + b"\x80" for n in sizes), "little")
-        self.places = [8 * end - 1 for end in accumulate(sizes)]
+        self.places = [end - 1 for end in accumulate(sizes)]
         columns = [flags[max(p), p[j]] for j in range(k) for p in patterns]
         masks = [int.from_bytes(b"".join(rows[a] for rows in columns), "little") for a in range(letters)]
         self.masks = [0, *masks] if k > 1 else [0] + masks * w

@@ -11,7 +11,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from superpatterns import (
@@ -147,6 +147,27 @@ def classify_by_backtracking(word: Word, k: int) -> ClassFlags:
     return ClassFlags(True, minimal, strict, minimal and len(word) == LEAST_LENGTH.get(k))
 
 
+@pytest.fixture(scope="module")
+def automaton_3_3() -> automaton.ContainmentAutomaton:
+    """One (3, 3) automaton for every hypothesis example of the tests that
+    take it, rather than a fresh one built for each example."""
+    return get_automaton(3, 3)
+
+
+@st.composite
+def strict_quaternary_superpatterns(draw):
+    """A strict 4-superpattern of 12 to 16 letters over 1..4: four shuffled
+    permutations of 1234, which together hold every length-4 pattern, with
+    up to three letters changed and cut after the first prefix that is a
+    superpattern."""
+    letters = [a for _ in range(4) for a in draw(st.permutations((1, 2, 3, 4)))]
+    for i in draw(st.lists(st.integers(0, 15), max_size=3)):
+        letters[i] = draw(st.integers(1, 4))
+    n = next((n for n in range(12, 17) if is_superpattern(Word(letters[:n], 4), 4)), None)
+    assume(n is not None)
+    return Word(letters[:n], 4)
+
+
 def _in_order(patterns):
     return sorted(patterns, key=lambda p: p.letters)
 
@@ -219,9 +240,9 @@ class TestClassify:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(1, 3), max_size=10))
-    def test_agrees_with_the_automaton(self, letters):
+    def test_agrees_with_the_automaton(self, automaton_3_3, letters):
         w = Word(tuple(letters), 3)
-        auto = get_automaton(3, 3)
+        auto = automaton_3_3
         accepted = auto.accepting[auto.scan(w.letters)]
         flags = classify(w, 3)
         missing = missing_patterns(w, 3)
@@ -1017,6 +1038,36 @@ class TestQueriesAgainstBacktracking:
             query(w, k)
         assert automata == []
 
+    @pytest.mark.parametrize(
+        "text, k, places",
+        [
+            # k = 1: one pattern, one guard.
+            ("", 1, [0]),
+            ("5", 1, [0]),
+            # Fields of several bytes: 2 and 5 at (9, 2), 6 and 98 at (40, 2).
+            ("123456789", 2, [1, 6, 11]),
+            ("987654321", 2, [1, 6, 11]),
+            ("912345678", 2, [1, 6, 11]),
+            ("1234567899", 2, [1, 6, 11]),
+            (",".join(map(str, range(1, 41))), 2, [5, 103, 201]),
+            (",".join(map(str, range(40, 0, -1))), 2, [5, 103, 201]),
+            (",".join(map(str, [*range(2, 41), 1, 40])), 2, [5, 103, 201]),
+            # The empty word.
+            ("", 2, [0, 1, 2]),
+            ("", 3, list(range(13))),
+            # Superpatterns, which take the early return.
+            ("121", 2, [0, 1, 2]),
+            ("1213121", 3, list(range(13))),
+            ("123413214231", 4, list(range(75))),
+        ],
+    )
+    def test_missing_patterns_reads_each_guard_byte(self, text, k, places):
+        word = Word.parse(text)
+        ranked = patterns_module._ranked(word)
+        assert patterns_module._matcher(ranked.alphabet_size, k).places == places
+        patterns = enumerate_preferential_arrangements(k)
+        assert missing_patterns(word, k) == [p for p in patterns if find_embedding(word, p) is None]
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_wide_missing_pattern_queries_stay_small(self):
         # 2,000 words of 25 letters over ten letters at k = 4 peaked at 218 MB
@@ -1322,3 +1373,19 @@ class TestQuaternaryCounterexample:
     def test_word_is_strict_for_k4(self):
         assert is_superpattern(QUATERNARY_EXAMPLE, 4)
         assert not is_superpattern(QUATERNARY_EXAMPLE.prefix(14), 4)
+
+    def test_the_trie_walk_agrees_with_every_subsequence(self, monkeypatch):
+        # The walk tests each distinct subsequence with no two equal
+        # adjacent letters once; the oracle tests every index choice.
+        outcomes = []
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(strict_quaternary_superpatterns())
+        def agrees(word):
+            monkeypatch.setattr(classify_module, "QUATERNARY_EXAMPLE", word)
+            claim = verify_quaternary_counterexample()
+            assert claim == quaternary_claim_by_all_subsequences(word)
+            outcomes.append(claim)
+
+        agrees()
+        assert set(outcomes) == {True, False}
