@@ -8,14 +8,15 @@ pattern's instances are stepped by its one-pattern bit-parallel matcher
 (`patterns._Matcher`), the one engine that reads pattern instances.  A state
 is one component per pattern, its matcher's state interned as a small id,
 with id 0 for "contained".  A component's successor on a letter depends on
-its id alone, so each pattern keeps one lazily filled column per letter,
-and states and transitions are interned in turn, which makes a repeated
-step one table lookup.  The matchers' masks are built once per automaton,
-about 4 MiB at the largest, (256, 2).  Past d**k = 64 instances the
-word-space DP (`classify._WordSpace`) steps these product states; up to it,
-the DP steps the minimal DFA that `_dfa` joins from each pattern's component
-closed alone (`closed_component`), which the simulator's byte table is built
-from too.
+its id alone, so each pattern keeps one dict per letter of the successors
+filled so far, and states and transitions are interned in turn, which makes
+a repeated step one table lookup.  Nothing is reserved ahead of use: a new
+state shares one blank transition row until it is first stepped.  The
+matchers' masks are built once per automaton, about 4 MiB at the largest,
+(256, 2).  Past d**k = 64 instances the word-space DP (`classify._WordSpace`)
+steps these product states; up to it, the DP steps the minimal DFA that
+`_dfa` joins from each pattern's component closed alone (`closed_component`,
+as lists of its own), which the simulator's byte table is built from too.
 
 The automaton owns its bounds.  It lists its patterns, which refuses a
 pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import getitem
-from struct import Struct, error as StructError
+from struct import Struct
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:
@@ -50,9 +51,8 @@ SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.
 _MAX_COMPONENTS = 2**16
-# Column entries that are no interned id, which are 1 and up.
+# The id of a contained pattern; interned ids are 1 and up.
 _CONTAINED = 0
-_UNFILLED = -1
 
 
 class BudgetExceededError(RuntimeError):
@@ -65,12 +65,13 @@ class ContainmentAutomaton:
     States are opaque ints; 0 is the empty-word state.  ``transitions`` and
     ``accepting`` are exposed for hot loops (read-only by convention):
     ``transitions[s][a]`` is the successor of state s on letter a, or -1 when
-    not built yet (call step() to build it).  A state's key packs one
-    component id per pattern; component id 0 means the pattern is contained,
-    and the state accepts when every component is 0.  Raises ValueError for
-    k past MAX_PATTERN_LENGTH, first; BudgetExceededError when d**k exceeds
-    MAX_INSTANCES, and when a step would intern a state past
-    SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS.
+    not built yet (call step() to build it); states never stepped share one
+    blank row.  A state's key packs one component id per pattern; component
+    id 0 means the pattern is contained, and the state accepts when every
+    component is 0.  Raises ValueError for k past MAX_PATTERN_LENGTH, first;
+    BudgetExceededError when d**k exceeds MAX_INSTANCES, and when a step
+    would intern a state past SEARCH_STATE_BUDGET or a component id past
+    _MAX_COMPONENTS.
     """
 
     def __init__(self, d: int, k: int):
@@ -89,9 +90,10 @@ class ContainmentAutomaton:
         self._components: list[list[Optional[int]]] = [[None, m.low] for m in self._matchers]
         self._component_ids: list[dict[int, int]] = [{m.low: 1} for m in self._matchers]
         # columns[a][p][c]: component id of pattern p after letter a from
-        # component c, or _UNFILLED.  Slot 0 is unused, as in the rows below.
-        self._columns: list[list[list[int]]] = [
-            [[_CONTAINED, _UNFILLED] for _ in self.patterns] for _ in range(d + 1)
+        # component c, for each c filled so far.  Slot 0 is unused, as in the
+        # rows below.
+        self._columns: list[list[dict[int, int]]] = [
+            [{_CONTAINED: _CONTAINED} for _ in self.patterns] for _ in range(d + 1)
         ]
         packing = Struct(f"{len(self.patterns)}H")
         self._pack, self._unpack = packing.pack, packing.unpack
@@ -100,7 +102,8 @@ class ContainmentAutomaton:
         self._state_ids: dict[bytes, int] = {start: 0}
         self._state_keys: list[bytes] = [start]
         # Slot 0 of each row is unused so rows index directly by letter value.
-        self.transitions: list[list[int]] = [[-1] * (d + 1)]
+        self._blank = [-1] * (d + 1)
+        self.transitions: list[list[int]] = [self._blank]
         self.accepting: list[bool] = [start == self._accept_key]
 
     @property
@@ -119,14 +122,9 @@ class ContainmentAutomaton:
         ids = self._unpack(self._state_keys[state])
         try:
             new_key = self._pack(*map(getitem, columns, ids))
-        except StructError:
-            # Some column entry is still _UNFILLED, which does not pack.
-            new_key = self._pack(
-                *(
-                    c if c != _UNFILLED else self._fill(columns, pi, ids[pi], letter)
-                    for pi, c in enumerate(map(getitem, columns, ids))
-                )
-            )
+        except KeyError:
+            # Some component has not read this letter yet.
+            new_key = self._pack(*[self._fill(letter, pi, c) for pi, c in enumerate(ids)])
         nxt = self._state_ids.get(new_key)
         if nxt is None:
             nxt = len(self._state_keys)
@@ -136,20 +134,26 @@ class ContainmentAutomaton:
                 )
             self._state_ids[new_key] = nxt
             self._state_keys.append(new_key)
-            self.transitions.append([-1] * (self.d + 1))
+            self.transitions.append(self._blank)
             self.accepting.append(new_key == self._accept_key)
-        self.transitions[state][letter] = nxt
+        row = self.transitions[state]
+        if row is self._blank:
+            row = self.transitions[state] = row.copy()
+        row[letter] = nxt
         return nxt
 
-    def _fill(self, columns: list[list[int]], pi: int, component: int, letter: int) -> int:
-        """Pattern pi's component after one letter, by one step of its
-        matcher; the result is stored in the letter's column."""
+    def _fill(self, letter: int, pi: int, component: int) -> int:
+        """Pattern pi's component after one letter, from the letter's column,
+        which a first read fills by one step of the matcher."""
+        column = self._columns[letter][pi]
+        if component in column:
+            return column[component]
         matcher = self._matchers[pi]
         progress = matcher.run((letter,), self._components[pi][component])
         if not matcher.missing(progress):
             # Progress of sibling instances is irrelevant once the pattern
             # is contained, so all such states are one id.
-            columns[pi][component] = _CONTAINED
+            column[component] = _CONTAINED
             return _CONTAINED
         ids = self._component_ids[pi]
         nxt = ids.get(progress)
@@ -162,24 +166,20 @@ class ContainmentAutomaton:
                 )
             ids[progress] = nxt
             self._components[pi].append(progress)
-            for other in self._columns:
-                other[pi].append(_UNFILLED)
-        columns[pi][component] = nxt
+        column[component] = nxt
         return nxt
 
     def closed_component(self, pi: int) -> list[list[int]]:
         """Pattern pi's component with every id reachable from the empty
-        word's id 1 filled in, as one column per letter, the automaton's own
-        (read-only): ``columns[a - 1][c]`` is the id after letter a from id
-        c, and the contained id 0 loops to itself.  Forms no state."""
-        columns = [column[pi] for column in self._columns]
+        word's id 1 filled in, as one new list per letter: ``columns[a -
+        1][c]`` is the id after letter a from id c, and the contained id 0
+        loops to itself.  Forms no state."""
         component = 1
         while component < len(self._components[pi]):
             for a in range(1, self.d + 1):
-                if columns[a][component] == _UNFILLED:
-                    self._fill(self._columns[a], pi, component, a)
+                self._fill(a, pi, component)
             component += 1
-        return columns[1:]
+        return [list(map(column[pi].__getitem__, range(component))) for column in self._columns[1:]]
 
     def scan(self, letters: Iterable[int]) -> int:
         """State after reading a whole letter sequence from the empty word."""

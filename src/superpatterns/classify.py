@@ -183,7 +183,6 @@ def missing_patterns(word: Word, k: int) -> list[Pattern]:
 
 def classify(word: Word, k: int) -> ClassFlags:
     """Full classification of a word: superpattern / minimal / strict / minimum."""
-    enumerate_preferential_arrangements(k)
     ranked = _ranked(word)
     matcher = _matcher(ranked.alphabet_size, k)
     # Strict: a superpattern whose prefix one letter shorter is not one.
@@ -200,9 +199,10 @@ def classify(word: Word, k: int) -> ClassFlags:
     return ClassFlags(True, minimal, strict, minimum)
 
 
-def _least_length_bounds(k: int, d: int) -> tuple[int, int]:
+def _least_length_bounds(k: int, d: int) -> tuple[float, float]:
     """Bounds (lower, upper) on L(k, d), the least length of a k-superpattern
-    over d >= k letters, for k <= MAX_PATTERN_LENGTH.  Each upper bound is
+    over d letters, for k <= MAX_PATTERN_LENGTH or k > d.  For k > d no word
+    holds 12...k, so there is no finite bound (math.inf).  Each upper bound is
     the length of a superpattern the tests hold, and it holds for every
     larger d, since patterns of length k never use more than k distinct
     values; for k = 4 it falls from 12 to 11 once d >= 5 (42134254124).
@@ -210,6 +210,8 @@ def _least_length_bounds(k: int, d: int) -> tuple[int, int]:
     no shorter word is a superpattern.  Elsewhere the lower bound is 2k - 1,
     since a k-superpattern holds k equal letters (for 1...1) and k distinct
     ones (for 12...k), and the two share at most one letter."""
+    if k > d:
+        return math.inf, math.inf
     if k == 4 and d >= 5:
         return 7, 11
     return {1: (1, 1), 2: (3, 3), 3: (7, 7), 4: (12, 12), 5: (9, 19)}[k]
@@ -365,9 +367,6 @@ class _WordSpace:
         the current level is kept; a caller that needs earlier ones keeps them.
         """
         t0 = len(self.prefix)
-        if self.k > self.d:
-            yield from repeat(({}, 0), n - t0 + 1)
-            return
         accepting = self.auto.accepting
         w = self.d + 1
         moves = self.moves
@@ -435,7 +434,7 @@ class _WordSpace:
         if n < 0:
             raise ValueError(f"word length must be at least 0, got {n}")
         t0 = len(self.prefix)
-        if n <= t0 or self.k > self.d or n < _least_length_bounds(self.k, self.d)[0]:
+        if n <= t0 or n < _least_length_bounds(self.k, self.d)[0]:
             return
         cap = WORD_BUDGET if budget is None else budget
         letter_cap = cap * (cap.bit_length() + 1)
@@ -533,7 +532,7 @@ def _strict_counts(d: int, k: int, n_max: int) -> Iterator[int]:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     space = _WordSpace(d, k, _ANY)
-    if k <= d and n_max < _least_length_bounds(k, d)[0]:
+    if n_max < _least_length_bounds(k, d)[0]:
         return repeat(0, n_max)
     hits = (hit for _level, hit in space.levels(n_max, strict=True))
     next(hits)  # the empty word

@@ -22,6 +22,7 @@ from superpatterns import (
 )
 from superpatterns import _dfa, automaton
 from superpatterns._dfa import close_and_minimise
+from superpatterns.classify import _ANY, _WordSpace
 from superpatterns.cli import main
 from superpatterns.patterns import _matcher
 
@@ -204,6 +205,28 @@ def test_no_automaton_outlives_its_call(monkeypatch, automata, call):
     else:
         call()
     assert len(automata) == 1 and alive(automata) == []
+
+
+def test_tables_hold_only_what_was_stepped(automata):
+    # A lazy (9, 2) space, past d**k = 64: a strict count to n = 8 and a
+    # strict listing at n = 4 intern states they never step.
+    space = _WordSpace(9, 2, _ANY)
+    assert [hit for _level, hit in space.levels(8, strict=True)][-1] == 1_359_468
+    assert len(list(space.walk(4, True, None))) == 2_160
+    (auto,) = alive(automata)
+    # Every state not yet stepped shares one blank row; each stepped state
+    # has a row of its own.
+    stepped = [row for row in auto.transitions if max(row) >= 0]
+    blank = {id(row) for row in auto.transitions if max(row) < 0}
+    assert len(blank) == 1 and len(stepped) < auto.state_count
+    assert len({id(row) for row in auto.transitions}) == len(stepped) + 1
+    # A column holds a successor only for the ids of its pattern read on
+    # its letter, and interning an id adds to no column.
+    for pi, components in enumerate(auto._components):
+        interned = set(range(len(components)))
+        columns = [letter_columns[pi] for letter_columns in auto._columns[1:]]
+        assert all(set(column) <= interned and set(column.values()) <= interned for column in columns)
+        assert sum(map(len, columns)) < len(columns) * len(interned)
 
 
 def test_first_superpattern_time():

@@ -191,6 +191,15 @@ class TestSuperpatternPredicate:
     def test_k_cap(self):
         with pytest.raises(ValueError):
             is_superpattern(Word.parse("121"), 6)
+        # classify and missing_patterns refuse a bad k when they list the
+        # patterns, before the cap on instances (9**6 of them here), and keep
+        # no matcher for it, so a second call is refused the same way.
+        for query in (classify, missing_patterns):
+            for word in (Word.parse("121"), Word.parse("123456789")):
+                for k, message in [(0, "pattern length must be at least 1"), (6, "over the cap of 5")]:
+                    for _ in range(2):
+                        with pytest.raises(ValueError, match=message):
+                            query(word, k)
 
 
 class TestClassify:

@@ -253,6 +253,17 @@ class TestEnumerate:
             tail = [last, "# count: 262108"]
         assert path.read_text().splitlines()[-len(tail) :] == tail
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_a_wide_listing_stays_small(self):
+        # The lazy (48, 2) automaton interns every state of the last DP level
+        # but steps few of them, so its tables must grow only with the states
+        # stepped: a transition row reserved per state and a column slot per
+        # letter per component peaked at 104 MB (2 vCPU, Python 3.11).
+        child = run_in_child("enumerate", "--n", "3", "--d", "48", "--k", "2", "--filter", "all", "--scope", "full")
+        assert child.code == 0
+        assert child.out.splitlines()[-1] == "# count: 2256"
+        assert child.peak_mb < 80
+
     def test_a_refused_listing_writes_no_file(self, tmp_path):
         path = tmp_path / "listing"
         assert main(["enumerate", "--n", "17", "--filter", "all", "--out", str(path)]) == 3

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
 import time
 
 import pytest
 
-from superpatterns import BudgetExceededError, ContainmentAutomaton, simulate_tau, strict_counts_by_length
+from superpatterns import (
+    BudgetExceededError,
+    ContainmentAutomaton,
+    Word,
+    is_superpattern,
+    simulate_tau,
+    strict_counts_by_length,
+)
 from superpatterns import _dfa, automaton, waiting
-from superpatterns._dfa import _minimal, _minimise, _refine, close_and_minimise
+from superpatterns._dfa import _join, _minimal, _minimise, _refine, close_and_minimise
 from superpatterns.waiting import _byte_tables
 
 from conftest import alive, all_words, byte_entry_by_letters, close_lazily, first_acceptance_time, letters_of_bytes
@@ -156,6 +164,58 @@ def test_the_refusal_bound_is_below_the_closure(d, k):
     ones = ContainmentAutomaton(d, k)
     columns = ones.closed_component([p.letters for p in ones.patterns].index((1,) * k))
     assert len(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1)[0]) - 1 >= k**d
+
+
+def permutation_dfa(k: int) -> tuple[list[tuple[int, ...]], int]:
+    """The minimal DFA of "the word over {1..k} holds every permutation of
+    1..k", joined as close_and_minimise joins all the patterns, smallest
+    component first: (rows, accept), state 0 reading the empty word."""
+    auto = ContainmentAutomaton(k, k)
+    components = []
+    for pi, pattern in enumerate(auto.patterns):
+        if len(set(pattern.letters)) == k:
+            columns = auto.closed_component(pi)
+            components.append(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1))
+    dfa = [(0,) * k], 0, 0
+    for component in sorted(components, key=lambda c: len(c[0])):
+        dfa = _minimal(*_join(k, k, dfa, component))
+    rows, start, accept = dfa
+    assert start == 0 and len(components) == math.factorial(k)
+    return rows, accept
+
+
+def breadth_first(rows: list[tuple[int, ...]], accept: int) -> tuple[list[tuple[int, ...]], int]:
+    """The DFA with its states renumbered in breadth-first order from state 0."""
+    queue = [0]
+    order = {0: 0}
+    for s in queue:
+        for t in rows[s]:
+            if t not in order:
+                order[t] = len(queue)
+                queue.append(t)
+    return [tuple(order[t] for t in rows[s]) for s in queue], order[accept]
+
+
+@pytest.mark.parametrize("k,states", [(2, 6), (3, 44)])
+def test_the_permutations_alone_give_the_superpattern_dfa(k, states):
+    # Over k letters a word holds every pattern of length k exactly when it
+    # holds every permutation of 1..k: the two minimal DFAs are one.
+    rows, accept = permutation_dfa(k)
+    assert len(rows) == states
+    assert breadth_first(rows, accept) == breadth_first(*close_and_minimise(k, k))
+
+
+def test_the_permutations_alone_decide_quaternary_superpatterns():
+    rows, accept = permutation_dfa(4)
+    assert len(rows) == 2_014
+    rng = random.Random(44)
+    seen = set()
+    for _ in range(300):
+        letters = [rng.randint(1, 4) for _ in range(rng.randint(12, 30))]
+        accepted = dfa_acceptance_time(rows, accept, letters) is not None
+        assert accepted == is_superpattern(Word(tuple(letters), 4), 4)
+        seen.add(accepted)
+    assert seen == {False, True}
 
 
 def test_small_budget_fails_fast(monkeypatch):
