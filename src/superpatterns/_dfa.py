@@ -11,23 +11,27 @@ start states, and is minimised again before the next.  A product state
 accepts when both of its parts do; a trial ends there, so what the word does
 next does not matter, and it loops to itself on every letter.  The minimal
 DFA is unique up to renaming, so this is the DFA the full product would
-minimise to.  A component's states are the interned states of its
-pattern's bit-parallel matcher (`patterns._Matcher`), so this module steps
-no pattern instance itself.  Every product is held to STATE_BUDGET states;
-the components are bounded by the automaton's own cap on a pattern's
-progress vectors, its matcher states.  Each (d, k) is built once per
-process and only its DFA is kept, not the automaton it was closed from: the
-word-space DP of `classify` steps it over small alphabets, and the simulator
-builds its byte table from it.
+minimise to.  At d = k <= 4 only the k! permutation components are joined:
+over k letters a word holding every permutation of 1..k holds every pattern
+of length k, and the tests prove the rows equal to the join of all patterns
+there.  A component's states are the interned states of its pattern's
+bit-parallel matcher (`patterns._Matcher`), so this module steps no pattern
+instance itself.  The refusals of `patterns._capped_patterns` come first.
+Every product is held to STATE_BUDGET states; the components are bounded by
+the automaton's own cap on a pattern's progress vectors, its matcher states.
+Each (d, k) is built once per process and only its DFA is kept, not the
+automaton it was closed from: the word-space DP of `classify` steps it over
+small alphabets, and the simulator builds its byte table from it.
 """
 
 from __future__ import annotations
 
-from .automaton import BudgetExceededError, _capped_patterns, get_automaton
+from .automaton import get_automaton
+from .patterns import BudgetExceededError, _capped_patterns
 
 # Most states of any product a join builds.  The largest products are 25,889
-# states for (5,3), whose full product has 73,886, and 53,260 for (4,4);
-# (6,3) needs 206,793.
+# states for (5,3), whose full product has 73,886, and 2,407 for (4,4), which
+# joins its 24 permutations alone; (6,3) needs 206,793.
 STATE_BUDGET = 100_000
 
 # A DFA as (rows, start, accept): rows[s][a - 1] is the successor of state s
@@ -108,13 +112,13 @@ def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
     ``rows[s][a - 1]`` is the successor of state s on letter a, and
     ``accept`` is the one accepting state, which is absorbing.
 
-    The automaton's own refusals (pattern length, then instances) come
+    The refusals of _capped_patterns (pattern length, then instances) come
     first, and no automaton is built for a refused (d, k).  Raises
     BudgetExceededError once a product holds more than STATE_BUDGET states,
     or a component more progress vectors than the automaton allows, and
     before any closure work when it must: the pattern 1...1 alone tells
-    apart every count 0..k-1 of each letter, so its minimised component, and
-    every product it joins, has k^d states before acceptance."""
+    apart every count 0..k-1 of each letter, so the minimal DFA, and the
+    last product joined, has k^d states before acceptance."""
     if k > d:
         raise ValueError(f"no state accepts when k > d: got d={d}, k={k}")
     built = _built.get((d, k))
@@ -128,7 +132,12 @@ def close_and_minimise(d: int, k: int) -> tuple[list[tuple[int, ...]], int]:
         )
     auto = get_automaton(d, k)
     components = []
-    for pi in range(len(auto.patterns)):
+    for pi, pattern in enumerate(auto.patterns):
+        # Over k letters a word holding every permutation of 1..k holds
+        # every length-k pattern, so the other components are implied; the
+        # tests prove the rows equal to the join of all for k <= 4.
+        if d == k <= 4 and max(pattern.letters) < k:
+            continue
         columns = auto.closed_component(pi)
         # The contained id 0 accepts, and the empty word's id 1 starts.
         components.append(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1))

@@ -18,14 +18,13 @@ steps these product states; up to it, the DP steps the minimal DFA that
 `_dfa` joins from each pattern's component closed alone (`closed_component`,
 as lists of its own), which the simulator's byte table is built from too.
 
-The automaton owns its bounds.  It lists its patterns, which refuses a
-pattern past MAX_PATTERN_LENGTH, before it checks the cap on instances, both
-in `_capped_patterns`, which `_dfa` and the containment matchers of
-`patterns` run before they build anything.  It refuses to intern a state
-past SEARCH_STATE_BUDGET or a component id past _MAX_COMPONENTS, each read
-when used.  get_automaton alone makes automata, a new one on each call that
-its caller owns and no module keeps.  Queries on one word run the matchers
-of `patterns` over the whole word instead, and intern nothing.
+An automaton lists its patterns through `patterns._capped_patterns`, so it
+refuses a long pattern or too many instances before it builds anything.  It
+refuses to intern a state past SEARCH_STATE_BUDGET or a component id past
+_MAX_COMPONENTS, each read when used.  get_automaton alone makes automata, a
+new one on each call that its caller owns and no module keeps.  Queries on
+one word run the matchers of `patterns` over the whole word instead, and
+intern nothing.
 """
 
 from __future__ import annotations
@@ -33,16 +32,11 @@ from __future__ import annotations
 from functools import reduce
 from operator import getitem
 from struct import Struct
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-if TYPE_CHECKING:
-    from .patterns import Pattern
+from .patterns import BudgetExceededError, _capped_patterns, _Matcher
 
-__all__ = ["BudgetExceededError", "ContainmentAutomaton", "get_automaton"]
-
-# Most pattern instances (d**k) an automaton may track; each state step may
-# touch all of them, and (10,5) alone has 100,000.
-MAX_INSTANCES = 2**16
+__all__ = ["ContainmentAutomaton", "get_automaton"]
 
 # Most states an automaton may intern; read when a state is interned.
 # Counts and listings both stop here: (7, 3) words of length 7 and (4, 4)
@@ -53,10 +47,6 @@ SEARCH_STATE_BUDGET = 500_000
 _MAX_COMPONENTS = 2**16
 # The id of a contained pattern; interned ids are 1 and up.
 _CONTAINED = 0
-
-
-class BudgetExceededError(RuntimeError):
-    """An enumeration would visit more words or states than its cap allows."""
 
 
 class ContainmentAutomaton:
@@ -80,9 +70,6 @@ class ContainmentAutomaton:
         self.patterns = _capped_patterns(d, k)
         self.d = d
         self.k = k
-        # Imported here: the patterns module imports this one first.
-        from .patterns import _Matcher
-
         # Per pattern: its one-pattern matcher, and the matcher states it has
         # interned, by component id.  Id 0 is "contained" and has no state of
         # its own; id 1 is the empty word's, the matcher's start.
@@ -184,22 +171,6 @@ class ContainmentAutomaton:
     def scan(self, letters: Iterable[int]) -> int:
         """State after reading a whole letter sequence from the empty word."""
         return reduce(self.step, letters, 0)
-
-
-def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
-    """The canonical length-k patterns, after the automaton's two refusals
-    in their order: ValueError for k past MAX_PATTERN_LENGTH, from listing
-    the patterns, then BudgetExceededError for d**k past MAX_INSTANCES."""
-    # Imported here: the patterns module imports this one first.
-    from .patterns import enumerate_preferential_arrangements
-
-    patterns = tuple(enumerate_preferential_arrangements(k))
-    if d**k > MAX_INSTANCES:
-        raise BudgetExceededError(
-            f"the automaton for k={k}, d={d} would track d**k pattern instances,"
-            f" over the cap of {MAX_INSTANCES}"
-        )
-    return patterns
 
 
 def get_automaton(d: int, k: int) -> ContainmentAutomaton:

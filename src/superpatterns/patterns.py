@@ -15,9 +15,12 @@ distinct letters, once through a bit-parallel matcher (`_Matcher`) that
 steps every pattern instance over 1..w in one integer, kept per (w, k) and
 per (w, pattern).
 
-MAX_PATTERN_LENGTH (5) is the one cap on pattern length: the enumerator
-checks it first, and every matcher, automaton and search lists its patterns
-first, so each refuses a longer k at once.
+This module owns the pattern set and its bounds.  MAX_PATTERN_LENGTH (5) is
+the one cap on pattern length, which the enumerator checks first, and
+MAX_INSTANCES the one cap on the d**k instances of every pattern of length
+k.  `_capped_patterns` lists the patterns, refusing a longer k, before it
+checks the cap on instances, and every matcher, automaton and search runs it
+before it builds anything, so each refuses at once, in that order.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from itertools import accumulate, combinations, product
 from typing import Iterable, Optional, Sequence
 
 from ._value import _Value
-from .automaton import _capped_patterns
 
 __all__ = [
+    "BudgetExceededError",
     "Word",
     "Pattern",
     "dense_rank",
@@ -42,6 +45,14 @@ __all__ = [
 
 # Each automaton tracks all fubini(k) patterns at once: 541 at k = 5, 4683 at k = 6.
 MAX_PATTERN_LENGTH = 5
+
+# Most pattern instances (d**k) a matcher or automaton may track; each state
+# step may touch all of them, and (10,5) alone has 100,000.
+MAX_INSTANCES = 2**16
+
+
+class BudgetExceededError(RuntimeError):
+    """An enumeration would visit more words or states than its cap allows."""
 
 
 def _letters_from_text(text: str) -> tuple[int, ...]:
@@ -208,7 +219,7 @@ def contains_pattern(word: Word, pattern: Pattern) -> bool:
     patterns ranks it once, with _ranked.  The empty pattern is in every
     word, and the empty word contains no other.  Raises ValueError for a
     pattern longer than MAX_PATTERN_LENGTH, before any matcher is built, and
-    BudgetExceededError when w**k passes the automaton's MAX_INSTANCES.
+    BudgetExceededError when w**k passes MAX_INSTANCES.
 
     >>> contains_pattern(Word.parse("5371473"), Pattern.parse("231"))
     True
@@ -287,8 +298,8 @@ _matchers: dict[tuple[int, object], _Matcher] = {}
 
 def _matcher(w: int, k: int, pattern: Optional[tuple[int, ...]] = None) -> _Matcher:
     """The matcher over 1..w for every length-k pattern, in lexicographic
-    order, or for the one pattern given, built after the automaton's
-    refusals (_capped_patterns); the oldest kept make room for it."""
+    order, or for the one pattern given, built after the refusals of
+    _capped_patterns; the oldest kept make room for it."""
     key = (w, k if pattern is None else pattern)
     matcher = _matchers.get(key)
     if matcher is None:
@@ -335,6 +346,19 @@ def enumerate_preferential_arrangements(k: int) -> list[Pattern]:
             f" (fubini({MAX_PATTERN_LENGTH}) = {fubini(MAX_PATTERN_LENGTH)} patterns)"
         )
     return list(_arrangements(k))
+
+
+def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
+    """The canonical length-k patterns, after the two refusals in their
+    order: ValueError for k past MAX_PATTERN_LENGTH, from listing the
+    patterns, then BudgetExceededError for d**k past MAX_INSTANCES."""
+    patterns = tuple(enumerate_preferential_arrangements(k))
+    if d**k > MAX_INSTANCES:
+        raise BudgetExceededError(
+            f"the automaton for k={k}, d={d} would track d**k pattern instances,"
+            f" over the cap of {MAX_INSTANCES}"
+        )
+    return patterns
 
 
 def relabel_canonical(word: Word) -> Word:

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from ._dfa import close_and_minimise
 from ._value import _Value
-from .automaton import MAX_INSTANCES, BudgetExceededError
 from .classify import _least_length_bounds, count_formulas, count_strict_superpatterns
+from .patterns import MAX_INSTANCES, BudgetExceededError
 from .series import Polynomial, RationalFunction
 
 __all__ = [

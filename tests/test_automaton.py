@@ -24,7 +24,7 @@ from superpatterns import _dfa, automaton
 from superpatterns._dfa import close_and_minimise
 from superpatterns.classify import _ANY, _WordSpace
 from superpatterns.cli import main
-from superpatterns.patterns import _matcher
+from superpatterns.patterns import MAX_INSTANCES, _matcher
 
 from conftest import PerInstanceAutomaton, alive, all_words, find_embedding, first_acceptance_time
 
@@ -83,7 +83,7 @@ def test_component_overflow_is_a_budget_error(monkeypatch):
 
 @pytest.mark.parametrize("d,k", [(10, 5), (17, 4), (300, 2)])
 def test_too_many_instances_fail_before_enumeration(d, k):
-    assert d**k > automaton.MAX_INSTANCES
+    assert d**k > MAX_INSTANCES
     start = time.process_time()
     with pytest.raises(BudgetExceededError, match="d\\*\\*k pattern instances"):
         ContainmentAutomaton(d, k)

@@ -56,7 +56,7 @@ from superpatterns.classify import (
     _minimal_listing,
     _relabelling_keeps_status,
 )
-from superpatterns.patterns import MAX_PATTERN_LENGTH
+from superpatterns.patterns import MAX_INSTANCES, MAX_PATTERN_LENGTH
 
 from conftest import (
     alive,
@@ -542,11 +542,12 @@ class TestStrictEnumeration:
 
     def test_budget_enforced(self, monkeypatch, automata):
         # The (3, 3) count steps the minimal DFA, whose largest join holds
-        # 221 states; the (5, 3) count steps the lazy automaton, which
-        # reaches 3,766 states by length 5.
+        # 47 states, over the k^d = 27 the budget must pass to be tried; the
+        # (5, 3) count steps the lazy automaton, which reaches 3,766 states
+        # by length 5.
         monkeypatch.setattr(_dfa, "_built", {})
-        monkeypatch.setattr(_dfa, "STATE_BUDGET", 200)
-        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 200 states"):
+        monkeypatch.setattr(_dfa, "STATE_BUDGET", 40)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=3 exceeded 40 states"):
             count_strict_superpatterns(3, 3, 15)
         assert (3, 3) not in _dfa._built
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
@@ -997,7 +998,7 @@ class TestWordCap:
 
 
 # The most distinct letters a word may have for the queries at k = 3, 4
-# and 5: w**k stays within the automaton's MAX_INSTANCES.
+# and 5: w**k stays within MAX_INSTANCES.
 WIDEST = {3: 40, 4: 16, 5: 9}
 
 
@@ -1020,7 +1021,7 @@ class TestQueriesAgainstBacktracking:
         word, k = word_k
         patterns = enumerate_preferential_arrangements(k)
         assert contains_pattern(word, Pattern(()))
-        if len(set(word.letters)) ** k > automaton.MAX_INSTANCES:
+        if len(set(word.letters)) ** k > MAX_INSTANCES:
             for query in (classify, missing_patterns, is_superpattern, lambda w, k: contains_pattern(w, patterns[-1])):
                 with pytest.raises(BudgetExceededError, match="pattern instances"):
                     query(word, k)

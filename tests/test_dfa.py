@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 import time
 
@@ -166,47 +165,36 @@ def test_the_refusal_bound_is_below_the_closure(d, k):
     assert len(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1)[0]) - 1 >= k**d
 
 
-def permutation_dfa(k: int) -> tuple[list[tuple[int, ...]], int]:
-    """The minimal DFA of "the word over {1..k} holds every permutation of
-    1..k", joined as close_and_minimise joins all the patterns, smallest
-    component first: (rows, accept), state 0 reading the empty word."""
+def all_pattern_dfa(k: int) -> tuple[list[tuple[int, ...]], int]:
+    """The minimal DFA of "the word over {1..k} holds every pattern of length
+    k", joined from the component of every pattern, smallest first, with
+    none left out: (rows, accept), state 0 reading the empty word."""
     auto = ContainmentAutomaton(k, k)
     components = []
-    for pi, pattern in enumerate(auto.patterns):
-        if len(set(pattern.letters)) == k:
-            columns = auto.closed_component(pi)
-            components.append(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1))
+    for pi in range(len(auto.patterns)):
+        columns = auto.closed_component(pi)
+        components.append(_minimal(columns, [c == 0 for c in range(len(columns[0]))], 1))
     dfa = [(0,) * k], 0, 0
     for component in sorted(components, key=lambda c: len(c[0])):
         dfa = _minimal(*_join(k, k, dfa, component))
     rows, start, accept = dfa
-    assert start == 0 and len(components) == math.factorial(k)
+    assert start == 0
     return rows, accept
 
 
-def breadth_first(rows: list[tuple[int, ...]], accept: int) -> tuple[list[tuple[int, ...]], int]:
-    """The DFA with its states renumbered in breadth-first order from state 0."""
-    queue = [0]
-    order = {0: 0}
-    for s in queue:
-        for t in rows[s]:
-            if t not in order:
-                order[t] = len(queue)
-                queue.append(t)
-    return [tuple(order[t] for t in rows[s]) for s in queue], order[accept]
-
-
-@pytest.mark.parametrize("k,states", [(2, 6), (3, 44)])
-def test_the_permutations_alone_give_the_superpattern_dfa(k, states):
+@pytest.mark.parametrize("k,states", [(2, 6), (3, 44), (4, 2_014)])
+def test_the_permutations_alone_give_the_superpattern_dfa(monkeypatch, k, states):
     # Over k letters a word holds every pattern of length k exactly when it
-    # holds every permutation of 1..k: the two minimal DFAs are one.
-    rows, accept = permutation_dfa(k)
+    # holds every permutation of 1..k, so close_and_minimise joins the k!
+    # permutations alone there; the rows are those of the join of all.
+    monkeypatch.setattr(_dfa, "_built", {})
+    rows, accept = all_pattern_dfa(k)
     assert len(rows) == states
-    assert breadth_first(rows, accept) == breadth_first(*close_and_minimise(k, k))
+    assert close_and_minimise(k, k) == (rows, accept)
 
 
 def test_the_permutations_alone_decide_quaternary_superpatterns():
-    rows, accept = permutation_dfa(4)
+    rows, accept = close_and_minimise(4, 4)
     assert len(rows) == 2_014
     rng = random.Random(44)
     seen = set()
@@ -216,6 +204,24 @@ def test_the_permutations_alone_decide_quaternary_superpatterns():
         assert accepted == is_superpattern(Word(tuple(letters), 4), 4)
         seen.add(accepted)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("d,k,closed", [(2, 2, 2), (3, 3, 6), (4, 4, 24), (4, 3, 13)])
+def test_only_the_permutations_are_closed_at_d_equal_to_k(monkeypatch, d, k, closed):
+    # At d = k <= 4 a fresh build closes the k! permutation components and
+    # no other; past d = k every one of the fubini(k) patterns is closed.
+    monkeypatch.setattr(_dfa, "_built", {})
+    calls = []
+    closed_component = ContainmentAutomaton.closed_component
+
+    def counted(auto, pi):
+        calls.append(auto.patterns[pi])
+        return closed_component(auto, pi)
+
+    monkeypatch.setattr(ContainmentAutomaton, "closed_component", counted)
+    close_and_minimise(d, k)
+    assert len(calls) == closed
+    assert all(max(p.letters) == k for p in calls) == (d == k)
 
 
 def test_small_budget_fails_fast(monkeypatch):

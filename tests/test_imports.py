@@ -4,6 +4,7 @@ itself, and neither the package nor the tests import a name they never use."""
 from __future__ import annotations
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import json
@@ -59,6 +60,25 @@ def test_imports_are_standard_library_or_package_and_all_used():
         unused += _import_problems(path)[1]
     assert outside == [], "imports from outside the standard library"
     assert unused == [], "imported names never used"
+
+
+def test_the_package_imports_at_module_level_with_no_cycle():
+    # Each module states what it reads of the others at its top, so the
+    # import graph is read off the module bodies, and no module reaches back
+    # into one that imports it.
+    nested: list[str] = []
+    graph: dict[str, set[str]] = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body:
+                nested.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem] |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert nested == [], "imports below a function, class or block"
+    assert set().union(*graph.values()) <= set(graph)
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
 def test_a_fresh_import_loads_neither_dataclasses_nor_inspect():
@@ -232,8 +252,8 @@ def test_only_the_series_names_the_exact_context():
 
 
 def test_the_dfa_names_no_automaton_cap():
-    # The automaton refuses past its own caps when _dfa makes it, so _dfa
-    # needs none of them to order its refusals.
+    # _capped_patterns and the automaton refuse past their own caps when
+    # _dfa calls them, so _dfa needs none of them to order its refusals.
     caps = {"MAX_INSTANCES", "_MAX_COMPONENTS", "SEARCH_STATE_BUDGET"}
     assert sorted(_identifiers(SOURCE / "_dfa.py") & caps) == []
 
@@ -305,8 +325,9 @@ def _functions_where(found) -> list[str]:
 
 
 def test_only_get_automaton_makes_an_automaton():
-    # One shared automaton per (d, k): the word-space DP steps it, and _dfa
-    # closes its components.
+    # Each call makes a new automaton its caller owns: the word-space DP steps
+    # the one it asks for, and _dfa closes the components of its own.  No
+    # other function constructs one.
     def makes(node: ast.AST) -> bool:
         return isinstance(node, ast.Call) and "ContainmentAutomaton" in _identifiers_of(node.func)
 

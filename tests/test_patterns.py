@@ -21,7 +21,6 @@ from superpatterns import (
     RationalFunction,
     SimSummary,
     Word,
-    automaton,
     contains_pattern,
     dense_rank,
     enumerate_preferential_arrangements,
@@ -226,7 +225,7 @@ class TestContainment:
     def test_words_too_wide_for_the_instance_cap_refused(self, k, widest):
         # The (w, k) matcher tracks w**k instances, at most MAX_INSTANCES;
         # the widest word it takes is answered, one letter more is refused.
-        assert widest**k <= automaton.MAX_INSTANCES < (widest + 1) ** k
+        assert widest**k <= patterns.MAX_INSTANCES < (widest + 1) ** k
         ones = Pattern((1,) * k)
         word = Word(tuple(range(1, widest + 1)), widest + 3)
         assert not contains_pattern(word, ones)
@@ -258,11 +257,11 @@ class TestContainment:
             (bits(w, k), w, k)
             for k in range(2, MAX_PATTERN_LENGTH + 1)
             for w in range(1, 257)
-            if w**k <= automaton.MAX_INSTANCES
+            if w**k <= patterns.MAX_INSTANCES
         )
         monkeypatch.setattr(patterns, "_matchers", {})
         assert largest == (33_583_168, 256, 2) == (patterns._matcher(256, 2).bits, 256, 2)
-        widest = automaton.MAX_INSTANCES
+        widest = patterns.MAX_INSTANCES
         assert patterns._Matcher(widest, 1, [(1,)]).bits == 8 + 64 * (widest + 1) < largest[0]
         assert largest[0] < patterns._MATCHER_BITS
 
