@@ -20,8 +20,9 @@ instance itself.  The refusals of `patterns._capped_patterns` come first.
 Every product is held to STATE_BUDGET states; the components are bounded by
 the automaton's own cap on a pattern's progress vectors, its matcher states.
 Each (d, k) is built once per process and only its DFA is kept, not the
-automaton it was closed from: the word-space DP of `classify` steps it over
-small alphabets, and the simulator builds its byte table from it.
+automaton it was closed from: the word-space DP of `classify` steps it where
+d**k and k**d are both at most 256, up to (5, 3) with 20,193 states and
+(4, 4) with 2,014, and the simulator builds its byte table from it.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ filled so far, and states and transitions are interned in turn, which makes
 a repeated step one table lookup.  Nothing is reserved ahead of use: a new
 state shares one blank transition row until it is first stepped.  The
 matchers' masks are built once per automaton, about 4 MiB at the largest,
-(256, 2).  Past d**k = 64 instances the word-space DP (`classify._WordSpace`)
-steps these product states; up to it, the DP steps the minimal DFA that
-`_dfa` joins from each pattern's component closed alone (`closed_component`,
-as lists of its own), which the simulator's byte table is built from too.
+(256, 2).  The word-space DP (`classify._WordSpace`) steps these product
+states where d**k or k**d, the minimal DFA's state floor, passes 256; below,
+it steps the minimal DFA that `_dfa` joins from each pattern's component
+closed alone (`closed_component`, as lists of its own), which the
+simulator's byte table is built from too.
 
 An automaton lists its patterns through `patterns._capped_patterns`, so it
 refuses a long pattern or too many instances before it builds anything.  It
@@ -39,8 +40,8 @@ from .patterns import BudgetExceededError, _capped_patterns, _Matcher
 __all__ = ["ContainmentAutomaton", "get_automaton"]
 
 # Most states an automaton may intern; read when a state is interned.
-# Counts and listings both stop here: (7, 3) words of length 7 and (4, 4)
-# words of length 12 need more.
+# Counts and listings both stop here: (7, 3) words of length 7 and (5, 4)
+# words of length 9 need more.
 SEARCH_STATE_BUDGET = 500_000
 
 # Component ids are packed two bytes each into a state's key.

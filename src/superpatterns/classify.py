@@ -258,12 +258,15 @@ def min_superpattern_length(k: int, d: int) -> int:
 # it, or first-occurrence canonical form (each new letter is the next unused).
 _ANY, _NO_REPEAT, _CANONICAL = range(3)
 
-# The most pattern instances, d**k, at which the word space steps the minimal
-# DFA.  Up to (8, 2) and (4, 3) it closes in at most 0.03 s; (5, 3) takes
-# 0.3 s and 26 MB, (4, 4) 0.1 s from its 24 permutations, and (6, 3) is
-# refused on its state budget only after a second of closure.  Past it the
-# lazy automaton interns only the states the words reach.
-_DFA_INSTANCES = 64
+# The bound on both d**k and k**d up to which the word space steps the minimal
+# DFA; k**d is its state floor, since the pattern 1...1 alone tells apart every
+# count 0..k-1 of each letter.  Under it the DFA closes in at most 0.43 s, at
+# (5, 3) with 20,193 states, and (4, 4) in about 0.1 s with 2,014.  Past it
+# (6, 3) is refused on its state budget after a second of closure, and a
+# short (d >= 9, 2) listing is faster lazily, since the build outweighs it:
+# (12, 2) at n = 3 takes 0.010 s against 0.17 s on its DFA.  The lazy
+# automaton interns only the states the words reach.
+_DFA_BOUND = 256
 
 
 class _Automaton(NamedTuple):
@@ -276,11 +279,11 @@ class _Automaton(NamedTuple):
 
 def _automaton(d: int, k: int) -> _Automaton:
     """The automaton the word space steps, for k <= d: the shared minimal DFA
-    (_dfa.close_and_minimise) when d**k is at most _DFA_INSTANCES, where it
-    closes quickly and its states are the fewest; otherwise a new lazy
-    automaton, which interns only the states the words reach.  Decided from
-    (d, k) alone, before any closure work."""
-    if d**k <= _DFA_INSTANCES:
+    (_dfa.close_and_minimise) when d**k and k**d are both at most _DFA_BOUND,
+    where it closes quickly and its states are the fewest; otherwise a new
+    lazy automaton, which interns only the states the words reach.  Decided
+    from (d, k) alone, before any closure work."""
+    if d**k <= _DFA_BOUND and k**d <= _DFA_BOUND:
         rows, accept = close_and_minimise(d, k)
         return _Automaton(lambda s, a: rows[s][a - 1], [s == accept for s in range(len(rows))])
     auto = get_automaton(d, k)

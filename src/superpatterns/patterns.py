@@ -354,10 +354,7 @@ def _capped_patterns(d: int, k: int) -> tuple[Pattern, ...]:
     patterns, then BudgetExceededError for d**k past MAX_INSTANCES."""
     patterns = tuple(enumerate_preferential_arrangements(k))
     if d**k > MAX_INSTANCES:
-        raise BudgetExceededError(
-            f"the automaton for k={k}, d={d} would track d**k pattern instances,"
-            f" over the cap of {MAX_INSTANCES}"
-        )
+        raise BudgetExceededError(f"k={k}, d={d} has d**k pattern instances, over the cap of {MAX_INSTANCES}")
     return patterns
 
 

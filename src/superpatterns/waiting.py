@@ -136,7 +136,7 @@ def _letters_per_byte(d: int) -> int:
         raise BudgetExceededError(
             f"the simulator draws letters from single bytes, so d={d} is over 255;"
             f" for k >= 2 that alphabet also has d**k pattern instances, at or over"
-            f" the automaton's cap of {MAX_INSTANCES}"
+            f" the cap of {MAX_INSTANCES}"
         )
     j = 1
     while j < 8 and d ** (j + 1) <= 256:

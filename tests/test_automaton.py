@@ -188,7 +188,7 @@ def test_a_fresh_automaton_refuses_states_past_its_own_budget(monkeypatch):
     [
         lambda: close_and_minimise(4, 3),
         lambda: strict_counts_by_length(9, 2, 6),
-        lambda: list(iter_superpatterns(5, 3, 7)),
+        lambda: list(iter_superpatterns(9, 2, 4)),
         None,
     ],
     ids=["dfa", "counts", "listing", "refused"],
@@ -200,15 +200,15 @@ def test_no_automaton_outlives_its_call(monkeypatch, automata, call):
     monkeypatch.setattr(_dfa, "_built", {})
     if call is None:
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
-        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
-            count_strict_superpatterns(5, 3, 15)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=6 exceeded 600 states"):
+            count_strict_superpatterns(6, 3, 15)
     else:
         call()
     assert len(automata) == 1 and alive(automata) == []
 
 
 def test_tables_hold_only_what_was_stepped(automata):
-    # A lazy (9, 2) space, past d**k = 64: a strict count to n = 8 and a
+    # A lazy (9, 2) space, 2**9 = 512 past the bound: a strict count to n = 8 and a
     # strict listing at n = 4 intern states they never step.
     space = _WordSpace(9, 2, _ANY)
     assert [hit for _level, hit in space.levels(8, strict=True)][-1] == 1_359_468

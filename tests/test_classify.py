@@ -444,13 +444,13 @@ class TestMinimumLength:
             assert list(iter_superpatterns(4, 4, n)) == [], n
 
     def test_no_four_letter_word_below_twelve_letters_is_a_superpattern(self, monkeypatch, automata):
-        # The proof of L(4, 4) = 12 walks canonical words to length 11 in
-        # seconds, on the one lazy automaton it makes.  No word of 12
-        # letters is stepped: interning that level took the automaton from
-        # 106,996 to 194,102 states, past this budget.
-        monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 110_000)
+        # The proof of L(4, 4) = 12 walks canonical words to length 11 over
+        # the minimal DFA, 2,014 states closed from the 24 permutations: the
+        # one automaton made is the closure's, and no lazy one is held.
+        monkeypatch.setattr(_dfa, "_built", {})
         assert _hits_below_least_length(4, 4) == [0] * 12
-        assert len(automata) == 1
+        assert list(_dfa._built) == [(4, 4)] and len(_dfa._built[4, 4][0]) == 2014
+        assert len(automata) == 1 and alive(automata) == []
 
 
 def _hits_below_least_length(k: int, d: int) -> list[int]:
@@ -543,7 +543,7 @@ class TestStrictEnumeration:
     def test_budget_enforced(self, monkeypatch, automata):
         # The (3, 3) count steps the minimal DFA, whose largest join holds
         # 47 states, over the k^d = 27 the budget must pass to be tried; the
-        # (5, 3) count steps the lazy automaton, which reaches 3,766 states
+        # (6, 3) count steps the lazy automaton, which reaches 9,124 states
         # by length 5.
         monkeypatch.setattr(_dfa, "_built", {})
         monkeypatch.setattr(_dfa, "STATE_BUDGET", 40)
@@ -551,15 +551,15 @@ class TestStrictEnumeration:
             count_strict_superpatterns(3, 3, 15)
         assert (3, 3) not in _dfa._built
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 600)
-        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=5 exceeded 600 states"):
-            count_strict_superpatterns(5, 3, 15)
+        with pytest.raises(BudgetExceededError, match="the automaton for k=3, d=6 exceeded 600 states"):
+            count_strict_superpatterns(6, 3, 15)
         # The DFA's closure and the count each made one, and neither is held.
         assert len(automata) == 2 and alive(automata) == []
 
     def test_component_overflow_in_a_listing_drops_the_automaton(self, monkeypatch, automata):
         monkeypatch.setattr(automaton, "_MAX_COMPONENTS", 50)
         with pytest.raises(BudgetExceededError, match="exceeded 50 progress vectors"):
-            list(iter_strict_superpatterns(5, 3, 7))
+            list(iter_strict_superpatterns(6, 3, 7))
         assert len(automata) == 1 and alive(automata) == []
 
     def test_full_and_canonical_superpattern_listings(self):
@@ -568,6 +568,17 @@ class TestStrictEnumeration:
         full = list(iter_superpatterns(3, 3, 7))
         assert len(full) == 42
         assert set(isomorphism_orbit(canonical)) == set(full)
+
+    def test_the_216_minimum_quaternary_words(self):
+        # Each strict (4, 4) word of the least length 12 holds every pattern
+        # by the matcher route and its 11-letter prefix does not; the words
+        # fall into the 9 classes of the canonical listing.
+        strict = list(iter_strict_superpatterns(4, 4, 12))
+        assert len(strict) == 216
+        assert all(is_superpattern(w, 4) and not is_superpattern(w.prefix(11), 4) for w in strict)
+        canonical = list(iter_superpatterns(4, 4, 12, canonical=True))
+        assert len(canonical) == 9
+        assert {relabel_canonical(w) for w in strict} == set(canonical)
 
 
 def _every_relabelling_keeps_the_language(d: int, k: int) -> bool:
@@ -679,6 +690,11 @@ class TestTransferMatrixCounts:
         assert count_strict_minimal_upto_iso(40) == f.s_mu
         assert count_beta_bruteforce(40) == (f.beta_a, f.beta_b)
 
+    def test_quaternary_counts_step_the_minimal_dfa(self):
+        # Lazily, these counts passed the 500,000-state budget by n = 12.
+        counts = strict_counts_by_length(4, 4, 14)
+        assert [counts[n] for n in range(11, 15)] == [0, 216, 16_248, 330_816]
+
     def test_counts_are_bounded_by_automaton_states(self, monkeypatch, automata):
         # A word of length 8 is a superpattern when its waiting time t is at
         # most 8, and 4^(8-t) words share each strict prefix of length t.
@@ -695,34 +711,34 @@ class TestTransferMatrixCounts:
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
             list(iter_superpatterns(4, 3, 8))
         assert (4, 3) not in _dfa._built
-        # (5, 3) steps the lazy automaton: 40,008 states by length 7.
+        # (6, 3) steps the lazy automaton: 170,673 states by length 7.
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 2000)
         made = len(automata)
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
-            strict_counts_by_length(5, 3, 7)
+            strict_counts_by_length(6, 3, 7)
         with pytest.raises(BudgetExceededError, match="exceeded 2000 states"):
-            list(iter_superpatterns(5, 3, 7))
+            list(iter_superpatterns(6, 3, 7))
         assert len(automata) == made + 2 and alive(automata) == []
 
     def test_a_listing_is_refused_past_the_state_budget(self, monkeypatch, automata):
-        # The (4, 4) states the listing's DP needs are not under the state
+        # The (5, 4) states the listing's DP needs are not under the state
         # budget, so the listing stops before it counts its words.
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
-        with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=4 exceeded 5000 states"):
-            next(iter_superpatterns(4, 4, 12))
+        with pytest.raises(BudgetExceededError, match="the automaton for k=4, d=5 exceeded 5000 states"):
+            next(iter_superpatterns(5, 4, 12))
         assert len(automata) == 1 and alive(automata) == []
 
     @pytest.mark.parametrize(
         "cap,value,overrun",
         [
-            ("SEARCH_STATE_BUDGET", 1000, lambda: strict_counts_by_length(4, 4, 12)),
-            ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(4, 4, 12))),
+            ("SEARCH_STATE_BUDGET", 1000, lambda: strict_counts_by_length(5, 4, 12)),
+            ("SEARCH_STATE_BUDGET", 1000, lambda: list(iter_strict_superpatterns(5, 4, 12))),
         ],
         ids=["count", "listing"],
     )
     def test_no_overrun_automaton_outlives_the_call(self, monkeypatch, automata, cap, value, overrun):
         monkeypatch.setattr(automaton, cap, value)
-        with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=4 exceeded {value} "):
+        with pytest.raises(BudgetExceededError, match=f"the automaton for k=4, d=5 exceeded {value} "):
             overrun()
         assert len(automata) == 1 and alive(automata) == []
 
@@ -800,11 +816,13 @@ def _outcome(run):
 
 
 # Word spaces by (d, k): each letter rule from the empty word, and for (3, 3)
-# also the alternating space the minimal listings read, from 1,2.
+# also the alternating space the minimal listings read, from 1,2.  (5, 3) is
+# the largest DFA the rule picks, at 20,193 states.
 SPACES = {
     (2, 2, 24): [(_ANY, ())],
     (3, 2, 16): [(_ANY, ())],
     (4, 3, 9): [(_ANY, ())],
+    (5, 3, 7): [(_ANY, ()), (_NO_REPEAT, ())],
     (3, 3, 14): [(_ANY, ()), (_NO_REPEAT, ()), (_NO_REPEAT, (1, 2)), (_CANONICAL, ())],
 }
 
@@ -813,14 +831,14 @@ class TestBothAutomata:
     """The word-space DP stepped over the minimal DFA gives the same counts,
     ordered listings and least-length proofs as stepped over the lazy
     automaton.  Each test forces one route and then the other through the
-    one rule's bound, _DFA_INSTANCES."""
+    one rule's bound, _DFA_BOUND."""
 
     ROUTES = {"dfa": float("inf"), "lazy": 0}
 
     def on_each(self, monkeypatch, run):
         results = {}
         for route, bound in self.ROUTES.items():
-            monkeypatch.setattr(classify_module, "_DFA_INSTANCES", bound)
+            monkeypatch.setattr(classify_module, "_DFA_BOUND", bound)
             results[route] = run()
         return results
 
@@ -844,11 +862,11 @@ class TestBothAutomata:
             auto = _WordSpace(d, k, _ANY).auto
             return any(lazy.accepting is auto.accepting for lazy in alive(automata))
 
-        picked = {
-            (d, k): not steps_a_lazy_automaton(d, k)
-            for d, k in [(1, 1), (64, 1), (65, 1), (2, 2), (8, 2), (9, 2), (3, 3), (4, 3), (5, 3), (4, 4)]
-        }
-        assert [dk for dk, dfa in picked.items() if dfa] == [(1, 1), (64, 1), (2, 2), (8, 2), (3, 3), (4, 3)]
+        # The DFA is picked while d**k and k**d are both at most 256: on each
+        # side of the edge in d for k = 1 to 4, and at (5, 5).
+        edges = [(1, 1), (256, 1), (257, 1), (2, 2), (8, 2), (9, 2), (3, 3), (5, 3), (6, 3), (4, 4), (5, 4), (5, 5)]
+        picked = {(d, k): not steps_a_lazy_automaton(d, k) for d, k in edges}
+        assert [dk for dk, dfa in picked.items() if dfa] == [(1, 1), (256, 1), (2, 2), (8, 2), (3, 3), (5, 3), (4, 4)]
 
     @pytest.mark.parametrize("d,k,n_max", list(SPACES))
     def test_counts_agree(self, monkeypatch, d, k, n_max):

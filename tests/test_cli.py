@@ -162,7 +162,9 @@ class TestCheck:
         assert out.splitlines()[1] == f'"{forty}",3,40,False,False,False,False,{missing}'
         code, out, err = run(capsys, "check", forty + ",41", "--k", "3")
         assert (code, out) == (3, "")
-        assert err.startswith("budget exceeded: the automaton for k=3, d=41")
+        assert err == "budget exceeded: k=3, d=41 has d**k pattern instances, over the cap of 65536\n"
+        # Only a matcher was asked for, so the refusal names no automaton.
+        assert "automaton" not in err
 
 
 class TestEnumerate:
@@ -276,14 +278,28 @@ class TestEnumerate:
         assert time.process_time() - start < 1.0
         assert (code, out) == (0, "word\n" + "1" * 60000 + "\n# count: 1\n")
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_a_quaternary_listing_past_its_budget_is_refused_quickly(self):
+        # The lazy (4, 4) automaton took 3.0-4.0 s and 148 MB to count the
+        # 9 words it then refused (2 vCPU, Python 3.11); the minimal DFA
+        # closes in about 0.1 s.
+        child = run_in_child("enumerate", "--d", "4", "--k", "4", "--n", "12", "--filter", "all", "--budget", "10")
+        assert (child.code, child.out) == (3, "")
+        assert child.err == (
+            "budget exceeded: superpattern listing at n=12 would print 9 words of 12 letters,"
+            " over the cap of 10 words or 50 letters\n"
+        )
+        assert child.cpu_s < 1.0
+        assert child.peak_mb < 40
+
     def test_state_budget_bounds_a_listing_inside_the_word_space(self, capsys, monkeypatch, automata):
-        # The (4, 4) states the listing's DP needs pass the automaton's
+        # The (5, 4) states the listing's DP needs pass the automaton's
         # budget, so the listing stops there, before it counts its words.
         monkeypatch.setattr(automaton, "SEARCH_STATE_BUDGET", 5000)
-        argv = ["enumerate", "--n", "12", "--filter", "all", "--scope", "full", "--d", "4", "--k", "4"]
+        argv = ["enumerate", "--n", "12", "--filter", "all", "--scope", "full", "--d", "5", "--k", "4"]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert err == "budget exceeded: the automaton for k=4, d=4 exceeded 5000 states\n"
+        assert err == "budget exceeded: the automaton for k=4, d=5 exceeded 5000 states\n"
         assert len(automata) == 1 and alive(automata) == []
 
     # Up to n = 4,100 the strict-minimal count (n-4)^2 - 2 stays under 2^24
