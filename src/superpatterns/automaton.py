@@ -148,10 +148,7 @@ class ContainmentAutomaton:
         if nxt is None:
             nxt = len(self._components[pi])
             if nxt == _MAX_COMPONENTS:
-                raise BudgetExceededError(
-                    f"the automaton for k={self.k}, d={self.d} exceeded {_MAX_COMPONENTS}"
-                    f" progress vectors for pattern {self.patterns[pi]}"
-                )
+                raise self._overflow(pi)
             ids[progress] = nxt
             self._components[pi].append(progress)
         column[component] = nxt
@@ -162,12 +159,24 @@ class ContainmentAutomaton:
         word's id 1 filled in, as one new list per letter: ``columns[a -
         1][c]`` is the id after letter a from id c, and the contained id 0
         loops to itself.  Forms no state."""
+        # The component of 1...1 has one id for each count 0..k-1 of each
+        # letter, k^d beside the contained id, so past the cap it is refused
+        # before any fill.
+        if max(self.patterns[pi].letters) == 1 and self.k**self.d >= _MAX_COMPONENTS:
+            raise self._overflow(pi)
         component = 1
         while component < len(self._components[pi]):
             for a in range(1, self.d + 1):
                 self._fill(a, pi, component)
             component += 1
         return [list(map(column[pi].__getitem__, range(component))) for column in self._columns[1:]]
+
+    def _overflow(self, pi: int) -> BudgetExceededError:
+        """The refusal of a component id past _MAX_COMPONENTS for pattern pi."""
+        return BudgetExceededError(
+            f"the automaton for k={self.k}, d={self.d} exceeded {_MAX_COMPONENTS}"
+            f" progress vectors for pattern {self.patterns[pi]}"
+        )
 
     def scan(self, letters: Iterable[int]) -> int:
         """State after reading a whole letter sequence from the empty word."""

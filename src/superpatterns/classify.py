@@ -688,10 +688,13 @@ _EVERY_ORDERING = re.compile(
 
 
 def has_flanking_pairs(word: Word) -> bool:
-    """Necessary condition for a ternary superpattern: for every choice of
+    """Whether a word over {1,2,3} is a 3-superpattern: for every choice of
     distinct letters i, j, k there is an occurrence of i preceded by a
     j-then-k subsequence, one followed by j-then-k, and likewise for k-then-j
-    (four separate occurrences of i are allowed).
+    (four separate occurrences of i are allowed).  The condition is necessary
+    and sufficient over three letters: the six orderings of 1, 2, 3 are the
+    only instances of the six permutation patterns there, and a word holding
+    every permutation of 1..k over k letters holds every pattern of length k.
 
     An i after a j-then-k is the subsequence j, k, i and an i before one is
     i, j, k, so both halves say that every ordering a, b, c of the three

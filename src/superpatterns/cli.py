@@ -10,10 +10,13 @@ yields as each row is written, a cumulative as 1 less a pair of the tail
 series; pmf's brute and both modes feed the same recurrence from the
 strict counting DP, one length at a time, so no pmf or gf value meets the
 interpreter's limit on converting integers to text.  Decimal columns round
-in a context the command makes.
+in a context the command makes.  Each subcommand hands its text in every
+format to one writer, `_write`, which alone reads --format and --out.
 
 Exit codes: 0 success, 1 word-is-not-a-superpattern (check), 2 parse/usage
-error, 3 enumeration budget exceeded, 4 verification failure.
+error or an --out that cannot be written, 3 enumeration budget exceeded,
+4 verification failure.  A reader that closes stdout ends the output
+quietly, with the command's own exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from decimal import Context
 from itertools import chain, islice, repeat, tee
@@ -73,25 +77,44 @@ def _fraction_text(value: tuple) -> str:
     return f"{numerator}" if denominator == 1 else f"{numerator}/{denominator}"
 
 
-def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
-    """Write text to the file or to stdout piece by piece, as it is formed."""
-    if out:
-        with open(out, "w") as fh:
+def _write(
+    args: argparse.Namespace, as_json: Iterable[str], as_csv: Iterable[str], as_plain: Optional[Iterable[str]] = None
+) -> None:
+    """Write the pieces of --format, plain defaulting to the csv, to --out or
+    to stdout, piece by piece as each is formed.
+
+    An --out that cannot be opened or written is a ValueError.  A reader that
+    closes stdout ends the output quietly: stdout is pointed at os.devnull,
+    so the interpreter's last flush does not fail either.
+    """
+    pieces = {"json": as_json, "csv": as_csv, "plain": as_csv if as_plain is None else as_plain}[args.format]
+    if not args.out:
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(args.out, "w") as fh:
             fh.writelines(pieces)
-    else:
-        sys.stdout.writelines(pieces)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror}") from None
 
 
-def _json(value: object) -> list[str]:
-    """A JSON document as one piece."""
-    return [json.dumps(value, indent=2) + "\n"]
+def _json(value: object) -> Iterator[str]:
+    """A JSON document as one piece, formed when it is written."""
+    yield json.dumps(value, indent=2) + "\n"
+
+
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """Text line by line, each line as it is formed."""
+    return (line + "\n" for line in lines)
 
 
 def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
     """A CSV table line by line: the header, then each row as it is formed."""
-    yield header + "\n"
-    for row in rows:
-        yield row + "\n"
+    return _lines(chain([header], rows))
 
 
 def _csv_word(word: str) -> str:
@@ -131,8 +154,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     flags = classify(word, args.k)
     # A superpattern misses nothing; search the patterns again only otherwise.
     missing = [] if flags.is_superpattern else [str(p) for p in missing_patterns(word, args.k)]
-    if args.format == "json":
-        pieces = _json(
+    _write(
+        args,
+        _json(
             {
                 "word": str(word),
                 "k": args.k,
@@ -143,28 +167,26 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "is_minimum": flags.is_minimum,
                 "missing_patterns": missing,
             }
-        )
-    elif args.format == "csv":
-        pieces = _csv(
+        ),
+        _csv(
             "word,k,d,is_superpattern,is_minimal,is_strict,is_minimum,missing_patterns",
             [
                 f"{_csv_word(str(word))},{args.k},{word.alphabet_size},{flags.is_superpattern},"
                 f"{flags.is_minimal},{flags.is_strict},{flags.is_minimum},"
                 f"{';'.join(missing)}"
             ],
-        )
-    else:
-        lines = [
-            f"word {word} (alphabet 1..{word.alphabet_size}, k={args.k})",
-            f"  superpattern: {flags.is_superpattern}",
-            f"  minimal:      {flags.is_minimal}",
-            f"  strict:       {flags.is_strict}",
-            f"  minimum:      {flags.is_minimum}",
-        ]
-        if missing:
-            lines.append(f"  missing patterns: {' '.join(missing)}")
-        pieces = ["\n".join(lines) + "\n"]
-    _emit(pieces, args.out)
+        ),
+        _lines(
+            [
+                f"word {word} (alphabet 1..{word.alphabet_size}, k={args.k})",
+                f"  superpattern: {flags.is_superpattern}",
+                f"  minimal:      {flags.is_minimal}",
+                f"  strict:       {flags.is_strict}",
+                f"  minimum:      {flags.is_minimum}",
+            ]
+            + ([f"  missing patterns: {' '.join(missing)}"] if missing else [])
+        ),
+    )
     return EXIT_OK if flags.is_superpattern else EXIT_NOT_SUPERPATTERN
 
 
@@ -181,23 +203,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         words = _minimal_listing(args.n, args.filter == "strict-minimal", args.budget, () if full else (1, 2))
     # The walker refuses before its first word, so a refused listing, whose
     # first word is formed before anything is opened, writes nothing.
-    first = list(islice(words, 1))
-    _emit(_listing(chain(first, words), args.format), args.out)
+    words = chain(list(islice(words, 1)), words)
+    _write(args, _listing_json(words), _listing(words, csv=True), _listing(words, csv=False))
     return EXIT_OK
 
 
-def _listing(words: Iterable[Word], fmt: str) -> Iterator[str]:
+def _listing_json(words: Iterable[Word]) -> Iterator[str]:
+    """The bytes json.dumps({"words": [...], "count": count}, indent=2)
+    gives, each word as it is yielded."""
+    count = 0
+    yield '{\n  "words": ['
+    for count, word in enumerate(words, 1):
+        yield ("\n    " if count == 1 else ",\n    ") + json.dumps(str(word))
+    yield ("\n  ]" if count else "]") + f',\n  "count": {count}\n}}\n'
+
+
+def _listing(words: Iterable[Word], csv: bool) -> Iterator[str]:
     """A listing line by line, each word as it is yielded and the count
     after the words."""
     count = 0
-    if fmt == "json":
-        # The bytes json.dumps({"words": [...], "count": count}, indent=2) gives.
-        yield '{\n  "words": ['
-        for count, word in enumerate(words, 1):
-            yield ("\n    " if count == 1 else ",\n    ") + json.dumps(str(word))
-        yield ("\n  ]" if count else "]") + f',\n  "count": {count}\n}}\n'
-        return
-    csv = fmt == "csv"
     if csv:
         yield "word\n"
     for count, word in enumerate(words, 1):
@@ -240,13 +264,10 @@ def cmd_counts(args: argparse.Namespace) -> int:
     reports = chain([next(reports)], reports)
     names = CountReport.__match_args__
     values = attrgetter(*names)
-    if args.format == "json":
-        # The bytes json.dumps(rows, indent=2) gives for the whole list.
-        rows = ("  " + json.dumps(dict(zip(names, values(r))), indent=2).replace("\n", "\n  ") for r in reports)
-        pieces = chain(["[\n", next(rows)], (",\n" + row for row in rows), ["\n]\n"])
-    else:
-        pieces = _csv(",".join(names), (",".join(map(str, values(r))) for r in reports))
-    _emit(pieces, args.out)
+    # The bytes json.dumps(rows, indent=2) gives for the whole list.
+    rows = ("  " + json.dumps(dict(zip(names, values(r))), indent=2).replace("\n", "\n  ") for r in reports)
+    as_json = chain(["[\n"], islice(rows, 1), (",\n" + row for row in rows), ["\n]\n"])
+    _write(args, as_json, _csv(",".join(names), (",".join(map(str, values(r))) for r in reports)))
     return EXIT_OK
 
 
@@ -271,11 +292,7 @@ def cmd_pmf(args: argparse.Namespace) -> int:
         rows = zip(exact, (p for p, _ in brute) if args.mode == "both" else repeat(None))
     # A cumulative is 1 less its row's tail pair, in lowest terms as that is.
     rows = ((p, (_EXACT.subtract(den, num), den), (num, den), b) for (p, (num, den)), b in rows)
-    if args.format == "json":
-        pieces = _pmf_json(d, n_max, rows)
-    else:
-        pieces = _pmf_csv(rows, Context(prec=args.digits), args.mode == "both")
-    _emit(pieces, args.out)
+    _write(args, _pmf_json(d, n_max, rows), _pmf_csv(rows, Context(prec=args.digits), args.mode == "both"))
     return EXIT_OK
 
 
@@ -309,8 +326,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
     mean, variance = moments_from_gf(waiting_time_gf(args.d))
     context = Context(prec=args.digits)
     mean_decimal, variance_decimal = (format_decimal(v.as_integer_ratio(), context) for v in (mean, variance))
-    if args.format == "json":
-        pieces = _json(
+    _write(
+        args,
+        _json(
             {
                 "d": args.d,
                 "k": args.d,
@@ -319,21 +337,10 @@ def cmd_moments(args: argparse.Namespace) -> int:
                 "variance": str(variance),
                 "variance_decimal": variance_decimal,
             }
-        )
-    elif args.format == "csv":
-        pieces = _csv(
-            "quantity,exact,decimal",
-            [
-                f"mean,{mean},{mean_decimal}",
-                f"variance,{variance},{variance_decimal}",
-            ],
-        )
-    else:
-        pieces = [
-            f"mean     = {mean} = {mean_decimal}\n",
-            f"variance = {variance} = {variance_decimal}\n",
-        ]
-    _emit(pieces, args.out)
+        ),
+        _csv("quantity,exact,decimal", [f"mean,{mean},{mean_decimal}", f"variance,{variance},{variance_decimal}"]),
+        _lines([f"mean     = {mean} = {mean_decimal}", f"variance = {variance} = {variance_decimal}"]),
+    )
     return EXIT_OK
 
 
@@ -344,16 +351,13 @@ def cmd_gf(args: argparse.Namespace) -> int:
     if args.n < 0:
         raise ValueError("--n must be at least 0")
     coefficients = enumerate(islice(waiting_time_gf(args.d).expand(), args.n + 1))
-    if args.format == "json":
-        # The bytes json.dumps({"d": d, "coefficients": {n: c}}, indent=2) gives.
-        pieces = chain(
-            [f'{{\n  "d": {args.d},\n  "coefficients": {{'],
-            (f'{"," if n else ""}\n    "{n}": {json.dumps(_fraction_text(c))}' for n, c in coefficients),
-            ["\n  }\n}\n"],
-        )
-    else:
-        pieces = _csv("n,coefficient", (f"{n},{_fraction_text(c)}" for n, c in coefficients))
-    _emit(pieces, args.out)
+    # The bytes json.dumps({"d": d, "coefficients": {n: c}}, indent=2) gives.
+    as_json = chain(
+        [f'{{\n  "d": {args.d},\n  "coefficients": {{'],
+        (f'{"," if n else ""}\n    "{n}": {json.dumps(_fraction_text(c))}' for n, c in coefficients),
+        ["\n  }\n}\n"],
+    )
+    _write(args, as_json, _csv("n,coefficient", (f"{n},{_fraction_text(c)}" for n, c in coefficients)))
     return EXIT_OK
 
 
@@ -362,8 +366,10 @@ def cmd_gf(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     summary = simulate_tau(args.d, args.k, args.trials, args.seed)
-    if args.format == "json":
-        pieces = _json(
+    histogram = summary.histogram.items()
+    _write(
+        args,
+        _json(
             {
                 "d": summary.d,
                 "k": summary.k,
@@ -371,21 +377,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "seed": summary.seed,
                 "mean": summary.sample_mean,
                 "variance": summary.sample_variance,
-                "histogram": {str(n): c for n, c in summary.histogram.items()},
+                "histogram": {str(n): c for n, c in histogram},
             }
-        )
-    elif args.format == "csv":
-        pieces = _csv("n,count", (f"{n},{c}" for n, c in summary.histogram.items()))
-    else:
-        lines = [
-            f"d={summary.d} k={summary.k} trials={summary.trials} seed={summary.seed}",
-            f"sample mean     = {summary.sample_mean}",
-            f"sample variance = {summary.sample_variance}",
-            "histogram:",
-        ]
-        lines += [f"  {n}: {c}" for n, c in summary.histogram.items()]
-        pieces = ["\n".join(lines) + "\n"]
-    _emit(pieces, args.out)
+        ),
+        _csv("n,count", (f"{n},{c}" for n, c in histogram)),
+        _lines(
+            chain(
+                [
+                    f"d={summary.d} k={summary.k} trials={summary.trials} seed={summary.seed}",
+                    f"sample mean     = {summary.sample_mean}",
+                    f"sample variance = {summary.sample_variance}",
+                    "histogram:",
+                ],
+                (f"  {n}: {c}" for n, c in histogram),
+            )
+        ),
+    )
     return EXIT_OK
 
 
@@ -429,13 +436,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checks += _oeis_checks()
     if args.suite in ("counterexample", "all"):
         checks += _counterexample_checks()
-    if args.format == "json":
-        pieces = _json([{"check": name, "ok": ok} for name, ok in checks])
-    elif args.format == "csv":
-        pieces = _csv("check,ok", (f"{name},{ok}" for name, ok in checks))
-    else:
-        pieces = [f"{'ok  ' if ok else 'FAIL'} {name}\n" for name, ok in checks]
-    _emit(pieces, args.out)
+    _write(
+        args,
+        _json([{"check": name, "ok": ok} for name, ok in checks]),
+        _csv("check,ok", (f"{name},{ok}" for name, ok in checks)),
+        _lines(f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in checks),
+    )
     return EXIT_OK if all(ok for _, ok in checks) else EXIT_VERIFY_FAILED
 
 
@@ -462,29 +468,20 @@ def cmd_coupons(args: argparse.Namespace) -> int:
         raise too_long
     context = Context(prec=args.digits)
     single_decimal, all_decimal = (format_decimal(v.as_integer_ratio(), context) for v in (single, all_words))
-    if args.format == "json":
-        pieces = _json(
-            {
-                "d": args.d,
-                "k": args.k,
-                "single_collection": str(single),
-                "all_words": str(all_words),
-            }
-        )
-    elif args.format == "csv":
-        pieces = _csv(
+    _write(
+        args,
+        _json({"d": args.d, "k": args.k, "single_collection": str(single), "all_words": str(all_words)}),
+        _csv(
             "quantity,exact,decimal",
+            [f"single_collection,{single},{single_decimal}", f"all_words,{all_words},{all_decimal}"],
+        ),
+        _lines(
             [
-                f"single_collection,{single},{single_decimal}",
-                f"all_words,{all_words},{all_decimal}",
-            ],
-        )
-    else:
-        pieces = [
-            f"single coupon collection: {single} = {single_decimal}\n",
-            f"all length-{args.k} words:  {all_words} = {all_decimal}\n",
-        ]
-    _emit(pieces, args.out)
+                f"single coupon collection: {single} = {single_decimal}",
+                f"all length-{args.k} words:  {all_words} = {all_decimal}",
+            ]
+        ),
+    )
     return EXIT_OK
 
 

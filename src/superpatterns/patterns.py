@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import accumulate, combinations, product
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 from ._value import _Value
@@ -100,7 +101,9 @@ class Word(_Value):
     alphabet_size: int
 
     def __init__(self, letters: Iterable[int], alphabet_size: int) -> None:
-        letters = tuple(letters)
+        # operator.index refuses a non-integer letter or size with TypeError.
+        letters = tuple(map(index, letters))
+        alphabet_size = index(alphabet_size)
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be at least 1")
         for v in letters:
@@ -135,8 +138,9 @@ _set_alphabet_size = Word.alphabet_size.__set__
 def _unchecked_word(letters: tuple[int, ...], alphabet_size: int) -> Word:
     """A Word built without __init__'s letter checks, at about half the cost.
 
-    Only for letters already known to lie in 1..alphabet_size: the listing
-    walker's, whose letters are its automaton's moves over 1..d.  Writing
+    Only for int letters already known to lie in 1..alphabet_size: the
+    listing walker's, whose letters are its automaton's moves over 1..d, and
+    `_ranked`'s, whose letters are ranks 1..w by construction.  Writing
     the two slots directly gives a value equal, in fields, hash and str, to
     Word(letters, alphabet_size).
     """
@@ -164,7 +168,7 @@ class Pattern(_Value):
     letters: tuple[int, ...]
 
     def __init__(self, letters: Iterable[int]) -> None:
-        letters = tuple(letters)
+        letters = tuple(map(index, letters))
         used = set(letters)
         if used and used != set(range(1, max(used) + 1)):
             # The text parse() reads back: digits, or commas past 9 (and for
@@ -208,7 +212,7 @@ def _ranked(word: Word) -> Word:
     if len(values) == word.alphabet_size:
         return word
     rank = {v: r for r, v in enumerate(sorted(values), 1)}
-    return Word(tuple(map(rank.__getitem__, word.letters)), max(len(values), 1))
+    return _unchecked_word(tuple(map(rank.__getitem__, word.letters)), max(len(values), 1))
 
 
 def contains_pattern(word: Word, pattern: Pattern) -> bool:

@@ -81,6 +81,24 @@ def test_component_overflow_is_a_budget_error(monkeypatch):
         expand_breadth_first(ContainmentAutomaton(3, 3), 10**9)
 
 
+@pytest.mark.parametrize("d,k", [(16, 2), (8, 4), (7, 5)])
+def test_the_ones_component_past_the_cap_is_refused_before_any_fill(monkeypatch, d, k):
+    # Pattern 1...1 has one id for each count 0..k-1 of each letter: k^d ids
+    # beside the contained id 0, past the 65,535 that fit.
+    fills = []
+    fill = ContainmentAutomaton._fill
+
+    def counted(auto, *args):
+        fills.append(args)
+        return fill(auto, *args)
+
+    monkeypatch.setattr(ContainmentAutomaton, "_fill", counted)
+    message = f"^the automaton for k={k}, d={d} exceeded 65536 progress vectors for pattern {'1' * k}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        simulate_tau(d, k, 1, 0)
+    assert fills == []
+
+
 @pytest.mark.parametrize("d,k", [(10, 5), (17, 4), (300, 2)])
 def test_too_many_instances_fail_before_enumeration(d, k):
     assert d**k > MAX_INSTANCES

@@ -1338,12 +1338,20 @@ class TestFlankingPairs:
         assert has_flanking_pairs(Word((1, 2, 3), 4)) is False
 
     def test_necessity_exhaustively_at_length_eight(self):
-        # Superpattern implies flanking.  (At this length the twelve flanking
-        # conditions happen to characterise superpatterns exactly; only the
-        # necessary direction is relied on anywhere.)
+        # Superpattern implies flanking.
         for w in all_words(3, 8):
             if is_superpattern(w, 3):
                 assert has_flanking_pairs(w)
+
+    def test_picks_out_exactly_the_ternary_superpatterns(self):
+        # Over {1, 2, 3} the six orderings of 1, 2, 3 are the only instances
+        # of the six permutation patterns, and a word holding every
+        # permutation holds every pattern of length 3
+        # (test_dfa.py::test_the_permutations_alone_give_the_superpattern_dfa),
+        # so the condition is sufficient too.
+        for n in range(10):
+            for w in all_words(3, n):
+                assert has_flanking_pairs(w) == is_superpattern(w, 3), w
 
 
 class TestTerminalMinimumEmbedding:

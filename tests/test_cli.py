@@ -905,6 +905,27 @@ class TestOutputFile:
         assert main(["counts", "--n-from", "7", "--n-to", "7", "--out", str(path)]) == 0
         assert path.read_text().splitlines()[1] == "7,7,7,7,42,14,11,25"
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_an_out_that_cannot_be_written_exits_two(self, capsys, tmp_path, where):
+        path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+        code, out, err = run(capsys, "check", "1213121", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
+
+    def test_a_reader_that_closes_stdout_ends_the_output_quietly(self):
+        # A full listing of 12-letter words runs far past the pipe's buffer,
+        # so the child is still writing when its reader stops after one line.
+        argv = ["enumerate", "--n", "12", "--d", "3", "--k", "3", "--filter", "all", "--scope", "full"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen(
+            [sys.executable, "-m", "superpatterns", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline() == b"word\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (0, b"")
+
 
 class TestCheckGolden:
     # Outputs captured from the position-by-position backtracker, before the
@@ -940,3 +961,31 @@ class TestScanGolden:
     def test_byte_identical(self, capsys, case):
         code, out, err = run(capsys, *case["argv"])
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def _written_cases() -> list[dict]:
+    """The first golden case of each (subcommand, format) pair that answers,
+    and every refused one."""
+    answered: dict[tuple[str, str], dict] = {}
+    refused = []
+    for case in TestCheckGolden.CASES + TestScanGolden.CASES:
+        argv = case["argv"]
+        if case["exit"] in (2, 3):
+            refused.append(case)
+        else:
+            answered.setdefault((argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "csv"), case)
+    return [*answered.values(), *refused]
+
+
+class TestGoldenToAFile:
+    # The same bytes go to --out as to stdout, and a refusal, which comes
+    # before the first row is formed, opens no file.
+    @pytest.mark.parametrize("case", _written_cases(), ids=lambda c: " ".join(c["argv"]))
+    def test_the_file_holds_the_golden_stdout(self, capsys, tmp_path, case):
+        path = tmp_path / "out"
+        code, out, err = run(capsys, *case["argv"], "--out", str(path))
+        assert (code, out, err) == (case["exit"], "", case["stderr"])
+        if case["stdout"]:
+            assert path.read_text() == case["stdout"]
+        else:
+            assert not path.exists()

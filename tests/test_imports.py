@@ -373,3 +373,17 @@ def test_only_patterns_names_the_pattern_length_cap():
         for path in sorted(SOURCE.glob("*.py"))
     }
     assert {name: found for name, found in named.items() if found} == {"patterns.py": ["MAX_PATTERN_LENGTH"]}
+
+
+def test_one_writer_picks_the_format_and_writes_the_output():
+    # Every subcommand hands cli._write its text for each format.  Only the
+    # writer reads --format or --out, opens a file or names stdout, which a
+    # print with no file= argument writes to as well.
+    def writes(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return (node.value.id, node.attr) in {("args", "format"), ("args", "out"), ("sys", "stdout")}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            return all(keyword.arg != "file" for keyword in node.keywords)
+        return isinstance(node, ast.Name) and node.id == "open"
+
+    assert [name for name in _functions_where(writes) if name.startswith("cli.py:")] == ["cli.py:_write"]

@@ -96,6 +96,16 @@ class TestWordParsing:
         with pytest.raises(ValueError):
             Word(letters, alphabet_size)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Word((1.5,), 2), lambda: Word((1, 2), 2.5), lambda: Pattern((1.0, 2))],
+        ids=["Word letter 1.5", "Word alphabet 2.5", "Pattern letter 1.0"],
+    )
+    def test_non_integer_letters_are_refused_when_the_value_is_made(self, make):
+        # Not later, when str() first writes the letters as bytes.
+        with pytest.raises(TypeError):
+            make()
+
     def test_letters_are_stored_as_a_tuple(self):
         # A list passed in is copied, so the word neither changes with it
         # nor fails to hash.
